@@ -136,8 +136,8 @@ class Metric:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.eps == 0:
-            raise ValueError("eps must be nonzero")
+        if not np.isfinite(self.eps) or self.eps == 0:
+            raise ValueError(f"eps must be finite and nonzero, got {self.eps}")
 
     @property
     def dim(self) -> int:
@@ -259,7 +259,7 @@ def h_basis(n: int) -> tuple[HVec, ...]:
 @lru_cache(maxsize=None)
 def adjoint_matrices(n: int) -> np.ndarray:
     """Real (n^2-1, 2n+1, 2n+1) array: the action of each h-basis element on m
-    in standard-basis coordinates, A[r][:, k] = coords([h_r, e_k])."""
+    in standard-basis coordinates, A[r][:, k] = coords([h_r, e_k]).  Read-only."""
     basis = standard_basis(n)
     hs = h_basis(n)
     d = 2 * n + 1
@@ -267,6 +267,7 @@ def adjoint_matrices(n: int) -> np.ndarray:
     for r, h in enumerate(hs):
         for k, e in enumerate(basis):
             A[r][:, k] = bracket_hm(h, e).coords()
+    A.flags.writeable = False
     return A
 
 
@@ -274,7 +275,7 @@ def adjoint_matrices(n: int) -> np.ndarray:
 def structure_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Structure data of the reductive pair over the standard basis.
 
-    Returns (Cm, Hterm) where Cm[i,j] = coords([e_i, e_j]_m) and
+    Returns read-only (Cm, Hterm) where Cm[i,j] = coords([e_i, e_j]_m) and
     Hterm[i,j,k] = coords([[e_i, e_j]_h, e_k]).
     """
     basis = standard_basis(n)
@@ -289,4 +290,5 @@ def structure_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
             for k in range(d):
                 Hterm[i, j, k] = bracket_hm(h, basis[k]).coords()
                 Hterm[j, i, k] = -Hterm[i, j, k]
+    Cm.flags.writeable = Hterm.flags.writeable = False
     return Cm, Hterm

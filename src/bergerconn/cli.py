@@ -51,7 +51,6 @@ class RunConfig:
     n: int = 2
     eps: float = -1.0
     tol_num: float = config.TOL_NUM
-    tol_sol: float = config.TOL_SOL
     seed: int = 0
     fmt: str = "text"
     out: str | None = None
@@ -391,39 +390,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_eps=True):
-        p.add_argument("--n", type=int, default=2, help="ambient parameter (dim 2n+1)")
-        if need_eps:
+    # each subcommand takes only the flags it reads, and all accept --seed
+    def command(name, summary, n=True, eps=True, formats=("text", "json")):
+        p = sub.add_parser(name, help=summary)
+        if n:
+            p.add_argument("--n", type=int, default=2, help="ambient parameter (dim 2n+1)")
+        if eps:
             p.add_argument("--eps", type=parse_eps, default=-1.0,
                            help="metric deformation, decimal or rational like -3/2")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-num", type=float, default=config.TOL_NUM)
-        p.add_argument("--tol-sol", type=float, default=config.TOL_SOL)
-        p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--out", default=None)
+        if formats:
+            p.add_argument("--format", dest="fmt", choices=formats, default="text")
+        return p
 
-    common(sub.add_parser("dims", help="dimension counts of the connection spaces"),
-           need_eps=False)
-    common(sub.add_parser("verify", help="closed forms vs generic calculus"))
-    common(sub.add_parser("classify", help="Einstein variety for one (n, eps)"))
-    common(sub.add_parser("table", help="all 16 regime cells"), need_eps=False)
-    common(sub.add_parser("export", help="JSON report for one (n, eps)"))
+    command("dims", "dimension counts of the connection spaces", eps=False)
+    command("verify", "closed forms vs generic calculus").add_argument(
+        "--tol-num", type=float, default=config.TOL_NUM)
+    command("classify", "Einstein variety for one (n, eps)")
+    command("table", "all 16 regime cells", n=False, eps=False,
+            formats=("text", "json", "csv"))
+    command("export", "JSON report for one (n, eps)", formats=()).add_argument(
+        "--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        cfg = RunConfig(
-            n=args.n,
-            eps=getattr(args, "eps", -1.0),
-            tol_num=args.tol_num,
-            tol_sol=args.tol_sol,
-            seed=args.seed,
-            fmt=args.fmt,
-            out=args.out,
-        )
+        cfg = RunConfig(**args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -433,7 +428,7 @@ def main(argv=None) -> int:
         "classify": cmd_classify,
         "table": cmd_table,
         "export": cmd_export,
-    }[args.command]
+    }[command]
     return handler(cfg)
 
 

@@ -76,8 +76,8 @@ class CanonicalEquation:
 
 
 def einstein_equation(n: int, eps: float) -> CanonicalEquation:
-    if n < 1 or eps == 0:
-        raise ValueError("need n >= 1 and eps != 0")
+    if n < 1 or eps == 0 or not np.isfinite(eps):
+        raise ValueError("need n >= 1 and a finite eps != 0")
     names = param_names(n)
     if n == 1:
         return CanonicalEquation(n, eps, 0.0, 0.0, 0.0, names, line=(eps == -1.0))
@@ -124,15 +124,7 @@ def einstein_defect_at(n: int, eps: float, params) -> float:
 
 def _defect_residual(n: int, eps: float):
     g = Metric(n, eps)
-    G = g.gram()
-
-    def r(x):
-        alpha = _family_member(n, eps, x)
-        Ric = nomizu.ricci(nomizu.curvature(alpha), g)
-        s = nomizu.scalar(Ric, g)
-        return (nomizu.sym(Ric).coeffs - (s / g.dim) * G).ravel()
-
-    return r
+    return lambda x: nomizu.einstein_residual(_family_member(n, eps, x), g).ravel()
 
 
 def _gauss_newton(r, x0, tol, damping=0.5, max_iter=120, fd_step=1e-6):

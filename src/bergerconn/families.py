@@ -3,8 +3,11 @@
 Regimes: "general_n" covers n >= 4 and, verbatim with (n+1)/n = 2, also
 n = 1; "s7" (n = 3) adds a complex cross-product direction; "s5" (n = 2)
 adds the almost-contact directions built from theta(z1, z2) = (-conj(z2),
-conj(z1)).  Each family is produced as a Bilin over the standard basis so
-it can be compared against the generic tensor calculus.
+conj(z1)).  Every family and every closed torsion/curvature is written once
+as a formula in the tangent coordinates (z, a), (w, b), (u, c) of its
+arguments.  The formula is evaluated once on arrays that hold the whole
+standard basis along one broadcast axis per argument, which yields the
+coefficient tensor that the generic tensor calculus is compared against.
 
 The base-point tensors (psi, eta, xi, Phi, and for small n Theta,
 Theta-tilde, psi-hat) render the skew directions in coordinate-free form.
@@ -17,9 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import algebra
-from .algebra import Metric, MVec
-from .config import TOL_NUM
+from .algebra import MVec
+from .config import TOL_EXACT, TOL_NUM
 from .nomizu import CurvTensor, Rank2Tensor
 from .spaces import Bilin
 
@@ -29,13 +31,44 @@ class UnsupportedRegimeError(ValueError):
 
 
 def theta(z: np.ndarray) -> np.ndarray:
-    """su(2)-equivariant map on C^2: (z1, z2) -> (-conj(z2), conj(z1))."""
-    return np.array([-np.conj(z[1]), np.conj(z[0])])
+    """su(2)-equivariant map on C^2 (last axis): (z1, z2) -> (-conj(z2), conj(z1))."""
+    return np.conj(z[..., ::-1]) * np.array([-1.0, 1.0])
 
 
 def _ccross(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """conj(z) x conj(w), the conjugated C^3 cross product."""
     return np.cross(np.conj(z), np.conj(w))
+
+
+def _dot(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """conj(z)^t w over the last axis, kept as a length-1 axis."""
+    return np.sum(np.conj(z) * w, axis=-1, keepdims=True)
+
+
+def _tabulate(n: int, rank: int, f) -> np.ndarray:
+    """Real coefficients of the (z, a)-formula f of rank arguments on all
+    standard basis tuples.
+
+    f receives one (z, a) pair per argument; the standard basis runs along
+    that argument's own axis, z has a last axis of length n and a one of
+    length 1.  It returns the (z, a) of the value, and the result is
+    c[i, j, ..., l] = e_l-coefficient of f(e_i, e_j, ...).
+    """
+    d = 2 * n + 1
+    E = np.eye(d)  # row i holds the coordinates of e_i, read back as (z, a)
+    z, a = E[:, 0 : 2 * n : 2] + 1j * E[:, 1 : 2 * n : 2], 1j * E[:, -1:]
+    args = []
+    for k in range(rank):
+        axes = [1] * rank
+        axes[k] = d
+        args.append((z.reshape(axes + [n]), a.reshape(axes + [1])))
+    dz, da = f(*args)
+    da = np.asarray(da)
+    if not np.all(np.abs(da.real) <= TOL_EXACT):
+        raise ValueError("the a-component of a closed form must be purely imaginary")
+    c = np.empty((d,) * rank + (d,))
+    c[..., 0 : 2 * n : 2], c[..., 1 : 2 * n : 2], c[..., -1:] = dz.real, dz.imag, da.imag
+    return c
 
 
 @dataclass(frozen=True)
@@ -161,46 +194,21 @@ def alpha_general(n: int, q1: complex, q2: complex, q3: complex, t: float) -> Bi
     """alpha(X, Y) = (q1 b z + q2 a w, i(t a b + Im(q3 conj(z)^t w)))."""
 
     def f(X, Y):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
-        return MVec(
-            n,
-            q1 * b * z + q2 * a * w,
-            1j * (t * (a * b).real + np.imag(q3 * (np.conj(z) @ w))),
-        )
+        (z, a), (w, b) = X, Y
+        return q1 * b * z + q2 * a * w, 1j * (t * (a * b).real + np.imag(q3 * _dot(z, w)))
 
-    return Bilin.from_function(n, f)
+    return Bilin(n, _tabulate(n, 2, f))
 
 
 def alpha_metric(n: int, eps: float, q: complex, t: float) -> Bilin:
     """Metric-compatible family: (-eps q b z + t a w, -i Im(conj(q) conj(z)^t w))."""
-
-    def f(X, Y):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
-        return MVec(
-            n,
-            -eps * q * b * z + t * a * w,
-            -1j * np.imag(np.conj(q) * (np.conj(z) @ w)),
-        )
-
-    return Bilin.from_function(n, f)
+    return alpha_general(n, -eps * q, t, -np.conj(q), 0.0)
 
 
 @lru_cache(maxsize=None)
 def alpha_lc(n: int, eps: float) -> Bilin:
     """Levi-Civita map: (-eps b z - (eps + (n+1)/n) a w, -i Im(conj(z)^t w))."""
-
-    def f(X, Y):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
-        return MVec(
-            n,
-            -eps * b * z - (eps + (n + 1) / n) * a * w,
-            -1j * np.imag(np.conj(z) @ w),
-        )
-
-    return Bilin.from_function(n, f)
+    return alpha_general(n, -eps, -(eps + (n + 1) / n), -1.0, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -209,13 +217,7 @@ def direction_s(n: int, eps: float) -> Bilin:
 
     Coordinate form of Phi(X,Y) xi + eps(eta(X) psi(Y) - eta(Y) psi(X)).
     """
-
-    def f(X, Y):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
-        return MVec(n, eps * (b * z - a * w), 1j * np.imag(np.conj(z) @ w))
-
-    return Bilin.from_function(n, f)
+    return alpha_general(n, eps, -eps, 1.0, 0.0)
 
 
 def alpha_skew(n: int, eps: float, s: float) -> Bilin:
@@ -224,16 +226,9 @@ def alpha_skew(n: int, eps: float, s: float) -> Bilin:
 
 
 def _delta_s7(eps: float, s: float, p: complex) -> Bilin:
-    def f(X, Y):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
-        return MVec(
-            3,
-            s * eps * (b * z - a * w) + p * _ccross(z, w),
-            1j * s * np.imag(np.conj(z) @ w),
-        )
-
-    return Bilin.from_function(3, f)
+    """s times the s-direction plus p conj(z) x conj(w) in the z-slot."""
+    cross = _tabulate(3, 2, lambda X, Y: (p * _ccross(X[0], Y[0]), 0.0))
+    return s * direction_s(3, eps) + Bilin(3, cross)
 
 
 def alpha_skew_s7(eps: float, s: float, s1: float, s2: float) -> Bilin:
@@ -242,17 +237,14 @@ def alpha_skew_s7(eps: float, s: float, s1: float, s2: float) -> Bilin:
 
 
 def _delta_s5(eps: float, s: float, p: complex) -> Bilin:
-    def f(X, Y):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
-        dz = s * eps * (b * z - a * w) - eps * p * (b * theta(z) - a * theta(w))
-        da = 1j * (
-            s * np.imag(np.conj(z) @ w)
-            - np.imag(np.conj(p) * (np.conj(theta(z)) @ w))
-        )
-        return MVec(2, dz, da)
+    """s times the s-direction plus the theta terms with coefficient p."""
 
-    return Bilin.from_function(2, f)
+    def f(X, Y):
+        (z, a), (w, b) = X, Y
+        dz = -eps * p * (b * theta(z) - a * theta(w))
+        return dz, -1j * np.imag(np.conj(p) * _dot(theta(z), w))
+
+    return s * direction_s(2, eps) + Bilin(2, _tabulate(2, 2, f))
 
 
 def alpha_skew_s5(eps: float, s: float, s3: float, s4: float) -> Bilin:
@@ -299,18 +291,17 @@ def closed_torsion(n: int, eps: float, params: FamilyParams) -> Bilin:
     cz = -eps * q - t - (n + 1) / n
 
     def f(X, Y):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
+        (z, a), (w, b) = X, Y
         dz = cz * (b * z - a * w)
-        da = (q.real - 1) * ((np.conj(w) @ z) - (np.conj(z) @ w))
+        da = (q.real - 1) * (_dot(w, z) - _dot(z, w))
         if params.regime == "s7":
             dz = dz + 2 * params.p * _ccross(z, w)
         elif params.regime == "s5":
             dz = dz + (-eps * params.p - params.p2) * (b * theta(z) - a * theta(w))
-            da = da - 2j * np.imag(np.conj(params.p) * (np.conj(theta(z)) @ w))
-        return MVec(n, dz, da)
+            da = da - 2j * np.imag(np.conj(params.p) * _dot(theta(z), w))
+        return dz, da
 
-    return Bilin.from_function(n, f)
+    return Bilin(n, _tabulate(n, 2, f))
 
 
 def _require_skew(n: int, eps: float, params: FamilyParams) -> float:
@@ -333,12 +324,10 @@ def closed_curvature(n: int, eps: float, params: FamilyParams) -> CurvTensor:
     p = params.p
 
     def f(X, Y, Z):
-        z, a = X.z, X.a
-        w, b = Y.z, Y.a
-        u, c = Z.z, Z.a
-        zu, uz = np.conj(z) @ u, z @ np.conj(u)
-        wu, uw = np.conj(w) @ u, w @ np.conj(u)
-        wz, zw = np.conj(w) @ z, np.conj(z) @ w
+        (z, a), (w, b), (u, c) = X, Y, Z
+        zu, uz = _dot(z, u), _dot(u, z)
+        wu, uw = _dot(w, u), _dot(u, w)
+        wz, zw = _dot(w, z), _dot(z, w)
         dz = (
             0.5 * eps * q * q * (z * (wu - uw) + w * (uz - zu))
             + z * wu
@@ -354,18 +343,11 @@ def closed_curvature(n: int, eps: float, params: FamilyParams) -> CurvTensor:
                 + (p * np.conj(p))
                 * (np.cross(np.conj(z), np.cross(w, u)) - np.cross(np.conj(w), np.cross(z, u)))
             )
-            det = np.linalg.det(np.column_stack([z, w, u]))
+            det = np.sum(z * np.cross(w, u), axis=-1, keepdims=True)  # det[z w u]
             da = da + 2 * q * 1j * np.imag(np.conj(p) * det)
-        return MVec(n, dz, da)
+        return dz, da
 
-    basis = algebra.standard_basis(n)
-    d = 2 * n + 1
-    R = np.empty((d, d, d, d))
-    for i, X in enumerate(basis):
-        for j, Y in enumerate(basis):
-            for k, Z in enumerate(basis):
-                R[i, j, k] = f(X, Y, Z).coords()
-    return CurvTensor(n, R)
+    return CurvTensor(n, _tabulate(n, 3, f))
 
 
 def closed_ricci(n: int, eps: float, params: FamilyParams) -> Rank2Tensor:

@@ -23,7 +23,7 @@ import numpy as np
 from . import algebra
 from .algebra import Metric
 from .config import TOL_NUM
-from .spaces import Bilin
+from .spaces import Bilin, _metric_violation
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,7 @@ def is_skew(omega: np.ndarray, tol: float = TOL_NUM) -> bool:
 
 def is_metric(alpha: Bilin, g: Metric, tol: float = TOL_NUM) -> bool:
     """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) = 0 on all basis triples."""
-    G = g.gram()
-    v = np.einsum("ijk,kz->ijz", alpha.coeffs, G) + np.einsum(
-        "izk,kj->ijz", alpha.coeffs, G
-    )
-    return bool(np.abs(v).max() <= tol)
+    return bool(np.abs(_metric_violation(alpha.coeffs, g.gram())).max() <= tol)
 
 
 def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:
@@ -142,10 +138,13 @@ def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:
     return Rank2Tensor(alpha.n, S)
 
 
-def einstein_defect(alpha: Bilin, g: Metric) -> float:
-    """Frobenius norm of Sym(Ric) - (s / dim) g for the connection alpha."""
-    R = curvature(alpha)
-    Ric = ricci(R, g)
+def einstein_residual(alpha: Bilin, g: Metric) -> np.ndarray:
+    """Sym(Ric) - (s / dim) g for the connection alpha; zero iff alpha is Einstein."""
+    Ric = ricci(curvature(alpha), g)
     s = scalar(Ric, g)
-    dev = sym(Ric).coeffs - (s / g.dim) * g.gram()
-    return float(np.linalg.norm(dev))
+    return 0.5 * (Ric.coeffs + Ric.coeffs.T) - (s / g.dim) * g.gram()
+
+
+def einstein_defect(alpha: Bilin, g: Metric) -> float:
+    """Frobenius norm of the Einstein residual Sym(Ric) - (s / dim) g."""
+    return float(np.linalg.norm(einstein_residual(alpha, g)))

@@ -35,7 +35,8 @@ class Bilin:
     """Bilinear map m x m -> m as a real rank-3 coefficient tensor.
 
     coeffs[i, j, k] is the coefficient of e_k in alpha(e_i, e_j) over the
-    standard basis.
+    standard basis.  The map keeps a read-only copy, so a cached map cannot
+    be changed through its coefficients.
     """
 
     n: int
@@ -43,7 +44,8 @@ class Bilin:
 
     def __post_init__(self):
         d = 2 * self.n + 1
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
+        c.flags.writeable = False
         if c.shape != (d, d, d):
             raise ValueError(f"coeffs must have shape {(d, d, d)}, got {c.shape}")
         if not np.all(np.isfinite(c)):

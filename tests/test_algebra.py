@@ -6,6 +6,7 @@ from bergerconn.algebra import (
     HVec,
     Metric,
     MVec,
+    adjoint_matrices,
     bracket_hm,
     bracket_mm,
     embed_h,
@@ -15,6 +16,7 @@ from bergerconn.algebra import (
     orthonormal_basis,
     project,
     standard_basis,
+    structure_tensors,
 )
 from conftest import random_mvec
 
@@ -191,6 +193,11 @@ class TestBases:
         g = Metric(2, 4.0)
         for b, s in zip(basis, signs):
             assert abs(metric_eval(g, b, b) - s) < 1e-12
+
+    def test_cached_tensors_are_read_only(self):
+        for arr in (*structure_tensors(2), adjoint_matrices(2)):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
 
 
 class TestLieAlgebraProperties:

@@ -151,3 +151,11 @@ class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [["table", "--out", "x.csv"],
+                                      ["classify", "--tol-sol", "1e-6"]])
+    def test_flag_the_command_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -54,6 +54,12 @@ class TestEquation:
         with pytest.raises(ValueError):
             einstein_equation(2, 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_eps(self, eps):
+        for build in (Metric, einstein_equation, classify):
+            with pytest.raises(ValueError):
+                build(4, eps)
+
     def test_param_names(self):
         assert param_names(1) == ("s",)
         assert param_names(2) == ("s", "s3", "s4")

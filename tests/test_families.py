@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerconn import families, nomizu
 from bergerconn.algebra import Metric, MVec, metric_eval, standard_basis
+from bergerconn.config import TOL_NUM
 from bergerconn.families import (
     FamilyParams,
     PointTensors,
@@ -171,6 +174,10 @@ class TestDirectionRenderings:
 
 
 class TestConnectionFamilies:
+    def test_tabulator_rejects_real_a_component(self):
+        with pytest.raises(ValueError):
+            families._tabulate(1, 2, lambda X, Y: (X[0] * Y[1], 0.5 + X[1] * Y[1]))
+
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (3, 0.7)])
     def test_general_family_contains_levi_civita(self, n, eps):
         alpha = alpha_general(n, -eps, -(eps + (n + 1) / n), -1.0, 0.0)
@@ -282,3 +289,26 @@ class TestClosedRicci:
         params = FamilyParams.skew("s5", 2, -1.0, 0.5)
         with pytest.raises(UnsupportedRegimeError):
             closed_ricci(2, -1.0, params)
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        eps=st.floats(0.1, 3.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    )
+    def test_closed_forms_match_generic(self, n, eps, sign, x):
+        eps *= sign
+        regime = {1: "s3", 2: "s5", 3: "s7"}.get(n, "general_n")
+        params = FamilyParams.skew(regime, n, eps, *x)
+        alpha = skew_family(n, eps, x)
+        T = nomizu.torsion(alpha)
+        assert np.abs(T.coeffs - closed_torsion(n, eps, params).coeffs).max() <= TOL_NUM
+        if n == 2:  # no closed curvature on S^5
+            return
+        R = nomizu.curvature(alpha)
+        assert np.abs(R.coeffs - closed_curvature(n, eps, params).coeffs).max() <= TOL_NUM
+        Ric = nomizu.ricci(R, Metric(n, eps))
+        assert np.abs(Ric.coeffs - closed_ricci(n, eps, params).coeffs).max() <= TOL_NUM

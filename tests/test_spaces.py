@@ -53,6 +53,13 @@ class TestBilin:
         with pytest.raises(ValueError):
             Bilin(2, np.zeros((3, 3, 3)))
 
+    def test_cached_maps_are_read_only(self):
+        # skew_torsion_space(2, -1) holds the cached alpha_lc(2, -1) as its offset
+        before = skew_torsion_space(2, -1.0).offset.coeffs.copy()
+        with pytest.raises(ValueError):
+            families.alpha_lc(2, -1.0).coeffs[0, 0, 0] += 1
+        assert np.array_equal(skew_torsion_space(2, -1.0).offset.coeffs, before)
+
 
 class TestLinearSpace:
     def test_rejects_dependent_basis(self):
