@@ -82,12 +82,16 @@ class MVec:
 
 @dataclass(frozen=True)
 class HVec:
-    """Element of h = su(n): an anti-Hermitian traceless n x n matrix."""
+    """Element of h = su(n): an anti-Hermitian traceless n x n matrix.
+
+    Keeps a read-only copy of B, so a cached basis element cannot be changed.
+    """
 
     B: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=complex)
+        B = np.array(self.B, dtype=complex)
+        B.flags.writeable = False
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("B must be square")
         if np.abs(B + B.conj().T).max() > TOL_EXACT:

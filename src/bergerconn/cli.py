@@ -116,6 +116,9 @@ def cmd_dims(cfg: RunConfig) -> int:
     except RankGapError as exc:
         print(f"FAIL rank decision: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # an n too large to hold in memory
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     if cfg.fmt == "json":
         _emit(doc, cfg)
     else:

@@ -10,14 +10,18 @@ n = 3 and (s3, s4) for n = 2.  The Einstein condition cuts out a quadric:
     n = 1:  solvable iff eps = -1, and then every s works.
 
 This module renders those equations, classifies the solution variety
-(reproducing the four-row table of regimes), confirms solutions numerically
-by damped Gauss-Newton on the Einstein defect, and checks the Ricci-flat
-and flatness loci.
+(reproducing the four-row table of regimes), and checks the Ricci-flat and
+flatness loci.  Since the family is affine in its parameters, the generic
+Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
+coefficients, read off the generic calculus by polarization, drive a batched
+damped Newton solve that confirms solutions numerically, and the exact
+minimum of the n = 1 defect.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,38 +126,42 @@ def einstein_defect_at(n: int, eps: float, params) -> float:
     return nomizu.einstein_defect(_family_member(n, eps, params), Metric(n, eps))
 
 
-def _defect_residual(n: int, eps: float):
+def _residual_quadratic(n: int, eps: float):
+    """Coefficients (c0, L, Q) of the flattened generic Einstein residual.
+
+    The skew family is affine in its parameters x and the residual is
+    quadratic in the connection, so r(x) = c0 + x @ L + Q(x, x) exactly, with
+    Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j).  The
+    coefficients follow by polarization from r(0), r(+-e_i) and r(e_i + e_j):
+    at most 10 evaluations of nomizu.einstein_residual for k <= 3.
+    """
     g = Metric(n, eps)
-    return lambda x: nomizu.einstein_residual(_family_member(n, eps, x), g).ravel()
 
+    def r(x):
+        return nomizu.einstein_residual(_family_member(n, eps, x), g).ravel()
 
-def _gauss_newton(r, x0, tol, damping=0.5, max_iter=120, fd_step=1e-6):
-    x = np.asarray(x0, dtype=float).copy()
-    k = len(x)
-    for _ in range(max_iter):
-        rx = r(x)
-        if np.linalg.norm(rx) <= tol:
-            return x, float(np.linalg.norm(rx))
-        J = np.empty((len(rx), k))
-        for i in range(k):
-            xp = x.copy()
-            xp[i] += fd_step
-            J[:, i] = (r(xp) - rx) / fd_step
-        step, *_ = np.linalg.lstsq(J, -rx, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        norm = np.linalg.norm(step)
-        if norm > 2.0:  # keep iterates near their seed on unbounded varieties
-            step *= 2.0 / norm
-        x = x + damping * step
-    rx = r(x)
-    return x, float(np.linalg.norm(rx))
+    k = param_count(n)
+    E = np.eye(k)
+    c0 = r(np.zeros(k))
+    plus = np.array([r(e) for e in E])
+    minus = np.array([r(-e) for e in E])
+    L = (plus - minus) / 2.0
+    Q = np.empty((k, k, c0.size))
+    Q[np.arange(k), np.arange(k)] = (plus + minus) / 2.0 - c0
+    for i, j in itertools.combinations(range(k), 2):
+        Q[i, j] = Q[j, i] = (r(E[i] + E[j]) - plus[i] - plus[j] + c0) / 2.0
+    return c0, L, Q
 
 
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
                   n_seeds: int = 64, tol: float = TOL_SOL) -> list[tuple[float, ...]]:
-    """Parameter tuples with Einstein defect <= tol, found by damped
-    Gauss-Newton from scattered random seeds.
+    """Parameter tuples with Einstein defect <= tol, found by damped Newton
+    steps on the exact quadratic residual from scattered random seeds.
+
+    All seeds iterate as one array with the analytic Jacobian; a seed stops
+    once its residual is below 0.05 * tol.  Each candidate, rounded to 10
+    digits, is confirmed against the generic residual, and candidates within
+    1e-3 of each other (max-norm) are merged into the one of least defect.
 
     Raises RuntimeError if the classification predicts solutions but none
     survive the seed budget.
@@ -169,27 +177,51 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
                 raise RuntimeError("line solution fails the defect check")
         return out
 
-    k = param_count(n)
-    r = _defect_residual(n, eps)
+    c0, L, Q = _residual_quadratic(n, eps)
+    # r(x) stays in the row space of the stacked coefficients, so solving in
+    # an orthonormal basis of it (cut at lstsq's relative cutoff) keeps every
+    # norm and step; r(x) = v q(x) for the canonical quadric q makes that
+    # space one-dimensional, and each pinv below acts on a 1 x k matrix
+    _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(-1, c0.size)]),
+                              full_matrices=False)
+    V = vt[sv > sv[0] * max(vt.shape) * np.finfo(float).eps].T
+    c0, L, Q = c0 @ V, L @ V, Q @ V
+
+    def residual(X):
+        return c0 + X @ L + np.einsum("si,sj,ijm->sm", X, X, Q)
+
     rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(n_seeds):
-        x0 = rng.uniform(-4.0, 4.0, size=k)
+    X = rng.uniform(-4.0, 4.0, size=(n_seeds, param_count(n)))
+    live = np.arange(n_seeds)
+    for _ in range(120):
+        R = residual(X[live])
         # converge well below tol so the 10-digit rounding stays within it
-        x, resid = _gauss_newton(r, x0, 0.05 * tol)
-        cand = tuple(round(float(v), 10) for v in x)
-        if resid <= tol and np.linalg.norm(r(np.array(cand))) <= tol:
-            found.append(cand)
-    # deduplicate nearby solutions
+        going = np.linalg.norm(R, axis=1) > 0.05 * tol
+        live, R = live[going], R[going]
+        if not len(live):
+            break
+        J = L.T + 2.0 * np.einsum("sj,ijm->smi", X[live], Q)
+        # rtol=None cuts at max(m, k) * machine eps, as lstsq's default does
+        step = -np.einsum("skm,sm->sk", np.linalg.pinv(J, rtol=None), R)
+        # keep iterates near their seed on unbounded varieties
+        norm = np.linalg.norm(step, axis=1, keepdims=True)
+        X[live] += 0.5 * step * (2.0 / np.maximum(norm, 2.0))
+    close = np.linalg.norm(residual(X), axis=1) <= tol
+    cands = {tuple(round(float(v), 10) for v in x) for x in X[close]}
+    defect = {x: einstein_defect_at(n, eps, x) for x in cands}
+    # iterates drawn into a double root stay apart by about 1e-5: merge
+    # each cluster into its candidate of least defect
     unique: list[tuple[float, ...]] = []
-    for x in sorted(found):
-        if all(max(abs(a - b) for a, b in zip(x, y)) > 1e-6 for y in unique):
+    for x in sorted(cands, key=lambda x: (defect[x], x)):
+        if defect[x] <= tol and all(
+            max(abs(a - b) for a, b in zip(x, y)) > 1e-3 for y in unique
+        ):
             unique.append(x)
     if not unique and kind is not VarietyClass.EMPTY:
         raise RuntimeError(
             f"classification predicts {kind.value} but no numeric solution found"
         )
-    return unique[:count]
+    return sorted(unique)[:count]
 
 
 @dataclass(frozen=True)
@@ -327,16 +359,15 @@ def flat_connection_check(n: int, eps: float, tol: float = TOL_SOL) -> FlatnessR
 
 
 def min_defect_n1(eps: float, lo: float = -10.0, hi: float = 10.0) -> float:
-    """Minimum Einstein defect over s in [lo, hi] for n = 1, grid + refinement."""
-    s_grid = np.linspace(lo, hi, 201)
-    vals = [einstein_defect_at(1, eps, (s,)) for s in s_grid]
-    best = int(np.argmin(vals))
-    a = s_grid[max(best - 1, 0)]
-    b = s_grid[min(best + 1, len(s_grid) - 1)]
-    for _ in range(6):
-        s_grid = np.linspace(a, b, 41)
-        vals = [einstein_defect_at(1, eps, (s,)) for s in s_grid]
-        best = int(np.argmin(vals))
-        a = s_grid[max(best - 1, 0)]
-        b = s_grid[min(best + 1, len(s_grid) - 1)]
-    return float(vals[best])
+    """Minimum Einstein defect over s in [lo, hi] for n = 1.
+
+    The residual is exactly c0 + s L + s^2 Q, so the squared defect is a
+    quartic in s.  Its minimum over [lo, hi] lies at an endpoint or at a
+    critical point; the generic defect is evaluated at that argmin.
+    """
+    c0, (l,), ((q,),) = _residual_quadratic(1, eps)
+    quartic = [q @ q, 2 * l @ q, l @ l + 2 * c0 @ q, 2 * c0 @ l, c0 @ c0]
+    crit = np.roots(np.polyder(quartic)).real
+    cands = np.clip(np.append(crit, (lo, hi)), lo, hi)
+    best = cands[np.argmin(np.polyval(quartic, cands))]
+    return einstein_defect_at(1, eps, (best,))

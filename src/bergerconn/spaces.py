@@ -16,6 +16,7 @@ h-basis residual; on failure the full stacked system is used.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -138,7 +139,8 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
     """Rows spanning the nullspace of M, with a guarded rank decision."""
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
+    # U is never used; V must stay square, which only a wide M needs asked for
+    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if len(s) else 0.0
     if smax == 0.0:
         return np.eye(M.shape[1])
@@ -179,6 +181,14 @@ def _generating_actions(n: int) -> np.ndarray:
 
 def _invariant_basis_raw(n: int) -> np.ndarray:
     d = 2 * n + 1
+    # the dense operators and their SVD take under 140 d^6 bytes (515 MB
+    # measured at n = 6); refuse an n whose system cannot fit in memory
+    need, have = 140 * d**6, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"n = {n} needs about {need / 2**30:.0f} GiB for the invariant "
+            f"nullspace, more than the {have / 2**30:.0f} GiB of physical memory"
+        )
     if n == 1:
         # h = su(1) = 0: every bilinear map is invariant
         return np.eye(d**3)

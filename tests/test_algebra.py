@@ -199,6 +199,11 @@ class TestBases:
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1.0
 
+    def test_cached_h_basis_is_read_only(self):
+        with pytest.raises(ValueError):
+            h_basis(3)[0].B[0, 1] = 5
+        assert h_basis(3)[0].B[0, 1] == 1.0
+
 
 class TestLieAlgebraProperties:
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -148,6 +148,11 @@ class TestUsageErrors:
     def test_bad_n(self):
         assert main(["dims", "--n", "0"]) == 2
 
+    def test_n_beyond_memory(self, capsys):
+        assert main(["dims", "--n", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerconn import families, nomizu
 from bergerconn.algebra import Metric
+from bergerconn.config import TOL_NUM
 from bergerconn.einstein import (
     CanonicalEquation,
     EinsteinVariety,
     VarietyClass,
+    _family_member,
+    _residual_quadratic,
     classify,
     einstein_defect_at,
     einstein_equation,
@@ -132,6 +137,40 @@ class TestClassify:
             assert einstein_defect_at(n, eps, x) <= TOL
 
 
+class TestResidualQuadratic:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        eps=st.floats(0.1, 3.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        x=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    def test_reproduces_generic_residual(self, n, eps, sign, x):
+        eps *= sign
+        x = np.array(x[: param_count(n)])
+        c0, L, Q = _residual_quadratic(n, eps)
+        model = c0 + x @ L + np.einsum("i,j,ijm->m", x, x, Q)
+        generic = nomizu.einstein_residual(_family_member(n, eps, x), Metric(n, eps))
+        assert np.abs(model - generic.ravel()).max() <= TOL_NUM
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_derived_quadric_matches_equation(self, n):
+        # r(x) = v q(x) with q the canonical quadric: the stacked tensors have
+        # rank one, and their projections on v are q's coefficients
+        for eps in (-3.0, -2.0, -1.5, -1.0, -0.5, -0.1, 0.3, 1.0, 2.0):
+            c0, L, Q = _residual_quadratic(n, eps)
+            k = len(L)
+            _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(k * k, -1)]))
+            assert sv[1] <= 1e-12 * sv[0]
+            v = vt[0]
+            derived = np.concatenate([[-(c0 @ v)], L @ v, (Q @ v).ravel()])
+            eq = einstein_equation(n, eps)
+            quad = np.diag([eq.a] + [eq.b] * (k - 1))
+            expected = np.concatenate([[eq.c], np.zeros(k), quad.ravel()])
+            scale = derived @ expected / (expected @ expected)
+            assert np.linalg.norm(derived - scale * expected) <= 1e-12 * np.linalg.norm(derived)
+
+
 class TestSolveNumeric:
     def test_n4_lorentzian_magnitude(self):
         sols = solve_numeric(4, 1.0)
@@ -166,6 +205,16 @@ class TestSolveNumeric:
     def test_determinism(self):
         assert solve_numeric(3, -2.0, seed=7) == solve_numeric(3, -2.0, seed=7)
 
+    @pytest.mark.parametrize("n,eps", [(2, -1.0), (3, -2.0)])
+    def test_generic_evaluations_bounded(self, n, eps, monkeypatch):
+        # the quadratic model takes at most 10 curvature evaluations, and
+        # each candidate one more for its generic check
+        calls = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
+        solve_numeric(n, eps, n_seeds=64)
+        assert 0 < len(calls) <= 10 + 64
+
 
 class TestVariety:
     def test_nonempty_has_samples(self):
@@ -175,6 +224,11 @@ class TestVariety:
         # exactly the two points +-s*
         signs = {np.sign(x[0]) for x in v.sample_points}
         assert signs == {1.0, -1.0}
+
+    @pytest.mark.parametrize("n,eps,points", [(4, -1.0, 1), (5, -1.0, 1), (2, -1.0, 1),
+                                              (4, -2.0, 2), (4, 1.0, 2)])
+    def test_isolated_points_sampled_once(self, n, eps, points):
+        assert len(variety(n, eps).sample_points) == points
 
     def test_empty_has_none(self):
         v = variety(2, -0.5)
@@ -255,3 +309,9 @@ class TestMinDefectN1:
 
     def test_round_attains_zero(self):
         assert min_defect_n1(-1.0) < 1e-10
+
+    @pytest.mark.parametrize("eps", [-3.0, -2.0, -0.5, 0.3, 1.0])
+    @pytest.mark.parametrize("lo,hi", [(-10.0, 10.0), (1.0, 4.0)])
+    def test_not_above_dense_grid(self, eps, lo, hi):
+        grid = min(einstein_defect_at(1, eps, (s,)) for s in np.linspace(lo, hi, 2001))
+        assert min_defect_n1(eps, lo, hi) <= grid * (1 + 1e-12)

@@ -11,6 +11,7 @@ from bergerconn.algebra import (
 from bergerconn.spaces import (
     Bilin,
     LinearSpace,
+    _nullspace,
     invariant_bilinear_space,
     levi_civita_generic,
     metric_connection_space,
@@ -98,6 +99,18 @@ class TestInvariantSpace:
                     - np.einsum("pj,ipm->ijm", Ar, c)
                 )
                 assert np.abs(resid).max() < TOL
+
+
+    def test_refuses_n_beyond_memory(self):
+        # about 140 d^6 bytes: some 150 TB at n = 50
+        with pytest.raises(ValueError, match="physical memory"):
+            invariant_bilinear_space(50)
+
+    def test_nullspace_of_wide_matrix_is_complete(self):
+        null = _nullspace(np.array([[1.0, 1.0, 0.0]]))
+        assert null.shape == (2, 3)
+        assert np.abs(null @ [1.0, 1.0, 0.0]).max() < 1e-15
+        assert np.abs(null @ null.T - np.eye(2)).max() < 1e-15
 
 
 class TestMetricSpace:
