@@ -58,6 +58,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        spaces.check_fits_memory(self.n)
         if self.eps == 0:
             raise ValueError("eps must be nonzero")
 
@@ -116,9 +117,6 @@ def cmd_dims(cfg: RunConfig) -> int:
     except RankGapError as exc:
         print(f"FAIL rank decision: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # an n too large to hold in memory
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     if cfg.fmt == "json":
         _emit(doc, cfg)
     else:

@@ -160,8 +160,9 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
 
     All seeds iterate as one array with the analytic Jacobian; a seed stops
     once its residual is below 0.05 * tol.  Each candidate, rounded to 10
-    digits, is confirmed against the generic residual, and candidates within
-    1e-3 of each other (max-norm) are merged into the one of least defect.
+    digits, is confirmed against the generic residual.  Candidates within
+    1e-3 of each other (max-norm) whose midpoint also solves are merged into
+    the one of least defect.
 
     Raises RuntimeError if the classification predicts solutions but none
     survive the seed budget.
@@ -178,20 +179,22 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
         return out
 
     c0, L, Q = _residual_quadratic(n, eps)
-    # r(x) stays in the row space of the stacked coefficients, so solving in
-    # an orthonormal basis of it (cut at lstsq's relative cutoff) keeps every
-    # norm and step; r(x) = v q(x) for the canonical quadric q makes that
-    # space one-dimensional, and each pinv below acts on a 1 x k matrix
-    _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(-1, c0.size)]),
+    k = len(L)
+    # r(x) stays in the row space of the stacked coefficients, one-dimensional
+    # since r(x) = v q(x); solving in an orthonormal basis of it keeps every
+    # norm and step and shrinks each pinv from d^2 x k to 1 x k, which about
+    # halves the solve at (3, -2)
+    _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(k * k, -1)]),
                               full_matrices=False)
     V = vt[sv > sv[0] * max(vt.shape) * np.finfo(float).eps].T
     c0, L, Q = c0 @ V, L @ V, Q @ V
 
     def residual(X):
-        return c0 + X @ L + np.einsum("si,sj,ijm->sm", X, X, Q)
+        XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), k * k)
+        return c0 + X @ L + XX @ Q.reshape(k * k, -1)
 
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-4.0, 4.0, size=(n_seeds, param_count(n)))
+    X = rng.uniform(-4.0, 4.0, size=(n_seeds, k))
     live = np.arange(n_seeds)
     for _ in range(120):
         R = residual(X[live])
@@ -200,23 +203,30 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
         live, R = live[going], R[going]
         if not len(live):
             break
-        J = L.T + 2.0 * np.einsum("sj,ijm->smi", X[live], Q)
-        # rtol=None cuts at max(m, k) * machine eps, as lstsq's default does
-        step = -np.einsum("skm,sm->sk", np.linalg.pinv(J, rtol=None), R)
+        J = np.swapaxes(L + 2.0 * np.tensordot(X[live], Q, (1, 1)), 1, 2)
+        # cut at max(m, k) * machine eps, as lstsq's default does
+        pinv = np.linalg.pinv(J, max(J.shape[1:]) * np.finfo(float).eps)
+        step = -(pinv @ R[:, :, None])[:, :, 0]
         # keep iterates near their seed on unbounded varieties
         norm = np.linalg.norm(step, axis=1, keepdims=True)
         X[live] += 0.5 * step * (2.0 / np.maximum(norm, 2.0))
     close = np.linalg.norm(residual(X), axis=1) <= tol
-    cands = {tuple(round(float(v), 10) for v in x) for x in X[close]}
-    defect = {x: einstein_defect_at(n, eps, x) for x in cands}
-    # iterates drawn into a double root stay apart by about 1e-5: merge
-    # each cluster into its candidate of least defect
-    unique: list[tuple[float, ...]] = []
-    for x in sorted(cands, key=lambda x: (defect[x], x)):
-        if defect[x] <= tol and all(
-            max(abs(a - b) for a, b in zip(x, y)) > 1e-3 for y in unique
-        ):
-            unique.append(x)
+    cands = sorted({tuple(round(float(v), 10) for v in x) for x in X[close]})
+    defect = np.array([einstein_defect_at(n, eps, x) for x in cands])
+    # iterates drawn into a double root stay apart by about 1e-5: two
+    # candidates are one cluster if they lie within 1e-3 (max-norm) and their
+    # midpoint solves too, so nearby distinct roots stay apart
+    C = np.array(cands).reshape(len(cands), k)
+    mid = ((C[:, None] + C[None]) / 2.0).reshape(-1, k)
+    same = (np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3) & (
+        np.linalg.norm(residual(mid), axis=1).reshape(len(C), len(C)) <= tol
+    )
+    # each cluster keeps its candidate of least defect
+    keep: list[int] = []
+    for i in np.lexsort((np.arange(len(C)), defect)):
+        if defect[i] <= tol and not same[i, keep].any():
+            keep.append(i)
+    unique = [cands[i] for i in keep]
     if not unique and kind is not VarietyClass.EMPTY:
         raise RuntimeError(
             f"classification predicts {kind.value} but no numeric solution found"

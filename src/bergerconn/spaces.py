@@ -179,16 +179,31 @@ def _generating_actions(n: int) -> np.ndarray:
     return np.einsum("gr,rij->gij", w, A)
 
 
-def _invariant_basis_raw(n: int) -> np.ndarray:
+def check_fits_memory(n: int) -> None:
+    """Raise ValueError if the invariant nullspace for n cannot fit in memory.
+
+    The dense operators of the generating pair and their SVD take under
+    140 d^6 bytes (515 MB measured at n = 6); the rare fallback to the full
+    h basis takes more.  The bound is physical memory, not a cgroup or ulimit
+    share, so this refuses hopeless n without promising that others fit.
+    Where the platform does not report physical memory, nothing is checked.
+    """
     d = 2 * n + 1
-    # the dense operators and their SVD take under 140 d^6 bytes (515 MB
-    # measured at n = 6); refuse an n whose system cannot fit in memory
-    need, have = 140 * d**6, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 140 * d**6
     if need > have:
         raise ValueError(
             f"n = {n} needs about {need / 2**30:.0f} GiB for the invariant "
             f"nullspace, more than the {have / 2**30:.0f} GiB of physical memory"
         )
+
+
+def _invariant_basis_raw(n: int) -> np.ndarray:
+    d = 2 * n + 1
+    check_fits_memory(n)
     if n == 1:
         # h = su(1) = 0: every bilinear map is invariant
         return np.eye(d**3)

@@ -148,8 +148,9 @@ class TestUsageErrors:
     def test_bad_n(self):
         assert main(["dims", "--n", "0"]) == 2
 
-    def test_n_beyond_memory(self, capsys):
-        assert main(["dims", "--n", "50"]) == 2
+    @pytest.mark.parametrize("command", ["dims", "verify", "classify", "export"])
+    def test_n_beyond_memory(self, command, capsys):
+        assert main([command, "--n", "50"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 

@@ -226,7 +226,8 @@ class TestVariety:
         assert signs == {1.0, -1.0}
 
     @pytest.mark.parametrize("n,eps,points", [(4, -1.0, 1), (5, -1.0, 1), (2, -1.0, 1),
-                                              (4, -2.0, 2), (4, 1.0, 2)])
+                                              (4, -2.0, 2), (4, 1.0, 2),
+                                              (4, -1.0 - 1e-7, 2)])
     def test_isolated_points_sampled_once(self, n, eps, points):
         assert len(variety(n, eps).sample_points) == points
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from bergerconn.algebra import (
 from bergerconn.spaces import (
     Bilin,
     LinearSpace,
+    _invariant_basis_raw,
     _nullspace,
+    check_fits_memory,
     invariant_bilinear_space,
     levi_civita_generic,
     metric_connection_space,
@@ -105,6 +109,19 @@ class TestInvariantSpace:
         # about 140 d^6 bytes: some 150 TB at n = 50
         with pytest.raises(ValueError, match="physical memory"):
             invariant_bilinear_space(50)
+
+    def test_memory_check_skipped_without_sysconf(self, monkeypatch):
+        # platforms without os.sysconf (Windows) build spaces unchecked
+        monkeypatch.delattr(os, "sysconf")
+        check_fits_memory(50)
+        assert _invariant_basis_raw(1).shape == (27, 27)
+
+    def test_memory_check_skipped_for_unknown_name(self, monkeypatch):
+        def sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        check_fits_memory(50)
 
     def test_nullspace_of_wide_matrix_is_complete(self):
         null = _nullspace(np.array([[1.0, 1.0, 0.0]]))
