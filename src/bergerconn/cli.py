@@ -19,14 +19,12 @@ from .algebra import Metric
 from .einstein import VarietyClass
 from .spaces import RankGapError
 
-EXPECTED_DIMS = {  # n -> (invariant, metric, skew directions)
-    1: (27, 9, 1),
-    2: (13, 7, 3),
-    3: (9, 5, 3),
-    4: (7, 3, 1),
-    5: (7, 3, 1),
-    6: (7, 3, 1),
-}
+
+def expected_dims(n: int) -> tuple[int, int, int]:
+    """(invariant, metric, skew directions) dimensions: the paper's counts
+    for n = 1, 2, 3 and 7, 3, 1 for every n >= 4."""
+    return {1: (27, 9, 1), 2: (13, 7, 3), 3: (9, 5, 3)}.get(n, (7, 3, 1))
+
 
 EPS_SWEEP = (-3.0, -1.0, -0.1, 0.5, 2.0)
 
@@ -125,11 +123,8 @@ def cmd_dims(cfg: RunConfig) -> int:
         print(f"  metric connections      : {doc['metric']}")
         print(f"  skew-torsion directions : {doc['skew_directions']} (affine)")
         print(f"  stable over eps sweep   : {doc['stable_under_eps']}")
-    ok = doc["stable_under_eps"]
-    if cfg.n in EXPECTED_DIMS:
-        exp = EXPECTED_DIMS[cfg.n]
-        ok = ok and (doc["invariant"], doc["metric"][0], doc["skew_directions"][0]) == exp
-    return 0 if ok else 1
+    got = (doc["invariant"], doc["metric"][0], doc["skew_directions"][0])
+    return 0 if doc["stable_under_eps"] and got == expected_dims(cfg.n) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +148,12 @@ def _verification_checks(cfg: RunConfig):
         float(np.abs(nomizu.torsion(families.alpha_lc(n, eps)).coeffs).max()),
         cfg.tol_num,
     )
-    if n in EXPECTED_DIMS:
-        got = (
-            spaces.invariant_bilinear_space(n).dim,
-            spaces.metric_connection_space(n, eps).dim,
-            spaces.skew_torsion_space(n, eps).dim,
-        )
-        yield ("dimension_counts", float(got != EXPECTED_DIMS[n]), 0.5)
+    got = (
+        spaces.invariant_bilinear_space(n).dim,
+        spaces.metric_connection_space(n, eps).dim,
+        spaces.skew_torsion_space(n, eps).dim,
+    )
+    yield ("dimension_counts", float(got != expected_dims(n)), 0.5)
 
     k = einstein.param_count(n)
     draws = [rng.uniform(-2.0, 2.0, size=k) for _ in range(5)]

@@ -159,10 +159,11 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
     steps on the exact quadratic residual from scattered random seeds.
 
     All seeds iterate as one array with the analytic Jacobian; a seed stops
-    once its residual is below 0.05 * tol.  Each candidate, rounded to 10
-    digits, is confirmed against the generic residual.  Candidates within
-    1e-3 of each other (max-norm) whose midpoint also solves are merged into
-    the one of least defect.
+    once its residual is below 0.05 * tol.  Candidates, rounded to 10
+    digits, within 1e-3 of each other (max-norm) whose midpoint also solves
+    form one cluster.  Each cluster returns its candidate of least model
+    residual that the generic residual confirms, so the generic check runs
+    about once per returned sample.
 
     Raises RuntimeError if the classification predicts solutions but none
     survive the seed budget.
@@ -212,7 +213,6 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
         X[live] += 0.5 * step * (2.0 / np.maximum(norm, 2.0))
     close = np.linalg.norm(residual(X), axis=1) <= tol
     cands = sorted({tuple(round(float(v), 10) for v in x) for x in X[close]})
-    defect = np.array([einstein_defect_at(n, eps, x) for x in cands])
     # iterates drawn into a double root stay apart by about 1e-5: two
     # candidates are one cluster if they lie within 1e-3 (max-norm) and their
     # midpoint solves too, so nearby distinct roots stay apart
@@ -221,10 +221,13 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
     same = (np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3) & (
         np.linalg.norm(residual(mid), axis=1).reshape(len(C), len(C)) <= tol
     )
-    # each cluster keeps its candidate of least defect
+    # each cluster keeps its candidate of least model residual that passes
+    # the generic check; the check runs on a cluster's next candidate only
+    # if the one before it failed
+    model = np.linalg.norm(residual(C), axis=1)
     keep: list[int] = []
-    for i in np.lexsort((np.arange(len(C)), defect)):
-        if defect[i] <= tol and not same[i, keep].any():
+    for i in np.lexsort((np.arange(len(C)), model)):
+        if not same[i, keep].any() and einstein_defect_at(n, eps, cands[i]) <= tol:
             keep.append(i)
     unique = [cands[i] for i in keep]
     if not unique and kind is not VarietyClass.EMPTY:

@@ -8,10 +8,23 @@ This module computes, over the standard basis of m, the space of all such
 maps, the subspace of metric-compatible ones (alpha(X, -) skew-adjoint for
 g_eps) and the affine subspace whose torsion 3-form is totally skew.
 
-Rank decisions use SVD with a relative cutoff and a guarded singular-value
-gap.  The equivariance constraint is imposed for a small generic generating
-set of h and the resulting nullspace is then verified against the full
-h-basis residual; on failure the full stacked system is used.
+The invariant maps are found in three steps, none of which forms an
+operator on all d^3 = (2n+1)^3 coefficients:
+
+1. Torus weights.  A generic element of the diagonal (Cartan) part of h is
+   diagonalised on m with a unitary eigenbasis.  A rank-3 tensor of
+   eigenvectors has a weight, and an invariant map lives on the weight-zero
+   slot triples only: 25, 31 and 6n + 1 of them for n = 2, 3 and >= 4.
+2. Root constraints.  The equivariance constraints of a small generic
+   generating set of h are written on those columns by index arithmetic
+   (each column's image has O(d) entries); their nullspace is mapped back
+   to the standard basis and its real and imaginary parts orthonormalised.
+3. Full check.  The basis is verified against the residual of every
+   h-basis element; on failure the whole h basis is imposed on the
+   weight-zero columns instead.
+
+Every rank decision (the zero weights, both nullspaces) uses a relative
+cutoff and a guarded gap, and raises RankGapError when there is none.
 """
 
 from __future__ import annotations
@@ -25,6 +38,10 @@ import numpy as np
 from . import algebra
 from .algebra import Metric, MVec
 from .config import TOL_GAP, TOL_NUM, TOL_RANK
+
+#: estimated bytes per d^3 that an invariant nullspace build holds at large n
+#: (measured about 1350 at n = 25 and 30; below n = 10 a fixed 20 MB dominates)
+BYTES_PER_CUBE = 2000
 
 
 class RankGapError(RuntimeError):
@@ -135,36 +152,36 @@ class LinearSpace:
         return float(np.linalg.norm(M @ x - v))
 
 
-def _nullspace(M: np.ndarray) -> np.ndarray:
-    """Rows spanning the nullspace of M, with a guarded rank decision."""
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1])
-    # U is never used; V must stay square, which only a wide M needs asked for
-    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+def _guarded_rank(s: np.ndarray) -> int:
+    """Numerical rank of the descending singular values s, refusing a rank
+    whose kept and discarded values are not TOL_GAP apart."""
     smax = s[0] if len(s) else 0.0
     if smax == 0.0:
-        return np.eye(M.shape[1])
-    kept = s > TOL_RANK * smax
-    rank = int(np.count_nonzero(kept))
+        return 0
+    rank = int(np.count_nonzero(s > TOL_RANK * smax))
     discarded = s[rank:]
     if rank > 0 and len(discarded) and discarded[0] > 0:
         if s[rank - 1] / discarded[0] < TOL_GAP:
             raise RankGapError(
                 f"ambiguous rank: gap {s[rank - 1] / discarded[0]:.2e} below {TOL_GAP:.0e}"
             )
-    return vt[rank:]
+    return rank
 
 
-def _equivariance_operator(A: np.ndarray) -> np.ndarray:
-    """Linear operator on flattened rank-3 tensors enforcing h-equivariance
-    for the single h whose action on m is A."""
-    d = A.shape[0]
-    I, I2 = np.eye(d), np.eye(d * d)
-    return (
-        np.kron(I2, A)
-        - np.kron(A.T, I2)
-        - np.kron(I, np.kron(A.T, I))
-    )
+def _nullspace(M: np.ndarray) -> np.ndarray:
+    """Orthonormal rows x with M x = 0 spanning the nullspace of M (real or
+    complex), with a guarded rank decision."""
+    if M.shape[0] == 0:
+        return np.eye(M.shape[1])
+    # U is never used; V must stay square, which only a wide M needs asked for
+    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    return vt[_guarded_rank(s):].conj()
+
+
+def _rowspace(M: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the row space of M, with a guarded rank decision."""
+    _, s, vt = np.linalg.svd(M, full_matrices=False)
+    return vt[: _guarded_rank(s)]
 
 
 def _generating_actions(n: int) -> np.ndarray:
@@ -179,21 +196,116 @@ def _generating_actions(n: int) -> np.ndarray:
     return np.einsum("gr,rij->gij", w, A)
 
 
+def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Weight basis of m for the maximal torus of su(n), and the slot triples
+    of weight zero.
+
+    The diagonal elements of the h basis span the Cartan subalgebra; one
+    generic combination H of them acts on m with a unitary eigenbasis U,
+    i H U = U diag(lam).  The tensor conj(u_i) x conj(u_j) x u_k is an
+    H-eigenvector of weight lam_k - lam_i - lam_j, so every invariant map
+    lies in the span of the weight-zero triples (i, j, k), returned as three
+    index arrays: 25, 31 and 6n + 1 of them for n = 2, 3 and >= 4.
+    """
+    diagonal = [np.array_equal(h.B, np.diag(np.diag(h.B))) for h in algebra.h_basis(n)]
+    cartan = algebra.adjoint_matrices(n)[np.flatnonzero(diagonal)]
+    H = np.tensordot(np.random.default_rng(2718).standard_normal(len(cartan)), cartan, 1)
+    lam, U = np.linalg.eigh(1j * H)
+    W = np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
+    zero = W <= TOL_RANK * W.max()
+    if W[~zero].min() < TOL_GAP * W[zero].max():
+        raise RankGapError(
+            f"ambiguous zero weight: gap {W[~zero].min() / W[zero].max():.2e} "
+            f"below {TOL_GAP:.0e}"
+        )
+    return U, np.nonzero(zero)
+
+
+def _root_nullspace(U: np.ndarray, cols, actions) -> np.ndarray:
+    """Complex coefficients, over the weight-zero columns, of the maps that
+    every action annihilates.
+
+    The equivariance residual of the column conj(u_i) x conj(u_j) x u_k
+    under A has, with Ah = U^H A U, the coefficients conj(Ah[c, i]),
+    conj(Ah[c, j]) and Ah[c, k] on the tensors of the triples (c, j, k),
+    (i, c, k) and (i, j, c), for every c.  Those triples are the rows of
+    each action's constraint matrix; its rows are folded by QR into an
+    upper triangle with the same singular values, so memory stays at one
+    action's rows whatever the number of actions.
+    """
+    d = len(U)
+    I, J, K = cols
+    k = len(I)
+    c = np.arange(d)[:, None]
+    keys = np.concatenate([(c * d + J) * d + K, (I * d + c) * d + K, (I * d + J) * d + c])
+    rows, inv = np.unique(keys.ravel(), return_inverse=True)
+    at, size = inv * k + np.tile(np.arange(k), 3 * d), len(rows) * k
+    R = np.zeros((0, k), dtype=complex)
+    for A in actions:
+        Ah = U.conj().T @ A @ U
+        vals = np.concatenate([Ah[:, I].conj(), Ah[:, J].conj(), Ah[:, K]]).ravel()
+        M = np.bincount(at, vals.real, size) + 1j * np.bincount(at, vals.imag, size)
+        R = np.linalg.qr(np.vstack([R, M.reshape(len(rows), k)]), mode="r")
+    return _nullspace(R)
+
+
+def _real_span(U: np.ndarray, cols, null: np.ndarray) -> np.ndarray:
+    """Orthonormal real basis, over the flattened standard basis, of the maps
+    whose weight-column coefficients are the rows of null.
+
+    The invariant space is closed under conjugation, so the real and
+    imaginary parts of the complex solutions span its real form.
+    """
+    I, J, K = cols
+    T = np.einsum("rt,at,bt,ct->rabc", null, U[:, I].conj(), U[:, J].conj(), U[:, K],
+                  optimize=True).reshape(len(null), -1)
+    return _rowspace(np.vstack([T.real, T.imag]))
+
+
+def _equivariance_residual(basis: np.ndarray, actions) -> float:
+    """Largest entry of A alpha(X, Y) - alpha(AX, Y) - alpha(X, AY) over the
+    maps alpha = basis[r] (shape (r, d, d, d)) and the actions A.
+
+    An action with support S (its rows and columns that are not zero) moves
+    only the slots in S, so its residual vanishes unless a slot lies in S.
+    It is computed on the three boxes with the first, second or output slot
+    in S, contracting over S alone.
+    """
+    every = slice(None)
+
+    def part(i, j, m):
+        return basis[:, i][:, :, j][..., m]
+
+    worst = 0.0
+    for A in actions:
+        S = np.flatnonzero(A.any(axis=0) | A.any(axis=1))
+        for i, j, m in ((S, every, every), (every, S, every), (every, every, S)):
+            out = (
+                part(i, j, S) @ A[m][:, S].T
+                - np.moveaxis(np.tensordot(A[S][:, i], part(S, j, m), (0, 1)), 0, 1)
+                - np.moveaxis(np.tensordot(A[S][:, j], part(i, S, m), (0, 2)), 0, 2)
+            )
+            worst = max(worst, float(np.abs(out).max(initial=0.0)))
+    return worst
+
+
 def check_fits_memory(n: int) -> None:
     """Raise ValueError if the invariant nullspace for n cannot fit in memory.
 
-    The dense operators of the generating pair and their SVD take under
-    140 d^6 bytes (515 MB measured at n = 6); the rare fallback to the full
-    h basis takes more.  The bound is physical memory, not a cgroup or ulimit
-    share, so this refuses hopeless n without promising that others fit.
-    Where the platform does not report physical memory, nothing is checked.
+    The build holds O(d^3) arrays: the constraint rows of one action on the
+    6n + 1 weight-zero columns, the solutions over the standard basis and
+    the SVD of their real and imaginary parts, estimated at BYTES_PER_CUBE
+    d^3 bytes (about 2 GiB at n = 50).  The bound is physical memory, not a
+    cgroup or ulimit share, so this refuses hopeless n without promising
+    that others fit.  Where the platform does not report physical memory,
+    nothing is checked.
     """
     d = 2 * n + 1
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
-    need = 140 * d**6
+    need = BYTES_PER_CUBE * d**3
     if need > have:
         raise ValueError(
             f"n = {n} needs about {need / 2**30:.0f} GiB for the invariant "
@@ -202,23 +314,20 @@ def check_fits_memory(n: int) -> None:
 
 
 def _invariant_basis_raw(n: int) -> np.ndarray:
+    """Orthonormal rows spanning the invariant maps over the flattened
+    standard basis: the generating pair imposed on the weight-zero columns,
+    checked against the whole h basis, else all of it imposed."""
     d = 2 * n + 1
     check_fits_memory(n)
     if n == 1:
         # h = su(1) = 0: every bilinear map is invariant
         return np.eye(d**3)
-    gens = _generating_actions(n)
-    M = np.vstack([_equivariance_operator(A) for A in gens])
-    null = _nullspace(M)
-    # verify against the full h basis; fall back to the full stack if needed
+    U, cols = _zero_weight_triples(n)
+    basis = _real_span(U, cols, _root_nullspace(U, cols, _generating_actions(n)))
     full = algebra.adjoint_matrices(n)
-    resid = max(
-        np.abs(_equivariance_operator(A) @ null.T).max() for A in full
-    )
-    if resid > TOL_NUM:
-        M = np.vstack([_equivariance_operator(A) for A in full])
-        null = _nullspace(M)
-    return null
+    if _equivariance_residual(basis.reshape(-1, d, d, d), full) > TOL_NUM:
+        basis = _real_span(U, cols, _root_nullspace(U, cols, full))
+    return basis
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bergerconn import cli, families
+from bergerconn import cli, families, spaces
 from bergerconn.cli import (
     EXPECTED_TABLE,
     compute_dims,
@@ -44,6 +44,13 @@ class TestDims:
         assert main(["dims", "--n", "1", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["invariant"] == 27
+
+    def test_checked_beyond_n6(self, monkeypatch):
+        assert main(["dims", "--n", "7"]) == 0
+        inv = spaces.invariant_bilinear_space(7)
+        short = spaces.LinearSpace(inv.ambient_dim, inv.basis[:-1])
+        monkeypatch.setattr(spaces, "invariant_bilinear_space", lambda n: short)
+        assert main(["dims", "--n", "7"]) == 1
 
 
 class TestVerify:
@@ -150,7 +157,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["dims", "verify", "classify", "export"])
     def test_n_beyond_memory(self, command, capsys):
-        assert main([command, "--n", "50"]) == 2
+        assert main([command, "--n", "1000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergerconn import families, nomizu
+from bergerconn import einstein, families, nomizu
 from bergerconn.algebra import Metric
 from bergerconn.config import TOL_NUM
 from bergerconn.einstein import (
@@ -214,6 +214,16 @@ class TestSolveNumeric:
         monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
         solve_numeric(n, eps, n_seeds=64)
         assert 0 < len(calls) <= 10 + 64
+
+    def test_one_generic_check_per_cluster(self, monkeypatch):
+        # a 1-pt. cell: all 64 seeds land in one cluster, whose candidate of
+        # least model residual passes the generic check at the first try
+        calls = []
+        defect = einstein.einstein_defect_at
+        monkeypatch.setattr(einstein, "einstein_defect_at",
+                            lambda *a: calls.append(a) or defect(*a))
+        assert len(solve_numeric(5, -1.0, n_seeds=64)) == 1
+        assert len(calls) == 1
 
 
 class TestVariety:

@@ -10,11 +10,15 @@ from bergerconn.algebra import (
     adjoint_matrices,
     standard_basis,
 )
+from bergerconn import spaces
 from bergerconn.spaces import (
     Bilin,
     LinearSpace,
+    RankGapError,
     _invariant_basis_raw,
     _nullspace,
+    _rowspace,
+    _zero_weight_triples,
     check_fits_memory,
     invariant_bilinear_space,
     levi_civita_generic,
@@ -91,7 +95,13 @@ class TestInvariantSpace:
     def test_dimension(self, n):
         assert invariant_bilinear_space(n).dim == EXPECTED_INVARIANT[n]
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [7, 8, 10])
+    def test_dims_beyond_six(self, n):
+        dims = (invariant_bilinear_space(n).dim, metric_connection_space(n, -1.0).dim,
+                skew_torsion_space(n, -1.0).dim)
+        assert dims == (7, 3, 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_equivariance_residual(self, n):
         A = adjoint_matrices(n)
         for b in invariant_bilinear_space(n).basis:
@@ -104,16 +114,35 @@ class TestInvariantSpace:
                 )
                 assert np.abs(resid).max() < TOL
 
+    @pytest.mark.parametrize("n,count", [(2, 25), (3, 31), (4, 25), (5, 31), (8, 49)])
+    def test_zero_weight_columns(self, n, count):
+        U, (i, j, k) = _zero_weight_triples(n)
+        assert len(i) == len(j) == len(k) == count
+        assert np.abs(U.conj().T @ U - np.eye(2 * n + 1)).max() < 1e-12
+
+    @pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 7)])
+    def test_falls_back_when_the_pair_does_not_generate(self, n, dim, monkeypatch):
+        # two Cartan elements commute and generate only the torus, so every
+        # weight-zero column solves their constraints and the full-basis
+        # check must send the build to the whole h basis
+        A = adjoint_matrices(n)
+        pair = np.tensordot(np.random.default_rng(0).standard_normal((2, n - 1)),
+                            A[-(n - 1):], 1)
+        monkeypatch.setattr(spaces, "_generating_actions", lambda m: pair)
+        d = 2 * n + 1
+        basis = _invariant_basis_raw(n)
+        assert basis.shape == (dim, d**3)
+        assert spaces._equivariance_residual(basis.reshape(-1, d, d, d), A) < TOL
 
     def test_refuses_n_beyond_memory(self):
-        # about 140 d^6 bytes: some 150 TB at n = 50
+        # about 2000 d^3 bytes: some 16 TB at n = 1000
         with pytest.raises(ValueError, match="physical memory"):
-            invariant_bilinear_space(50)
+            invariant_bilinear_space(1000)
 
     def test_memory_check_skipped_without_sysconf(self, monkeypatch):
         # platforms without os.sysconf (Windows) build spaces unchecked
         monkeypatch.delattr(os, "sysconf")
-        check_fits_memory(50)
+        check_fits_memory(1000)
         assert _invariant_basis_raw(1).shape == (27, 27)
 
     def test_memory_check_skipped_for_unknown_name(self, monkeypatch):
@@ -121,7 +150,13 @@ class TestInvariantSpace:
             raise ValueError(f"unrecognized configuration name {name!r}")
 
         monkeypatch.setattr(os, "sysconf", sysconf)
-        check_fits_memory(50)
+        check_fits_memory(1000)
+
+    @pytest.mark.parametrize("span", [_nullspace, _rowspace])
+    def test_rank_without_a_gap_is_refused(self, span):
+        # 1e-6 is kept and 1e-9 discarded, a gap of 1e3 below TOL_GAP
+        with pytest.raises(RankGapError):
+            span(np.diag([1.0, 1e-6, 1e-9]))
 
     def test_nullspace_of_wide_matrix_is_complete(self):
         null = _nullspace(np.array([[1.0, 1.0, 0.0]]))
