@@ -25,6 +25,76 @@ import numpy as np
 from .config import TOL_EXACT
 
 
+def _require_m(z, a) -> None:
+    """Refuse (z, a), or a stack of them, that is not finite or whose a is
+    not purely imaginary to TOL_EXACT."""
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(a))):
+        raise ValueError("MVec entries must be finite")
+    worst = np.abs(np.real(a)).max(initial=0.0)
+    if worst > TOL_EXACT:
+        raise ValueError(f"a must be purely imaginary, got |Re(a)| = {worst}")
+
+
+def _require_su(M: np.ndarray, name: str) -> None:
+    """Refuse a square matrix, or a stack of them on the last two axes, that
+    is not finite, anti-Hermitian and traceless to TOL_EXACT (a nan would
+    pass the two tolerance tests)."""
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} entries must be finite")
+    if np.abs(M + np.swapaxes(M, -1, -2).conj()).max(initial=0.0) > TOL_EXACT:
+        raise ValueError(f"{name} must be anti-Hermitian")
+    if np.abs(np.trace(M, axis1=-2, axis2=-1)).max(initial=0.0) > TOL_EXACT:
+        raise ValueError(f"{name} must be traceless")
+
+
+def _to_coords(z, a) -> np.ndarray:
+    """Real coordinates of (z, a) with z of shape (..., n): shape (..., 2n+1),
+    laid out as (Re z_1, Im z_1, ..., Re z_n, Im z_n, Im a)."""
+    n = z.shape[-1]
+    v = np.empty(z.shape[:-1] + (2 * n + 1,))
+    v[..., 0 : 2 * n : 2] = z.real
+    v[..., 1 : 2 * n : 2] = z.imag
+    v[..., -1] = np.imag(a)
+    return v
+
+
+def _from_coords(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, a) of real coordinates v of shape (..., 2n+1); inverse of _to_coords."""
+    n = (v.shape[-1] - 1) // 2
+    return v[..., 0 : 2 * n : 2] + 1j * v[..., 1 : 2 * n : 2], 1j * v[..., -1]
+
+
+def _embed(z, a) -> np.ndarray:
+    """Block matrices [[-(a/n) I_n, z], [-conj(z)^t, a]] of (z, a) with z of
+    shape (..., n): shape (..., n+1, n+1)."""
+    n = z.shape[-1]
+    A = np.zeros(z.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    A[..., :n, :n] = np.multiply.outer(-np.divide(a, n), np.eye(n))
+    A[..., :n, n] = z
+    A[..., n, :n] = -np.conj(z)
+    A[..., n, n] = a
+    return A
+
+
+def _split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, z, a) of ambient matrices M of shape (..., n+1, n+1) along g = h + m:
+    a = M[n, n], z = M[:n, n] and B the top-left block with the -(a/n) I_n
+    of the m-part removed."""
+    n = M.shape[-1] - 1
+    a = M[..., n, n]
+    z = M[..., :n, n]
+    B = M[..., :n, :n] + np.multiply.outer(a / n, np.eye(n))
+    return B, z, a
+
+
+def _act(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Coordinates of [h, (z_k, 0)] = (B z_k, 0) for h-parts B of shape
+    (..., n, n) and the standard basis vectors Z of shape (d, n): shape
+    (..., d, 2n+1).  Each image copies a column of B, so it is finite
+    where B is."""
+    return _to_coords(Z @ np.swapaxes(B, -1, -2), 0.0)
+
+
 @dataclass(frozen=True)
 class MVec:
     """Element (z, a) of m = C^n + Ri, the tangent model at the base point."""
@@ -38,10 +108,7 @@ class MVec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         z = np.asarray(self.z, dtype=complex).reshape(self.n)
         a = complex(self.a)
-        if not np.all(np.isfinite(z)) or not np.isfinite(a):
-            raise ValueError("MVec entries must be finite")
-        if abs(a.real) > TOL_EXACT:
-            raise ValueError(f"a must be purely imaginary, got Re(a) = {a.real}")
+        _require_m(z, a)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "a", complex(0.0, a.imag))
 
@@ -54,17 +121,11 @@ class MVec:
 
         Layout: (Re z_1, Im z_1, ..., Re z_n, Im z_n, Im a).
         """
-        v = np.empty(2 * self.n + 1)
-        v[0 : 2 * self.n : 2] = self.z.real
-        v[1 : 2 * self.n : 2] = self.z.imag
-        v[-1] = self.a.imag
-        return v
+        return _to_coords(self.z, self.a)
 
     @classmethod
     def from_coords(cls, n: int, v) -> "MVec":
-        v = np.asarray(v, dtype=float).reshape(2 * n + 1)
-        z = v[0 : 2 * n : 2] + 1j * v[1 : 2 * n : 2]
-        return cls(n, z, 1j * v[-1])
+        return cls(n, *_from_coords(np.asarray(v, dtype=float).reshape(2 * n + 1)))
 
     def __add__(self, other: "MVec") -> "MVec":
         if self.n != other.n:
@@ -94,10 +155,7 @@ class HVec:
         B.flags.writeable = False
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("B must be square")
-        if np.abs(B + B.conj().T).max() > TOL_EXACT:
-            raise ValueError("B must be anti-Hermitian")
-        if abs(np.trace(B)) > TOL_EXACT:
-            raise ValueError("B must be traceless")
+        _require_su(B, "B")
         object.__setattr__(self, "B", B)
 
     @property
@@ -119,10 +177,7 @@ class AmbientMat:
         A = np.asarray(self.A, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        if np.abs(A + A.conj().T).max() > TOL_EXACT:
-            raise ValueError("A must be anti-Hermitian")
-        if abs(np.trace(A)) > TOL_EXACT:
-            raise ValueError("A must be traceless")
+        _require_su(A, "A")
         object.__setattr__(self, "A", A)
 
     @property
@@ -157,6 +212,19 @@ class Metric:
         G[-1, -1] = -self.eps
         return G
 
+    def orthonormal_scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scales f_j = scale_j e_j turning the standard basis into a
+        g_eps-orthonormal one, and the signs g(f_j, f_j).
+
+        Only the fiber vector is rescaled, by 1/sqrt(|eps|); its sign is
+        -sign(eps).
+        """
+        scale = np.ones(self.dim)
+        scale[-1] = 1.0 / np.sqrt(abs(self.eps))
+        signs = np.ones(self.dim)
+        signs[-1] = -np.sign(self.eps)
+        return scale, signs
+
 
 def metric_eval(g: Metric, X: MVec, Y: MVec) -> float:
     """g_eps((z,a),(w,b)) = Re(z^t conj(w)) + eps*a*b.
@@ -170,13 +238,7 @@ def metric_eval(g: Metric, X: MVec, Y: MVec) -> float:
 
 def embed_m(X: MVec) -> AmbientMat:
     """Block embedding of (z, a) into su(n+1)."""
-    n = X.n
-    A = np.zeros((n + 1, n + 1), dtype=complex)
-    A[:n, :n] = -(X.a / n) * np.eye(n)
-    A[:n, n] = X.z
-    A[n, :n] = -np.conj(X.z)
-    A[n, n] = X.a
-    return AmbientMat(A)
+    return AmbientMat(_embed(X.z, X.a))
 
 def embed_h(h: HVec) -> AmbientMat:
     n = h.n
@@ -191,12 +253,8 @@ def project(A: AmbientMat) -> tuple[HVec, MVec]:
     The m-part carries (z, a) with a = A[n][n]; the h-part is the top-left
     block with the -(a/n)I_n contribution of m removed.
     """
-    n = A.n
-    M = A.A
-    a = M[n, n]
-    z = M[:n, n]
-    B = M[:n, :n] + (a / n) * np.eye(n)
-    return HVec(B), MVec(n, z, a)
+    B, z, a = _split(A.A)
+    return HVec(B), MVec(A.n, z, a)
 
 
 def bracket_mm(X: MVec, Y: MVec) -> tuple[HVec, MVec]:
@@ -232,12 +290,8 @@ def orthonormal_basis(g: Metric) -> tuple[list[MVec], np.ndarray]:
     Rescales the last standard basis vector by 1/sqrt(|eps|); the last sign
     is -sign(eps).
     """
-    basis = standard_basis(g.n)
-    scale = 1.0 / np.sqrt(abs(g.eps))
-    basis[-1] = MVec(g.n, basis[-1].z, scale * basis[-1].a)
-    signs = np.ones(g.dim)
-    signs[-1] = -np.sign(g.eps)
-    return basis, signs
+    scale, signs = g.orthonormal_scales()
+    return [c * X for c, X in zip(scale, standard_basis(g.n))], signs
 
 
 @lru_cache(maxsize=None)
@@ -263,14 +317,16 @@ def h_basis(n: int) -> tuple[HVec, ...]:
 @lru_cache(maxsize=None)
 def adjoint_matrices(n: int) -> np.ndarray:
     """Real (n^2-1, 2n+1, 2n+1) array: the action of each h-basis element on m
-    in standard-basis coordinates, A[r][:, k] = coords([h_r, e_k]).  Read-only."""
-    basis = standard_basis(n)
-    hs = h_basis(n)
-    d = 2 * n + 1
-    A = np.zeros((len(hs), d, d))
-    for r, h in enumerate(hs):
-        for k, e in enumerate(basis):
-            A[r][:, k] = bracket_hm(h, e).coords()
+    in standard-basis coordinates, A[r][:, k] = coords([h_r, e_k]).  Read-only.
+
+    One contraction of the stacked h basis with the basis z-vectors; the
+    stack is refused if its matrices are not finite, anti-Hermitian and
+    traceless.
+    """
+    H = np.array([h.B for h in h_basis(n)], dtype=complex).reshape(-1, n, n)
+    _require_su(H, "B")
+    Z, _ = _from_coords(np.eye(2 * n + 1))  # the standard basis
+    A = np.ascontiguousarray(np.swapaxes(_act(H, Z), -1, -2))
     A.flags.writeable = False
     return A
 
@@ -281,18 +337,21 @@ def structure_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns read-only (Cm, Hterm) where Cm[i,j] = coords([e_i, e_j]_m) and
     Hterm[i,j,k] = coords([[e_i, e_j]_h, e_k]).
+
+    All brackets come from one batched product of the stacked ambient
+    matrices E_i, C[i, j] = E_i E_j - E_j E_i, split along h + m at once.
+    Each stack is refused, as a whole, on the checks AmbientMat, HVec and
+    MVec make per element: anti-Hermitian and traceless matrices and
+    h-parts, purely imaginary a and finite entries.
     """
-    basis = standard_basis(n)
-    d = 2 * n + 1
-    Cm = np.zeros((d, d, d))
-    Hterm = np.zeros((d, d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            h, m = bracket_mm(basis[i], basis[j])
-            Cm[i, j] = m.coords()
-            Cm[j, i] = -Cm[i, j]
-            for k in range(d):
-                Hterm[i, j, k] = bracket_hm(h, basis[k]).coords()
-                Hterm[j, i, k] = -Hterm[i, j, k]
+    Z, fiber = _from_coords(np.eye(2 * n + 1))  # the standard basis
+    E = _embed(Z, fiber)
+    _require_su(E, "A")
+    C = E[:, None] @ E[None] - E[None] @ E[:, None]
+    _require_su(C, "A")
+    B, z, a = _split(C)
+    _require_su(B, "B")
+    _require_m(z, a)
+    Cm, Hterm = _to_coords(z, a), _act(B, Z)
     Cm.flags.writeable = Hterm.flags.writeable = False
     return Cm, Hterm

@@ -141,7 +141,7 @@ def _verification_checks(cfg: RunConfig):
     yield (
         "levi_civita_closed_vs_generic",
         float(np.abs(lc.coeffs - families.alpha_lc(n, eps).coeffs).max()),
-        1e-10,
+        config.TOL_LC,
     )
     yield (
         "levi_civita_torsion_free",

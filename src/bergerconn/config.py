@@ -12,6 +12,9 @@ TOL_EXACT = 1e-12
 #: derived identities (oracle agreement, equivariance residuals, ...)
 TOL_NUM = float(os.environ.get("BERGER_TOL_NUM", "1e-9"))
 
+#: agreement of the generic Levi-Civita map with its closed form
+TOL_LC = 1e-10
+
 #: Einstein-defect and flatness zero tests
 TOL_SOL = float(os.environ.get("BERGER_TOL_SOL", "1e-8"))
 

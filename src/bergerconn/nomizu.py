@@ -66,31 +66,30 @@ def torsion(alpha: Bilin) -> Bilin:
 
 
 def curvature(alpha: Bilin) -> CurvTensor:
+    """R[i,j,k,l] = a[j,k,m] a[i,m,l] - a[i,k,m] a[j,m,l] - Cm[i,j,m] a[m,k,l]
+    - Hterm[i,j,k,l], summed over m, as reshaped matrix products.
+
+    Both alpha-alpha terms are entries of one product, Q[(j,k),(i,l)] =
+    sum_m a[j,k,m] a[i,m,l], read with two different axis orders.
+    """
     Cm, Hterm = algebra.structure_tensors(alpha.n)
     a = alpha.coeffs
+    d = a.shape[0]
+    Q = (a.reshape(d * d, d) @ a.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
     R = (
-        np.einsum("jkm,iml->ijkl", a, a)
-        - np.einsum("ikm,jml->ijkl", a, a)
-        - np.einsum("ijm,mkl->ijkl", Cm, a)
+        Q.transpose(2, 0, 1, 3)
+        - Q.transpose(0, 2, 1, 3)
+        - (Cm.reshape(d * d, d) @ a.reshape(d, d * d)).reshape(d, d, d, d)
         - Hterm
     )
     return CurvTensor(alpha.n, R)
-
-
-def _orthonormal_weights(g: Metric) -> tuple[np.ndarray, np.ndarray]:
-    """Scales turning the standard basis into an orthonormal one, with signs."""
-    scale = np.ones(g.dim)
-    scale[-1] = 1.0 / np.sqrt(abs(g.eps))
-    signs = np.ones(g.dim)
-    signs[-1] = -np.sign(g.eps)
-    return scale, signs
 
 
 def ricci(R: CurvTensor, g: Metric) -> Rank2Tensor:
     """Ric(X, Y) = sum_j sign_j g(R(f_j, X, Y), f_j) over the orthonormal basis."""
     if R.n != g.n:
         raise ValueError("dimension mismatch")
-    scale, signs = _orthonormal_weights(g)
+    scale, signs = g.orthonormal_scales()
     G = g.gram()
     # R(f_j, e_x, e_y) has coefficients scale_j * R[j, x, y, :]
     Ric = np.einsum("j,jxyl,lj->xy", signs * scale * scale, R.coeffs, G)
@@ -101,7 +100,7 @@ def scalar(Ric: Rank2Tensor, g: Metric) -> float:
     """sum_j sign_j Ric(f_j, f_j)."""
     if Ric.n != g.n:
         raise ValueError("dimension mismatch")
-    scale, signs = _orthonormal_weights(g)
+    scale, signs = g.orthonormal_scales()
     return float(np.einsum("j,j,jj->", signs, scale * scale, Ric.coeffs))
 
 
@@ -131,10 +130,10 @@ def is_metric(alpha: Bilin, g: Metric, tol: float = TOL_NUM) -> bool:
 def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:
     """S(X, Y) = sum_j sign_j g(T(f_j, X), T(f_j, Y))."""
     T = torsion(alpha).coeffs
-    scale, signs = _orthonormal_weights(g)
-    G = g.gram()
+    scale, signs = g.orthonormal_scales()
     # T(f_j, e_x) has coefficients scale_j * T[j, x, :]
-    S = np.einsum("j,jxk,kl,jyl->xy", signs * scale * scale, T, G, T)
+    w = (signs * scale * scale)[:, None, None]
+    S = np.tensordot(w * (T @ g.gram()), T, axes=([0, 2], [0, 2]))
     return Rank2Tensor(alpha.n, S)
 
 

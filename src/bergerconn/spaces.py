@@ -133,9 +133,8 @@ class LinearSpace:
         """offset + sum_r coeffs[r] * basis[r]."""
         coeffs = np.asarray(coeffs, dtype=float)
         n = self.basis[0].n if self.basis else self.offset.n
-        c = np.zeros_like(self.basis[0].coeffs if self.basis else self.offset.coeffs)
-        for x, b in zip(coeffs, self.basis):
-            c = c + x * b.coeffs
+        d = 2 * n + 1
+        c = (coeffs @ self.matrix()).reshape(d, d, d) if self.basis else np.zeros((d, d, d))
         if self.offset is not None:
             c = c + self.offset.coeffs
         return Bilin(n, c)
@@ -343,8 +342,23 @@ def invariant_bilinear_space(n: int) -> LinearSpace:
 
 
 def _metric_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) on all basis triples."""
-    return np.einsum("ijk,kz->ijz", coeffs, G) + np.einsum("izk,kj->ijz", coeffs, G)
+    """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) on all basis triples (i, j, z) of
+    coeffs, or of each map in a stack of shape (..., d, d, d)."""
+    lowered = coeffs @ G
+    return lowered + np.swapaxes(lowered, -1, -2)
+
+
+def _solution_space(space: LinearSpace, violation, G: np.ndarray) -> np.ndarray:
+    """Basis, stacked with shape (r, d, d, d), of the maps of space on which
+    the linear map violation(-, G) vanishes.
+
+    violation is applied once to the stacked basis of space, and the new
+    basis is null @ stacked.
+    """
+    d = 2 * space.basis[0].n + 1
+    stacked = space.matrix()
+    V = violation(stacked.reshape(-1, d, d, d), G).reshape(len(stacked), -1).T
+    return (_nullspace(V) @ stacked).reshape(-1, d, d, d)
 
 
 @lru_cache(maxsize=None)
@@ -353,19 +367,8 @@ def metric_connection_space(n: int, eps: float) -> LinearSpace:
 
     Dimension 9, 7, 5, 3 for n = 1, 2, 3 and >= 4, independent of eps.
     """
-    g = Metric(n, eps)
-    G = g.gram()
-    inv = invariant_bilinear_space(n)
-    V = np.array([_metric_violation(b.coeffs, G).ravel() for b in inv.basis]).T
-    null = _nullspace(V)
-    d = 2 * n + 1
-    basis = []
-    for row in null:
-        c = np.zeros((d, d, d))
-        for x, b in zip(row, inv.basis):
-            c += x * b.coeffs
-        basis.append(Bilin(n, c))
-    return LinearSpace(ambient_dim=d**3, basis=tuple(basis))
+    maps = _solution_space(invariant_bilinear_space(n), _metric_violation, Metric(n, eps).gram())
+    return LinearSpace(ambient_dim=(2 * n + 1) ** 3, basis=tuple(Bilin(n, c) for c in maps))
 
 
 def _skew_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -374,9 +377,8 @@ def _skew_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     For a difference of two metric connections the bracket term of the
     torsion cancels, so T = alpha - alpha^t and the condition is linear.
     """
-    T = coeffs - coeffs.transpose(1, 0, 2)
-    om = np.einsum("ijk,kl->ijl", T, G)
-    return om + om.transpose(0, 2, 1)
+    om = (coeffs - np.swapaxes(coeffs, -3, -2)) @ G
+    return om + np.swapaxes(om, -1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -390,19 +392,9 @@ def skew_torsion_space(n: int, eps: float) -> LinearSpace:
     """
     from . import families
 
-    g = Metric(n, eps)
-    G = g.gram()
-    met = metric_connection_space(n, eps)
-    V = np.array([_skew_violation(b.coeffs, G).ravel() for b in met.basis]).T
-    null = _nullspace(V)
+    maps = _solution_space(metric_connection_space(n, eps), _skew_violation, Metric(n, eps).gram())
     d = 2 * n + 1
-    raw = []
-    for row in null:
-        c = np.zeros((d, d, d))
-        for x, b in zip(row, met.basis):
-            c += x * b.coeffs
-        raw.append(Bilin(n, c))
-    computed = LinearSpace(ambient_dim=d**3, basis=tuple(raw))
+    computed = LinearSpace(ambient_dim=d**3, basis=tuple(Bilin(n, c) for c in maps))
 
     named = families.skew_direction_basis(n, eps)
     if len(named) != computed.dim:

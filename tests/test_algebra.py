@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bergerconn import algebra
 from bergerconn.algebra import (
     AmbientMat,
     HVec,
@@ -42,6 +43,16 @@ class TestMVec:
         X = random_mvec(rng, 3)
         Y = MVec.from_coords(3, X.coords())
         assert np.allclose(X.z, Y.z) and abs(X.a - Y.a) < 1e-15
+
+
+class TestMatrixChecks:
+    @pytest.mark.parametrize("cls", [HVec, AmbientMat])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, cls, bad):
+        M = np.zeros((2, 2), dtype=complex)
+        M[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cls(M)
 
 
 class TestEmbedding:
@@ -243,3 +254,133 @@ class TestLieAlgebraProperties:
                         g, X, bracket_hm(h, Y)
                     )
                     assert abs(v) < TOL
+
+
+def per_entry_tables(n):
+    """(Cm, Hterm, adjoint) tabulated one bracket at a time."""
+    basis = standard_basis(n)
+    d = 2 * n + 1
+    Cm, Hterm = np.zeros((d, d, d)), np.zeros((d, d, d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            h, m = bracket_mm(basis[i], basis[j])
+            Cm[i, j] = m.coords()
+            Cm[j, i] = -Cm[i, j]
+            for k in range(d):
+                Hterm[i, j, k] = bracket_hm(h, basis[k]).coords()
+                Hterm[j, i, k] = -Hterm[i, j, k]
+    hs = h_basis(n)
+    A = np.zeros((len(hs), d, d))
+    for r, h in enumerate(hs):
+        for k, X in enumerate(basis):
+            A[r][:, k] = bracket_hm(h, X).coords()
+    return Cm, Hterm, A
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equal_to_per_entry_tabulation(self, n):
+        Cm, Hterm, A = per_entry_tables(n)
+        got_Cm, got_Hterm = structure_tensors(n)
+        assert np.array_equal(got_Cm, Cm)
+        assert np.array_equal(got_Hterm, Hterm)
+        assert adjoint_matrices(n).shape == A.shape
+        assert np.array_equal(adjoint_matrices(n), A)
+
+    def test_no_mvec_per_entry(self, monkeypatch):
+        n, d = 6, 13
+        count = [0]
+        post_init = MVec.__post_init__
+
+        def counting(self):
+            count[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(MVec, "__post_init__", counting)
+        structure_tensors.__wrapped__(n)
+        assert count[0] <= d
+        count[0] = 0
+        adjoint_matrices.__wrapped__(n)
+        assert count[0] <= d
+
+    @staticmethod
+    def _corrupt_split(monkeypatch, corrupt):
+        split = algebra._split
+
+        def bad(M):
+            return corrupt(*split(M))
+
+        monkeypatch.setattr(algebra, "_split", bad)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # Hermitian part in one bracket's h-part
+            lambda B, z, a: (B + 1e-6 * (np.arange(B.size) == 7).reshape(B.shape), z, a),
+            # trace in one h-part, still anti-Hermitian
+            lambda B, z, a: (B + 1e-6j * (np.arange(B.size) == 0).reshape(B.shape), z, a),
+            # real part in one a
+            lambda B, z, a: (B, z, a + 1e-6 * (np.arange(a.size) == 3).reshape(a.shape)),
+            # one non-finite z entry
+            lambda B, z, a: (B, np.where(np.arange(z.size).reshape(z.shape) == 2, np.nan, z), a),
+        ],
+        ids=["anti_hermitian", "traceless", "imaginary_a", "finite"],
+    )
+    def test_structure_tensors_refuse_bad_brackets(self, monkeypatch, corrupt):
+        self._corrupt_split(monkeypatch, corrupt)
+        with pytest.raises(ValueError):
+            structure_tensors.__wrapped__(3)
+
+    def test_structure_tensors_refuse_bad_basis(self, monkeypatch):
+        embed = algebra._embed
+        monkeypatch.setattr(algebra, "_embed",
+                            lambda z, a: embed(z, a) + 1e-3 * np.eye(z.shape[-1] + 1))
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            structure_tensors.__wrapped__(2)
+
+    def test_structure_tensors_refuse_bad_commutator(self, monkeypatch):
+        # a Hermitian part within TOL_EXACT on large basis matrices passes
+        # their own check, but grows past it in every commutator
+        embed = algebra._embed
+        monkeypatch.setattr(algebra, "_embed",
+                            lambda z, a: 1e6 * embed(z, a) + 4e-13 * np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="A must be anti-Hermitian"):
+            structure_tensors.__wrapped__(1)
+
+    @pytest.mark.parametrize(
+        "B",
+        [np.array([[1j, 0.0], [0.0, 1j]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+         np.array([[np.nan, 0.0], [0.0, 0.0]])],
+        ids=["trace", "hermitian", "nan"],
+    )
+    def test_adjoint_matrices_refuse_bad_generators(self, monkeypatch, B):
+        good = h_basis(2)
+        fake = type("FakeHVec", (), {})()
+        fake.B = B
+        monkeypatch.setattr(algebra, "h_basis", lambda n: (*good, fake))
+        with pytest.raises(ValueError):
+            adjoint_matrices.__wrapped__(2)
+
+    def test_checks_find_one_bad_entry_in_a_stack(self):
+        stack = np.zeros((4, 3, 3, 3), dtype=complex)
+        algebra._require_su(stack, "A")
+        stack[2, 1, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            algebra._require_su(stack, "A")
+        z, a = np.zeros((4, 5, 2), dtype=complex), np.zeros((4, 5), dtype=complex)
+        algebra._require_m(z, a)
+        a[3, 4] = 2e-12
+        with pytest.raises(ValueError, match="purely imaginary"):
+            algebra._require_m(z, a)
+        a[3, 4] = 1j * np.inf
+        with pytest.raises(ValueError, match="finite"):
+            algebra._require_m(z, a)
+
+    def test_orthonormal_scales_match_basis(self):
+        for eps in (-3.0, -1.0, 0.25, 2.0):
+            g = Metric(3, eps)
+            scale, signs = g.orthonormal_scales()
+            basis, basis_signs = orthonormal_basis(g)
+            coords = np.array([X.coords() for X in basis])
+            assert np.array_equal(coords, np.diag(scale))
+            assert np.array_equal(signs, basis_signs)

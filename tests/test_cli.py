@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bergerconn import cli, families, spaces
+from bergerconn import cli, config, families, spaces
 from bergerconn.cli import (
     EXPECTED_TABLE,
     compute_dims,
@@ -76,6 +76,11 @@ class TestVerify:
         assert main(["verify", "--n", "2", "--eps=-1"]) == 1
         captured = capsys.readouterr()
         assert "closed_torsion_vs_generic" in captured.err + captured.out
+
+    def test_levi_civita_check_uses_named_tolerance(self):
+        checks = {name: tol for name, _, tol in cli._verification_checks(cli.RunConfig(n=2))}
+        assert config.TOL_LC == 1e-10
+        assert checks["levi_civita_closed_vs_generic"] == config.TOL_LC
 
 
 class TestClassify:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerconn import families, nomizu
+from bergerconn.config import TOL_NUM
 from bergerconn.algebra import (
     Metric,
     metric_eval,
@@ -261,3 +264,70 @@ class TestSymRicciIdentity:
                 Ric = ricci(curvature(alpha), g)
                 S = s_tensor(alpha, g).coeffs
                 assert np.abs(sym(Ric).coeffs - (ric_lc - S / 4.0)).max() < TOL
+
+
+class TestContractionsAgainstEinsum:
+    """curvature and s_tensor against their defining einsum formulas."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_curvature(self, n, rng):
+        d = 2 * n + 1
+        a = rng.uniform(-2, 2, size=(d, d, d))
+        Cm, Hterm = structure_tensors(n)
+        expected = (
+            np.einsum("jkm,iml->ijkl", a, a)
+            - np.einsum("ikm,jml->ijkl", a, a)
+            - np.einsum("ijm,mkl->ijkl", Cm, a)
+            - Hterm
+        )
+        assert np.abs(curvature(Bilin(n, a)).coeffs - expected).max() <= TOL_NUM
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_s_tensor(self, n, rng):
+        d = 2 * n + 1
+        alpha = Bilin(n, rng.uniform(-2, 2, size=(d, d, d)))
+        for eps in (-2.5, -0.3, 0.4, 2.0):
+            g = Metric(n, eps)
+            T = torsion(alpha).coeffs
+            w = np.ones(d)
+            w[-1] = -np.sign(eps) / abs(eps)
+            expected = np.einsum("j,jxk,kl,jyl->xy", w, T, g.gram(), T)
+            assert np.abs(s_tensor(alpha, g).coeffs - expected).max() <= TOL_NUM
+
+
+class TestSkewFamilyProperties:
+    """Identities of random skew-torsion family members, n = 1..6."""
+
+    members = dict(
+        n=st.integers(1, 6),
+        eps=st.floats(0.1, 3.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    )
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(**members)
+    def test_sym_ricci_identity(self, n, eps, sign, x):
+        eps *= sign
+        g = Metric(n, eps)
+        alpha = families.skew_family(n, eps, x)
+        ric_lc = ricci(curvature(families.alpha_lc(n, eps)), g).coeffs
+        Ric = sym(ricci(curvature(alpha), g)).coeffs
+        S = s_tensor(alpha, g).coeffs
+        assert np.abs(Ric - (ric_lc - S / 4.0)).max() <= TOL_NUM
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(**members)
+    def test_members_are_metric(self, n, eps, sign, x):
+        eps *= sign
+        g = Metric(n, eps)
+        assert nomizu.is_metric(families.skew_family(n, eps, x), g)
+        q = complex(x[0], x[1])
+        assert nomizu.is_metric(families.alpha_metric(n, eps, q, x[2]), g)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(**members)
+    def test_torsion_form_is_skew(self, n, eps, sign, x):
+        eps *= sign
+        g = Metric(n, eps)
+        assert nomizu.is_skew(torsion_form(families.skew_family(n, eps, x), g))

@@ -89,6 +89,37 @@ class TestLinearSpace:
         c2[1, 1, 1] = 3.0
         assert abs(sp.projection_residual(Bilin(1, c2)) - 3.0) < 1e-12
 
+    @pytest.mark.parametrize("n,eps", [(1, -1.0), (3, 0.5), (5, -2.0)])
+    def test_element_is_offset_plus_combination(self, n, eps, rng):
+        for sp in (metric_connection_space(n, eps), skew_torsion_space(n, eps)):
+            x = rng.uniform(-2, 2, size=sp.dim)
+            expected = sum(c * b.coeffs for c, b in zip(x, sp.basis))
+            if sp.offset is not None:
+                expected = expected + sp.offset.coeffs
+            assert np.abs(sp.element(x).coeffs - expected).max() < 1e-13
+
+    def test_element_refuses_wrong_coefficient_count(self):
+        sp = metric_connection_space(4, -1.0)
+        with pytest.raises(ValueError):
+            sp.element(np.ones(sp.dim + 1))
+
+
+class TestStackedViolations:
+    """The violation maps act on a stack of maps as on each map alone."""
+
+    @pytest.mark.parametrize("n,eps", [(1, 2.0), (3, -0.5)])
+    def test_match_per_map_formulas(self, n, eps, rng):
+        d = 2 * n + 1
+        G = Metric(n, eps).gram()
+        stack = rng.standard_normal((4, d, d, d))
+        metric = spaces._metric_violation(stack, G)
+        skew = spaces._skew_violation(stack, G)
+        for c, m, k in zip(stack, metric, skew):
+            assert np.abs(m - (np.einsum("ijk,kz->ijz", c, G)
+                               + np.einsum("izk,kj->ijz", c, G))).max() < 1e-12
+            om = np.einsum("ijk,kl->ijl", c - c.transpose(1, 0, 2), G)
+            assert np.abs(k - (om + om.transpose(0, 2, 1))).max() < 1e-12
+
 
 class TestInvariantSpace:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
