@@ -159,13 +159,16 @@ def _verification_checks(cfg: RunConfig):
     draws = [rng.uniform(-2.0, 2.0, size=k) for _ in range(5)]
     regime = {1: "s3", 2: "s5", 3: "s7"}.get(n, "general_n")
 
-    r_skew, r_formulicas, r_tor = 0.0, 0.0, 0.0
+    # one curvature and Ricci per map, shared by every check that reads them
     ric_lc = nomizu.ricci(nomizu.curvature(families.alpha_lc(n, eps)), g).coeffs
+    r_skew, r_formulicas, r_tor, r_cur, r_ric = 0.0, 0.0, 0.0, 0.0, 0.0
     for x in draws:
         alpha = families.skew_family(n, eps, x)
         params = families.FamilyParams.skew(regime, n, eps, *x, *([0.0] * (3 - k)))
+        R = nomizu.curvature(alpha)
+        ric = nomizu.ricci(R, g)
         om = nomizu.torsion_form(alpha, g)
-        r_skew = max(r_skew, float(np.abs(om + om.transpose(0, 2, 1)).max()))
+        r_skew = max(r_skew, float(np.abs(spaces._skew_form_violation(om)).max()))
         r_tor = max(
             r_tor,
             float(
@@ -175,47 +178,30 @@ def _verification_checks(cfg: RunConfig):
                 ).max()
             ),
         )
-        ric = nomizu.ricci(nomizu.curvature(alpha), g)
         S = nomizu.s_tensor(alpha, g)
         r_formulicas = max(
             r_formulicas,
             float(np.abs(nomizu.sym(ric).coeffs - (ric_lc - S.coeffs / 4.0)).max()),
         )
-    yield ("closed_torsion_vs_generic", r_tor, cfg.tol_num)
-    yield ("torsion_form_is_skew", r_skew, cfg.tol_num)
-    yield ("sym_ricci_identity", r_formulicas, cfg.tol_num)
-
-    if n != 2:
-        r_cur, r_ric = 0.0, 0.0
-        for x in draws:
-            alpha = families.skew_family(n, eps, x)
-            params = families.FamilyParams.skew(regime, n, eps, *x, *([0.0] * (3 - k)))
+        if n != 2:
             r_cur = max(
                 r_cur,
-                float(
-                    np.abs(
-                        families.closed_curvature(n, eps, params).coeffs
-                        - nomizu.curvature(alpha).coeffs
-                    ).max()
-                ),
+                float(np.abs(families.closed_curvature(n, eps, params).coeffs - R.coeffs).max()),
             )
             r_ric = max(
                 r_ric,
-                float(
-                    np.abs(
-                        families.closed_ricci(n, eps, params).coeffs
-                        - nomizu.ricci(nomizu.curvature(alpha), g).coeffs
-                    ).max()
-                ),
+                float(np.abs(families.closed_ricci(n, eps, params).coeffs - ric.coeffs).max()),
             )
+    yield ("closed_torsion_vs_generic", r_tor, cfg.tol_num)
+    yield ("torsion_form_is_skew", r_skew, cfg.tol_num)
+    yield ("sym_ricci_identity", r_formulicas, cfg.tol_num)
+    if n != 2:
         yield ("closed_curvature_vs_generic", r_cur, cfg.tol_num)
         yield ("closed_ricci_vs_generic", r_ric, cfg.tol_num)
-
     if eps == -1.0:
-        ric = nomizu.ricci(nomizu.curvature(families.alpha_lc(n, eps)), g)
         yield (
             "round_ricci_2n_g",
-            float(np.abs(ric.coeffs - 2 * n * g.gram()).max()),
+            float(np.abs(ric_lc - 2 * n * g.gram()).max()),
             cfg.tol_num,
         )
 

@@ -14,8 +14,9 @@ This module renders those equations, classifies the solution variety
 flatness loci.  Since the family is affine in its parameters, the generic
 Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
 coefficients, read off the generic calculus by polarization, drive a batched
-damped Newton solve that confirms solutions numerically, and the exact
-minimum of the n = 1 defect.
+Newton solve with clipped full steps that confirms solutions numerically,
+checking only the samples it returns against the generic residual, and the
+exact minimum of the n = 1 defect.
 """
 
 from __future__ import annotations
@@ -155,15 +156,17 @@ def _residual_quadratic(n: int, eps: float):
 
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
                   n_seeds: int = 64, tol: float = TOL_SOL) -> list[tuple[float, ...]]:
-    """Parameter tuples with Einstein defect <= tol, found by damped Newton
+    """Parameter tuples with Einstein defect <= tol, found by full Newton
     steps on the exact quadratic residual from scattered random seeds.
 
-    All seeds iterate as one array with the analytic Jacobian; a seed stops
+    All seeds iterate as one array with the analytic Jacobian; each step is
+    the full pseudo-inverse Newton step, clipped to norm 2, and a seed stops
     once its residual is below 0.05 * tol.  Candidates, rounded to 10
     digits, within 1e-3 of each other (max-norm) whose midpoint also solves
-    form one cluster.  Each cluster returns its candidate of least model
-    residual that the generic residual confirms, so the generic check runs
-    about once per returned sample.
+    form one cluster, represented by its candidate of least model residual.
+    Only the representatives returned, the first `count` in sorted order,
+    get the generic check; one that fails gives way to the next candidate
+    of its cluster.
 
     Raises RuntimeError if the classification predicts solutions but none
     survive the seed budget.
@@ -210,7 +213,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
         step = -(pinv @ R[:, :, None])[:, :, 0]
         # keep iterates near their seed on unbounded varieties
         norm = np.linalg.norm(step, axis=1, keepdims=True)
-        X[live] += 0.5 * step * (2.0 / np.maximum(norm, 2.0))
+        X[live] += step * (2.0 / np.maximum(norm, 2.0))
     close = np.linalg.norm(residual(X), axis=1) <= tol
     cands = sorted({tuple(round(float(v), 10) for v in x) for x in X[close]})
     # iterates drawn into a double root stay apart by about 1e-5: two
@@ -221,20 +224,36 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
     same = (np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3) & (
         np.linalg.norm(residual(mid), axis=1).reshape(len(C), len(C)) <= tol
     )
-    # each cluster keeps its candidate of least model residual that passes
-    # the generic check; the check runs on a cluster's next candidate only
-    # if the one before it failed
-    model = np.linalg.norm(residual(C), axis=1)
+    # a candidate whose rounding lifted its model residual over tol still
+    # belongs to its own cluster
+    np.fill_diagonal(same, True)
+    # representatives from the model alone: a greedy pass in order of model
+    # residual keeps each candidate not in the cluster of one kept before
+    order = np.lexsort((np.arange(len(C)), np.linalg.norm(residual(C), axis=1)))
+    reps: list[int] = []
+    for i in order:
+        if not same[i, reps].any():
+            reps.append(i)
+    # cands is sorted, so index order is the output order: the generic check
+    # runs on representatives until count pass, and one that fails gives way
+    # to the next candidate of its cluster in model order
+    position = np.argsort(order)
     keep: list[int] = []
-    for i in np.lexsort((np.arange(len(C)), model)):
-        if not same[i, keep].any() and einstein_defect_at(n, eps, cands[i]) <= tol:
-            keep.append(i)
-    unique = [cands[i] for i in keep]
-    if not unique and kind is not VarietyClass.EMPTY:
+    for r in sorted(reps):
+        if len(keep) >= count:
+            break
+        if same[r, keep].any():
+            continue
+        for i in order[position[r]:]:
+            if same[r, i] and not same[i, keep].any() and \
+                    einstein_defect_at(n, eps, cands[i]) <= tol:
+                keep.append(i)
+                break
+    if not keep and count > 0 and kind is not VarietyClass.EMPTY:
         raise RuntimeError(
             f"classification predicts {kind.value} but no numeric solution found"
         )
-    return sorted(unique)[:count]
+    return sorted(cands[i] for i in keep)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from . import algebra
 from .algebra import Metric
 from .config import TOL_NUM
-from .spaces import Bilin, _metric_violation
+from .spaces import Bilin, _metric_violation, _skew_form_violation
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,11 @@ def torsion_form(alpha: Bilin, g: Metric) -> np.ndarray:
 
 
 def is_skew(omega: np.ndarray, tol: float = TOL_NUM) -> bool:
-    """Total antisymmetry of a rank-3 array."""
-    return (
-        np.abs(omega + omega.transpose(1, 0, 2)).max() <= tol
-        and np.abs(omega + omega.transpose(0, 2, 1)).max() <= tol
+    """Total antisymmetry of a rank-3 array: in its last two slots, and in
+    its first two, which are the last two of omega.transpose(2, 0, 1)."""
+    return all(
+        np.abs(_skew_form_violation(w)).max() <= tol
+        for w in (omega, omega.transpose(2, 0, 1))
     )
 
 

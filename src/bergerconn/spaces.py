@@ -377,7 +377,12 @@ def _skew_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     For a difference of two metric connections the bracket term of the
     torsion cancels, so T = alpha - alpha^t and the condition is linear.
     """
-    om = (coeffs - np.swapaxes(coeffs, -3, -2)) @ G
+    return _skew_form_violation((coeffs - np.swapaxes(coeffs, -3, -2)) @ G)
+
+
+def _skew_form_violation(om: np.ndarray) -> np.ndarray:
+    """om + om with its last two slots swapped, for one array or a stack;
+    zero iff om is antisymmetric in those slots."""
     return om + np.swapaxes(om, -1, -2)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bergerconn import cli, config, families, spaces
+from bergerconn import cli, config, families, nomizu, spaces
 from bergerconn.cli import (
     EXPECTED_TABLE,
     compute_dims,
@@ -177,3 +177,23 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestVerifyCurvatureReuse:
+    CHECKS = ["levi_civita_closed_vs_generic", "levi_civita_torsion_free", "dimension_counts",
+              "closed_torsion_vs_generic", "torsion_form_is_skew", "sym_ricci_identity",
+              "closed_curvature_vs_generic", "closed_ricci_vs_generic", "round_ricci_2n_g"]
+
+    @pytest.mark.parametrize("n", [3, 2])
+    def test_one_curvature_per_map(self, n, monkeypatch, capsys):
+        # alpha_lc and the five random draws: six maps, one curvature each
+        seen = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: seen.append(a) or curvature(a))
+        assert main(["verify", "--n", str(n), "--eps=-1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        names = [c["name"] for c in doc["checks"]]
+        skipped = {"closed_curvature_vs_generic", "closed_ricci_vs_generic"} if n == 2 else set()
+        assert names == [c for c in self.CHECKS if c not in skipped]
+        assert all(c["pass"] for c in doc["checks"])
+        assert len(seen) == 6

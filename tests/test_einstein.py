@@ -226,6 +226,87 @@ class TestSolveNumeric:
         assert len(calls) == 1
 
 
+class TestLazyGenericCheck:
+    """The generic check runs only on the samples solve_numeric returns."""
+
+    @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5)])
+    @pytest.mark.parametrize("count", [4, 8])
+    def test_checks_only_returned_samples(self, n, eps, count, monkeypatch):
+        checks, calls = [], []
+        defect, curvature = einstein.einstein_defect_at, nomizu.curvature
+        monkeypatch.setattr(einstein, "einstein_defect_at",
+                            lambda *a: checks.append(a) or defect(*a))
+        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
+        sols = solve_numeric(n, eps, count=count, n_seeds=64)
+        assert len(sols) == count
+        assert len(checks) == count
+        assert 0 < len(calls) <= 10 + count
+
+    @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5), (3, -0.5)])
+    def test_failed_check_gives_way(self, n, eps, monkeypatch):
+        # the first generic check fails on a positive-dimensional cell: its
+        # candidate is not returned, and the cell still returns count
+        # samples, each passing the real check
+        checked = []
+        defect = einstein.einstein_defect_at
+
+        def first_fails(*a):
+            checked.append(a[2])
+            return np.inf if len(checked) == 1 else defect(*a)
+
+        monkeypatch.setattr(einstein, "einstein_defect_at", first_fails)
+        sols = solve_numeric(n, eps, count=4)
+        assert len(sols) == 4
+        assert checked[0] not in sols
+        for x in sols:
+            assert defect(n, eps, x) <= TOL
+
+    @pytest.mark.parametrize("n", [5, 2])
+    def test_failed_check_tries_next_in_cluster(self, n, monkeypatch):
+        # a 1-pt. cell is one cluster of many candidates: when its
+        # representative fails, the next candidate is checked and returned
+        checked = []
+        defect = einstein.einstein_defect_at
+
+        def first_fails(*a):
+            checked.append(a[2])
+            return np.inf if len(checked) == 1 else defect(*a)
+
+        monkeypatch.setattr(einstein, "einstein_defect_at", first_fails)
+        sols = solve_numeric(n, -1.0, n_seeds=64)
+        assert len(checked) == 2 and checked[1] != checked[0]
+        assert sols == [checked[1]]
+
+    def test_every_check_failing_raises(self, monkeypatch):
+        monkeypatch.setattr(einstein, "einstein_defect_at", lambda *a: np.inf)
+        with pytest.raises(RuntimeError):
+            solve_numeric(3, -2.0)
+
+
+# eps inside each regime of classify: the single value -1, and the open
+# intervals around it kept 1e-6 away from -1 (closer, the two points of a
+# 2-pt. cell lie within the 1e-3 clustering radius with their midpoint
+# inside tol, so they read as one) and 0.05 away from 0
+REGIMES = st.one_of(
+    st.just(-1.0),
+    st.floats(-3.0, -1.0 - 1e-6),
+    st.floats(-1.0 + 1e-6, -0.05),
+    st.floats(0.05, 3.0),
+)
+
+
+class TestSampleCounts:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 6), eps=REGIMES, seed=st.integers(0, 2**16))
+    def test_samples_per_kind(self, n, eps, seed):
+        v = variety(n, eps, seed=seed)
+        expected = {VarietyClass.EMPTY: 0, VarietyClass.ONE_POINT: 1,
+                    VarietyClass.TWO_POINTS: 2}.get(v.kind, 4)
+        assert len(v.sample_points) == expected
+        for x in v.sample_points:
+            assert einstein_defect_at(n, eps, x) <= TOL
+
+
 class TestVariety:
     def test_nonempty_has_samples(self):
         v = variety(4, -2.0)

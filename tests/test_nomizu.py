@@ -331,3 +331,42 @@ class TestSkewFamilyProperties:
         eps *= sign
         g = Metric(n, eps)
         assert nomizu.is_skew(torsion_form(families.skew_family(n, eps, x), g))
+
+
+class TestIsSkew:
+    """is_skew reads both antisymmetries through the helper the skew space uses."""
+
+    @staticmethod
+    def totally_skew(rng, d):
+        w = rng.standard_normal((d, d, d))
+        return (w - w.transpose(1, 0, 2) + w.transpose(1, 2, 0)
+                - w.transpose(2, 1, 0) + w.transpose(2, 0, 1) - w.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_totally_skew_passes(self, d, rng):
+        assert nomizu.is_skew(self.totally_skew(rng, d))
+
+    @pytest.mark.parametrize("axes", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+    def test_symmetric_part_in_any_pair_fails(self, axes, rng):
+        # a part symmetric in one pair of slots fails ten times above the
+        # tolerance and passes ten times below it
+        d = 5
+        w = rng.standard_normal((d, d, d))
+        sym_part = w + w.transpose(axes)
+        sym_part /= np.abs(sym_part).max()
+        omega = self.totally_skew(rng, d)
+        assert not nomizu.is_skew(omega + 10 * TOL_NUM * sym_part)
+        assert nomizu.is_skew(omega + 0.1 * TOL_NUM * sym_part)
+
+    def test_matches_both_transposes(self, rng):
+        # the same decision as the two explicit transposes, over random
+        # arrays near the tolerance
+        decisions = []
+        for _ in range(50):
+            noise = rng.uniform(0, 2 * TOL_NUM) * rng.standard_normal((4, 4, 4))
+            omega = self.totally_skew(rng, 4) + noise
+            explicit = (np.abs(omega + omega.transpose(1, 0, 2)).max() <= TOL_NUM
+                        and np.abs(omega + omega.transpose(0, 2, 1)).max() <= TOL_NUM)
+            assert nomizu.is_skew(omega) == explicit
+            decisions.append(explicit)
+        assert any(decisions) and not all(decisions)
