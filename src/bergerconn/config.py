@@ -1,7 +1,10 @@
 """Numerical tolerances used throughout the package.
 
 The environment variables BERGER_TOL_NUM and BERGER_TOL_SOL override the
-defaults for derived-identity and Einstein-solution checks respectively.
+defaults (1e-9 and 1e-8) of TOL_NUM and TOL_SOL, the derived-identity and
+Einstein-solution tolerances.  They are read once, when this module is
+first imported: set them before the process starts (or before the first
+import of bergerconn); changing them afterwards has no effect.
 """
 
 import os

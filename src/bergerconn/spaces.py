@@ -19,9 +19,17 @@ operator on all d^3 = (2n+1)^3 coefficients:
    generating set of h are written on those columns by index arithmetic
    (each column's image has O(d) entries); their nullspace is mapped back
    to the standard basis and its real and imaginary parts orthonormalised.
-3. Full check.  The basis is verified against the residual of every
-   h-basis element; on failure the whole h basis is imposed on the
-   weight-zero columns instead.
+3. Certified check.  The basis is verified on the 2(n - 1) first-row
+   generators Gamma (real and imaginary parts of E_1j, j = 2..n), each
+   supported on 4 coordinates.  Every h-basis element is at most one
+   bracket of Gamma, so the residual over the whole h basis is at most
+   2 kappa times the residual on Gamma, with kappa = 3 at every n (see
+   _invariant_basis_raw).  When that bound exceeds TOL_NUM, Gamma is
+   imposed on the weight-zero columns instead.
+
+Each build logs one DEBUG record on the "bergerconn.spaces" logger: the
+residual on Gamma, kappa, the certified bound, its margin to TOL_NUM and
+whether the fallback ran.
 
 Every rank decision (the zero weights, both nullspaces) uses a relative
 cutoff and a guarded gap, and raises RankGapError when there is none.
@@ -29,6 +37,7 @@ cutoff and a guarded gap, and raises RankGapError when there is none.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,6 +47,8 @@ import numpy as np
 from . import algebra
 from .algebra import Metric, MVec
 from .config import TOL_GAP, TOL_NUM, TOL_RANK
+
+_log = logging.getLogger(__name__)
 
 #: estimated bytes per d^3 that an invariant nullspace build holds at large n
 #: (measured about 1350 at n = 25 and 30; below n = 10 a fixed 20 MB dominates)
@@ -187,7 +198,8 @@ def _generating_actions(n: int) -> np.ndarray:
     """Actions of two fixed generic elements of su(n) on m.
 
     Generic pairs generate su(n), so their joint invariants coincide with
-    the full h-invariants; this is re-verified against the whole h basis.
+    the full h-invariants; this is re-verified, with a certified bound, on
+    the first-row generators.
     """
     A = algebra.adjoint_matrices(n)
     rng = np.random.default_rng(12345)
@@ -288,6 +300,28 @@ def _equivariance_residual(basis: np.ndarray, actions) -> float:
     return worst
 
 
+def _first_row_actions(n: int) -> np.ndarray:
+    """Actions on m of Gamma: X_j = E_1j - E_j1 and Y_j = i(E_1j + E_j1) for
+    j = 2..n, the h-basis elements with an entry in the first row off the
+    diagonal.  2(n - 1) matrices, each supported on the coordinates of z_1
+    and z_j; they generate su(n)."""
+    first_row = [r for r, h in enumerate(algebra.h_basis(n)) if h.B[0, 1:].any()]
+    return algebra.adjoint_matrices(n)[first_row]
+
+
+def _action_bound(actions) -> float:
+    """kappa: the largest factor by which one action A, applied to a rank-3
+    tensor as in _equivariance_residual, can grow its largest entry.
+
+    The output slot sums over a row of A and each input slot over a column,
+    so kappa = max over the actions of (max row abs-sum + 2 max column
+    abs-sum); 0 for no actions.
+    """
+    a = np.abs(actions)
+    return float(np.max(a.sum(axis=2).max(axis=1) + 2 * a.sum(axis=1).max(axis=1),
+                        initial=0.0))
+
+
 def check_fits_memory(n: int) -> None:
     """Raise ValueError if the invariant nullspace for n cannot fit in memory.
 
@@ -315,17 +349,62 @@ def check_fits_memory(n: int) -> None:
 def _invariant_basis_raw(n: int) -> np.ndarray:
     """Orthonormal rows spanning the invariant maps over the flattened
     standard basis: the generating pair imposed on the weight-zero columns,
-    checked against the whole h basis, else all of it imposed."""
+    certified on the first-row generators Gamma, else Gamma imposed.
+
+    Why Gamma certifies the whole h basis.  Write rho(h) alpha =
+    h alpha(-, -) - alpha(h -, -) - alpha(-, h -) for the action of h on a
+    map, delta_h for the largest entry of rho(h) alpha over the basis maps,
+    and delta_Gamma for the largest delta_g over g in Gamma.
+
+    - rho is a Lie algebra map: rho([a, b]) = rho(a) rho(b) - rho(b) rho(a).
+    - The largest entry of rho(a) beta is at most kappa_a times that of
+      beta, with kappa_a from _action_bound; kappa is the largest kappa_a
+      over Gamma, 3 at every n (each generator permutes four coordinates
+      up to sign).
+    - For 2 <= i < j <= n, [X_i, X_j] = -(E_ij - E_ji) and
+      [X_i, Y_j] = -i(E_ij + E_ji): up to sign every off-diagonal basis
+      element is one bracket of Gamma, or lies in Gamma.
+    - [X_k, Y_k] = 2i(E_11 - E_kk), so the Cartan element
+      i(E_kk - E_(k+1)(k+1)) is 1/2 [X_(k+1), Y_(k+1)] - 1/2 [X_k, Y_k]
+      (the first term alone for k = 1).
+
+    So every h-basis element is sum c_ab [g_a, g_b] over g in Gamma with
+    sum |c_ab| <= 1, or one g up to sign, and
+
+        delta_h <= sum |c_ab| (kappa_a delta_b + kappa_b delta_a)
+                <= 2 kappa delta_Gamma,
+
+    a bound that does not grow with n (for h in Gamma itself,
+    delta_h <= delta_Gamma <= 2 kappa delta_Gamma).  The basis is accepted when
+    2 kappa delta_Gamma <= TOL_NUM, so every h-basis residual is within
+    TOL_NUM.  Otherwise Gamma is imposed on the weight-zero columns: it
+    generates su(n), so its joint kernel is the invariant space.
+    """
     d = 2 * n + 1
     check_fits_memory(n)
+    gamma = _first_row_actions(n)
     if n == 1:
-        # h = su(1) = 0: every bilinear map is invariant
-        return np.eye(d**3)
-    U, cols = _zero_weight_triples(n)
-    basis = _real_span(U, cols, _root_nullspace(U, cols, _generating_actions(n)))
-    full = algebra.adjoint_matrices(n)
-    if _equivariance_residual(basis.reshape(-1, d, d, d), full) > TOL_NUM:
-        basis = _real_span(U, cols, _root_nullspace(U, cols, full))
+        # h = su(1) = 0 and Gamma is empty: every bilinear map is invariant
+        basis = np.eye(d**3)
+    else:
+        U, cols = _zero_weight_triples(n)
+        basis = _real_span(U, cols, _root_nullspace(U, cols, _generating_actions(n)))
+    residual = _equivariance_residual(basis.reshape(-1, d, d, d), gamma)
+    kappa = _action_bound(gamma)
+    bound = 2 * kappa * residual
+    fallback = bound > TOL_NUM
+    if fallback:
+        basis = _real_span(U, cols, _root_nullspace(U, cols, gamma))
+    _log.debug(
+        "invariant space n=%d: %d generators, residual %.3g, kappa %g, bound %.3g, "
+        "margin %.3g to TOL_NUM, fallback %s",
+        n, len(gamma), residual, kappa, bound, TOL_NUM / bound if bound else np.inf,
+        "ran" if fallback else "not run",
+        extra={"equivariance": {
+            "n": n, "generators": len(gamma), "residual": residual, "kappa": kappa,
+            "bound": bound, "tol_num": TOL_NUM, "fallback": fallback,
+        }},
+    )
     return basis
 
 

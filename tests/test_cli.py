@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bergerconn
 
 from bergerconn import cli, config, families, nomizu, spaces
 from bergerconn.cli import (
@@ -197,3 +203,45 @@ class TestVerifyCurvatureReuse:
         assert names == [c for c in self.CHECKS if c not in skipped]
         assert all(c["pass"] for c in doc["checks"])
         assert len(seen) == 6
+
+
+def _run_python(code, **env):
+    """Run code in a fresh interpreter that imports this checkout's package,
+    with env added to the environment before start-up."""
+    src = str(Path(bergerconn.__file__).resolve().parents[1])
+    full = {k: v for k, v in os.environ.items() if not k.startswith("BERGER_TOL_")}
+    full["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [full.get("PYTHONPATH")] if p])
+    full.update(env)
+    return subprocess.run([sys.executable, "-c", code], env=full, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestToleranceEnvironment:
+    CODE = (
+        "import os\n"
+        "from bergerconn import cli, config\n"
+        "print(config.TOL_NUM, cli.build_parser().parse_args(['verify']).tol_num)\n"
+        "os.environ['BERGER_TOL_NUM'] = '1e-3'\n"
+        "print(config.TOL_NUM, cli.build_parser().parse_args(['verify']).tol_num)\n"
+    )
+
+    def test_set_before_start_up_reaches_config_and_verify(self):
+        # read once at import: the value set before start-up holds, and a
+        # change after import is not seen
+        out = _run_python(self.CODE, BERGER_TOL_NUM="1e-7")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1e-07"] * 4
+
+    def test_default_without_the_variable(self):
+        out = _run_python(self.CODE)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1e-09"] * 4
+
+
+class TestQuietByDefault:
+    def test_dims_prints_no_log_record(self):
+        out = _run_python("from bergerconn.cli import main\n"
+                          "raise SystemExit(main(['dims', '--n', '3']))")
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert "bergerconn.spaces" not in out.stdout

@@ -1,20 +1,28 @@
+import logging
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerconn import families, nomizu
 from bergerconn.algebra import (
     Metric,
     MVec,
     adjoint_matrices,
+    h_basis,
     standard_basis,
 )
+from bergerconn.config import TOL_EXACT, TOL_NUM
 from bergerconn import spaces
 from bergerconn.spaces import (
     Bilin,
     LinearSpace,
     RankGapError,
+    _action_bound,
+    _equivariance_residual,
+    _first_row_actions,
     _invariant_basis_raw,
     _nullspace,
     _rowspace,
@@ -194,6 +202,134 @@ class TestInvariantSpace:
         assert null.shape == (2, 3)
         assert np.abs(null @ [1.0, 1.0, 0.0]).max() < 1e-15
         assert np.abs(null @ null.T - np.eye(2)).max() < 1e-15
+
+
+def _full_residual(maps, A):
+    """Largest entry of the equivariance residual of every map under every
+    action, by plain einsums over all slots (no support restriction)."""
+    return float(np.abs(
+        np.einsum("amk,rijk->raijm", A, maps)
+        - np.einsum("api,rpjm->raijm", A, maps)
+        - np.einsum("apj,ripm->raijm", A, maps)
+    ).max())
+
+
+def _stated_combinations(n):
+    """For each h-basis element, its combination of brackets of the
+    first-row generators as the _invariant_basis_raw docstring states it:
+    a list of (c, a, b) for sum c [a, b], or (1, g, None) for g itself.
+    X[j] = E_1j - E_j1 and Y[j] = i(E_1j + E_j1), indices from 0."""
+    A = adjoint_matrices(n)
+    X, Y = {}, {}
+    for r, h in enumerate(h_basis(n)):
+        if h.B[0, 1:].any():
+            j = int(np.flatnonzero(h.B[0])[0])
+            (X if h.B[0, j].real else Y)[j] = A[r]
+    combos = []
+    for h in h_basis(n):
+        B = h.B
+        off = [(i, j) for i, j in zip(*np.nonzero(B)) if i < j]
+        if not off:  # Cartan i(E_kk - E_(k+1)(k+1))
+            k = int(np.flatnonzero(np.diag(B))[0])
+            terms = [(0.5, X[k + 1], Y[k + 1])] + ([(-0.5, X[k], Y[k])] if k else [])
+        else:
+            (i, j), = off
+            Z = X if B[i, j].real else Y
+            terms = [(1.0, Z[j], None)] if i == 0 else [(-1.0, X[i], Z[j])]
+        combos.append(terms)
+    return combos, X, Y
+
+
+class TestCertifiedCheck:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_generators_are_the_first_row(self, n):
+        gamma = _first_row_actions(n)
+        _, X, Y = _stated_combinations(n)
+        assert gamma.shape == (2 * (n - 1), 2 * n + 1, 2 * n + 1)
+        assert np.array_equal(gamma, np.array([g for j in range(1, n) for g in (X[j], Y[j])]))
+        for A in gamma:
+            assert np.count_nonzero(A.any(axis=0) | A.any(axis=1)) == 4
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_basis_element_is_a_stated_bracket(self, n):
+        combos, _, _ = _stated_combinations(n)
+        A = adjoint_matrices(n)
+        assert len(combos) == len(A) == n * n - 1
+        for Ar, terms in zip(A, combos):
+            assert sum(abs(c) for c, _, _ in terms) <= 1
+            built = sum(c * (a if b is None else a @ b - b @ a) for c, a, b in terms)
+            assert np.abs(built - Ar).max() <= TOL_EXACT
+        assert _action_bound(_first_row_actions(n)) == 3.0
+
+    def test_action_bound_of_no_actions(self):
+        assert _first_row_actions(1).shape == (0, 3, 3)
+        assert _action_bound(_first_row_actions(1)) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kappa_bounds_the_operator_norm(self, n, rng):
+        # the max-entry operator norm of rho(A) on d^3 tensors, from its full
+        # matrix, is at most kappa_A, for Gamma and for random actions
+        d = 2 * n + 1
+        unit = np.eye(d**3).reshape(-1, d, d, d)
+        for A in list(_first_row_actions(n)) + list(rng.standard_normal((3, d, d))):
+            R = (np.einsum("mk,rijk->rijm", A, unit)
+                 - np.einsum("pi,rpjm->rijm", A, unit)
+                 - np.einsum("pj,ripm->rijm", A, unit)).reshape(d**3, -1)
+            assert np.abs(R).sum(axis=0).max() <= _action_bound(A[None]) * (1 + 1e-15)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        perturbed=st.booleans(),
+        log_scale=st.floats(-12, -6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_residual_within_certified_bound(self, n, perturbed, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 * n + 1
+        if perturbed:
+            base = invariant_bilinear_space(n).matrix().reshape(-1, d, d, d)
+            maps = base + 10**log_scale * rng.standard_normal(base.shape)
+        else:
+            maps = rng.standard_normal((2, d, d, d))
+        gamma = _first_row_actions(n)
+        bound = 2 * _action_bound(gamma) * _equivariance_residual(maps, gamma)
+        assert _full_residual(maps, adjoint_matrices(n)) <= bound
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_perturbation_trips_the_check(self, n):
+        d = 2 * n + 1
+        base = invariant_bilinear_space(n).matrix().reshape(-1, d, d, d)
+        maps = base + 1e-6 * np.random.default_rng(n).standard_normal(base.shape)
+        gamma = _first_row_actions(n)
+        assert 2 * _action_bound(gamma) * _equivariance_residual(base, gamma) <= TOL_NUM
+        assert 2 * _action_bound(gamma) * _equivariance_residual(maps, gamma) > TOL_NUM
+
+    def test_one_debug_record_per_build(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="bergerconn.spaces")
+        _invariant_basis_raw(4)
+        records = [r for r in caplog.records if r.name == "bergerconn.spaces"]
+        assert len(records) == 1
+        rec = records[0]
+        assert rec.levelno == logging.DEBUG
+        info = rec.equivariance
+        assert (info["n"], info["generators"], info["kappa"]) == (4, 6, 3.0)
+        assert info["bound"] == 6 * info["residual"] <= TOL_NUM == info["tol_num"]
+        assert info["fallback"] is False
+        assert "fallback not run" in rec.getMessage()
+        assert "margin" in rec.getMessage()
+
+    def test_debug_record_reports_the_fallback(self, caplog, monkeypatch):
+        # two commuting Cartan elements: the check fails and Gamma is imposed
+        A = adjoint_matrices(3)
+        monkeypatch.setattr(spaces, "_generating_actions", lambda m: A[-2:])
+        caplog.set_level(logging.DEBUG, logger="bergerconn.spaces")
+        basis = _invariant_basis_raw(3)
+        (rec,) = [r for r in caplog.records if r.name == "bergerconn.spaces"]
+        assert rec.equivariance["fallback"] is True
+        assert rec.equivariance["bound"] > TOL_NUM
+        assert "fallback ran" in rec.getMessage()
+        assert basis.shape[0] == 9
 
 
 class TestMetricSpace:
