@@ -1,7 +1,8 @@
 """Command-line surface: dimension checks, verification suite, variety
 classification, the full regime table, and JSON export.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
+Exit codes: 0 all checks pass, 1 verification failure (a rank decision
+without a clear gap among them), 2 usage error.
 """
 
 from __future__ import annotations
@@ -59,13 +60,15 @@ class RunConfig:
         spaces.check_fits_memory(self.n)
         if self.eps == 0:
             raise ValueError("eps must be nonzero")
+        if not (np.isfinite(self.tol_num) and self.tol_num > 0):
+            raise ValueError("tol-num must be finite and > 0")
 
 
 def parse_eps(text: str) -> float:
     """Parse eps given as a decimal or a rational like -3/2."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"invalid eps {text!r}") from exc
 
 
@@ -110,11 +113,7 @@ def compute_dims(n: int, eps_values=EPS_SWEEP) -> dict:
 
 
 def cmd_dims(cfg: RunConfig) -> int:
-    try:
-        doc = compute_dims(cfg.n)
-    except RankGapError as exc:
-        print(f"FAIL rank decision: {exc}", file=sys.stderr)
-        return 1
+    doc = compute_dims(cfg.n)
     if cfg.fmt == "json":
         _emit(doc, cfg)
     else:
@@ -207,13 +206,8 @@ def _verification_checks(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = []
-    try:
-        for name, resid, tol in _verification_checks(cfg):
-            results.append((name, resid, tol, resid <= tol))
-    except RankGapError as exc:
-        print(f"FAIL rank decision: {exc}", file=sys.stderr)
-        return 1
+    results = [(name, resid, tol, resid <= tol)
+               for name, resid, tol in _verification_checks(cfg)]
     if cfg.fmt == "json":
         _emit(
             {
@@ -410,7 +404,11 @@ def main(argv=None) -> int:
         "table": cmd_table,
         "export": cmd_export,
     }[command]
-    return handler(cfg)
+    try:
+        return handler(cfg)
+    except RankGapError as exc:
+        print(f"FAIL rank decision: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,24 +13,29 @@ This module renders those equations, classifies the solution variety
 (reproducing the four-row table of regimes), and checks the Ricci-flat and
 flatness loci.  Since the family is affine in its parameters, the generic
 Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
-coefficients, read off the generic calculus by polarization, drive a batched
-Newton solve with clipped full steps that confirms solutions numerically,
-checking only the samples it returns against the generic residual, and the
-exact minimum of the n = 1 defect.
+coefficients, read off the generic calculus by polarization, have rank one,
+so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded rank
+decision).  A batched Newton solve on q alone, with closed-form clipped
+minimum-norm steps and no pseudo-inverse, confirms solutions numerically,
+checking only the samples it returns against the generic residual; the
+n = 1 defect gets its exact minimum.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import families, nomizu
 from .algebra import Metric
-from .config import TOL_SOL
-from .spaces import Bilin, skew_torsion_space
+from .config import TOL_GAP, TOL_SOL
+from .spaces import Bilin, RankGapError, _guarded_rank, skew_torsion_space
+
+_log = logging.getLogger(__name__)
 
 
 class VarietyClass(enum.Enum):
@@ -154,67 +159,103 @@ def _residual_quadratic(n: int, eps: float):
     return c0, L, Q
 
 
+@dataclass(frozen=True)
+class GenericQuadric:
+    """The generic Einstein residual as r(x) = v q(x): v a unit vector and
+    q(x) = c + l @ x + x @ A @ x a scalar quadric (A symmetric), read off the
+    generic calculus; gap is sigma1/sigma2 of the rank-one decision."""
+
+    v: np.ndarray
+    c: float
+    l: np.ndarray
+    A: np.ndarray
+    gap: float
+
+    def __call__(self, X) -> np.ndarray:
+        """q at each row of X."""
+        X = np.asarray(X, dtype=float)
+        XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), self.A.size)
+        return self.c + X @ self.l + XX @ self.A.ravel()
+
+
+def generic_quadric(n: int, eps: float) -> GenericQuadric:
+    """The scalar quadric q with r(x) = v q(x), for n >= 2.
+
+    The stacked coefficients (c0, L, Q) of _residual_quadratic have rank
+    one, all multiples of one vector v; their projections on v, the top
+    right-singular vector of the stack, are q's coefficients.  The rank is
+    a guarded decision: RankGapError unless it is one with a clear gap.
+    """
+    c0, L, Q = _residual_quadratic(n, eps)
+    k = len(L)
+    _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(k * k, -1)]),
+                              full_matrices=False)
+    rank = _guarded_rank(sv)
+    if rank != 1:
+        raise RankGapError(f"generic Einstein residual has rank {rank}, not one")
+    v = vt[0]
+    gap = sv[0] / sv[1] if sv[1] > 0 else np.inf
+    return GenericQuadric(v, float(c0 @ v), L @ v, Q @ v, float(gap))
+
+
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
                   n_seeds: int = 64, tol: float = TOL_SOL) -> list[tuple[float, ...]]:
-    """Parameter tuples with Einstein defect <= tol, found by full Newton
-    steps on the exact quadratic residual from scattered random seeds.
+    """Parameter tuples with Einstein defect <= tol, found by Newton steps
+    on the scalar quadric q of generic_quadric from scattered random seeds.
 
-    All seeds iterate as one array with the analytic Jacobian; each step is
-    the full pseudo-inverse Newton step, clipped to norm 2, and a seed stops
-    once its residual is below 0.05 * tol.  Candidates, rounded to 10
-    digits, within 1e-3 of each other (max-norm) whose midpoint also solves
-    form one cluster, represented by its candidate of least model residual.
-    Only the representatives returned, the first `count` in sorted order,
-    get the generic check; one that fails gives way to the next candidate
-    of its cluster.
+    All seeds iterate as one array.  Each step is the minimum-norm Newton
+    step -q grad(q) / |grad(q)|^2 of the 1 x k Jacobian (zero where the
+    gradient vanishes), so no pseudo-inverse is formed; it is clipped to
+    norm 2, and a seed stops once |q| is below 0.05 * tol.  Candidates,
+    rounded to 10 digits, within 1e-3 of each other (max-norm) whose
+    midpoint also solves form one cluster, represented by its candidate of
+    least |q|.  Only the representatives returned, the first `count` in
+    sorted order, get the generic check; one that fails gives way to the
+    next candidate of its cluster.
+
+    One DEBUG record per call on the bergerconn.einstein logger carries the
+    rank-one gap and its margin to TOL_GAP, the Newton iterations, the seeds
+    converged, the candidates, clusters and generic checks, also as the
+    record's `solve` attribute (None where n = 1 has no quadric).
 
     Raises RuntimeError if the classification predicts solutions but none
-    survive the seed budget.
+    survive the seed budget, and RankGapError if the generic residual is
+    not of rank one.
     """
     kind = classify(n, eps)
     if n == 1:
         if kind is VarietyClass.EMPTY:
-            return []
-        # the whole s-line solves the condition at eps = -1
-        out = [(float(s),) for s in np.linspace(-2.0, 2.0, count)]
+            out = []
+        else:
+            # the whole s-line solves the condition at eps = -1
+            out = [(float(s),) for s in np.linspace(-2.0, 2.0, count)]
         for (s,) in out:
             if einstein_defect_at(1, eps, (s,)) > tol:
                 raise RuntimeError("line solution fails the defect check")
+        _log_solve(n, eps, n_seeds, checks=len(out))
         return out
 
-    c0, L, Q = _residual_quadratic(n, eps)
-    k = len(L)
-    # r(x) stays in the row space of the stacked coefficients, one-dimensional
-    # since r(x) = v q(x); solving in an orthonormal basis of it keeps every
-    # norm and step and shrinks each pinv from d^2 x k to 1 x k, which about
-    # halves the solve at (3, -2)
-    _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(k * k, -1)]),
-                              full_matrices=False)
-    V = vt[sv > sv[0] * max(vt.shape) * np.finfo(float).eps].T
-    c0, L, Q = c0 @ V, L @ V, Q @ V
-
-    def residual(X):
-        XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), k * k)
-        return c0 + X @ L + XX @ Q.reshape(k * k, -1)
-
+    q = generic_quadric(n, eps)
+    k = len(q.l)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-4.0, 4.0, size=(n_seeds, k))
     live = np.arange(n_seeds)
+    iterations = 0
     for _ in range(120):
-        R = residual(X[live])
+        R = q(X[live])
         # converge well below tol so the 10-digit rounding stays within it
-        going = np.linalg.norm(R, axis=1) > 0.05 * tol
+        going = np.abs(R) > 0.05 * tol
         live, R = live[going], R[going]
         if not len(live):
             break
-        J = np.swapaxes(L + 2.0 * np.tensordot(X[live], Q, (1, 1)), 1, 2)
-        # cut at max(m, k) * machine eps, as lstsq's default does
-        pinv = np.linalg.pinv(J, max(J.shape[1:]) * np.finfo(float).eps)
-        step = -(pinv @ R[:, :, None])[:, :, 0]
+        grad = q.l + 2.0 * X[live] @ q.A
+        gg = np.einsum("ij,ij->i", grad, grad)
+        step = np.divide(-R, gg, out=np.zeros_like(R), where=gg > 0)[:, None] * grad
         # keep iterates near their seed on unbounded varieties
         norm = np.linalg.norm(step, axis=1, keepdims=True)
         X[live] += step * (2.0 / np.maximum(norm, 2.0))
-    close = np.linalg.norm(residual(X), axis=1) <= tol
+        iterations += 1
+    close = np.abs(q(X)) <= tol
     cands = sorted({tuple(round(float(v), 10) for v in x) for x in X[close]})
     # iterates drawn into a double root stay apart by about 1e-5: two
     # candidates are one cluster if they lie within 1e-3 (max-norm) and their
@@ -222,38 +263,58 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
     C = np.array(cands).reshape(len(cands), k)
     mid = ((C[:, None] + C[None]) / 2.0).reshape(-1, k)
     same = (np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3) & (
-        np.linalg.norm(residual(mid), axis=1).reshape(len(C), len(C)) <= tol
+        np.abs(q(mid)).reshape(len(C), len(C)) <= tol
     )
     # a candidate whose rounding lifted its model residual over tol still
     # belongs to its own cluster
     np.fill_diagonal(same, True)
-    # representatives from the model alone: a greedy pass in order of model
-    # residual keeps each candidate not in the cluster of one kept before
-    order = np.lexsort((np.arange(len(C)), np.linalg.norm(residual(C), axis=1)))
+    # representatives from the model alone: a greedy pass in order of |q|
+    # keeps each candidate not in the cluster of one kept before (same is
+    # symmetric, so a row of it marks the cluster)
+    order = np.lexsort((np.arange(len(C)), np.abs(q(C))))
     reps: list[int] = []
+    covered = np.zeros(len(C), dtype=bool)
     for i in order:
-        if not same[i, reps].any():
+        if not covered[i]:
             reps.append(i)
+            covered |= same[i]
     # cands is sorted, so index order is the output order: the generic check
     # runs on representatives until count pass, and one that fails gives way
     # to the next candidate of its cluster in model order
     position = np.argsort(order)
     keep: list[int] = []
+    taken = np.zeros(len(C), dtype=bool)
+    checks = 0
     for r in sorted(reps):
         if len(keep) >= count:
             break
-        if same[r, keep].any():
+        if taken[r]:
             continue
         for i in order[position[r]:]:
-            if same[r, i] and not same[i, keep].any() and \
-                    einstein_defect_at(n, eps, cands[i]) <= tol:
-                keep.append(i)
-                break
+            if same[r, i] and not taken[i]:
+                checks += 1
+                if einstein_defect_at(n, eps, cands[i]) <= tol:
+                    keep.append(i)
+                    taken |= same[i]
+                    break
+    _log_solve(n, eps, n_seeds, checks=checks, gap=q.gap, margin=q.gap / TOL_GAP,
+               iterations=iterations, converged=int(close.sum()),
+               candidates=len(cands), clusters=len(reps))
     if not keep and count > 0 and kind is not VarietyClass.EMPTY:
         raise RuntimeError(
             f"classification predicts {kind.value} but no numeric solution found"
         )
     return sorted(cands[i] for i in keep)
+
+
+def _log_solve(n: int, eps: float, n_seeds: int, checks: int, gap=None, margin=None,
+               iterations=None, converged=None, candidates=None, clusters=None) -> None:
+    record = {
+        "n": n, "eps": eps, "gap": gap, "tol_gap": TOL_GAP, "margin": margin,
+        "iterations": iterations, "converged": converged, "n_seeds": n_seeds,
+        "candidates": candidates, "clusters": clusters, "checks": checks,
+    }
+    _log.debug("solve_numeric n=%d eps=%r: %s", n, eps, record, extra={"solve": record})
 
 
 @dataclass(frozen=True)

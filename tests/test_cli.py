@@ -8,7 +8,7 @@ import pytest
 
 import bergerconn
 
-from bergerconn import cli, config, families, nomizu, spaces
+from bergerconn import cli, config, einstein, families, nomizu, spaces
 from bergerconn.cli import (
     EXPECTED_TABLE,
     compute_dims,
@@ -31,6 +31,19 @@ class TestParseEps:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_eps("abc")
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e400/3"])
+    def test_overflow(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_eps(text)
+
+    def test_overflow_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--eps=1e400"])
+        assert exc.value.code == 2
+        assert "invalid eps '1e400'" in capsys.readouterr().err
 
 
 class TestDims:
@@ -185,6 +198,52 @@ class TestUsageErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestTolNum:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_refused(self, value, capsys):
+        assert main(["verify", f"--tol-num={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "tol-num" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1e-9])
+    def test_run_config_refuses(self, value):
+        with pytest.raises(ValueError):
+            cli.RunConfig(tol_num=value)
+
+    def test_positive_accepted(self, capsys):
+        assert main(["verify", "--n", "1", "--tol-num=1e-8"]) == 0
+
+
+class TestRankGapReported:
+    """A RankGapError from any subcommand is one FAIL line with exit 1."""
+
+    @pytest.mark.parametrize("argv,module,name", [
+        (["dims", "--n", "3"], spaces, "invariant_bilinear_space"),
+        (["verify", "--n", "3"], spaces, "levi_civita_generic"),
+        (["classify", "--n", "3", "--eps=-2"], einstein, "generic_quadric"),
+        (["table"], einstein, "classify"),
+        (["export", "--n", "3", "--eps=-2"], einstein, "generic_quadric"),
+    ])
+    def test_fail_line(self, argv, module, name, monkeypatch, capsys):
+        def raises(*args):
+            raise spaces.RankGapError("forced")
+
+        monkeypatch.setattr(module, name, raises)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "FAIL rank decision: forced\n"
+        assert captured.out == ""
+
+    def test_subnormal_eps(self):
+        # eps = -1e-320 leaves no clear rank: classify and export report it
+        for command in ("classify", "export"):
+            out = _run_python("from bergerconn.cli import main\n"
+                              f"raise SystemExit(main(['{command}', '--n', '3', '--eps=-1e-320']))")
+            assert out.returncode == 1
+            assert out.stderr.startswith("FAIL rank decision:")
+            assert out.stderr.count("\n") == 1
+
+
 class TestVerifyCurvatureReuse:
     CHECKS = ["levi_civita_closed_vs_generic", "levi_civita_torsion_free", "dimension_counts",
               "closed_torsion_vs_generic", "torsion_form_is_skew", "sym_ricci_identity",
@@ -245,3 +304,10 @@ class TestQuietByDefault:
         assert out.returncode == 0
         assert out.stderr == ""
         assert "bergerconn.spaces" not in out.stdout
+
+    def test_classify_prints_no_solve_record(self):
+        out = _run_python("from bergerconn.cli import main\n"
+                          "raise SystemExit(main(['classify', '--n', '3', '--eps=-2']))")
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert "solve_numeric" not in out.stdout

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from bergerconn import einstein, families, nomizu
 from bergerconn.algebra import Metric
-from bergerconn.config import TOL_NUM
+from bergerconn.config import TOL_GAP, TOL_NUM
 from bergerconn.einstein import (
     CanonicalEquation,
     EinsteinVariety,
@@ -16,6 +18,7 @@ from bergerconn.einstein import (
     einstein_defect_at,
     einstein_equation,
     flat_connection_check,
+    generic_quadric,
     min_defect_n1,
     param_count,
     param_names,
@@ -24,6 +27,7 @@ from bergerconn.einstein import (
     solve_numeric,
     variety,
 )
+from bergerconn.spaces import RankGapError, skew_torsion_space
 
 TOL = 1e-8
 
@@ -169,6 +173,102 @@ class TestResidualQuadratic:
             expected = np.concatenate([[eq.c], np.zeros(k), quad.ravel()])
             scale = derived @ expected / (expected @ expected)
             assert np.linalg.norm(derived - scale * expected) <= 1e-12 * np.linalg.norm(derived)
+
+
+class TestGenericQuadric:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        eps=st.floats(0.1, 3.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        x=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    def test_reproduces_generic_residual(self, n, eps, sign, x):
+        eps *= sign
+        x = np.array(x[: param_count(n)])
+        q = generic_quadric(n, eps)
+        generic = nomizu.einstein_residual(_family_member(n, eps, x), Metric(n, eps))
+        assert np.abs(q.v * q(x[None])[0] - generic.ravel()).max() <= TOL_NUM
+
+    @pytest.mark.parametrize("n,eps", [(2, -1.5), (3, -2.0), (5, 1.0)])
+    def test_coefficients(self, n, eps):
+        # a unit v, a symmetric A, and q(x) = c + l @ x + x @ A @ x
+        q = generic_quadric(n, eps)
+        x = np.linspace(-1.0, 2.0, param_count(n))
+        assert abs(np.linalg.norm(q.v) - 1.0) <= 1e-12
+        assert np.abs(q.A - q.A.T).max() <= 1e-12 * np.abs(q.A).max()
+        assert abs(q(x[None])[0] - (q.c + q.l @ x + x @ q.A @ x)) <= 1e-12
+        assert q.gap >= TOL_GAP
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rank_two_stack_raises(self, n, monkeypatch):
+        c0, L, Q = _residual_quadratic(n, -2.0)
+        # a constant term off the line of the others: a second direction
+        w = np.roll(c0, 1) - (np.roll(c0, 1) @ c0) / (c0 @ c0) * c0
+        monkeypatch.setattr(einstein, "_residual_quadratic",
+                            lambda n, eps: (c0 + w, L, Q))
+        with pytest.raises(RankGapError):
+            generic_quadric(n, -2.0)
+        with pytest.raises(RankGapError):
+            solve_numeric(n, -2.0)
+
+    @pytest.mark.parametrize("n,eps", [(2, -2.0), (3, -0.5), (4, -1.0), (5, 1.0), (6, -3.0)])
+    def test_one_svd_and_no_pinv(self, n, eps, monkeypatch):
+        # the spaces are cached first: their construction runs SVDs of its own
+        skew_torsion_space(n, eps)
+        svds = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
+        monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pytest.fail("pinv called"))
+        solve_numeric(n, eps)
+        assert len(svds) == 1
+
+
+class TestSolveRecord:
+    """One DEBUG record per solve_numeric call, with the fields on record.solve."""
+
+    FIELDS = {"n", "eps", "gap", "tol_gap", "margin", "iterations", "converged", "n_seeds",
+              "candidates", "clusters", "checks"}
+
+    def _records(self, caplog, *args, **kwargs):
+        with caplog.at_level(logging.DEBUG, logger="bergerconn.einstein"):
+            sols = solve_numeric(*args, **kwargs)
+        records = [r for r in caplog.records if r.name == "bergerconn.einstein"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert set(records[0].solve) == self.FIELDS
+        return sols, records[0].solve
+
+    @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5)])
+    def test_fields(self, n, eps, caplog):
+        sols, rec = self._records(caplog, n, eps, count=4, n_seeds=64)
+        assert (rec["n"], rec["eps"], rec["n_seeds"], rec["tol_gap"]) == (n, eps, 64, TOL_GAP)
+        assert rec["margin"] == rec["gap"] / TOL_GAP and rec["margin"] >= 1.0
+        assert 1 <= rec["iterations"] <= 120
+        assert 0 < rec["converged"] <= 64
+        assert rec["converged"] >= rec["candidates"] >= rec["clusters"] >= len(sols) == 4
+        assert rec["checks"] == 4
+
+    def test_one_point_cell(self, caplog):
+        # every seed converges into the one cluster, checked once
+        sols, rec = self._records(caplog, 5, -1.0, n_seeds=64)
+        assert len(sols) == 1
+        assert rec["converged"] == 64 and rec["clusters"] == 1 and rec["checks"] == 1
+
+    def test_empty_cell(self, caplog):
+        sols, rec = self._records(caplog, 4, -0.5)
+        assert sols == [] and rec["converged"] == 0 and rec["checks"] == 0
+
+    def test_n1_line(self, caplog):
+        # no quadric at n = 1: its fields are None, and each line sample is checked
+        sols, rec = self._records(caplog, 1, -1.0, count=5)
+        assert len(sols) == 5 and rec["checks"] == 5
+        assert rec["gap"] is None and rec["iterations"] is None
+
+    def test_silent_by_default(self, caplog):
+        with caplog.at_level(logging.INFO, logger="bergerconn.einstein"):
+            solve_numeric(3, -2.0)
+        assert not [r for r in caplog.records if r.name == "bergerconn.einstein"]
 
 
 class TestSolveNumeric:
