@@ -18,13 +18,14 @@ so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded rank
 decision).  A batched Newton solve on q alone, with closed-form clipped
 minimum-norm steps and no pseudo-inverse, confirms solutions numerically,
 checking only the samples it returns against the generic residual; the
-n = 1 defect gets its exact minimum.
+n = 1 defect gets its exact minimum.  The same polarization helper
+(_polarize) gives the curvature as an exact quadratic map, through which
+the flatness grid is ranked.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -132,31 +133,49 @@ def einstein_defect_at(n: int, eps: float, params) -> float:
     return nomizu.einstein_defect(_family_member(n, eps, params), Metric(n, eps))
 
 
+def _monomials(X) -> np.ndarray:
+    """The monomials (1, x_i, x_i x_j for i <= j) of each row of X, shape
+    (N, 1 + k + k(k+1)/2); the pairs (i, j) run in np.triu_indices order."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    i, j = np.triu_indices(X.shape[1])
+    return np.hstack([np.ones((len(X), 1)), X, X[:, i] * X[:, j]])
+
+
+def _polarize(f, k: int) -> np.ndarray:
+    """Coefficient rows M of a map f quadratic in x in R^k, so that
+    f(x) = _monomials(x) @ M exactly (up to rounding).
+
+    The rows follow by polarization from f(0), f(+-e_i) and f(e_i + e_j):
+    1 + 2k + k(k-1)/2 evaluations, as many as there are monomials (3 for
+    k = 1, 10 for k = 3).
+    """
+    E = np.eye(k)
+    c0 = f(np.zeros(k))
+    plus = np.array([f(e) for e in E])
+    minus = np.array([f(-e) for e in E])
+    square = (plus + minus) / 2.0 - c0
+    quad = [square[i] if i == j else f(E[i] + E[j]) - plus[i] - plus[j] + c0
+            for i, j in zip(*np.triu_indices(k))]
+    return np.vstack([c0, (plus - minus) / 2.0, quad])
+
+
 def _residual_quadratic(n: int, eps: float):
     """Coefficients (c0, L, Q) of the flattened generic Einstein residual.
 
     The skew family is affine in its parameters x and the residual is
     quadratic in the connection, so r(x) = c0 + x @ L + Q(x, x) exactly, with
-    Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j).  The
-    coefficients follow by polarization from r(0), r(+-e_i) and r(e_i + e_j):
-    at most 10 evaluations of nomizu.einstein_residual for k <= 3.
+    Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j): the
+    rows of _polarize, each x_i x_j coefficient (i < j) split in half over
+    Q[i, j] and Q[j, i].  At most 10 evaluations of nomizu.einstein_residual
+    for k <= 3.
     """
     g = Metric(n, eps)
-
-    def r(x):
-        return nomizu.einstein_residual(_family_member(n, eps, x), g).ravel()
-
     k = param_count(n)
-    E = np.eye(k)
-    c0 = r(np.zeros(k))
-    plus = np.array([r(e) for e in E])
-    minus = np.array([r(-e) for e in E])
-    L = (plus - minus) / 2.0
-    Q = np.empty((k, k, c0.size))
-    Q[np.arange(k), np.arange(k)] = (plus + minus) / 2.0 - c0
-    for i, j in itertools.combinations(range(k), 2):
-        Q[i, j] = Q[j, i] = (r(E[i] + E[j]) - plus[i] - plus[j] + c0) / 2.0
-    return c0, L, Q
+    M = _polarize(lambda x: nomizu.einstein_residual(_family_member(n, eps, x), g).ravel(), k)
+    i, j = np.triu_indices(k)
+    Q = np.empty((k, k, M.shape[1]))
+    Q[i, j] = Q[j, i] = M[k + 1:] / np.where(i == j, 1.0, 2.0)[:, None]
+    return M[0], M[1:k + 1], Q
 
 
 @dataclass(frozen=True)
@@ -259,15 +278,14 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
     cands = sorted({tuple(round(float(v), 10) for v in x) for x in X[close]})
     # iterates drawn into a double root stay apart by about 1e-5: two
     # candidates are one cluster if they lie within 1e-3 (max-norm) and their
-    # midpoint solves too, so nearby distinct roots stay apart
+    # midpoint solves too, so nearby distinct roots stay apart; q runs only
+    # on the midpoints of the near pairs.  A candidate whose rounding lifted
+    # its model residual over tol still belongs to its own cluster.
     C = np.array(cands).reshape(len(cands), k)
-    mid = ((C[:, None] + C[None]) / 2.0).reshape(-1, k)
-    same = (np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3) & (
-        np.abs(q(mid)).reshape(len(C), len(C)) <= tol
-    )
-    # a candidate whose rounding lifted its model residual over tol still
-    # belongs to its own cluster
-    np.fill_diagonal(same, True)
+    near = np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3
+    i, j = np.nonzero(np.triu(near, 1))
+    same = np.eye(len(C), dtype=bool)
+    same[i, j] = same[j, i] = np.abs(q((C[i] + C[j]) / 2.0)) <= tol
     # representatives from the model alone: a greedy pass in order of |q|
     # keeps each candidate not in the cluster of one kept before (same is
     # symmetric, so a row of it marks the cluster)
@@ -418,37 +436,73 @@ def flat_connection_check(n: int, eps: float, tol: float = TOL_SOL) -> FlatnessR
     """Search for flat connections in the skew-torsion family.
 
     Only n = 3 with the round metric admits them: the circle s = 1,
-    s1^2 + s2^2 = 1.  Otherwise the minimum curvature norm over a parameter
-    grid is reported as an exclusion margin.
+    s1^2 + s2^2 = 1, checked by 17 generic curvature evaluations.  Otherwise
+    the minimum curvature norm over a parameter grid (121 points on [-3, 3],
+    13 x 9 x 9 on [-3, 3]^3 at n = 3) is reported as an exclusion margin.
+
+    The curvature R(x) is exactly quadratic in the parameters, so it is
+    polarized once (3 generic evaluations at k = 1, 10 at k = 3) into rows M
+    with R(x) = m(x) @ M, m = _monomials.  The grid is ranked by the Gram
+    form |R(x)|^2 = m(x) (M M^T) m(x), and the generic curvature norm at its
+    argmin is the reported minimum.  With rho = |M|_2 |m(x)| / |R(x)| >= 1
+    and u = 2^-53, the model norm differs from the generic one by at most
+    about 4 u (rho + rho^2) relative: rho^2 from cancellation in the Gram
+    form, rho from the rounding of M and of the generic evaluation.  Away
+    from the flat circle the grid norms are large (|R(x)| >= 10 with
+    |M|_2 |m(x)| <= 2e3 at the table's eps, so rho <= 200 and the difference
+    stays below 2e-11), and near it the generic value at the argmin decides
+    the near-flat refusal.
+
+    One DEBUG record per call on the bergerconn.einstein logger carries n,
+    eps, the grid size, the generic curvature calls, the model's minimum and
+    its argmin, the generic norm there and their relative difference, also as
+    the record's `flatness` attribute (None for the model fields on the
+    circle, whose grid is its 17 points).
     """
     if n not in (3, 4, 5, 6):
         raise ValueError("supported for n in {3, 4, 5, 6}")
 
+    def curv(params):
+        return nomizu.curvature(_family_member(n, eps, params)).coeffs.ravel()
+
     def curv_norm(params):
-        alpha = _family_member(n, eps, params)
-        return float(np.linalg.norm(nomizu.curvature(alpha).coeffs))
+        return float(np.linalg.norm(curv(params)))
 
     if n == 3 and eps == -1.0:
         angles = np.linspace(0.0, 2 * np.pi, 17)
         circle = tuple((1.0, float(np.cos(t)), float(np.sin(t))) for t in angles)
         worst = max(curv_norm(x) for x in circle)
+        _log_flatness(n, eps, len(circle), len(circle))
         if worst > tol:
             raise RuntimeError(f"flat circle fails: max |R| = {worst:.2e}")
         return FlatnessReport(n, eps, True, circle, worst, 0.0)
 
     if n == 3:
-        grid = [
-            (float(s), float(s1), float(s2))
-            for s in np.linspace(-3, 3, 13)
-            for s1 in np.linspace(-3, 3, 9)
-            for s2 in np.linspace(-3, 3, 9)
-        ]
+        axes = (np.linspace(-3, 3, 13), np.linspace(-3, 3, 9), np.linspace(-3, 3, 9))
     else:
-        grid = [(float(s),) for s in np.linspace(-3, 3, 121)]
-    lowest = min(curv_norm(x) for x in grid)
+        axes = (np.linspace(-3, 3, 121),)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    M = _polarize(curv, len(axes))
+    m = _monomials(grid)
+    model = np.sqrt(np.maximum(np.einsum("ip,pq,iq->i", m, M @ M.T, m), 0.0))
+    best = int(np.argmin(model))
+    argmin = tuple(float(v) for v in grid[best])
+    lowest = curv_norm(argmin)
+    _log_flatness(n, eps, len(grid), len(M) + 1, float(model[best]), argmin, lowest)
     if lowest <= 1e-3:
         raise RuntimeError(f"unexpected near-flat point: min |R| = {lowest:.2e}")
     return FlatnessReport(n, eps, False, (), float("nan"), lowest)
+
+
+def _log_flatness(n: int, eps: float, grid: int, calls: int, model_min=None, argmin=None,
+                  generic_min=None) -> None:
+    rel_diff = None if not generic_min else abs(model_min - generic_min) / generic_min
+    record = {
+        "n": n, "eps": eps, "grid": grid, "curvature_calls": calls, "model_min": model_min,
+        "argmin": argmin, "generic_min": generic_min, "rel_diff": rel_diff,
+    }
+    _log.debug("flat_connection_check n=%d eps=%r: %s", n, eps, record,
+               extra={"flatness": record})
 
 
 def min_defect_n1(eps: float, lo: float = -10.0, hi: float = 10.0) -> float:

@@ -124,10 +124,13 @@ class LinearSpace:
     ambient_dim: int
     basis: tuple[Bilin, ...]
     offset: Bilin | None = None
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        M = np.array([b.coeffs.ravel() for b in self.basis])
+        M.flags.writeable = False
+        object.__setattr__(self, "_stack", M)
         if self.basis:
-            M = self.matrix()
             s = np.linalg.svd(M, compute_uv=False)
             if s[-1] <= TOL_RANK * max(s[0], 1.0):
                 raise ValueError("basis elements are not linearly independent")
@@ -137,8 +140,9 @@ class LinearSpace:
         return len(self.basis)
 
     def matrix(self) -> np.ndarray:
-        """Stacked flattened basis, shape (dim, ambient_dim)."""
-        return np.array([b.coeffs.ravel() for b in self.basis])
+        """Stacked flattened basis, shape (dim, ambient_dim), built once at
+        construction and read-only."""
+        return self._stack
 
     def element(self, coeffs) -> Bilin:
         """offset + sum_r coeffs[r] * basis[r]."""

@@ -297,6 +297,22 @@ class TestToleranceEnvironment:
         assert out.stdout.split() == ["1e-09"] * 4
 
 
+class TestBadToleranceEnvironment:
+    """A tolerance variable that is not a finite float > 0 is refused at
+    import with a ValueError naming the variable and its value."""
+
+    @pytest.mark.parametrize("name", ["BERGER_TOL_NUM", "BERGER_TOL_SOL"])
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
+    def test_refused(self, name, value):
+        out = _run_python("from bergerconn.cli import main\n"
+                          "raise SystemExit(main(['classify', '--n', '3', '--eps=-2']))",
+                          **{name: value})
+        assert out.returncode == 1
+        assert out.stdout == ""
+        last = out.stderr.strip().splitlines()[-1]
+        assert last == f"ValueError: {name}={value!r} is not a finite float > 0"
+
+
 class TestQuietByDefault:
     def test_dims_prints_no_log_record(self):
         out = _run_python("from bergerconn.cli import main\n"

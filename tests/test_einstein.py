@@ -175,6 +175,57 @@ class TestResidualQuadratic:
             assert np.linalg.norm(derived - scale * expected) <= 1e-12 * np.linalg.norm(derived)
 
 
+def _curvature_map(n, eps):
+    return lambda x: nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
+
+
+class TestPolarize:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        eps=st.floats(0.1, 3.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        x=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    def test_curvature_model_reproduces_generic(self, n, eps, sign, x):
+        eps *= sign
+        k = param_count(n)
+        x = np.array(x[:k])
+        M = einstein._polarize(_curvature_map(n, eps), k)
+        assert M.shape == (1 + k + k * (k + 1) // 2, (2 * n + 1) ** 4)
+        generic = nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
+        model = einstein._monomials(x) @ M
+        assert np.abs(model[0] - generic).max() <= TOL_NUM * np.abs(generic).max()
+
+    def test_monomials(self):
+        x = np.array([2.0, 3.0, 5.0])
+        assert einstein._monomials(x).tolist() == [[1, 2, 3, 5, 4, 6, 10, 9, 15, 25]]
+        assert einstein._monomials([[2.0], [-1.0]]).tolist() == [[1, 2, 4], [1, -1, 1]]
+
+    @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.5), (3, -2.0), (4, 0.3), (6, -1.0 - 1e-6)])
+    def test_residual_quadratic_is_per_evaluation_polarization(self, n, eps):
+        # byte for byte the polarization written out one evaluation at a time
+        g = Metric(n, eps)
+
+        def r(x):
+            return nomizu.einstein_residual(_family_member(n, eps, x), g).ravel()
+
+        k = param_count(n)
+        E = np.eye(k)
+        c0 = r(np.zeros(k))
+        plus = [r(E[i]) for i in range(k)]
+        minus = [r(-E[i]) for i in range(k)]
+        L = np.array([(plus[i] - minus[i]) / 2.0 for i in range(k)])
+        Q = np.empty((k, k, c0.size))
+        for i in range(k):
+            Q[i, i] = (plus[i] + minus[i]) / 2.0 - c0
+            for j in range(i + 1, k):
+                Q[i, j] = Q[j, i] = (r(E[i] + E[j]) - plus[i] - plus[j] + c0) / 2.0
+        got = _residual_quadratic(n, eps)
+        for a, b in zip(got, (c0, L, Q)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestGenericQuadric:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
@@ -492,6 +543,103 @@ class TestFlatness:
     def test_rejects_unsupported_n(self):
         with pytest.raises(ValueError):
             flat_connection_check(2, -1.0)
+
+
+def _flat_grid(n):
+    if n == 3:
+        return [(float(s), float(s1), float(s2)) for s in np.linspace(-3, 3, 13)
+                for s1 in np.linspace(-3, 3, 9) for s2 in np.linspace(-3, 3, 9)]
+    return [(float(s),) for s in np.linspace(-3, 3, 121)]
+
+
+class TestFlatnessModel:
+    """The grid is ranked through the exact quadratic curvature model."""
+
+    def test_gram_norms_match_generic(self):
+        """The Gram-form norms |R(x)| = sqrt(m(x) (M M^T) m(x)) agree with
+        the generic ones to 1e-9 relative wherever |R(x)| >= 1e-3.  Error
+        bound: with rho = |M|_2 |m(x)| / |R(x)| >= 1 and u = 2^-53, the
+        difference is at most about 4 u (rho + rho^2) relative, rho^2 from
+        cancellation in the Gram form and rho from rounding in M and in the
+        generic evaluation; both bounds are asserted."""
+        u = np.finfo(float).eps / 2
+        for n, eps in [(3, -2.0), (4, -1.0), (6, 2.0)]:
+            curv = _curvature_map(n, eps)
+            grid = np.array(_flat_grid(n))
+            M = einstein._polarize(curv, grid.shape[1])
+            m = einstein._monomials(grid)
+            model = np.sqrt(np.einsum("ip,pq,iq->i", m, M @ M.T, m))
+            generic = np.array([np.linalg.norm(curv(x)) for x in grid])
+            rel = np.abs(model - generic) / generic
+            rho = np.linalg.norm(M, 2) * np.linalg.norm(m, axis=1) / generic
+            assert (rel[generic >= 1e-3] <= 1e-9).all()
+            assert (rel <= 4 * u * (rho + rho**2)).all()
+
+    @pytest.mark.parametrize("n,eps", [(3, -2.0), (3, 2.0), (4, -1.0), (5, -2.5), (6, 2.0)])
+    def test_min_norm_is_brute_force_generic_minimum(self, n, eps):
+        curv = _curvature_map(n, eps)
+        brute = min(float(np.linalg.norm(curv(x))) for x in _flat_grid(n))
+        assert flat_connection_check(n, eps).min_norm_on_grid == brute
+
+    @pytest.mark.parametrize("n,eps,bound", [(4, -1.0, 4), (6, 2.0, 4), (3, -2.0, 11)])
+    def test_curvature_calls(self, n, eps, bound, monkeypatch):
+        # the polarization (3 or 10 generic calls) and one at the argmin
+        flat_connection_check(n, eps)
+        calls = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
+        flat_connection_check(n, eps)
+        assert len(calls) <= bound
+
+    def test_near_flat_refused(self, monkeypatch):
+        # a model and generic norm both tiny: refused, not reported
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature",
+                            lambda a: nomizu.CurvTensor(a.n, 1e-6 * curvature(a).coeffs))
+        with pytest.raises(RuntimeError, match="near-flat"):
+            flat_connection_check(4, -1.0)
+
+
+class TestFlatnessRecord:
+    """One DEBUG record per flat_connection_check, fields on record.flatness."""
+
+    FIELDS = {"n", "eps", "grid", "curvature_calls", "model_min", "argmin", "generic_min",
+              "rel_diff"}
+
+    def _record(self, caplog, n, eps):
+        with caplog.at_level(logging.DEBUG, logger="bergerconn.einstein"):
+            rep = flat_connection_check(n, eps)
+        records = [r for r in caplog.records if r.name == "bergerconn.einstein"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert set(records[0].flatness) == self.FIELDS
+        return rep, records[0].flatness
+
+    @pytest.mark.parametrize("n,eps,grid,calls", [(4, -1.0, 121, 4), (3, -2.0, 13 * 9 * 9, 11)])
+    def test_fields(self, n, eps, grid, calls, caplog, monkeypatch):
+        counted = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(a) or curvature(a))
+        rep, rec = self._record(caplog, n, eps)
+        assert (rec["n"], rec["eps"], rec["grid"]) == (n, eps, grid)
+        assert rec["curvature_calls"] == len(counted) == calls
+        assert rec["generic_min"] == rep.min_norm_on_grid
+        assert len(rec["argmin"]) == param_count(n)
+        assert rec["generic_min"] == float(
+            np.linalg.norm(curvature(_family_member(n, eps, rec["argmin"])).coeffs))
+        assert rec["rel_diff"] == abs(rec["model_min"] - rec["generic_min"]) / rec["generic_min"]
+        assert rec["rel_diff"] <= 1e-9
+
+    def test_circle(self, caplog):
+        rep, rec = self._record(caplog, 3, -1.0)
+        assert rep.flat_exists
+        assert (rec["n"], rec["eps"], rec["grid"], rec["curvature_calls"]) == (3, -1.0, 17, 17)
+        assert rec["model_min"] is rec["argmin"] is rec["generic_min"] is rec["rel_diff"] is None
+
+    def test_silent_by_default(self, caplog):
+        with caplog.at_level(logging.INFO, logger="bergerconn.einstein"):
+            flat_connection_check(4, -1.0)
+        assert not [r for r in caplog.records if r.name == "bergerconn.einstein"]
 
 
 class TestMinDefectN1:

@@ -112,6 +112,33 @@ class TestLinearSpace:
             sp.element(np.ones(sp.dim + 1))
 
 
+class TestStackedBasis:
+    """matrix() is the basis stacked once at construction, read-only."""
+
+    def test_writing_into_the_stack_raises(self):
+        M = skew_torsion_space(3, -2.0).matrix()
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            M += 1.0
+
+    def test_built_once(self):
+        sp = skew_torsion_space(3, -2.0)
+        assert sp.matrix() is sp.matrix()
+        assert np.array_equal(sp.matrix(), np.array([b.coeffs.ravel() for b in sp.basis]))
+
+    @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.5), (3, -2.0), (4, 1.0), (6, -3.0)])
+    def test_element_coefficients_unchanged(self, n, eps, rng):
+        # bit for bit the coefficients of a stack rebuilt at every call
+        for sp in (metric_connection_space(n, eps), skew_torsion_space(n, eps)):
+            x = rng.uniform(-3, 3, size=sp.dim)
+            d = 2 * n + 1
+            rebuilt = (x @ np.array([b.coeffs.ravel() for b in sp.basis])).reshape(d, d, d)
+            if sp.offset is not None:
+                rebuilt = rebuilt + sp.offset.coeffs
+            assert np.array_equal(sp.element(x).coeffs, rebuilt)
+
+
 class TestStackedViolations:
     """The violation maps act on a stack of maps as on each map alone."""
 
