@@ -49,7 +49,6 @@ EXPECTED_TABLE = (
 class RunConfig:
     n: int = 2
     eps: float = -1.0
-    tol_num: float = config.TOL_NUM
     seed: int = 0
     fmt: str = "text"
     out: str | None = None
@@ -60,8 +59,6 @@ class RunConfig:
         spaces.check_fits_memory(self.n)
         if self.eps == 0:
             raise ValueError("eps must be nonzero")
-        if not (np.isfinite(self.tol_num) and self.tol_num > 0):
-            raise ValueError("tol-num must be finite and > 0")
 
 
 def parse_eps(text: str) -> float:
@@ -92,10 +89,10 @@ def _emit(doc: dict, cfg: RunConfig) -> None:
 # dims
 
 
-def compute_dims(n: int, eps_values=EPS_SWEEP) -> dict:
+def compute_dims(n: int) -> dict:
     inv = spaces.invariant_bilinear_space(n).dim
     per_eps = {}
-    for eps in eps_values:
+    for eps in EPS_SWEEP:
         met = spaces.metric_connection_space(n, eps).dim
         skw = spaces.skew_torsion_space(n, eps).dim
         per_eps[eps] = (met, skw)
@@ -107,7 +104,7 @@ def compute_dims(n: int, eps_values=EPS_SWEEP) -> dict:
         "invariant": inv,
         "metric": sorted(mets),
         "skew_directions": sorted(skws),
-        "eps_sweep": list(eps_values),
+        "eps_sweep": list(EPS_SWEEP),
         "stable_under_eps": stable,
     }
 
@@ -145,7 +142,7 @@ def _verification_checks(cfg: RunConfig):
     yield (
         "levi_civita_torsion_free",
         float(np.abs(nomizu.torsion(families.alpha_lc(n, eps)).coeffs).max()),
-        cfg.tol_num,
+        config.TOL_NUM,
     )
     got = (
         spaces.invariant_bilinear_space(n).dim,
@@ -191,17 +188,17 @@ def _verification_checks(cfg: RunConfig):
                 r_ric,
                 float(np.abs(families.closed_ricci(n, eps, params).coeffs - ric.coeffs).max()),
             )
-    yield ("closed_torsion_vs_generic", r_tor, cfg.tol_num)
-    yield ("torsion_form_is_skew", r_skew, cfg.tol_num)
-    yield ("sym_ricci_identity", r_formulicas, cfg.tol_num)
+    yield ("closed_torsion_vs_generic", r_tor, config.TOL_NUM)
+    yield ("torsion_form_is_skew", r_skew, config.TOL_NUM)
+    yield ("sym_ricci_identity", r_formulicas, config.TOL_NUM)
     if n != 2:
-        yield ("closed_curvature_vs_generic", r_cur, cfg.tol_num)
-        yield ("closed_ricci_vs_generic", r_ric, cfg.tol_num)
+        yield ("closed_curvature_vs_generic", r_cur, config.TOL_NUM)
+        yield ("closed_ricci_vs_generic", r_ric, config.TOL_NUM)
     if eps == -1.0:
         yield (
             "round_ricci_2n_g",
             float(np.abs(ric_lc - 2 * n * g.gram()).max()),
-            cfg.tol_num,
+            config.TOL_NUM,
         )
 
 
@@ -379,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("dims", "dimension counts of the connection spaces", eps=False)
-    command("verify", "closed forms vs generic calculus").add_argument(
-        "--tol-num", type=float, default=config.TOL_NUM)
+    command("verify", "closed forms vs generic calculus")
     command("classify", "Einstein variety for one (n, eps)")
     command("table", "all 16 regime cells", n=False, eps=False,
             formats=("text", "json", "csv"))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import families, nomizu
+from . import nomizu
 from .algebra import Metric
 from .config import TOL_GAP, TOL_SOL
 from .spaces import Bilin, RankGapError, _guarded_rank, skew_torsion_space
@@ -218,19 +218,22 @@ def generic_quadric(n: int, eps: float) -> GenericQuadric:
 
 
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
-                  n_seeds: int = 64, tol: float = TOL_SOL) -> list[tuple[float, ...]]:
-    """Parameter tuples with Einstein defect <= tol, found by Newton steps
-    on the scalar quadric q of generic_quadric from scattered random seeds.
+                  n_seeds: int = 64) -> list[tuple[float, ...]]:
+    """Parameter tuples with Einstein defect <= TOL_SOL, found by Newton
+    steps on the scalar quadric q of generic_quadric from scattered random
+    seeds.
 
     All seeds iterate as one array.  Each step is the minimum-norm Newton
     step -q grad(q) / |grad(q)|^2 of the 1 x k Jacobian (zero where the
     gradient vanishes), so no pseudo-inverse is formed; it is clipped to
-    norm 2, and a seed stops once |q| is below 0.05 * tol.  Candidates,
+    norm 2, and a seed stops once |q| is below 0.05 * TOL_SOL.  Candidates,
     rounded to 10 digits, within 1e-3 of each other (max-norm) whose
     midpoint also solves form one cluster, represented by its candidate of
     least |q|.  Only the representatives returned, the first `count` in
-    sorted order, get the generic check; one that fails gives way to the
-    next candidate of its cluster.
+    sorted order, get the generic check.  Where |grad(q)| is large the
+    rounding alone can lift the defect over TOL_SOL: a rounded candidate
+    that fails is replaced by the unrounded iterate it came from if that
+    passes, and otherwise gives way to the next candidate of its cluster.
 
     One DEBUG record per call on the bergerconn.einstein logger carries the
     rank-one gap and its margin to TOL_GAP, the Newton iterations, the seeds
@@ -249,7 +252,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
             # the whole s-line solves the condition at eps = -1
             out = [(float(s),) for s in np.linspace(-2.0, 2.0, count)]
         for (s,) in out:
-            if einstein_defect_at(1, eps, (s,)) > tol:
+            if einstein_defect_at(1, eps, (s,)) > TOL_SOL:
                 raise RuntimeError("line solution fails the defect check")
         _log_solve(n, eps, n_seeds, checks=len(out))
         return out
@@ -262,8 +265,9 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
     iterations = 0
     for _ in range(120):
         R = q(X[live])
-        # converge well below tol so the 10-digit rounding stays within it
-        going = np.abs(R) > 0.05 * tol
+        # converge well below TOL_SOL so the 10-digit rounding mostly stays
+        # within it
+        going = np.abs(R) > 0.05 * TOL_SOL
         live, R = live[going], R[going]
         if not len(live):
             break
@@ -274,18 +278,22 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
         norm = np.linalg.norm(step, axis=1, keepdims=True)
         X[live] += step * (2.0 / np.maximum(norm, 2.0))
         iterations += 1
-    close = np.abs(q(X)) <= tol
-    cands = sorted({tuple(round(float(v), 10) for v in x) for x in X[close]})
+    close = np.abs(q(X)) <= TOL_SOL
+    # each rounded candidate keeps the first converged iterate it came from
+    raw: dict[tuple[float, ...], tuple[float, ...]] = {}
+    for x in X[close]:
+        raw.setdefault(tuple(round(float(v), 10) for v in x), tuple(float(v) for v in x))
+    cands = sorted(raw)
     # iterates drawn into a double root stay apart by about 1e-5: two
     # candidates are one cluster if they lie within 1e-3 (max-norm) and their
     # midpoint solves too, so nearby distinct roots stay apart; q runs only
     # on the midpoints of the near pairs.  A candidate whose rounding lifted
-    # its model residual over tol still belongs to its own cluster.
+    # its model residual over TOL_SOL still belongs to its own cluster.
     C = np.array(cands).reshape(len(cands), k)
     near = np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3
     i, j = np.nonzero(np.triu(near, 1))
     same = np.eye(len(C), dtype=bool)
-    same[i, j] = same[j, i] = np.abs(q((C[i] + C[j]) / 2.0)) <= tol
+    same[i, j] = same[j, i] = np.abs(q((C[i] + C[j]) / 2.0)) <= TOL_SOL
     # representatives from the model alone: a greedy pass in order of |q|
     # keeps each candidate not in the cluster of one kept before (same is
     # symmetric, so a row of it marks the cluster)
@@ -297,10 +305,11 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
             reps.append(i)
             covered |= same[i]
     # cands is sorted, so index order is the output order: the generic check
-    # runs on representatives until count pass, and one that fails gives way
-    # to the next candidate of its cluster in model order
+    # runs on representatives until count pass; one that fails is retried
+    # unrounded, and otherwise gives way to the next candidate of its cluster
+    # in model order
     position = np.argsort(order)
-    keep: list[int] = []
+    keep: list[tuple[float, ...]] = []
     taken = np.zeros(len(C), dtype=bool)
     checks = 0
     for r in sorted(reps):
@@ -309,12 +318,17 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
         if taken[r]:
             continue
         for i in order[position[r]:]:
-            if same[r, i] and not taken[i]:
+            if not same[r, i] or taken[i]:
+                continue
+            # the rounded candidate, then the iterate it came from if it differs
+            for x in dict.fromkeys((cands[i], raw[cands[i]])):
                 checks += 1
-                if einstein_defect_at(n, eps, cands[i]) <= tol:
-                    keep.append(i)
+                if einstein_defect_at(n, eps, x) <= TOL_SOL:
+                    keep.append(x)
                     taken |= same[i]
                     break
+            if taken[i]:
+                break
     _log_solve(n, eps, n_seeds, checks=checks, gap=q.gap, margin=q.gap / TOL_GAP,
                iterations=iterations, converged=int(close.sum()),
                candidates=len(cands), clusters=len(reps))
@@ -322,7 +336,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
         raise RuntimeError(
             f"classification predicts {kind.value} but no numeric solution found"
         )
-    return sorted(cands[i] for i in keep)
+    return sorted(keep)
 
 
 def _log_solve(n: int, eps: float, n_seeds: int, checks: int, gap=None, margin=None,
@@ -382,7 +396,7 @@ class RicciFlatLocus:
     ricci_norms: tuple[float, ...]
 
 
-def ricci_flat_locus(n: int, tol: float = TOL_SOL) -> RicciFlatLocus:
+def ricci_flat_locus(n: int) -> RicciFlatLocus:
     """The Ricci-flat Einstein-with-skew-torsion connections for each n.
 
     Emitted samples have vanishing full Ricci tensor.  For n = 2 the locus
@@ -414,7 +428,7 @@ def ricci_flat_locus(n: int, tol: float = TOL_SOL) -> RicciFlatLocus:
         alpha = _family_member(n, eps, params)
         Ric = nomizu.ricci(nomizu.curvature(alpha), Metric(n, eps))
         norm = float(np.linalg.norm(Ric.coeffs))
-        if norm > tol:
+        if norm > TOL_SOL:
             raise RuntimeError(f"sample {(eps, params)} is not Ricci-flat: {norm:.2e}")
         norms.append(norm)
     return RicciFlatLocus(n, desc, tuple(samples), tuple(norms))
@@ -432,7 +446,7 @@ class FlatnessReport:
     min_norm_on_grid: float
 
 
-def flat_connection_check(n: int, eps: float, tol: float = TOL_SOL) -> FlatnessReport:
+def flat_connection_check(n: int, eps: float) -> FlatnessReport:
     """Search for flat connections in the skew-torsion family.
 
     Only n = 3 with the round metric admits them: the circle s = 1,
@@ -473,7 +487,7 @@ def flat_connection_check(n: int, eps: float, tol: float = TOL_SOL) -> FlatnessR
         circle = tuple((1.0, float(np.cos(t)), float(np.sin(t))) for t in angles)
         worst = max(curv_norm(x) for x in circle)
         _log_flatness(n, eps, len(circle), len(circle))
-        if worst > tol:
+        if worst > TOL_SOL:
             raise RuntimeError(f"flat circle fails: max |R| = {worst:.2e}")
         return FlatnessReport(n, eps, True, circle, worst, 0.0)
 

@@ -117,12 +117,12 @@ class FamilyParams:
         if self.regime == "general_n" and n in (2, 3):
             raise ValueError("general_n regime does not cover n = 2, 3")
 
-    def skew_eligible(self, n: int, eps: float, tol: float = TOL_NUM) -> bool:
+    def skew_eligible(self, n: int, eps: float) -> bool:
         """Im(q) = 0, t = eps*q - (n+1)/n - 2*eps, and p2 = eps*p for n = 2."""
-        ok = abs(complex(self.q).imag) <= tol
-        ok = ok and abs(self.t - (eps * self.q - (n + 1) / n - 2 * eps).real) <= tol
+        ok = abs(complex(self.q).imag) <= TOL_NUM
+        ok = ok and abs(self.t - (eps * self.q - (n + 1) / n - 2 * eps).real) <= TOL_NUM
         if self.regime == "s5":
-            ok = ok and abs(self.p2 - eps * self.p) <= tol
+            ok = ok and abs(self.p2 - eps * self.p) <= TOL_NUM
         return bool(ok)
 
     @classmethod

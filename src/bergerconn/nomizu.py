@@ -114,18 +114,18 @@ def torsion_form(alpha: Bilin, g: Metric) -> np.ndarray:
     return np.einsum("ijk,kl->ijl", T.coeffs, g.gram())
 
 
-def is_skew(omega: np.ndarray, tol: float = TOL_NUM) -> bool:
+def is_skew(omega: np.ndarray) -> bool:
     """Total antisymmetry of a rank-3 array: in its last two slots, and in
     its first two, which are the last two of omega.transpose(2, 0, 1)."""
     return all(
-        np.abs(_skew_form_violation(w)).max() <= tol
+        np.abs(_skew_form_violation(w)).max() <= TOL_NUM
         for w in (omega, omega.transpose(2, 0, 1))
     )
 
 
-def is_metric(alpha: Bilin, g: Metric, tol: float = TOL_NUM) -> bool:
+def is_metric(alpha: Bilin, g: Metric) -> bool:
     """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) = 0 on all basis triples."""
-    return bool(np.abs(_metric_violation(alpha.coeffs, g.gram())).max() <= tol)
+    return bool(np.abs(_metric_violation(alpha.coeffs, g.gram())).max() <= TOL_NUM)
 
 
 def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:

@@ -206,10 +206,10 @@ def test_criterion_8_special_loci():
     # Ricci-flat loci
     worst_rf = 0.0
     for n in range(1, 6):
-        locus = einstein.ricci_flat_locus(n, tol=1e-8)
+        locus = einstein.ricci_flat_locus(n)
         worst_rf = max(worst_rf, max(locus.ricci_norms))
     # flat circle on the round 7-sphere and the n=4 exclusion margin
-    circle = einstein.flat_connection_check(3, -1.0, tol=1e-8)
+    circle = einstein.flat_connection_check(3, -1.0)
     margin = einstein.flat_connection_check(4, -1.0)
     # scalar-curvature closed forms on exact solutions
     worst_sc = 0.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bergerconn import einstein, families, nomizu
 from bergerconn.algebra import Metric
-from bergerconn.config import TOL_GAP, TOL_NUM
+from bergerconn.config import TOL_GAP, TOL_NUM, TOL_SOL
 from bergerconn.einstein import (
     CanonicalEquation,
     EinsteinVariety,
@@ -428,6 +428,42 @@ class TestLazyGenericCheck:
         assert len(checked) == 2 and checked[1] != checked[0]
         assert sols == [checked[1]]
 
+    def test_failed_rounding_retries_the_iterate(self, monkeypatch, caplog):
+        # at (6, 4) the 10-digit roundings of both roots fail the check: the
+        # unrounded iterate each came from is checked next, counted, and
+        # returned in its place
+        checked = []
+        defect = einstein.einstein_defect_at
+        monkeypatch.setattr(einstein, "einstein_defect_at",
+                            lambda *a: checked.append(a[2]) or defect(*a))
+        caplog.set_level(logging.DEBUG, logger="bergerconn.einstein")
+        sols = solve_numeric(6, 4.0, count=4)
+        assert checked[0] == tuple(round(v, 10) for v in checked[1])
+        assert checked[1] != checked[0]
+        assert sorted(checked[1::2]) == sols
+        assert all(defect(6, 4.0, x) > TOL_SOL for x in checked[::2])
+        assert len(sols) == 2 and all(defect(6, 4.0, x) <= TOL_SOL for x in sols)
+        (rec,) = [r.solve for r in caplog.records if hasattr(r, "solve")]
+        assert rec["checks"] == len(checked) == 4
+
+    @pytest.mark.parametrize("n", [5, 2])
+    def test_failed_iterate_gives_way_to_the_cluster(self, n, monkeypatch):
+        # both the rounded candidate and its iterate fail: the next
+        # candidate of the 1-pt. cluster is checked and returned
+        checked = []
+        defect = einstein.einstein_defect_at
+
+        def first_fail(*a):
+            checked.append(a[2])
+            return np.inf if len(checked) <= 2 else defect(*a)
+
+        monkeypatch.setattr(einstein, "einstein_defect_at", first_fail)
+        sols = solve_numeric(n, -1.0, n_seeds=64)
+        assert checked[1] != checked[0]
+        assert checked[0] == tuple(round(v, 10) for v in checked[1])
+        assert checked[2] not in checked[:2]
+        assert sols == [checked[-1]]
+
     def test_every_check_failing_raises(self, monkeypatch):
         monkeypatch.setattr(einstein, "einstein_defect_at", lambda *a: np.inf)
         with pytest.raises(RuntimeError):
@@ -469,9 +505,13 @@ class TestVariety:
 
     @pytest.mark.parametrize("n,eps,points", [(4, -1.0, 1), (5, -1.0, 1), (2, -1.0, 1),
                                               (4, -2.0, 2), (4, 1.0, 2),
-                                              (4, -1.0 - 1e-7, 2)])
+                                              (4, -1.0 - 1e-7, 2),
+                                              (5, 4.0, 2), (6, 4.0, 2)])
     def test_isolated_points_sampled_once(self, n, eps, points):
-        assert len(variety(n, eps).sample_points) == points
+        samples = variety(n, eps).sample_points
+        assert len(samples) == points
+        for x in samples:
+            assert einstein_defect_at(n, eps, x) <= TOL_SOL
 
     def test_empty_has_none(self):
         v = variety(2, -0.5)
