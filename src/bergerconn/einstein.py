@@ -15,12 +15,11 @@ flatness loci.  Since the family is affine in its parameters, the generic
 Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
 coefficients, read off the generic calculus by polarization, have rank one,
 so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded rank
-decision).  A batched Newton solve on q alone, with closed-form clipped
-minimum-norm steps and no pseudo-inverse, confirms solutions numerically,
-checking only the samples it returns against the generic residual; the
-n = 1 defect gets its exact minimum.  The same polarization helper
-(_polarize) gives the curvature as an exact quadratic map, through which
-the flatness grid is ranked.
+decision on coefficients cached per (n, eps)).  Samples are read off q's
+normal form, and only those returned get the generic check; the n = 1
+defect gets its exact minimum.  The same polarization helper (_polarize)
+gives the curvature as an exact quadratic map, through which the flatness
+grid is ranked.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,15 +159,17 @@ def _polarize(f, k: int) -> np.ndarray:
     return np.vstack([c0, (plus - minus) / 2.0, quad])
 
 
+@lru_cache(maxsize=None)
 def _residual_quadratic(n: int, eps: float):
-    """Coefficients (c0, L, Q) of the flattened generic Einstein residual.
+    """Coefficients (c0, L, Q) of the flattened generic Einstein residual,
+    cached per (n, eps) as read-only arrays.
 
     The skew family is affine in its parameters x and the residual is
     quadratic in the connection, so r(x) = c0 + x @ L + Q(x, x) exactly, with
     Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j): the
     rows of _polarize, each x_i x_j coefficient (i < j) split in half over
     Q[i, j] and Q[j, i].  At most 10 evaluations of nomizu.einstein_residual
-    for k <= 3.
+    for k <= 3, on the first call only.
     """
     g = Metric(n, eps)
     k = param_count(n)
@@ -175,6 +177,7 @@ def _residual_quadratic(n: int, eps: float):
     i, j = np.triu_indices(k)
     Q = np.empty((k, k, M.shape[1]))
     Q[i, j] = Q[j, i] = M[k + 1:] / np.where(i == j, 1.0, 2.0)[:, None]
+    M.flags.writeable = Q.flags.writeable = False
     return M[0], M[1:k + 1], Q
 
 
@@ -217,135 +220,82 @@ def generic_quadric(n: int, eps: float) -> GenericQuadric:
     return GenericQuadric(v, float(c0 @ v), L @ v, Q @ v, float(gap))
 
 
-def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0,
-                  n_seeds: int = 64) -> list[tuple[float, ...]]:
-    """Parameter tuples with Einstein defect <= TOL_SOL, found by Newton
-    steps on the scalar quadric q of generic_quadric from scattered random
-    seeds.
+#: seeded draws per requested sample on a positive-dimensional cell
+_DRAWS = 64
 
-    All seeds iterate as one array.  Each step is the minimum-norm Newton
-    step -q grad(q) / |grad(q)|^2 of the 1 x k Jacobian (zero where the
-    gradient vanishes), so no pseudo-inverse is formed; it is clipped to
-    norm 2, and a seed stops once |q| is below 0.05 * TOL_SOL.  Candidates,
-    rounded to 10 digits, within 1e-3 of each other (max-norm) whose
-    midpoint also solves form one cluster, represented by its candidate of
-    least |q|.  Only the representatives returned, the first `count` in
-    sorted order, get the generic check.  Where |grad(q)| is large the
-    rounding alone can lift the defect over TOL_SOL: a rounded candidate
-    that fails is replaced by the unrounded iterate it came from if that
-    passes, and otherwise gives way to the next candidate of its cluster.
 
-    One DEBUG record per call on the bergerconn.einstein logger carries the
-    rank-one gap and its margin to TOL_GAP, the Newton iterations, the seeds
-    converged, the candidates, clusters and generic checks, also as the
-    record's `solve` attribute (None where n = 1 has no quadric).
+def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tuple[float, ...]]:
+    """Up to `count` parameter tuples with Einstein defect <= TOL_SOL, in
+    sorted order, from the normal form of q (generic_quadric): with
+    eigh(A) = P diag(lam) P^T (A is nonsingular as eps != 0), centre
+    x0 = -A^-1 l / 2 and c' = q(x0), q(x0 + P u) = c' + sum_i lam_i u_i^2.
 
-    Raises RuntimeError if the classification predicts solutions but none
-    survive the seed budget, and RankGapError if the generic residual is
-    not of rank one.
+    A 1-pt. cell is x0, a 2-pt. cell x0 -+ P sqrt(-c'/lam).  Elsewhere u runs
+    over _DRAWS * count seeded draws: on the cone (c' taken as 0) each is
+    solved for the axis whose eigenvalue sign no other shares, otherwise
+    unit directions are scaled by sqrt(-c'/(u diag(lam) u)) where it is real.
+    Each sample gets the generic check in turn; on a positive-dimensional
+    cell one that fails gives way to the next draw.  RuntimeError where an
+    isolated point is not real or fails, the cone has no lone sign, or a
+    non-empty cell yields no sample; RankGapError from generic_quadric.
+
+    One DEBUG record per call on the bergerconn.einstein logger, also as its
+    `solve` attribute, carries the rank-one gap and its margin to TOL_GAP,
+    lam, x0, c', the candidates examined (draws) and the generic checks
+    (None where n = 1 has no quadric).
     """
     kind = classify(n, eps)
     if n == 1:
-        if kind is VarietyClass.EMPTY:
-            out = []
-        else:
-            # the whole s-line solves the condition at eps = -1
-            out = [(float(s),) for s in np.linspace(-2.0, 2.0, count)]
-        for (s,) in out:
-            if einstein_defect_at(1, eps, (s,)) > TOL_SOL:
-                raise RuntimeError("line solution fails the defect check")
-        _log_solve(n, eps, n_seeds, checks=len(out))
+        # the whole s-line solves the condition at eps = -1
+        line = kind is not VarietyClass.EMPTY
+        out = [(s,) for s in np.linspace(-2.0, 2.0, count).tolist()] if line else []
+        if any(einstein_defect_at(1, eps, x) > TOL_SOL for x in out):
+            raise RuntimeError("line solution fails the defect check")
+        _log_solve(n, eps, checks=len(out))
         return out
 
     q = generic_quadric(n, eps)
-    k = len(q.l)
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-4.0, 4.0, size=(n_seeds, k))
-    live = np.arange(n_seeds)
-    iterations = 0
-    for _ in range(120):
-        R = q(X[live])
-        # converge well below TOL_SOL so the 10-digit rounding mostly stays
-        # within it
-        going = np.abs(R) > 0.05 * TOL_SOL
-        live, R = live[going], R[going]
-        if not len(live):
-            break
-        grad = q.l + 2.0 * X[live] @ q.A
-        gg = np.einsum("ij,ij->i", grad, grad)
-        step = np.divide(-R, gg, out=np.zeros_like(R), where=gg > 0)[:, None] * grad
-        # keep iterates near their seed on unbounded varieties
-        norm = np.linalg.norm(step, axis=1, keepdims=True)
-        X[live] += step * (2.0 / np.maximum(norm, 2.0))
-        iterations += 1
-    close = np.abs(q(X)) <= TOL_SOL
-    # each rounded candidate keeps the first converged iterate it came from
-    raw: dict[tuple[float, ...], tuple[float, ...]] = {}
-    for x in X[close]:
-        raw.setdefault(tuple(round(float(v), 10) for v in x), tuple(float(v) for v in x))
-    cands = sorted(raw)
-    # iterates drawn into a double root stay apart by about 1e-5: two
-    # candidates are one cluster if they lie within 1e-3 (max-norm) and their
-    # midpoint solves too, so nearby distinct roots stay apart; q runs only
-    # on the midpoints of the near pairs.  A candidate whose rounding lifted
-    # its model residual over TOL_SOL still belongs to its own cluster.
-    C = np.array(cands).reshape(len(cands), k)
-    near = np.abs(C[:, None] - C[None]).max(axis=2, initial=0.0) <= 1e-3
-    i, j = np.nonzero(np.triu(near, 1))
-    same = np.eye(len(C), dtype=bool)
-    same[i, j] = same[j, i] = np.abs(q((C[i] + C[j]) / 2.0)) <= TOL_SOL
-    # representatives from the model alone: a greedy pass in order of |q|
-    # keeps each candidate not in the cluster of one kept before (same is
-    # symmetric, so a row of it marks the cluster)
-    order = np.lexsort((np.arange(len(C)), np.abs(q(C))))
-    reps: list[int] = []
-    covered = np.zeros(len(C), dtype=bool)
-    for i in order:
-        if not covered[i]:
-            reps.append(i)
-            covered |= same[i]
-    # cands is sorted, so index order is the output order: the generic check
-    # runs on representatives until count pass; one that fails is retried
-    # unrounded, and otherwise gives way to the next candidate of its cluster
-    # in model order
-    position = np.argsort(order)
-    keep: list[tuple[float, ...]] = []
-    taken = np.zeros(len(C), dtype=bool)
-    checks = 0
-    for r in sorted(reps):
+    lam, P = np.linalg.eigh(q.A)
+    centre = -0.5 * P @ (P.T @ q.l / lam)
+    const = float(q.c + 0.5 * q.l @ centre)
+    isolated = kind in (VarietyClass.ONE_POINT, VarietyClass.TWO_POINTS)
+    if isolated or kind is VarietyClass.EMPTY:
+        U = {VarietyClass.ONE_POINT: np.zeros((1, len(lam))),
+             VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(kind, np.empty((0, len(lam))))
+    else:
+        U = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam)))
+    if kind is VarietyClass.CONE:
+        lone = lam < 0 if (lam < 0).sum() == 1 else lam > 0
+        if lone.sum() != 1:
+            raise RuntimeError(f"cone predicted, but the eigenvalues are {lam}")
+        rest = U[:, ~lone] ** 2 @ lam[~lone]
+        U[:, lone] = np.copysign(np.sqrt(-rest / lam[lone])[:, None], U[:, lone])
+    elif kind is not VarietyClass.ONE_POINT:
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        t = -const / (U**2 @ lam)
+        U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]
+    keep, checks, draws = [], 0, 0
+    for x in map(tuple, (centre + U @ P.T).tolist()):
         if len(keep) >= count:
             break
-        if taken[r]:
-            continue
-        for i in order[position[r]:]:
-            if not same[r, i] or taken[i]:
-                continue
-            # the rounded candidate, then the iterate it came from if it differs
-            for x in dict.fromkeys((cands[i], raw[cands[i]])):
-                checks += 1
-                if einstein_defect_at(n, eps, x) <= TOL_SOL:
-                    keep.append(x)
-                    taken |= same[i]
-                    break
-            if taken[i]:
-                break
-    _log_solve(n, eps, n_seeds, checks=checks, gap=q.gap, margin=q.gap / TOL_GAP,
-               iterations=iterations, converged=int(close.sum()),
-               candidates=len(cands), clusters=len(reps))
+        draws += 1
+        real = not np.isnan(x).any()
+        checks += real
+        if real and einstein_defect_at(n, eps, x) <= TOL_SOL:
+            keep.append(x)
+        elif isolated:
+            raise RuntimeError(f"{kind.value} predicted, but {x} fails")
+    _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(lam.tolist()),
+               tuple(centre.tolist()), const, draws)
     if not keep and count > 0 and kind is not VarietyClass.EMPTY:
-        raise RuntimeError(
-            f"classification predicts {kind.value} but no numeric solution found"
-        )
+        raise RuntimeError(f"classification predicts {kind.value} but no numeric solution found")
     return sorted(keep)
 
 
-def _log_solve(n: int, eps: float, n_seeds: int, checks: int, gap=None, margin=None,
-               iterations=None, converged=None, candidates=None, clusters=None) -> None:
-    record = {
-        "n": n, "eps": eps, "gap": gap, "tol_gap": TOL_GAP, "margin": margin,
-        "iterations": iterations, "converged": converged, "n_seeds": n_seeds,
-        "candidates": candidates, "clusters": clusters, "checks": checks,
-    }
+def _log_solve(n: int, eps: float, checks: int, gap=None, margin=None, eigenvalues=None,
+               centre=None, centred_constant=None, draws=None) -> None:
+    record = dict(n=n, eps=eps, gap=gap, tol_gap=TOL_GAP, margin=margin, eigenvalues=eigenvalues,
+                  centre=centre, centred_constant=centred_constant, draws=draws, checks=checks)
     _log.debug("solve_numeric n=%d eps=%r: %s", n, eps, record, extra={"solve": record})
 
 

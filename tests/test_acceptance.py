@@ -183,7 +183,7 @@ def test_criterion_6_einstein_equivalence():
                     bad += 1
                 total += 1
     # the numeric benchmark point
-    sols = einstein.solve_numeric(4, 1.0, n_seeds=16)
+    sols = einstein.solve_numeric(4, 1.0)
     target = np.sqrt(10.0 / 3.0)
     s_err = max(abs(abs(s) - target) for (s,) in sols) if sols else np.inf
     ok = bad == 0 and total >= 200 * 30 and s_err <= 1e-8
