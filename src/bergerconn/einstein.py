@@ -15,11 +15,10 @@ flatness loci.  Since the family is affine in its parameters, the generic
 Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
 coefficients, read off the generic calculus by polarization, have rank one,
 so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded rank
-decision on coefficients cached per (n, eps)).  Samples are read off q's
-normal form, and only those returned get the generic check; the n = 1
-defect gets its exact minimum.  The same polarization helper (_polarize)
-gives the curvature as an exact quadratic map, through which the flatness
-grid is ranked.
+decision).  Samples are read off q's normal form, and only those returned
+get the generic check; the n = 1 defect gets its exact minimum.  The same
+polarization helper (_polarize) gives the curvature as an exact quadratic
+map, through which the flatness grid is ranked.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -159,17 +157,15 @@ def _polarize(f, k: int) -> np.ndarray:
     return np.vstack([c0, (plus - minus) / 2.0, quad])
 
 
-@lru_cache(maxsize=None)
 def _residual_quadratic(n: int, eps: float):
-    """Coefficients (c0, L, Q) of the flattened generic Einstein residual,
-    cached per (n, eps) as read-only arrays.
+    """Coefficients (c0, L, Q) of the flattened generic Einstein residual.
 
     The skew family is affine in its parameters x and the residual is
     quadratic in the connection, so r(x) = c0 + x @ L + Q(x, x) exactly, with
     Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j): the
     rows of _polarize, each x_i x_j coefficient (i < j) split in half over
     Q[i, j] and Q[j, i].  At most 10 evaluations of nomizu.einstein_residual
-    for k <= 3, on the first call only.
+    for k <= 3.
     """
     g = Metric(n, eps)
     k = param_count(n)
@@ -177,7 +173,6 @@ def _residual_quadratic(n: int, eps: float):
     i, j = np.triu_indices(k)
     Q = np.empty((k, k, M.shape[1]))
     Q[i, j] = Q[j, i] = M[k + 1:] / np.where(i == j, 1.0, 2.0)[:, None]
-    M.flags.writeable = Q.flags.writeable = False
     return M[0], M[1:k + 1], Q
 
 
@@ -222,6 +217,9 @@ def generic_quadric(n: int, eps: float) -> GenericQuadric:
 
 #: seeded draws per requested sample on a positive-dimensional cell
 _DRAWS = 64
+#: |c'| <= _CONST_TOL max|lam| is rounding (c' was off by up to 3.1 ulps of
+#: max|lam| next to eps = -1, n = 2..6)
+_CONST_TOL = 16 * np.finfo(float).eps
 
 
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tuple[float, ...]]:
@@ -234,6 +232,8 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     over _DRAWS * count seeded draws: on the cone (c' taken as 0) each is
     solved for the axis whose eigenvalue sign no other shares, otherwise
     unit directions are scaled by sqrt(-c'/(u diag(lam) u)) where it is real.
+    Where c' is rounding (_CONST_TOL, a few ulps from eps = -1) it is taken
+    as 0: a 2-pt. cell or ellipsoid gives x0 alone, a hyperboloid the cone.
     Each sample gets the generic check in turn; on a positive-dimensional
     cell one that fails gives way to the next draw.  RuntimeError where an
     isolated point is not real or fails, the cone has no lone sign, or a
@@ -241,8 +241,8 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
 
     One DEBUG record per call on the bergerconn.einstein logger, also as its
     `solve` attribute, carries the rank-one gap and its margin to TOL_GAP,
-    lam, x0, c', the candidates examined (draws) and the generic checks
-    (None where n = 1 has no quadric).
+    lam, x0, c' (0 where taken as 0), the candidates examined (draws) and
+    the generic checks (None where n = 1 has no quadric).
     """
     kind = classify(n, eps)
     if n == 1:
@@ -258,19 +258,25 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     lam, P = np.linalg.eigh(q.A)
     centre = -0.5 * P @ (P.T @ q.l / lam)
     const = float(q.c + 0.5 * q.l @ centre)
-    isolated = kind in (VarietyClass.ONE_POINT, VarietyClass.TWO_POINTS)
-    if isolated or kind is VarietyClass.EMPTY:
+    shape = kind
+    if kind is VarietyClass.CONE or abs(const) <= _CONST_TOL * np.abs(lam).max():
+        # c' is rounding: an indefinite cell is sampled as the cone, a definite one as x0
+        const = 0.0
+        if kind not in (VarietyClass.EMPTY, VarietyClass.CONE):
+            shape = VarietyClass.CONE if lam.min() < 0 < lam.max() else VarietyClass.ONE_POINT
+    isolated = shape in (VarietyClass.ONE_POINT, VarietyClass.TWO_POINTS)
+    if isolated or shape is VarietyClass.EMPTY:
         U = {VarietyClass.ONE_POINT: np.zeros((1, len(lam))),
-             VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(kind, np.empty((0, len(lam))))
+             VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(shape, np.empty((0, len(lam))))
     else:
         U = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam)))
-    if kind is VarietyClass.CONE:
+    if shape is VarietyClass.CONE:
         lone = lam < 0 if (lam < 0).sum() == 1 else lam > 0
         if lone.sum() != 1:
             raise RuntimeError(f"cone predicted, but the eigenvalues are {lam}")
         rest = U[:, ~lone] ** 2 @ lam[~lone]
         U[:, lone] = np.copysign(np.sqrt(-rest / lam[lone])[:, None], U[:, lone])
-    elif kind is not VarietyClass.ONE_POINT:
+    elif shape is not VarietyClass.ONE_POINT:
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t = -const / (U**2 @ lam)
         U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]

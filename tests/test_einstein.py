@@ -372,9 +372,8 @@ class TestSolveNumeric:
 
     @pytest.mark.parametrize("n,eps", [(2, -1.0), (3, -2.0)])
     def test_generic_evaluations_bounded(self, n, eps, monkeypatch):
-        # on a cold cache the quadratic model takes at most 10 curvature
-        # evaluations, and each returned sample one more for its check
-        einstein._residual_quadratic.cache_clear()
+        # the quadratic model takes at most 10 curvature evaluations, and
+        # each returned sample one more for its check
         calls = []
         curvature = nomizu.curvature
         monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
@@ -412,6 +411,27 @@ class TestSolveNumeric:
         for x in sols:
             assert abs(float(np.dot(x, x)) - eq.c) <= 1e-7 * eq.c
             assert einstein_defect_at(2, eps, x) <= TOL_SOL
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 6])
+    def test_centre_next_to_round(self, n):
+        # eps one ulp below -1: c' is within rounding of 0 and may carry the
+        # wrong sign, so the 2-pt. cell or ellipsoid gives its centre alone
+        eps = float(np.nextafter(-1.0, -2.0))
+        (x,) = solve_numeric(n, eps, count=4)
+        assert np.abs(x).max() <= 1e-12
+        assert einstein_defect_at(n, eps, x) <= TOL_SOL
+        assert einstein_equation(n, eps).residual(x) <= TOL_SOL
+
+    @pytest.mark.parametrize("eps", [np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)])
+    def test_hyperboloid_next_to_round(self, eps):
+        # n = 3 one ulp either side of -1: the hyperboloid lies within
+        # rounding of the cone, and the cone's draws are returned
+        eps = float(eps)
+        sols = solve_numeric(3, eps, count=4)
+        assert len(set(sols)) == 4
+        for s, s1, s2 in sols:
+            assert abs(s * s - s1 * s1 - s2 * s2) <= 1e-12 * (s * s + 1.0)
+            assert einstein_defect_at(3, eps, (s, s1, s2)) <= TOL_SOL
 
     def test_cone_samples(self):
         # n = 3, eps = -1: the cone s^2 = s1^2 + s2^2 through the origin
@@ -475,6 +495,23 @@ class TestNormalFormRefusals:
         with pytest.raises(RuntimeError, match="2 pt."):
             solve_numeric(4, -2.0)
 
+    @pytest.mark.parametrize("ulps,raises", [(8, False), (32, True)])
+    def test_wrong_sign_within_rounding(self, ulps, raises, monkeypatch):
+        # c' of the wrong sign: within _CONST_TOL of 0 it is taken as 0 and
+        # the centre returned, beyond it the two points are not real
+        q = generic_quadric(4, -2.0)
+        lam = float(q.A[0, 0])
+        centre = -q.l[0] / (2.0 * lam)
+        const = q.c + 0.5 * q.l[0] * centre
+        self._patch_quadric(monkeypatch, 4, -2.0,
+                            c=q.c - const + ulps * np.finfo(float).eps * lam)
+        monkeypatch.setattr(einstein, "einstein_defect_at", lambda *a: 0.0)
+        if raises:
+            with pytest.raises(RuntimeError, match="2 pt."):
+                solve_numeric(4, -2.0)
+        else:
+            assert solve_numeric(4, -2.0) == [(centre,)]
+
     def test_cone_with_no_lone_sign(self, monkeypatch):
         self._patch_quadric(monkeypatch, 3, -1.0, A=np.eye(3))
         with pytest.raises(RuntimeError, match="cone"):
@@ -502,46 +539,12 @@ class TestNormalFormRefusals:
             solve_numeric(2, -2.0)
 
 
-class TestResidualCache:
-    """_residual_quadratic is computed once per (n, eps), as read-only arrays."""
-
-    @pytest.mark.parametrize("part", [0, 1, 2])
-    def test_cached_arrays_are_read_only(self, part):
-        arrays = _residual_quadratic(3, -2.0)
-        with pytest.raises(ValueError, match="read-only"):
-            arrays[part][(0,) * arrays[part].ndim] = 1.0
-        assert _residual_quadratic(3, -2.0)[part] is arrays[part]
-
-    def test_warm_solve_checks_only(self, monkeypatch):
-        # a second solve makes one curvature call per returned sample
-        solve_numeric(3, -2.0)
-        calls = []
-        curvature = nomizu.curvature
-        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
-        sols = solve_numeric(3, -2.0)
-        assert len(calls) == len(sols) == 8
-
-    def test_cold_call_polarizes(self, monkeypatch):
-        einstein._residual_quadratic.cache_clear()
-        calls = []
-        curvature = nomizu.curvature
-        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
-        generic_quadric(3, -2.0)
-        generic_quadric(3, -2.0)
-        min_defect_n1(-2.0)
-        min_defect_n1(-2.0)
-        # 10 evaluations at k = 3, 3 at k = 1, plus one generic defect per
-        # min_defect_n1 call
-        assert len(calls) == 10 + 3 + 2
-
-
 class TestLazyGenericCheck:
     """The generic check runs only on the samples solve_numeric returns."""
 
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5)])
     @pytest.mark.parametrize("count", [4, 8])
     def test_checks_only_returned_samples(self, n, eps, count, monkeypatch):
-        einstein._residual_quadratic.cache_clear()
         checks, calls = [], []
         defect, curvature = einstein.einstein_defect_at, nomizu.curvature
         monkeypatch.setattr(einstein, "einstein_defect_at",
