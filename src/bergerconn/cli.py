@@ -405,6 +405,9 @@ def main(argv=None) -> int:
     except RankGapError as exc:
         print(f"FAIL rank decision: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,21 +15,21 @@ operator on all d^3 = (2n+1)^3 coefficients:
    diagonalised on m with a unitary eigenbasis.  A rank-3 tensor of
    eigenvectors has a weight, and an invariant map lives on the weight-zero
    slot triples only: 25, 31 and 6n + 1 of them for n = 2, 3 and >= 4.
-2. Root constraints.  The equivariance constraints of a small generic
-   generating set of h are written on those columns by index arithmetic
-   (each column's image has O(d) entries); their nullspace is mapped back
-   to the standard basis and its real and imaginary parts orthonormalised.
-3. Certified check.  The basis is verified on the 2(n - 1) first-row
-   generators Gamma (real and imaginary parts of E_1j, j = 2..n), each
-   supported on 4 coordinates.  Every h-basis element is at most one
-   bracket of Gamma, so the residual over the whole h basis is at most
-   2 kappa times the residual on Gamma, with kappa = 3 at every n (see
-   _invariant_basis_raw).  When that bound exceeds TOL_NUM, Gamma is
-   imposed on the weight-zero columns instead.
+2. Root constraints.  The equivariance constraints of the 2(n - 1)
+   first-row generators Gamma (real and imaginary parts of E_1j,
+   j = 2..n), each supported on 4 coordinates, are written on those
+   columns by index arithmetic, keeping only their nonzero rows; their
+   nullspace is mapped back to the standard basis and its real and
+   imaginary parts orthonormalised.
+3. Certified check.  Every h-basis element is at most one bracket of
+   Gamma, so the residual over the whole h basis is at most 2 kappa times
+   the residual on Gamma, with kappa = 3 at every n (see
+   _invariant_basis_raw).  When that bound exceeds TOL_NUM, the build
+   raises RankGapError.
 
 Each build logs one DEBUG record on the "bergerconn.spaces" logger: the
-residual on Gamma, kappa, the certified bound, its margin to TOL_NUM and
-whether the fallback ran.
+number of weight-zero columns, the residual on Gamma, kappa, the certified
+bound and its margin to TOL_NUM.
 
 Every rank decision (the zero weights, both nullspaces) uses a relative
 cutoff and a guarded gap, and raises RankGapError when there is none.
@@ -50,9 +50,10 @@ from .config import TOL_GAP, TOL_NUM, TOL_RANK
 
 _log = logging.getLogger(__name__)
 
-#: estimated bytes per d^3 that an invariant nullspace build holds at large n
-#: (measured about 1350 at n = 25 and 30; below n = 10 a fixed 20 MB dominates)
-BYTES_PER_CUBE = 2000
+#: estimated bytes per d^3 that an invariant nullspace build holds at large n,
+#: almost all of it in _real_span (peak RSS growth measured about 765 at n = 25
+#: and 835 at n = 30; below n = 10 a fixed 20 MB dominates)
+BYTES_PER_CUBE = 1250
 
 
 class RankGapError(RuntimeError):
@@ -198,19 +199,6 @@ def _rowspace(M: np.ndarray) -> np.ndarray:
     return vt[: _guarded_rank(s)]
 
 
-def _generating_actions(n: int) -> np.ndarray:
-    """Actions of two fixed generic elements of su(n) on m.
-
-    Generic pairs generate su(n), so their joint invariants coincide with
-    the full h-invariants; this is re-verified, with a certified bound, on
-    the first-row generators.
-    """
-    A = algebra.adjoint_matrices(n)
-    rng = np.random.default_rng(12345)
-    w = rng.standard_normal((2, A.shape[0]))
-    return np.einsum("gr,rij->gij", w, A)
-
-
 def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Weight basis of m for the maximal torus of su(n), and the slot triples
     of weight zero.
@@ -243,25 +231,28 @@ def _root_nullspace(U: np.ndarray, cols, actions) -> np.ndarray:
     The equivariance residual of the column conj(u_i) x conj(u_j) x u_k
     under A has, with Ah = U^H A U, the coefficients conj(Ah[c, i]),
     conj(Ah[c, j]) and Ah[c, k] on the tensors of the triples (c, j, k),
-    (i, c, k) and (i, j, c), for every c.  Those triples are the rows of
-    each action's constraint matrix; its rows are folded by QR into an
-    upper triangle with the same singular values, so memory stays at one
-    action's rows whatever the number of actions.
+    (i, c, k) and (i, j, c), for every c.  Each (action, triple) pair is a
+    constraint row.  Only the nonzero coefficients are kept, which leaves
+    the stacked matrix as it is; each generator of Gamma moves four
+    coordinates, so Ah has few nonzero rows and the stack is small
+    (468 x 121 at n = 20).
     """
     d = len(U)
     I, J, K = cols
     k = len(I)
-    c = np.arange(d)[:, None]
+    Ah = U.conj().T @ actions @ U
+    a, c = np.nonzero(Ah.any(axis=2))
+    Ac = Ah[a, c]
+    c = c[:, None]
     keys = np.concatenate([(c * d + J) * d + K, (I * d + c) * d + K, (I * d + J) * d + c])
-    rows, inv = np.unique(keys.ravel(), return_inverse=True)
-    at, size = inv * k + np.tile(np.arange(k), 3 * d), len(rows) * k
-    R = np.zeros((0, k), dtype=complex)
-    for A in actions:
-        Ah = U.conj().T @ A @ U
-        vals = np.concatenate([Ah[:, I].conj(), Ah[:, J].conj(), Ah[:, K]]).ravel()
-        M = np.bincount(at, vals.real, size) + 1j * np.bincount(at, vals.imag, size)
-        R = np.linalg.qr(np.vstack([R, M.reshape(len(rows), k)]), mode="r")
-    return _nullspace(R)
+    keys += np.tile(a, 3)[:, None] * d**3
+    vals = np.concatenate([Ac[:, I].conj(), Ac[:, J].conj(), Ac[:, K]])
+    r, t = np.nonzero(vals)
+    rows, inv = np.unique(keys[r, t], return_inverse=True)
+    v = vals[r, t]
+    at, size = inv * k + t, len(rows) * k
+    M = np.bincount(at, v.real, size) + 1j * np.bincount(at, v.imag, size)
+    return _nullspace(M.reshape(len(rows), k))
 
 
 def _real_span(U: np.ndarray, cols, null: np.ndarray) -> np.ndarray:
@@ -329,10 +320,10 @@ def _action_bound(actions) -> float:
 def check_fits_memory(n: int) -> None:
     """Raise ValueError if the invariant nullspace for n cannot fit in memory.
 
-    The build holds O(d^3) arrays: the constraint rows of one action on the
-    6n + 1 weight-zero columns, the solutions over the standard basis and
-    the SVD of their real and imaginary parts, estimated at BYTES_PER_CUBE
-    d^3 bytes (about 2 GiB at n = 50).  The bound is physical memory, not a
+    The largest arrays of the build are _real_span's, each O(d^3): the
+    solutions over the standard basis and the SVD of their real and
+    imaginary parts, estimated with the rest at BYTES_PER_CUBE d^3 bytes
+    (about 1.2 GiB at n = 50).  The bound is physical memory, not a
     cgroup or ulimit share, so this refuses hopeless n without promising
     that others fit.  Where the platform does not report physical memory,
     nothing is checked.
@@ -352,8 +343,9 @@ def check_fits_memory(n: int) -> None:
 
 def _invariant_basis_raw(n: int) -> np.ndarray:
     """Orthonormal rows spanning the invariant maps over the flattened
-    standard basis: the generating pair imposed on the weight-zero columns,
-    certified on the first-row generators Gamma, else Gamma imposed.
+    standard basis: the first-row generators Gamma imposed on the
+    weight-zero columns, then certified on Gamma.  Gamma generates su(n),
+    so its joint kernel is the invariant space.
 
     Why Gamma certifies the whole h basis.  Write rho(h) alpha =
     h alpha(-, -) - alpha(h -, -) - alpha(-, h -) for the action of h on a
@@ -379,10 +371,9 @@ def _invariant_basis_raw(n: int) -> np.ndarray:
                 <= 2 kappa delta_Gamma,
 
     a bound that does not grow with n (for h in Gamma itself,
-    delta_h <= delta_Gamma <= 2 kappa delta_Gamma).  The basis is accepted when
-    2 kappa delta_Gamma <= TOL_NUM, so every h-basis residual is within
-    TOL_NUM.  Otherwise Gamma is imposed on the weight-zero columns: it
-    generates su(n), so its joint kernel is the invariant space.
+    delta_h <= delta_Gamma <= 2 kappa delta_Gamma).  The basis is returned
+    only when 2 kappa delta_Gamma <= TOL_NUM, so every h-basis residual is
+    within TOL_NUM; otherwise RankGapError is raised, after the DEBUG record.
     """
     d = 2 * n + 1
     check_fits_memory(n)
@@ -390,25 +381,28 @@ def _invariant_basis_raw(n: int) -> np.ndarray:
     if n == 1:
         # h = su(1) = 0 and Gamma is empty: every bilinear map is invariant
         basis = np.eye(d**3)
+        columns = d**3
     else:
         U, cols = _zero_weight_triples(n)
-        basis = _real_span(U, cols, _root_nullspace(U, cols, _generating_actions(n)))
+        basis = _real_span(U, cols, _root_nullspace(U, cols, gamma))
+        columns = len(cols[0])
     residual = _equivariance_residual(basis.reshape(-1, d, d, d), gamma)
     kappa = _action_bound(gamma)
     bound = 2 * kappa * residual
-    fallback = bound > TOL_NUM
-    if fallback:
-        basis = _real_span(U, cols, _root_nullspace(U, cols, gamma))
     _log.debug(
-        "invariant space n=%d: %d generators, residual %.3g, kappa %g, bound %.3g, "
-        "margin %.3g to TOL_NUM, fallback %s",
-        n, len(gamma), residual, kappa, bound, TOL_NUM / bound if bound else np.inf,
-        "ran" if fallback else "not run",
+        "invariant space n=%d: %d columns, %d generators, residual %.3g, kappa %g, "
+        "bound %.3g, margin %.3g to TOL_NUM",
+        n, columns, len(gamma), residual, kappa, bound, TOL_NUM / bound if bound else np.inf,
         extra={"equivariance": {
-            "n": n, "generators": len(gamma), "residual": residual, "kappa": kappa,
-            "bound": bound, "tol_num": TOL_NUM, "fallback": fallback,
+            "n": n, "columns": columns, "generators": len(gamma), "residual": residual,
+            "kappa": kappa, "bound": bound, "tol_num": TOL_NUM,
         }},
     )
+    if bound > TOL_NUM:
+        raise RankGapError(
+            f"invariant basis fails the certified check: bound {bound:.2e} "
+            f"above TOL_NUM {TOL_NUM:.0e}"
+        )
     return basis
 
 

@@ -230,6 +230,16 @@ class TestRankGapReported:
             assert out.stderr.count("\n") == 1
 
 
+class TestSolverFailureReported:
+    def test_fail_line(self, capsys):
+        # at (5, 1e-6) the sampled 2-pt. root fails the generic check
+        assert main(["classify", "--n", "5", "--eps=1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestVerifyCurvatureReuse:
     CHECKS = ["levi_civita_closed_vs_generic", "levi_civita_torsion_free", "dimension_counts",
               "closed_torsion_vs_generic", "torsion_form_is_skew", "sym_ricci_identity",

@@ -186,22 +186,8 @@ class TestInvariantSpace:
         assert len(i) == len(j) == len(k) == count
         assert np.abs(U.conj().T @ U - np.eye(2 * n + 1)).max() < 1e-12
 
-    @pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 7)])
-    def test_falls_back_when_the_pair_does_not_generate(self, n, dim, monkeypatch):
-        # two Cartan elements commute and generate only the torus, so every
-        # weight-zero column solves their constraints and the full-basis
-        # check must send the build to the whole h basis
-        A = adjoint_matrices(n)
-        pair = np.tensordot(np.random.default_rng(0).standard_normal((2, n - 1)),
-                            A[-(n - 1):], 1)
-        monkeypatch.setattr(spaces, "_generating_actions", lambda m: pair)
-        d = 2 * n + 1
-        basis = _invariant_basis_raw(n)
-        assert basis.shape == (dim, d**3)
-        assert spaces._equivariance_residual(basis.reshape(-1, d, d, d), A) < TOL
-
     def test_refuses_n_beyond_memory(self):
-        # about 2000 d^3 bytes: some 16 TB at n = 1000
+        # about 1250 d^3 bytes: some 10 TB at n = 1000
         with pytest.raises(ValueError, match="physical memory"):
             invariant_bilinear_space(1000)
 
@@ -334,29 +320,33 @@ class TestCertifiedCheck:
 
     def test_one_debug_record_per_build(self, caplog):
         caplog.set_level(logging.DEBUG, logger="bergerconn.spaces")
-        _invariant_basis_raw(4)
-        records = [r for r in caplog.records if r.name == "bergerconn.spaces"]
-        assert len(records) == 1
-        rec = records[0]
+        for n, columns in [(1, 27), (2, 25), (3, 31), (8, 49), (4, 25)]:
+            caplog.clear()
+            _invariant_basis_raw(n)
+            (rec,) = [r for r in caplog.records if r.name == "bergerconn.spaces"]
+            assert rec.equivariance["columns"] == columns
+            assert f"{columns} columns" in rec.getMessage()
         assert rec.levelno == logging.DEBUG
         info = rec.equivariance
         assert (info["n"], info["generators"], info["kappa"]) == (4, 6, 3.0)
         assert info["bound"] == 6 * info["residual"] <= TOL_NUM == info["tol_num"]
-        assert info["fallback"] is False
-        assert "fallback not run" in rec.getMessage()
         assert "margin" in rec.getMessage()
 
-    def test_debug_record_reports_the_fallback(self, caplog, monkeypatch):
-        # two commuting Cartan elements: the check fails and Gamma is imposed
-        A = adjoint_matrices(3)
-        monkeypatch.setattr(spaces, "_generating_actions", lambda m: A[-2:])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_failed_check_is_refused(self, n, caplog, monkeypatch):
+        # solutions moved 1e-6 off the kernel of Gamma fail 2 kappa delta <= TOL_NUM
+        root = spaces._root_nullspace
+
+        def perturbed(U, cols, actions):
+            null = root(U, cols, actions)
+            return null + 1e-6 * np.random.default_rng(n).standard_normal(null.shape)
+
+        monkeypatch.setattr(spaces, "_root_nullspace", perturbed)
         caplog.set_level(logging.DEBUG, logger="bergerconn.spaces")
-        basis = _invariant_basis_raw(3)
+        with pytest.raises(RankGapError, match="certified check"):
+            _invariant_basis_raw(n)
         (rec,) = [r for r in caplog.records if r.name == "bergerconn.spaces"]
-        assert rec.equivariance["fallback"] is True
         assert rec.equivariance["bound"] > TOL_NUM
-        assert "fallback ran" in rec.getMessage()
-        assert basis.shape[0] == 9
 
 
 class TestMetricSpace:
