@@ -40,9 +40,6 @@ from .families import (
     alpha_general,
     alpha_lc,
     alpha_metric,
-    alpha_skew,
-    alpha_skew_s5,
-    alpha_skew_s7,
     closed_curvature,
     closed_ricci,
     closed_torsion,

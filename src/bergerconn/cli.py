@@ -2,7 +2,8 @@
 classification, the full regime table, and JSON export.
 
 Exit codes: 0 all checks pass, 1 verification failure (a rank decision
-without a clear gap among them), 2 usage error.
+without a clear gap, a failed solve or an unwritable output file among
+them), 2 usage error.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class RunConfig:
         spaces.check_fits_memory(self.n)
         if self.eps == 0:
             raise ValueError("eps must be nonzero")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def parse_eps(text: str) -> float:
@@ -144,12 +147,20 @@ def _verification_checks(cfg: RunConfig):
         float(np.abs(nomizu.torsion(families.alpha_lc(n, eps)).coeffs).max()),
         config.TOL_NUM,
     )
+    skew = spaces.skew_torsion_space(n, eps)
     got = (
         spaces.invariant_bilinear_space(n).dim,
         spaces.metric_connection_space(n, eps).dim,
-        spaces.skew_torsion_space(n, eps).dim,
+        skew.dim,
     )
     yield ("dimension_counts", float(got != expected_dims(n)), 0.5)
+    # each named direction, moved onto the generic offset, against the generic span
+    yield (
+        "skew_directions_closed_vs_generic",
+        max(skew.projection_residual(b + skew.offset) / max(1.0, float(np.abs(b.coeffs).max()))
+            for b in families.skew_direction_basis(n, eps).basis),
+        config.TOL_NUM,
+    )
 
     k = einstein.param_count(n)
     draws = [rng.uniform(-2.0, 2.0, size=k) for _ in range(5)]
@@ -405,7 +416,7 @@ def main(argv=None) -> int:
     except RankGapError as exc:
         print(f"FAIL rank decision: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
 

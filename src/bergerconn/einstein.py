@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nomizu
+from . import families, nomizu
 from .algebra import Metric
 from .config import TOL_GAP, TOL_SOL
-from .spaces import Bilin, RankGapError, _guarded_rank, skew_torsion_space
+from .spaces import RankGapError, _guarded_rank
 
 _log = logging.getLogger(__name__)
 
@@ -119,11 +119,9 @@ def classify(n: int, eps: float) -> VarietyClass:
     return VarietyClass.ONE_POINT if eq.c == 0 else VarietyClass.EMPTY
 
 
-def _family_member(n: int, eps: float, params) -> Bilin:
-    """Skew family member through the cached affine space (the direction
-    basis is aligned with the parameter coordinates, so this matches
-    families.skew_family but avoids re-tabulating the map)."""
-    return skew_torsion_space(n, eps).element(np.atleast_1d(params))
+#: the skew family member at variety coordinates x: the named affine space's
+#: element, so one tabulation per (n, eps) serves every call
+_family_member = families.skew_family
 
 
 def einstein_defect_at(n: int, eps: float, params) -> float:
@@ -169,7 +167,9 @@ def _residual_quadratic(n: int, eps: float):
     """
     g = Metric(n, eps)
     k = param_count(n)
-    M = _polarize(lambda x: nomizu.einstein_residual(_family_member(n, eps, x), g).ravel(), k)
+    # a subnormal eps overflows the residual; generic_quadric refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _polarize(lambda x: nomizu.einstein_residual(_family_member(n, eps, x), g).ravel(), k)
     i, j = np.triu_indices(k)
     Q = np.empty((k, k, M.shape[1]))
     Q[i, j] = Q[j, i] = M[k + 1:] / np.where(i == j, 1.0, 2.0)[:, None]
@@ -201,12 +201,15 @@ def generic_quadric(n: int, eps: float) -> GenericQuadric:
     The stacked coefficients (c0, L, Q) of _residual_quadratic have rank
     one, all multiples of one vector v; their projections on v, the top
     right-singular vector of the stack, are q's coefficients.  The rank is
-    a guarded decision: RankGapError unless it is one with a clear gap.
+    a guarded decision: RankGapError unless it is one with a clear gap, or
+    where the stack is not finite (a subnormal eps overflows it).
     """
     c0, L, Q = _residual_quadratic(n, eps)
     k = len(L)
-    _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(k * k, -1)]),
-                              full_matrices=False)
+    stack = np.vstack([c0, L, Q.reshape(k * k, -1)])
+    if not np.all(np.isfinite(stack)):
+        raise RankGapError("generic Einstein residual is not finite")
+    _, sv, vt = np.linalg.svd(stack, full_matrices=False)
     rank = _guarded_rank(sv)
     if rank != 1:
         raise RankGapError(f"generic Einstein residual has rank {rank}, not one")

@@ -6,7 +6,10 @@ An invariant affine connection corresponds to a bilinear map alpha with
 
 This module computes, over the standard basis of m, the space of all such
 maps, the subspace of metric-compatible ones (alpha(X, -) skew-adjoint for
-g_eps) and the affine subspace whose torsion 3-form is totally skew.
+g_eps) and the affine subspace whose torsion 3-form is totally skew.  It is
+the generic side of the cross-check and imports nothing from the closed
+forms: the skew space's offset is the torsion-free metric map solved here,
+and its directions are the raw nullspace, not the named family.
 
 The invariant maps are found in three steps, none of which forms an
 operator on all d^3 = (2n+1)^3 coefficients:
@@ -465,32 +468,17 @@ def _skew_form_violation(om: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def skew_torsion_space(n: int, eps: float) -> LinearSpace:
-    """Affine space of metric connections with totally skew torsion.
+    """Affine space of metric connections with totally skew torsion, from the
+    generic calculus alone.
 
-    Offset is the Levi-Civita map; the direction basis is aligned with the
-    closed-form directions (s-, Theta- and psi-hat-directions), after
-    verifying they span the computed nullspace.  Direction dimension
-    1, 3, 3, 1 for n = 1, 2, 3 and >= 4.
+    The offset is levi_civita_generic(n, eps); the directions are the
+    orthonormal maps of metric_connection_space(n, eps) whose torsion
+    difference is totally skew.  Direction dimension 1, 3, 3, 1 for
+    n = 1, 2, 3 and >= 4.
     """
-    from . import families
-
     maps = _solution_space(metric_connection_space(n, eps), _skew_violation, Metric(n, eps).gram())
-    d = 2 * n + 1
-    computed = LinearSpace(ambient_dim=d**3, basis=tuple(Bilin(n, c) for c in maps))
-
-    named = families.skew_direction_basis(n, eps)
-    if len(named) != computed.dim:
-        raise RankGapError(
-            f"skew direction count {computed.dim} does not match the "
-            f"{len(named)} closed-form directions for n={n}"
-        )
-    for b in named:
-        r = computed.projection_residual(b)
-        if r > TOL_NUM * max(1.0, np.abs(b.coeffs).max()):
-            raise RankGapError(f"closed-form direction off the computed space: {r:.2e}")
-    return LinearSpace(
-        ambient_dim=d**3, basis=tuple(named), offset=families.alpha_lc(n, eps)
-    )
+    return LinearSpace(ambient_dim=(2 * n + 1) ** 3, basis=tuple(Bilin(n, c) for c in maps),
+                       offset=levi_civita_generic(n, eps))
 
 
 def levi_civita_generic(n: int, eps: float) -> Bilin:

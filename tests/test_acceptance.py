@@ -18,8 +18,7 @@ def _report(num: int, desc: str, ok: bool, detail: str):
 EPS_SAMPLE = (-3.0, -1.0, -0.1, 0.5, 2.0)
 
 
-def _skew_member(n, eps, x):
-    return spaces.skew_torsion_space(n, eps).element(np.atleast_1d(x))
+_skew_member = families.skew_family
 
 
 def _on_shell_point(n, eps, rng):
@@ -98,9 +97,7 @@ def test_criterion_3_closed_forms_vs_generic():
                 elif regime == "s7":
                     p = complex(*rng.uniform(-2, 2, size=2))
                     params = families.FamilyParams(regime, q, t, p)
-                    alpha = families.alpha_metric(n, eps, q, t) + families._delta_s7(
-                        eps, 0.0, p
-                    )
+                    alpha = families.alpha_metric(n, eps, q, t) + families._delta_s7(p)
                 else:
                     params = families.FamilyParams(regime, q, t)
                     alpha = families.alpha_metric(n, eps, q, t)

@@ -97,6 +97,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "closed_torsion_vs_generic" in captured.err + captured.out
 
+    def test_skew_direction_off_the_generic_space_fails(self, capsys, monkeypatch):
+        # negative control: move one named direction off the generic skew space
+        orig = families.skew_direction_basis
+
+        def moved(n, eps):
+            named = orig(n, eps)
+            c = named.basis[0].coeffs.copy()
+            c[0, 1, 0] += 1e-6
+            basis = (spaces.Bilin(n, c),) + named.basis[1:]
+            return spaces.LinearSpace(named.ambient_dim, basis, named.offset)
+
+        monkeypatch.setattr(cli.families, "skew_direction_basis", moved)
+        assert main(["verify", "--n", "2", "--eps=-1"]) == 1
+        assert capsys.readouterr().err == "FAIL: skew_directions_closed_vs_generic\n"
+
     def test_levi_civita_check_uses_named_tolerance(self):
         checks = {name: tol for name, _, tol in cli._verification_checks(cli.RunConfig(n=2))}
         assert config.TOL_LC == 1e-10
@@ -172,8 +187,25 @@ class TestExport:
         doc = json.loads(path.read_text())
         assert doc["kind"] == "empty" and doc["samples"] == []
 
+    def test_out_file_unwritable(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["export", "--n", "2", "--eps=-3/2", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL: ") and str(path) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not path.parent.exists()
+
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [["verify", "--n", "2", "--eps=-1"],
+                                      ["classify", "--n", "4", "--eps=1"]])
+    def test_negative_seed(self, argv, capsys):
+        assert main(argv + ["--seed=-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: seed must be >= 0\n"
+        assert captured.out == ""
+
     def test_zero_eps(self):
         assert main(["classify", "--n", "2", "--eps", "0"]) == 2
 
@@ -242,7 +274,7 @@ class TestSolverFailureReported:
 
 class TestVerifyCurvatureReuse:
     CHECKS = ["levi_civita_closed_vs_generic", "levi_civita_torsion_free", "dimension_counts",
-              "closed_torsion_vs_generic", "torsion_form_is_skew", "sym_ricci_identity",
+              "skew_directions_closed_vs_generic", "closed_torsion_vs_generic", "torsion_form_is_skew", "sym_ricci_identity",
               "closed_curvature_vs_generic", "closed_ricci_vs_generic", "round_ricci_2n_g"]
 
     @pytest.mark.parametrize("n", [3, 2])

@@ -28,7 +28,7 @@ from bergerconn.einstein import (
     solve_numeric,
     variety,
 )
-from bergerconn.spaces import RankGapError, skew_torsion_space
+from bergerconn.spaces import RankGapError
 
 TOL = 1e-8
 
@@ -266,8 +266,8 @@ class TestGenericQuadric:
 
     @pytest.mark.parametrize("n,eps", [(2, -2.0), (3, -0.5), (4, -1.0), (5, 1.0), (6, -3.0)])
     def test_one_svd_and_no_pinv(self, n, eps, monkeypatch):
-        # the spaces are cached first: their construction runs SVDs of its own
-        skew_torsion_space(n, eps)
+        # the named space is cached first: its construction runs an SVD of its own
+        families.skew_direction_basis(n, eps)
         svds = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))

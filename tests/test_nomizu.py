@@ -56,7 +56,7 @@ class TestCurvature:
     def test_round_sphere_constant_curvature(self):
         n, eps = 4, -1.0
         g = Metric(n, eps)
-        R = curvature(families.alpha_skew(n, eps, 0.0))
+        R = curvature(families.skew_family(n, eps, (0.0,)))
         basis = standard_basis(n)
         G = g.gram()
         d = 2 * n + 1
@@ -75,7 +75,7 @@ class TestCurvature:
             assert np.abs(curvature(alpha).coeffs - closed.coeffs).max() < TOL
 
     def test_flat_s7_connection(self):
-        R = curvature(families.alpha_skew_s7(-1.0, 1.0, 1.0, 0.0))
+        R = curvature(families.skew_family(3, -1.0, (1.0, 1.0, 0.0)))
         assert R.max_abs() < TOL
 
     def test_antisymmetric_first_slots(self, rng):
@@ -102,7 +102,7 @@ class TestRicci:
         assert abs(Ric[-1, -1] + ca) < TOL
 
     def test_zero_curvature_zero_ricci(self):
-        R = curvature(families.alpha_skew_s7(-1.0, 1.0, 0.0, 1.0))
+        R = curvature(families.skew_family(3, -1.0, (1.0, 0.0, 1.0)))
         Ric = ricci(R, Metric(3, -1.0))
         assert np.abs(Ric.coeffs).max() < TOL
 
@@ -129,7 +129,7 @@ class TestScalar:
     def test_s7_on_shell_zero(self):
         # eps = -2, s = 1, s1 = s2 = 0: scalar = 42 (eps + 2) = 0
         g = Metric(3, -2.0)
-        Ric = ricci(curvature(families.alpha_skew_s7(-2.0, 1.0, 0.0, 0.0)), g)
+        Ric = ricci(curvature(families.skew_family(3, -2.0, (1.0, 0.0, 0.0))), g)
         assert abs(scalar(Ric, g)) < TOL
 
 
@@ -168,7 +168,7 @@ class TestTorsionForm:
     def test_matches_closed_3form(self, rng):
         n, eps, s = 4, 1.5, 0.8
         g = Metric(n, eps)
-        om = torsion_form(families.alpha_skew(n, eps, s), g)
+        om = torsion_form(families.skew_family(n, eps, (s,)), g)
         basis = standard_basis(n)
         for _ in range(20):
             i, j, k = rng.integers(0, 2 * n + 1, size=3)
@@ -197,7 +197,7 @@ class TestSTensor:
         s, s3, s4 = 0.7, -0.4, 1.1
         pp = s3 * s3 + s4 * s4
         g = Metric(2, eps)
-        S = s_tensor(families.alpha_skew_s5(eps, s, s3, s4), g).coeffs
+        S = s_tensor(families.skew_family(2, eps, (s, s3, s4)), g).coeffs
         cz = -8 * eps * (s * s + pp)
         ca = -16 * eps * eps * (s * s + pp)
         expected = np.diag([cz, cz, cz, cz, -ca])  # ab = -1 on the fiber pair
@@ -206,7 +206,7 @@ class TestSTensor:
     def test_basis_independence(self, rng):
         n, eps = 2, 2.0
         g = Metric(n, eps)
-        alpha = families.alpha_skew_s5(eps, 0.5, 0.2, -0.3)
+        alpha = families.skew_family(2, eps, (0.5, 0.2, -0.3))
         S = s_tensor(alpha, g).coeffs
 
         # oracle: recompute in a random g-orthonormal basis via Gram-Schmidt
@@ -245,11 +245,11 @@ class TestEinsteinDefect:
 
     def test_n1_off_round_positive(self, rng):
         for s in rng.uniform(-3, 3, size=5):
-            assert einstein_defect(families.alpha_skew(1, -2.0, s), Metric(1, -2.0)) > 1e-3
+            assert einstein_defect(families.skew_family(1, -2.0, (s,)), Metric(1, -2.0)) > 1e-3
 
     def test_n4_lorentz_solution(self):
         s = np.sqrt(10.0 / 3.0)
-        assert einstein_defect(families.alpha_skew(4, 1.0, s), Metric(4, 1.0)) < 1e-8
+        assert einstein_defect(families.skew_family(4, 1.0, (s,)), Metric(4, 1.0)) < 1e-8
 
 
 class TestSymRicciIdentity:

@@ -71,11 +71,11 @@ class TestBilin:
             Bilin(2, np.zeros((3, 3, 3)))
 
     def test_cached_maps_are_read_only(self):
-        # skew_torsion_space(2, -1) holds the cached alpha_lc(2, -1) as its offset
-        before = skew_torsion_space(2, -1.0).offset.coeffs.copy()
+        # the named skew space holds the cached alpha_lc(2, -1) as its offset
+        before = families.skew_direction_basis(2, -1.0).offset.coeffs.copy()
         with pytest.raises(ValueError):
             families.alpha_lc(2, -1.0).coeffs[0, 0, 0] += 1
-        assert np.array_equal(skew_torsion_space(2, -1.0).offset.coeffs, before)
+        assert np.array_equal(families.skew_direction_basis(2, -1.0).offset.coeffs, before)
 
 
 class TestLinearSpace:
@@ -386,7 +386,7 @@ class TestSkewSpace:
 
     def test_offset_is_levi_civita(self):
         sp = skew_torsion_space(2, -1.0)
-        assert np.abs(sp.offset.coeffs - families.alpha_lc(2, -1.0).coeffs).max() < 1e-14
+        assert np.array_equal(sp.offset.coeffs, levi_civita_generic(2, -1.0).coeffs)
 
 
 class TestLeviCivitaGeneric:
