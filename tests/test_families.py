@@ -162,6 +162,13 @@ class TestDirectionRenderings:
             # the residual is taken after subtracting the affine offset
             assert sp.projection_residual(d + sp.offset) < TOL
 
+    @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, 2.0), (3, -2.0), (5, 1.0)])
+    def test_family_members_lie_in_skew_space(self, n, eps, rng):
+        sp = skew_torsion_space(n, eps)
+        k = 3 if n in (2, 3) else 1
+        alpha = skew_family(n, eps, rng.uniform(-2, 2, size=k))
+        assert sp.projection_residual(alpha) < TOL
+
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(
         n=st.integers(1, 6),
@@ -174,7 +181,7 @@ class TestDirectionRenderings:
         ),
         x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
     )
-    def test_family_members_lie_in_skew_space(self, n, eps, x):
+    def test_family_members_lie_in_skew_space_property(self, n, eps, x):
         # the named family against the generic space, in all four eps regimes
         sp = skew_torsion_space(n, eps)
         alpha = skew_family(n, eps, x[: 3 if n in (2, 3) else 1])
