@@ -229,9 +229,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             cfg,
         )
     else:
+        width = max(len(name) for name, *_ in results)
         for name, resid, tol, ok in results:
             mark = "PASS" if ok else "FAIL"
-            print(f"  {mark}  {name:32s} residual {resid:.3e}  (tol {tol:.0e})")
+            print(f"  {mark}  {name:{width}s} residual {resid:.3e}  (tol {tol:.0e})")
     failing = [name for name, _, _, ok in results if not ok]
     if failing:
         print(f"FAIL: {failing[0]}", file=sys.stderr)

@@ -3,11 +3,15 @@
 Regimes: "general_n" covers n >= 4 and, verbatim with (n+1)/n = 2, also
 n = 1; "s7" (n = 3) adds a complex cross-product direction; "s5" (n = 2)
 adds the almost-contact directions built from theta(z1, z2) = (-conj(z2),
-conj(z1)).  Every family and every closed torsion/curvature is written once
+conj(z1)).  Every family and every closed torsion/curvature is written once,
 as a formula in the tangent coordinates (z, a), (w, b), (u, c) of its
-arguments.  The formula is evaluated once on arrays that hold the whole
-standard basis along one broadcast axis per argument, which yields the
-coefficient tensor that the generic tensor calculus is compared against.
+arguments, and computed as a tensor expression over a few blocks of the
+standard basis (_basis): Z, h = conj(Z) Z^t and the real coordinates of z
+and i z.  Each group of "vector times scalar form" terms is one small
+matmul; the terms with a factor a, b or c are slice updates on the fibre
+index, the only basis vector with a != 0.  The result is the coefficient
+tensor that the generic tensor calculus is compared against; nothing of
+that calculus is used to compute it.
 
 The skew-torsion family is written once, as one affine space
 (skew_direction_basis): the Levi-Civita map plus the named directions in the
@@ -27,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MVec
-from .config import TOL_EXACT, TOL_NUM
+from .algebra import MVec, _from_coords, _to_coords
+from .config import TOL_NUM
 from .nomizu import CurvTensor, Rank2Tensor
 from .spaces import Bilin, LinearSpace
 
@@ -47,35 +51,37 @@ def _ccross(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.cross(np.conj(z), np.conj(w))
 
 
-def _dot(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """conj(z)^t w over the last axis, kept as a length-1 axis."""
-    return np.sum(np.conj(z) * w, axis=-1, keepdims=True)
+def _basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of the standard basis e_0, ..., e_{d-1} of m, d = 2n + 1.
 
-
-def _tabulate(n: int, rank: int, f) -> np.ndarray:
-    """Real coefficients of the (z, a)-formula f of rank arguments on all
-    standard basis tuples.
-
-    f receives one (z, a) pair per argument; the standard basis runs along
-    that argument's own axis, z has a last axis of length n and a one of
-    length 1.  It returns the (z, a) of the value, and the result is
-    c[i, j, ..., l] = e_l-coefficient of f(e_i, e_j, ...).
+    Returns Z, the z-part of each basis vector (d x n complex); h = conj(Z)
+    Z^t, the hermitian form conj(z)^t w on basis pairs; and ZJ, the real
+    coordinates of z and of i z for each basis vector (2 x d x d).  These are
+    Re h and Im h: the l-th coordinate of a z-vector v is Re(conj(z_l)^t v).
+    The fibre vector e_{d-1} has z = 0 and a = i, every other basis vector
+    has a = 0, so a term with a factor a, b or c is a slice update on index -1.
     """
-    d = 2 * n + 1
-    E = np.eye(d)  # row i holds the coordinates of e_i, read back as (z, a)
-    z, a = E[:, 0 : 2 * n : 2] + 1j * E[:, 1 : 2 * n : 2], 1j * E[:, -1:]
-    args = []
-    for k in range(rank):
-        axes = [1] * rank
-        axes[k] = d
-        args.append((z.reshape(axes + [n]), a.reshape(axes + [1])))
-    dz, da = f(*args)
-    da = np.asarray(da)
-    if not np.all(np.abs(da.real) <= TOL_EXACT):
-        raise ValueError("the a-component of a closed form must be purely imaginary")
-    c = np.empty((d,) * rank + (d,))
-    c[..., 0 : 2 * n : 2], c[..., 1 : 2 * n : 2], c[..., -1:] = dz.real, dz.imag, da.imag
-    return c
+    Z, _ = _from_coords(np.eye(2 * n + 1))
+    h = np.conj(Z) @ Z.T
+    return Z, h, np.stack([h.real, h.imag])
+
+
+def _times_z(S, ZJ: np.ndarray) -> np.ndarray:
+    """Real coordinates of S z_i for complex scalars S, as one matmul with the
+    blocks ZJ of _basis: shape S.shape + (d, d), indexed [..., i, l]."""
+    S = np.asarray(S, dtype=complex)
+    Sr = np.stack([S.real, S.imag], axis=-1).reshape(-1, 2)
+    return (Sr @ ZJ.reshape(2, -1)).reshape(S.shape + ZJ.shape[1:])
+
+
+def _theta_terms(c: np.ndarray, k: complex, p: complex, m: float, Z: np.ndarray) -> None:
+    """Add k (b theta(z) - a theta(w)) to the z-slot and m Im(conj(p)
+    conj(theta(z))^t w) to the a-slot of the S^5 coefficients c, in place."""
+    T = theta(Z)
+    Tb = _to_coords(1j * k * T, 0.0)  # k b theta(z) with b = i
+    c[:, -1] += Tb
+    c[-1] -= Tb
+    c[..., -1] += m * np.imag(np.conj(p) * (np.conj(T) @ Z.T))
 
 
 @dataclass(frozen=True)
@@ -199,12 +205,13 @@ def point_tensors(n: int) -> PointTensors:
 
 def alpha_general(n: int, q1: complex, q2: complex, q3: complex, t: float) -> Bilin:
     """alpha(X, Y) = (q1 b z + q2 a w, i(t a b + Im(q3 conj(z)^t w)))."""
-
-    def f(X, Y):
-        (z, a), (w, b) = X, Y
-        return q1 * b * z + q2 * a * w, 1j * (t * (a * b).real + np.imag(q3 * _dot(z, w)))
-
-    return Bilin(n, _tabulate(n, 2, f))
+    _, h, ZJ = _basis(n)
+    c = np.zeros((2 * n + 1,) * 3)
+    c[:, -1] = _times_z(1j * q1, ZJ)  # q1 b z with b = i
+    c[-1] += _times_z(1j * q2, ZJ)  # q2 a w with a = i
+    c[..., -1] = np.imag(q3 * h)
+    c[-1, -1, -1] = -t  # t a b with a b = -1
+    return Bilin(n, c)
 
 
 def alpha_metric(n: int, eps: float, q: complex, t: float) -> Bilin:
@@ -229,18 +236,17 @@ def direction_s(n: int, eps: float) -> Bilin:
 
 def _delta_s7(p: complex) -> Bilin:
     """p conj(z) x conj(w) in the z-slot."""
-    return Bilin(3, _tabulate(3, 2, lambda X, Y: (p * _ccross(X[0], Y[0]), 0.0)))
+    Z, _, _ = _basis(3)
+    return Bilin(3, _to_coords(p * _ccross(Z[:, None], Z[None]), 0.0))
 
 
 def _delta_s5(eps: float, p: complex) -> Bilin:
-    """The theta terms with coefficient p."""
-
-    def f(X, Y):
-        (z, a), (w, b) = X, Y
-        dz = -eps * p * (b * theta(z) - a * theta(w))
-        return dz, -1j * np.imag(np.conj(p) * _dot(theta(z), w))
-
-    return Bilin(2, _tabulate(2, 2, f))
+    """The theta terms with coefficient p: (-eps p (b theta(z) - a theta(w)),
+    -i Im(conj(p) conj(theta(z))^t w))."""
+    Z, _, _ = _basis(2)
+    c = np.zeros((5, 5, 5))
+    _theta_terms(c, -eps * p, p, -1.0, Z)
+    return Bilin(2, c)
 
 
 @lru_cache(maxsize=None)
@@ -275,23 +281,24 @@ def skew_family(n: int, eps: float, params) -> Bilin:
 
 
 def closed_torsion(n: int, eps: float, params: FamilyParams) -> Bilin:
-    """Torsion of the metric family, componentwise closed form."""
+    """Torsion of the metric family, componentwise closed form:
+    (cz (b z - a w), (Re q - 1)(<w,z> - <z,w>)) with <z, w> = conj(z)^t w and
+    cz = -eps q - t - (n+1)/n.  On S^7 the z-slot gains 2p conj(z) x conj(w);
+    on S^5 it gains (-eps p - p2)(b theta(z) - a theta(w)) and the a-slot
+    -2i Im(conj(p) <theta(z), w>)."""
     params.check_n(n)
-    q, t = params.q, params.t
-    cz = -eps * q - t - (n + 1) / n
-
-    def f(X, Y):
-        (z, a), (w, b) = X, Y
-        dz = cz * (b * z - a * w)
-        da = (q.real - 1) * (_dot(w, z) - _dot(z, w))
-        if params.regime == "s7":
-            dz = dz + 2 * params.p * _ccross(z, w)
-        elif params.regime == "s5":
-            dz = dz + (-eps * params.p - params.p2) * (b * theta(z) - a * theta(w))
-            da = da - 2j * np.imag(np.conj(params.p) * _dot(theta(z), w))
-        return dz, da
-
-    return Bilin(n, _tabulate(n, 2, f))
+    q, t, p = params.q, params.t, params.p
+    Z, h, ZJ = _basis(n)
+    c = np.zeros((2 * n + 1,) * 3)
+    Tb = _times_z(1j * (-eps * q - t - (n + 1) / n), ZJ)  # cz b z with b = i
+    c[:, -1] = Tb
+    c[-1] -= Tb
+    c[..., -1] = -2 * (q.real - 1) * h.imag  # (Re q - 1)(<w,z> - <z,w>)
+    if params.regime == "s7":
+        c += _to_coords(2 * p * _ccross(Z[:, None], Z[None]), 0.0)
+    elif params.regime == "s5":
+        _theta_terms(c, -eps * p - params.p2, p, -2.0, Z)
+    return Bilin(n, c)
 
 
 def _require_skew(n: int, eps: float, params: FamilyParams) -> float:
@@ -307,37 +314,42 @@ def _require_skew(n: int, eps: float, params: FamilyParams) -> float:
 def closed_curvature(n: int, eps: float, params: FamilyParams) -> CurvTensor:
     """Curvature of the skew family, componentwise closed form.
 
-    Available for the general regime (n >= 4 and n = 1) and for S^7.
+    Available for the general regime (n >= 4 and n = 1) and for S^7.  With
+    (z, a), (w, b), (u, c) the arguments and <z, w> = conj(z)^t w:
+
+        R_z = (eps q^2 / 2)(z (<w,u> - <u,w>) + w (<u,z> - <z,u>))
+              + z <w,u> - w <z,u> + (-eps q + 2 eps + 1) u (<w,z> - <z,w>)
+              + eps^2 (q^2 - 2q) c (b z - a w),
+        R_a = -(eps/2)(q^2 - 2q)((<z,u> + <u,z>) b - (<w,u> + <u,w>) a),
+
+    and on S^7 also, with C(x, y) = conj(x) x conj(y),
+    (2 eps q - 4 eps - 4) p (a C(w,u) - b C(z,u)) + 2 eps q p c C(z,w)
+    + |p|^2 (conj(z) x (w x u) - conj(w) x (z x u)) in R_z and
+    2 i q Im(conj(p) det[z w u]) in R_a.
+
+    R is antisymmetric in (X, Y), so it is built as B - B^(ij) from the
+    terms B(X, Y, Z) of one sign.  By x x (y x v) = y (x.v) - v (x.y), the
+    double cross product contributes -|p|^2 z <w,u> + |p|^2 u <w,z> to B,
+    and det[z w u] = conj(C(z, w)).u.
     """
     params.check_n(n)
     q = _require_skew(n, eps, params)
     p = params.p
-
-    def f(X, Y, Z):
-        (z, a), (w, b), (u, c) = X, Y, Z
-        zu, uz = _dot(z, u), _dot(u, z)
-        wu, uw = _dot(w, u), _dot(u, w)
-        wz, zw = _dot(w, z), _dot(z, w)
-        dz = (
-            0.5 * eps * q * q * (z * (wu - uw) + w * (uz - zu))
-            + z * wu
-            - w * zu
-            + (-eps * q + 2 * eps + 1) * u * (wz - zw)
-            + eps * eps * (q * q - 2 * q) * c * (b * z - a * w)
-        )
-        da = -0.5 * eps * (q * q - 2 * q) * ((zu + uz) * b - (wu + uw) * a)
-        if params.regime == "s7":
-            dz = dz + (
-                (2 * eps * q - 4 * eps - 4) * p * (a * _ccross(w, u) - b * _ccross(z, u))
-                + 2 * eps * q * p * c * _ccross(z, w)
-                + (p * np.conj(p))
-                * (np.cross(np.conj(z), np.cross(w, u)) - np.cross(np.conj(w), np.cross(z, u)))
-            )
-            det = np.sum(z * np.cross(w, u), axis=-1, keepdims=True)  # det[z w u]
-            da = da + 2 * q * 1j * np.imag(np.conj(p) * det)
-        return dz, da
-
-    return CurvTensor(n, _tabulate(n, 3, f))
+    pp = (p * np.conj(p)).real if params.regime == "s7" else 0.0
+    Z, h, ZJ = _basis(n)
+    e2 = q * q - 2 * q
+    # z S(w, u) and u S(z, w): one matmul each
+    Sz = 1j * eps * q * q * h.imag + (1 - pp) * h
+    Su = (-eps * q + 2 * eps + 1 + pp) * h.conj()
+    B = _times_z(Sz, ZJ).transpose(2, 0, 1, 3) + _times_z(Su, ZJ)
+    B[:, -1, -1] -= eps * eps * e2 * ZJ[0]  # c b z with b c = -1
+    B[:, -1, :, -1] = -eps * e2 * h.real  # the a-slot, zero so far: b Re<z, u>, b = i
+    if params.regime == "s7":
+        C = _ccross(Z[:, None], Z[None])
+        B[:, -1] -= _to_coords(1j * (2 * eps * q - 4 * eps - 4) * p * C, 0.0)  # b C(z, u)
+        B[:, :, -1] += _to_coords(1j * eps * q * p * C, 0.0)  # c C(z, w)
+        B[..., -1] += q * np.imag(np.conj(p) * (np.conj(C) @ Z.T))  # det[z w u]
+    return CurvTensor(n, B - B.transpose(1, 0, 2, 3))
 
 
 def closed_ricci(n: int, eps: float, params: FamilyParams) -> Rank2Tensor:

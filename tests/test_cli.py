@@ -81,6 +81,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
 
+    def test_text_columns_aligned(self, capsys):
+        assert main(["verify", "--n", "2", "--eps=-3/2"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.lstrip().startswith(("PASS", "FAIL"))]
+        assert len(lines) >= 2
+        assert len({line.index(" residual ") for line in lines}) == 1
+
     def test_failure_names_check(self, capsys, monkeypatch):
         # negative control: corrupt one closed form and expect the verify
         # command to fail naming that check

@@ -189,10 +189,6 @@ class TestDirectionRenderings:
 
 
 class TestConnectionFamilies:
-    def test_tabulator_rejects_real_a_component(self):
-        with pytest.raises(ValueError):
-            families._tabulate(1, 2, lambda X, Y: (X[0] * Y[1], 0.5 + X[1] * Y[1]))
-
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (3, 0.7)])
     def test_general_family_contains_levi_civita(self, n, eps):
         alpha = alpha_general(n, -eps, -(eps + (n + 1) / n), -1.0, 0.0)
@@ -327,3 +323,32 @@ class TestClosedFormProperties:
         assert np.abs(R.coeffs - closed_curvature(n, eps, params).coeffs).max() <= TOL_NUM
         Ric = nomizu.ricci(R, Metric(n, eps))
         assert np.abs(Ric.coeffs - closed_ricci(n, eps, params).coeffs).max() <= TOL_NUM
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        eps=st.one_of(
+            st.floats(-3.0, -1.0),
+            st.just(-1.0),
+            st.floats(-1.0 - 1e-6, -1.0 + 1e-6),
+            st.floats(-1.0, -0.1),
+            st.floats(0.1, 3.0),
+        ),
+        q=st.complex_numbers(max_magnitude=2.0),
+        p=st.complex_numbers(max_magnitude=2.0),
+        t=st.floats(-3.0, 3.0),
+    )
+    def test_closed_torsion_off_skew_family(self, n, eps, q, p, t):
+        # the metric family with free (q, t) and the S^7 / S^5 directions
+        # of free complex p, most of it not skew-eligible
+        regime = {1: "s3", 2: "s5", 3: "s7"}.get(n, "general_n")
+        alpha = alpha_metric(n, eps, q, t)
+        if n == 3:
+            alpha = alpha + families._delta_s7(p)
+        elif n == 2:
+            alpha = alpha + families._delta_s5(eps, p)
+        else:
+            p = 0.0
+        params = FamilyParams(regime, q, t, p, eps * p)
+        T = nomizu.torsion(alpha)
+        assert np.abs(T.coeffs - closed_torsion(n, eps, params).coeffs).max() <= TOL_NUM
