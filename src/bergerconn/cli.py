@@ -175,7 +175,7 @@ def _verification_checks(cfg: RunConfig):
         R = nomizu.curvature(alpha)
         ric = nomizu.ricci(R, g)
         om = nomizu.torsion_form(alpha, g)
-        r_skew = max(r_skew, float(np.abs(spaces._skew_form_violation(om)).max()))
+        r_skew = max(r_skew, nomizu.skew_residual(om))
         r_tor = max(
             r_tor,
             float(

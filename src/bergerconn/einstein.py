@@ -16,22 +16,22 @@ Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
 coefficients, read off the generic calculus by polarization, have rank one,
 so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded rank
 decision).  Samples are read off q's normal form, and only those returned
-get the generic check; the n = 1 defect gets its exact minimum.  The same
-polarization helper (_polarize) gives the curvature as an exact quadratic
-map, through which the flatness grid is ranked.
+get the generic check.  The same polarization helper (_polarize) gives the
+curvature as an exact quadratic map; one singular-value floor of such rows
+(_floor) excludes flat connections and gives the n = 1 minimum defect.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import families, nomizu
 from .algebra import Metric
-from .config import TOL_GAP, TOL_SOL
+from .config import TOL_GAP, TOL_NUM, TOL_SOL
 from .spaces import RankGapError, _guarded_rank
 
 _log = logging.getLogger(__name__)
@@ -129,17 +129,10 @@ def einstein_defect_at(n: int, eps: float, params) -> float:
     return nomizu.einstein_defect(_family_member(n, eps, params), Metric(n, eps))
 
 
-def _monomials(X) -> np.ndarray:
-    """The monomials (1, x_i, x_i x_j for i <= j) of each row of X, shape
-    (N, 1 + k + k(k+1)/2); the pairs (i, j) run in np.triu_indices order."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    i, j = np.triu_indices(X.shape[1])
-    return np.hstack([np.ones((len(X), 1)), X, X[:, i] * X[:, j]])
-
-
 def _polarize(f, k: int) -> np.ndarray:
     """Coefficient rows M of a map f quadratic in x in R^k, so that
-    f(x) = _monomials(x) @ M exactly (up to rounding).
+    f(x) = m(x) @ M exactly (up to rounding), with m(x) the monomials
+    (1, x_i, x_i x_j for i <= j) and the pairs (i, j) in np.triu_indices order.
 
     The rows follow by polarization from f(0), f(+-e_i) and f(e_i + e_j):
     1 + 2k + k(k-1)/2 evaluations, as many as there are monomials (3 for
@@ -153,6 +146,24 @@ def _polarize(f, k: int) -> np.ndarray:
     quad = [square[i] if i == j else f(E[i] + E[j]) - plus[i] - plus[j] + c0
             for i, j in zip(*np.triu_indices(k))]
     return np.vstack([c0, (plus - minus) / 2.0, quad])
+
+
+def _floor(M: np.ndarray) -> tuple[int, float, float, float]:
+    """A lower bound on |m(x) @ M| over all x, for _polarize's rows M.
+
+    Returns (rank, sigma, gap, c): the guarded rank of M, its smallest kept
+    singular value sigma, the gap sigma / (largest discarded) and c, the
+    norm of the constant monomial e_0 projected on M's left null space N.
+    Since m(x) has constant entry 1, dist(m(x), N) >= 1 - c |m(x)|, so
+    |m(x) @ M| >= sigma (1 - c |m(x)|) for every x; where c is rounding,
+    sigma is the bound.  M = R^T Q^T from a thin QR of M^T shares its left
+    singular vectors with R^T, so only a p x p SVD runs and V never forms.
+    """
+    U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
+    rank = _guarded_rank(s)
+    sigma = float(s[rank - 1]) if rank else 0.0
+    gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) and s[rank] > 0 else np.inf
+    return rank, sigma, gap, float(np.linalg.norm(U[0, rank:]))
 
 
 def _residual_quadratic(n: int, eps: float):
@@ -395,7 +406,12 @@ def ricci_flat_locus(n: int) -> RicciFlatLocus:
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    """Existence (or exclusion margin) of flat skew-torsion connections."""
+    """Existence of flat skew-torsion connections, or their exclusion.
+
+    Off the flat circle, min_norm_on_grid holds sigma, a certified lower
+    bound of |R(x)| over every parameter x, not a grid minimum
+    (flat_connection_check); 0.0 on the circle.
+    """
 
     n: int
     eps: float
@@ -406,31 +422,22 @@ class FlatnessReport:
 
 
 def flat_connection_check(n: int, eps: float) -> FlatnessReport:
-    """Search for flat connections in the skew-torsion family.
+    """Flat connections in the skew-torsion family, or a floor excluding them.
 
     Only n = 3 with the round metric admits them: the circle s = 1,
-    s1^2 + s2^2 = 1, checked by 17 generic curvature evaluations.  Otherwise
-    the minimum curvature norm over a parameter grid (121 points on [-3, 3],
-    13 x 9 x 9 on [-3, 3]^3 at n = 3) is reported as an exclusion margin.
+    s1^2 + s2^2 = 1, checked by 17 generic curvature evaluations.
 
-    The curvature R(x) is exactly quadratic in the parameters, so it is
+    Elsewhere the curvature R(x), exactly quadratic in the parameters, is
     polarized once (3 generic evaluations at k = 1, 10 at k = 3) into rows M
-    with R(x) = m(x) @ M, m = _monomials.  The grid is ranked by the Gram
-    form |R(x)|^2 = m(x) (M M^T) m(x), and the generic curvature norm at its
-    argmin is the reported minimum.  With rho = |M|_2 |m(x)| / |R(x)| >= 1
-    and u = 2^-53, the model norm differs from the generic one by at most
-    about 4 u (rho + rho^2) relative: rho^2 from cancellation in the Gram
-    form, rho from the rounding of M and of the generic evaluation.  Away
-    from the flat circle the grid norms are large (|R(x)| >= 10 with
-    |M|_2 |m(x)| <= 2e3 at the table's eps, so rho <= 200 and the difference
-    stays below 2e-11), and near it the generic value at the argmin decides
-    the near-flat refusal.
+    with R(x) = m(x) @ M.  Where e_0 is orthogonal to M's left null space
+    (c <= TOL_NUM in _floor), |R(x)| >= sigma for every x, and sigma is the
+    reported min_norm_on_grid.  Otherwise flat points may exist and the
+    call raises RuntimeError (RankGapError where the rank has no clear gap).
 
-    One DEBUG record per call on the bergerconn.einstein logger carries n,
-    eps, the grid size, the generic curvature calls, the model's minimum and
-    its argmin, the generic norm there and their relative difference, also as
-    the record's `flatness` attribute (None for the model fields on the
-    circle, whose grid is its 17 points).
+    One DEBUG record per call on the bergerconn.einstein logger, also as the
+    record's `flatness` attribute, carries n, eps, the generic curvature
+    calls, and _floor's rank, sigma (as sigma_plus), gap, its margin
+    gap / TOL_GAP and c (these five None on the circle).
     """
     if n not in (3, 4, 5, 6):
         raise ValueError("supported for n in {3, 4, 5, 6}")
@@ -438,56 +445,42 @@ def flat_connection_check(n: int, eps: float) -> FlatnessReport:
     def curv(params):
         return nomizu.curvature(_family_member(n, eps, params)).coeffs.ravel()
 
-    def curv_norm(params):
-        return float(np.linalg.norm(curv(params)))
-
     if n == 3 and eps == -1.0:
         angles = np.linspace(0.0, 2 * np.pi, 17)
         circle = tuple((1.0, float(np.cos(t)), float(np.sin(t))) for t in angles)
-        worst = max(curv_norm(x) for x in circle)
-        _log_flatness(n, eps, len(circle), len(circle))
+        worst = max(float(np.linalg.norm(curv(x))) for x in circle)
+        _log_flatness(n, eps, len(circle))
         if worst > TOL_SOL:
             raise RuntimeError(f"flat circle fails: max |R| = {worst:.2e}")
         return FlatnessReport(n, eps, True, circle, worst, 0.0)
 
-    if n == 3:
-        axes = (np.linspace(-3, 3, 13), np.linspace(-3, 3, 9), np.linspace(-3, 3, 9))
-    else:
-        axes = (np.linspace(-3, 3, 121),)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    M = _polarize(curv, len(axes))
-    m = _monomials(grid)
-    model = np.sqrt(np.maximum(np.einsum("ip,pq,iq->i", m, M @ M.T, m), 0.0))
-    best = int(np.argmin(model))
-    argmin = tuple(float(v) for v in grid[best])
-    lowest = curv_norm(argmin)
-    _log_flatness(n, eps, len(grid), len(M) + 1, float(model[best]), argmin, lowest)
-    if lowest <= 1e-3:
-        raise RuntimeError(f"unexpected near-flat point: min |R| = {lowest:.2e}")
-    return FlatnessReport(n, eps, False, (), float("nan"), lowest)
+    M = _polarize(curv, param_count(n))
+    rank, sigma, gap, c = _floor(M)
+    _log_flatness(n, eps, len(M), rank, sigma, gap, c)
+    if c > TOL_NUM:
+        raise RuntimeError(f"flat points may exist: constant monomial {c:.2e} in the null space")
+    return FlatnessReport(n, eps, False, (), float("nan"), sigma)
 
 
-def _log_flatness(n: int, eps: float, grid: int, calls: int, model_min=None, argmin=None,
-                  generic_min=None) -> None:
-    rel_diff = None if not generic_min else abs(model_min - generic_min) / generic_min
+def _log_flatness(n: int, eps: float, calls: int, rank=None, sigma=None, gap=None,
+                  c=None) -> None:
     record = {
-        "n": n, "eps": eps, "grid": grid, "curvature_calls": calls, "model_min": model_min,
-        "argmin": argmin, "generic_min": generic_min, "rel_diff": rel_diff,
+        "n": n, "eps": eps, "curvature_calls": calls, "rank": rank, "sigma_plus": sigma,
+        "gap": gap, "margin": None if gap is None else gap / TOL_GAP, "c": c,
     }
     _log.debug("flat_connection_check n=%d eps=%r: %s", n, eps, record,
                extra={"flatness": record})
 
 
-def min_defect_n1(eps: float, lo: float = -10.0, hi: float = 10.0) -> float:
-    """Minimum Einstein defect over s in [lo, hi] for n = 1.
+def min_defect_n1(eps: float) -> float:
+    """Minimum Einstein defect over s in R for n = 1.
 
-    The residual is exactly c0 + s L + s^2 Q, so the squared defect is a
-    quartic in s.  Its minimum over [lo, hi] lies at an endpoint or at a
-    critical point; the generic defect is evaluated at that argmin.
+    The residual is exactly c0 + s L + s^2 Q, and _floor of those rows
+    bounds its norm from below over every s; the bound is attained, since
+    on S^3 the torsion is s vol, S = 2 s^2 g and the traceless Ricci does
+    not depend on s (L and Q are rounding).  0.0 where the bound is not
+    certified (c > TOL_NUM, as at eps = -1 where the residual vanishes).
     """
-    c0, (l,), ((q,),) = _residual_quadratic(1, eps)
-    quartic = [q @ q, 2 * l @ q, l @ l + 2 * c0 @ q, 2 * c0 @ l, c0 @ c0]
-    crit = np.roots(np.polyder(quartic)).real
-    cands = np.clip(np.append(crit, (lo, hi)), lo, hi)
-    best = cands[np.argmin(np.polyval(quartic, cands))]
-    return einstein_defect_at(1, eps, (best,))
+    c0, L, Q = _residual_quadratic(1, eps)
+    _, sigma, _, c = _floor(np.vstack([c0, L, Q[0]]))
+    return sigma if c <= TOL_NUM else 0.0

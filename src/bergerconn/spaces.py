@@ -485,7 +485,9 @@ def levi_civita_generic(n: int, eps: float) -> Bilin:
     """The unique torsion-free element of metric_connection_space(n, eps).
 
     Solved as a linear system over the metric basis; a metric connection is
-    determined by its torsion, so the solution is unique.
+    determined by its torsion, so the solution is unique.  RankGapError where
+    the torsion map loses rank on the metric space, RuntimeError where the
+    least-squares residual misses TOL_NUM.
     """
     Cm, _ = algebra.structure_tensors(n)
     met = metric_connection_space(n, eps)
@@ -497,5 +499,5 @@ def levi_civita_generic(n: int, eps: float) -> Bilin:
         raise RankGapError("torsion map degenerate on the metric space")
     resid = np.linalg.norm(M @ x - Cm.ravel())
     if resid > TOL_NUM:
-        raise RankGapError(f"no torsion-free metric connection found: {resid:.2e}")
+        raise RuntimeError(f"no torsion-free metric connection found: {resid:.2e}")
     return met.element(x)

@@ -278,6 +278,12 @@ class TestSolverFailureReported:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_levi_civita_residual_miss(self, capsys):
+        # at (3, 1e6) the torsion-free solve misses TOL_NUM: a residual
+        # failure, not a rank decision
+        assert main(["verify", "--n", "3", "--eps=1e6"]) == 1
+        assert capsys.readouterr().err.startswith("FAIL: ")
+
 
 class TestVerifyCurvatureReuse:
     CHECKS = ["levi_civita_closed_vs_generic", "levi_civita_torsion_free", "dimension_counts",

@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergerconn import einstein, families, nomizu
@@ -176,6 +176,14 @@ class TestResidualQuadratic:
             assert np.linalg.norm(derived - scale * expected) <= 1e-12 * np.linalg.norm(derived)
 
 
+def _monomials(X) -> np.ndarray:
+    """The monomials (1, x_i, x_i x_j for i <= j) of each row of X, shape
+    (N, 1 + k + k(k+1)/2), in the order of einstein._polarize's rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    i, j = np.triu_indices(X.shape[1])
+    return np.hstack([np.ones((len(X), 1)), X, X[:, i] * X[:, j]])
+
+
 def _curvature_map(n, eps):
     return lambda x: nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
 
@@ -195,13 +203,13 @@ class TestPolarize:
         M = einstein._polarize(_curvature_map(n, eps), k)
         assert M.shape == (1 + k + k * (k + 1) // 2, (2 * n + 1) ** 4)
         generic = nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
-        model = einstein._monomials(x) @ M
+        model = _monomials(x) @ M
         assert np.abs(model[0] - generic).max() <= TOL_NUM * np.abs(generic).max()
 
     def test_monomials(self):
         x = np.array([2.0, 3.0, 5.0])
-        assert einstein._monomials(x).tolist() == [[1, 2, 3, 5, 4, 6, 10, 9, 15, 25]]
-        assert einstein._monomials([[2.0], [-1.0]]).tolist() == [[1, 2, 4], [1, -1, 1]]
+        assert _monomials(x).tolist() == [[1, 2, 3, 5, 4, 6, 10, 9, 15, 25]]
+        assert _monomials([[2.0], [-1.0]]).tolist() == [[1, 2, 4], [1, -1, 1]]
 
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.5), (3, -2.0), (4, 0.3), (6, -1.0 - 1e-6)])
     def test_residual_quadratic_is_per_evaluation_polarization(self, n, eps):
@@ -693,66 +701,68 @@ class TestFlatness:
             flat_connection_check(2, -1.0)
 
 
-def _flat_grid(n):
-    if n == 3:
-        return [(float(s), float(s1), float(s2)) for s in np.linspace(-3, 3, 13)
-                for s1 in np.linspace(-3, 3, 9) for s2 in np.linspace(-3, 3, 9)]
-    return [(float(s),) for s in np.linspace(-3, 3, 121)]
-
-
 class TestFlatnessModel:
-    """The grid is ranked through the exact quadratic curvature model."""
+    """Off the circle the exclusion is _floor's certified bound on the
+    polarized curvature rows."""
 
-    def test_gram_norms_match_generic(self):
-        """The Gram-form norms |R(x)| = sqrt(m(x) (M M^T) m(x)) agree with
-        the generic ones to 1e-9 relative wherever |R(x)| >= 1e-3.  Error
-        bound: with rho = |M|_2 |m(x)| / |R(x)| >= 1 and u = 2^-53, the
-        difference is at most about 4 u (rho + rho^2) relative, rho^2 from
-        cancellation in the Gram form and rho from rounding in M and in the
-        generic evaluation; both bounds are asserted."""
-        u = np.finfo(float).eps / 2
-        for n, eps in [(3, -2.0), (4, -1.0), (6, 2.0)]:
-            curv = _curvature_map(n, eps)
-            grid = np.array(_flat_grid(n))
-            M = einstein._polarize(curv, grid.shape[1])
-            m = einstein._monomials(grid)
-            model = np.sqrt(np.einsum("ip,pq,iq->i", m, M @ M.T, m))
-            generic = np.array([np.linalg.norm(curv(x)) for x in grid])
-            rel = np.abs(model - generic) / generic
-            rho = np.linalg.norm(M, 2) * np.linalg.norm(m, axis=1) / generic
-            assert (rel[generic >= 1e-3] <= 1e-9).all()
-            assert (rel <= 4 * u * (rho + rho**2)).all()
+    @pytest.mark.parametrize("n,eps,sigma", [(4, -1.0, 7.040829811022619),
+                                             (5, -2.5, 34.43892947309365),
+                                             (3, -2.0, 6.980784425616756),
+                                             (3, 2.0, 9.480258460149662),
+                                             (3, -0.5, 1.2592969035409953)])
+    def test_floor_values(self, n, eps, sigma):
+        rep = flat_connection_check(n, eps)
+        assert abs(rep.min_norm_on_grid - sigma) <= 1e-9 * sigma
 
-    @pytest.mark.parametrize("n,eps", [(3, -2.0), (3, 2.0), (4, -1.0), (5, -2.5), (6, 2.0)])
-    def test_min_norm_is_brute_force_generic_minimum(self, n, eps):
-        curv = _curvature_map(n, eps)
-        brute = min(float(np.linalg.norm(curv(x))) for x in _flat_grid(n))
-        assert flat_connection_check(n, eps).min_norm_on_grid == brute
+    def test_near_circle_refused_or_below_generic(self):
+        # the old 13 x 9 x 9 grid reported 1.73 and 1.72 here, missing
+        # (1, cos t, sin t), where |R| is 3.7e-9 and 3.7e-2
+        with pytest.raises(RuntimeError):
+            flat_connection_check(3, -1.0 - 1e-10)
+        near = np.linalg.norm(_curvature_map(3, -1.001)((1.0, 1.0, 0.0)))
+        assert flat_connection_check(3, -1.001).min_norm_on_grid <= near
 
-    @pytest.mark.parametrize("n,eps,bound", [(4, -1.0, 4), (6, 2.0, 4), (3, -2.0, 11)])
-    def test_curvature_calls(self, n, eps, bound, monkeypatch):
-        # the polarization (3 or 10 generic calls) and one at the argmin
-        flat_connection_check(n, eps)
-        calls = []
+    def test_constant_free_curvature_refused(self, monkeypatch):
+        # R(x) - R(0) vanishes at x = 0: the constant monomial lies in the
+        # null space and no floor is certified
         curvature = nomizu.curvature
-        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
-        flat_connection_check(n, eps)
-        assert len(calls) <= bound
-
-    def test_near_flat_refused(self, monkeypatch):
-        # a model and generic norm both tiny: refused, not reported
-        curvature = nomizu.curvature
+        zero = curvature(_family_member(4, -1.0, (0.0,))).coeffs
         monkeypatch.setattr(nomizu, "curvature",
-                            lambda a: nomizu.CurvTensor(a.n, 1e-6 * curvature(a).coeffs))
-        with pytest.raises(RuntimeError, match="near-flat"):
+                            lambda a: nomizu.CurvTensor(a.n, curvature(a).coeffs - zero))
+        with pytest.raises(RuntimeError, match="flat points may exist"):
             flat_connection_check(4, -1.0)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(3, 6), eps=REGIMES,
+           x=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    def test_floor_bounds_generic_curvature(self, n, eps, x):
+        # far outside the old [-3, 3] grid, and with the certificate's own
+        # 1 - c |m(x)| factor and a rounding allowance on M
+        assume(n != 3 or abs(eps + 1.0) >= 1e-3)
+        k = param_count(n)
+        x = np.array(x[:k])
+        curv = _curvature_map(n, eps)
+        M = einstein._polarize(curv, k)
+        _, sigma, _, c = einstein._floor(M)
+        m = np.linalg.norm(_monomials(x))
+        floor = sigma * (1.0 - c * m) - 1e-12 * np.linalg.norm(M, 2) * m
+        assert np.linalg.norm(curv(x)) >= floor
+
+    @pytest.mark.parametrize("n,eps,calls", [(4, -1.0, 3), (6, 2.0, 3), (3, -2.0, 10)])
+    def test_curvature_calls(self, n, eps, calls, monkeypatch):
+        # the polarization alone: 3 generic calls at one parameter, 10 at three
+        flat_connection_check(n, eps)
+        counted = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(a) or curvature(a))
+        flat_connection_check(n, eps)
+        assert len(counted) == calls
 
 
 class TestFlatnessRecord:
     """One DEBUG record per flat_connection_check, fields on record.flatness."""
 
-    FIELDS = {"n", "eps", "grid", "curvature_calls", "model_min", "argmin", "generic_min",
-              "rel_diff"}
+    FIELDS = {"n", "eps", "curvature_calls", "rank", "sigma_plus", "gap", "margin", "c"}
 
     def _record(self, caplog, n, eps):
         with caplog.at_level(logging.DEBUG, logger="bergerconn.einstein"):
@@ -763,26 +773,25 @@ class TestFlatnessRecord:
         assert set(records[0].flatness) == self.FIELDS
         return rep, records[0].flatness
 
-    @pytest.mark.parametrize("n,eps,grid,calls", [(4, -1.0, 121, 4), (3, -2.0, 13 * 9 * 9, 11)])
-    def test_fields(self, n, eps, grid, calls, caplog, monkeypatch):
+    @pytest.mark.parametrize("n,eps,calls", [(4, -1.0, 3), (3, -2.0, 10)])
+    def test_fields(self, n, eps, calls, caplog, monkeypatch):
         counted = []
         curvature = nomizu.curvature
         monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(a) or curvature(a))
         rep, rec = self._record(caplog, n, eps)
-        assert (rec["n"], rec["eps"], rec["grid"]) == (n, eps, grid)
+        assert (rec["n"], rec["eps"]) == (n, eps)
         assert rec["curvature_calls"] == len(counted) == calls
-        assert rec["generic_min"] == rep.min_norm_on_grid
-        assert len(rec["argmin"]) == param_count(n)
-        assert rec["generic_min"] == float(
-            np.linalg.norm(curvature(_family_member(n, eps, rec["argmin"])).coeffs))
-        assert rec["rel_diff"] == abs(rec["model_min"] - rec["generic_min"]) / rec["generic_min"]
-        assert rec["rel_diff"] <= 1e-9
+        assert rec["sigma_plus"] == rep.min_norm_on_grid
+        M = einstein._polarize(_curvature_map(n, eps), param_count(n))
+        assert (rec["rank"], rec["sigma_plus"], rec["gap"], rec["c"]) == einstein._floor(M)
+        assert rec["margin"] == rec["gap"] / TOL_GAP
+        assert rec["margin"] >= 1.0 and rec["c"] <= TOL_NUM
 
     def test_circle(self, caplog):
         rep, rec = self._record(caplog, 3, -1.0)
         assert rep.flat_exists
-        assert (rec["n"], rec["eps"], rec["grid"], rec["curvature_calls"]) == (3, -1.0, 17, 17)
-        assert rec["model_min"] is rec["argmin"] is rec["generic_min"] is rec["rel_diff"] is None
+        assert (rec["n"], rec["eps"], rec["curvature_calls"]) == (3, -1.0, 17)
+        assert all(rec[f] is None for f in ("rank", "sigma_plus", "gap", "margin", "c"))
 
     def test_silent_by_default(self, caplog):
         with caplog.at_level(logging.INFO, logger="bergerconn.einstein"):
@@ -795,11 +804,26 @@ class TestMinDefectN1:
     def test_no_solution_off_round(self, eps):
         assert min_defect_n1(eps) > 1e-3
 
+    @pytest.mark.parametrize("eps,value", [(-2.0, 5.65685424949222),
+                                           (-0.5, 1.1547005383792515),
+                                           (1.0, 6.531972647421808)])
+    def test_values(self, eps, value):
+        assert abs(min_defect_n1(eps) - value) <= 1e-12 * value
+
     def test_round_attains_zero(self):
         assert min_defect_n1(-1.0) < 1e-10
 
     @pytest.mark.parametrize("eps", [-3.0, -2.0, -0.5, 0.3, 1.0])
     @pytest.mark.parametrize("lo,hi", [(-10.0, 10.0), (1.0, 4.0)])
     def test_not_above_dense_grid(self, eps, lo, hi):
+        # the minimum over every s is not above the grid's over [lo, hi]
         grid = min(einstein_defect_at(1, eps, (s,)) for s in np.linspace(lo, hi, 2001))
-        assert min_defect_n1(eps, lo, hi) <= grid * (1 + 1e-12)
+        assert min_defect_n1(eps) <= grid * (1 + 1e-12)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(eps=REGIMES, s=st.floats(-10.0, 10.0))
+    def test_defect_is_constant_in_s(self, eps, s):
+        # on S^3 the traceless Ricci does not depend on s: every s attains
+        # the minimum
+        defect = einstein_defect_at(1, eps, (s,))
+        assert abs(defect - min_defect_n1(eps)) <= 1e-12 * max(defect, 1.0)

@@ -334,7 +334,8 @@ class TestSkewFamilyProperties:
 
 
 class TestIsSkew:
-    """is_skew reads both antisymmetries through the helper the skew space uses."""
+    """skew_residual reads both antisymmetries through the helper the skew
+    space uses; is_skew compares it with TOL_NUM."""
 
     @staticmethod
     def totally_skew(rng, d):
@@ -359,14 +360,16 @@ class TestIsSkew:
         assert nomizu.is_skew(omega + 0.1 * TOL_NUM * sym_part)
 
     def test_matches_both_transposes(self, rng):
-        # the same decision as the two explicit transposes, over random
-        # arrays near the tolerance
+        # the same residual and decision as the two explicit transposes,
+        # over random arrays near the tolerance
         decisions = []
         for _ in range(50):
             noise = rng.uniform(0, 2 * TOL_NUM) * rng.standard_normal((4, 4, 4))
             omega = self.totally_skew(rng, 4) + noise
-            explicit = (np.abs(omega + omega.transpose(1, 0, 2)).max() <= TOL_NUM
-                        and np.abs(omega + omega.transpose(0, 2, 1)).max() <= TOL_NUM)
+            residual = max(np.abs(omega + omega.transpose(1, 0, 2)).max(),
+                           np.abs(omega + omega.transpose(0, 2, 1)).max())
+            explicit = residual <= TOL_NUM
+            assert nomizu.skew_residual(omega) == residual
             assert nomizu.is_skew(omega) == explicit
             decisions.append(explicit)
         assert any(decisions) and not all(decisions)
