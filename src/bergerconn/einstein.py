@@ -15,16 +15,20 @@ flatness loci.  Since the family is affine in its parameters, the generic
 Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
 coefficients, read off the generic calculus by polarization, have rank one,
 so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded rank
-decision).  Samples are read off q's normal form, and only those returned
-get the generic check.  The same polarization helper (_polarize) gives the
-curvature as an exact quadratic map; one singular-value floor of such rows
-(_floor) excludes flat connections and gives the n = 1 minimum defect.
+decision).  The polarization (_polarize) evaluates its 1 + 2k + k(k-1)/2
+points as one stack: the residual is one call of nomizu.einstein_residual
+on the stacked family members, a Ricci trace that never forms the full
+curvature.  Samples are read off q's normal form, and only those returned
+get the generic check.  The same helper gives the curvature as an exact
+quadratic map; one singular-value floor of such rows (_floor) excludes flat
+connections and gives the n = 1 minimum defect.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,16 +139,18 @@ def _polarize(f, k: int) -> np.ndarray:
     (1, x_i, x_i x_j for i <= j) and the pairs (i, j) in np.triu_indices order.
 
     The rows follow by polarization from f(0), f(+-e_i) and f(e_i + e_j):
-    1 + 2k + k(k-1)/2 evaluations, as many as there are monomials (3 for
-    k = 1, 10 for k = 3).
+    1 + 2k + k(k-1)/2 points, as many as there are monomials (3 for k = 1,
+    10 for k = 3).  f maps the points as one (p, k) array to their values,
+    one row each, in a single call.
     """
     E = np.eye(k)
-    c0 = f(np.zeros(k))
-    plus = np.array([f(e) for e in E])
-    minus = np.array([f(-e) for e in E])
-    square = (plus + minus) / 2.0 - c0
-    quad = [square[i] if i == j else f(E[i] + E[j]) - plus[i] - plus[j] + c0
-            for i, j in zip(*np.triu_indices(k))]
+    i, j = np.triu_indices(k)
+    pair = i != j
+    F = f(np.vstack([np.zeros(k), E, -E, E[i[pair]] + E[j[pair]]]))
+    c0, plus, minus = F[0], F[1:k + 1], F[k + 1:2 * k + 1]
+    quad = np.empty((len(i), F.shape[1]))
+    quad[~pair] = (plus + minus) / 2.0 - c0
+    quad[pair] = F[2 * k + 1:] - plus[i[pair]] - plus[j[pair]] + c0
     return np.vstack([c0, (plus - minus) / 2.0, quad])
 
 
@@ -173,14 +179,21 @@ def _residual_quadratic(n: int, eps: float):
     quadratic in the connection, so r(x) = c0 + x @ L + Q(x, x) exactly, with
     Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j): the
     rows of _polarize, each x_i x_j coefficient (i < j) split in half over
-    Q[i, j] and Q[j, i].  At most 10 evaluations of nomizu.einstein_residual
-    for k <= 3.
+    Q[i, j] and Q[j, i].  One call of nomizu.einstein_residual on the stack
+    of the polarization's family members, offset + X @ basis (10 at k = 3).
     """
     g = Metric(n, eps)
     k = param_count(n)
+    space = families.skew_direction_basis(n, eps)
+    offset, basis = space.offset.coeffs, space.matrix()
+
+    def residuals(X):
+        members = (offset.ravel() + X @ basis).reshape(len(X), *offset.shape)
+        return nomizu.einstein_residual(members, g).reshape(len(X), -1)
+
     # a subnormal eps overflows the residual; generic_quadric refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _polarize(lambda x: nomizu.einstein_residual(_family_member(n, eps, x), g).ravel(), k)
+        M = _polarize(residuals, k)
     i, j = np.triu_indices(k)
     Q = np.empty((k, k, M.shape[1]))
     Q[i, j] = Q[j, i] = M[k + 1:] / np.where(i == j, 1.0, 2.0)[:, None]
@@ -255,8 +268,10 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
 
     One DEBUG record per call on the bergerconn.einstein logger, also as its
     `solve` attribute, carries the rank-one gap and its margin to TOL_GAP,
-    lam, x0, c' (0 where taken as 0), the candidates examined (draws) and
-    the generic checks (None where n = 1 has no quadric).
+    lam, x0, c' (0 where taken as 0), the candidates examined (draws), the
+    generic checks, the maps in the polarization stack (model_maps) and the
+    wall time of generic_quadric (model_s) (all but the checks None where
+    n = 1 has no quadric).
     """
     kind = classify(n, eps)
     if n == 1:
@@ -268,7 +283,10 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         _log_solve(n, eps, checks=len(out))
         return out
 
+    t0 = time.perf_counter()
     q = generic_quadric(n, eps)
+    model_s = time.perf_counter() - t0
+    k = len(q.l)
     lam, P = np.linalg.eigh(q.A)
     centre = -0.5 * P @ (P.T @ q.l / lam)
     const = float(q.c + 0.5 * q.l @ centre)
@@ -306,16 +324,18 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         elif isolated:
             raise RuntimeError(f"{kind.value} predicted, but {x} fails")
     _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(lam.tolist()),
-               tuple(centre.tolist()), const, draws)
+               tuple(centre.tolist()), const, draws, 1 + 2 * k + k * (k - 1) // 2, model_s)
     if not keep and count > 0 and kind is not VarietyClass.EMPTY:
         raise RuntimeError(f"classification predicts {kind.value} but no numeric solution found")
     return sorted(keep)
 
 
 def _log_solve(n: int, eps: float, checks: int, gap=None, margin=None, eigenvalues=None,
-               centre=None, centred_constant=None, draws=None) -> None:
+               centre=None, centred_constant=None, draws=None, model_maps=None,
+               model_s=None) -> None:
     record = dict(n=n, eps=eps, gap=gap, tol_gap=TOL_GAP, margin=margin, eigenvalues=eigenvalues,
-                  centre=centre, centred_constant=centred_constant, draws=draws, checks=checks)
+                  centre=centre, centred_constant=centred_constant, draws=draws, checks=checks,
+                  model_maps=model_maps, model_s=model_s)
     _log.debug("solve_numeric n=%d eps=%r: %s", n, eps, record, extra={"solve": record})
 
 
@@ -369,7 +389,8 @@ class RicciFlatLocus:
 def ricci_flat_locus(n: int) -> RicciFlatLocus:
     """The Ricci-flat Einstein-with-skew-torsion connections for each n.
 
-    Emitted samples have vanishing full Ricci tensor.  For n = 2 the locus
+    Emitted samples have vanishing full Ricci tensor, checked for all of an
+    n's samples by one stacked Ricci trace.  For n = 2 the locus
     is the unit sphere in (s, s3, s4) at eps = -3/2; only the poles
     (s, s3, s4) = (+-1, 0, 0) have fully zero Ricci (elsewhere an
     antisymmetric Ricci part of size 6*sqrt(s3^2+s4^2) remains while the
@@ -393,14 +414,11 @@ def ricci_flat_locus(n: int) -> RicciFlatLocus:
         desc = f"eps = -(n+1)/2 = {eps}, s = +-1"
         samples = [(eps, (1.0,)), (eps, (-1.0,))]
 
-    norms = []
-    for eps, params in samples:
-        alpha = _family_member(n, eps, params)
-        Ric = nomizu.ricci(nomizu.curvature(alpha), Metric(n, eps))
-        norm = float(np.linalg.norm(Ric.coeffs))
+    members = np.array([_family_member(n, eps, params).coeffs for eps, params in samples])
+    norms = np.linalg.norm(nomizu._ricci_trace(members), axis=(1, 2)).tolist()
+    for sample, norm in zip(samples, norms):
         if norm > TOL_SOL:
-            raise RuntimeError(f"sample {(eps, params)} is not Ricci-flat: {norm:.2e}")
-        norms.append(norm)
+            raise RuntimeError(f"sample {sample} is not Ricci-flat: {norm:.2e}")
     return RicciFlatLocus(n, desc, tuple(samples), tuple(norms))
 
 
@@ -425,7 +443,8 @@ def flat_connection_check(n: int, eps: float) -> FlatnessReport:
     """Flat connections in the skew-torsion family, or a floor excluding them.
 
     Only n = 3 with the round metric admits them: the circle s = 1,
-    s1^2 + s2^2 = 1, checked by 17 generic curvature evaluations.
+    s1^2 + s2^2 = 1, checked by 17 generic curvature evaluations.  The
+    curvature map loops nomizu.curvature over the rows of its points.
 
     Elsewhere the curvature R(x), exactly quadratic in the parameters, is
     polarized once (3 generic evaluations at k = 1, 10 at k = 3) into rows M
@@ -442,13 +461,13 @@ def flat_connection_check(n: int, eps: float) -> FlatnessReport:
     if n not in (3, 4, 5, 6):
         raise ValueError("supported for n in {3, 4, 5, 6}")
 
-    def curv(params):
-        return nomizu.curvature(_family_member(n, eps, params)).coeffs.ravel()
+    def curv(X):
+        return np.array([nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel() for x in X])
 
     if n == 3 and eps == -1.0:
         angles = np.linspace(0.0, 2 * np.pi, 17)
         circle = tuple((1.0, float(np.cos(t)), float(np.sin(t))) for t in angles)
-        worst = max(float(np.linalg.norm(curv(x))) for x in circle)
+        worst = float(np.linalg.norm(curv(circle), axis=1).max())
         _log_flatness(n, eps, len(circle))
         if worst > TOL_SOL:
             raise RuntimeError(f"flat circle fails: max |R| = {worst:.2e}")

@@ -7,11 +7,13 @@ the base point are
     R(X, Y, Z) = alpha(X, alpha(Y, Z)) - alpha(Y, alpha(X, Z))
                  - alpha([X, Y]_m, Z) - [[X, Y]_h, Z].
 
-Ricci is the contraction Ric(X, Y) = sum_j sign_j g(R(f_j, X, Y), f_j) over
-an orthonormal basis (f_j, sign_j); this convention is calibrated so that
-the round Levi-Civita connection (eps = -1) has Ric = 2n g.  Everything is
-computed over the standard basis of m and serves as the independent oracle
-for the closed-form families.
+Ricci is the contraction of the (1,3) curvature, the trace
+Ric(X, Y) = sum_j R[j, X, Y, j] over the standard basis, and needs no
+metric; this convention is calibrated so that the round Levi-Civita
+connection (eps = -1) has Ric = 2n g.  The Einstein residual forms only that
+slice of R, for one map or a stack of maps, in O(d^3) memory per map.
+Everything is computed over the standard basis of m and serves as the
+independent oracle for the closed-form families.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ def curvature(alpha: Bilin) -> CurvTensor:
 
     Both alpha-alpha terms are entries of one product, Q[(j,k),(i,l)] =
     sum_m a[j,k,m] a[i,m,l], read with two different axis orders.
+    _ricci_trace forms the slice i = l of the same four terms.
     """
     Cm, Hterm = algebra.structure_tensors(alpha.n)
     a = alpha.coeffs
@@ -86,14 +89,39 @@ def curvature(alpha: Bilin) -> CurvTensor:
 
 
 def ricci(R: CurvTensor, g: Metric) -> Rank2Tensor:
-    """Ric(X, Y) = sum_j sign_j g(R(f_j, X, Y), f_j) over the orthonormal basis."""
+    """Ric(X, Y) = sum_j R[j, X, Y, j]: over a g-orthonormal basis the weights
+    sign_j scale_j^2 g_jj of the contraction are all 1, so g only sets n."""
     if R.n != g.n:
         raise ValueError("dimension mismatch")
-    scale, signs = g.orthonormal_scales()
-    G = g.gram()
-    # R(f_j, e_x, e_y) has coefficients scale_j * R[j, x, y, :]
-    Ric = np.einsum("j,jxyl,lj->xy", signs * scale * scale, R.coeffs, G)
-    return Rank2Tensor(R.n, Ric)
+    return Rank2Tensor(R.n, np.einsum("jxyj->xy", R.coeffs))
+
+
+def _ricci_trace(a: np.ndarray) -> np.ndarray:
+    """Ric[..., x, y] = sum_j R[j, x, y, j] of one map's coefficients a,
+    shape (d, d, d), or of a stack (..., d, d, d), without forming R.
+
+    The slice i = l = j of curvature's four terms, term by term,
+
+        R[j,x,y,j] = a[x,y,m] a[j,m,j] - a[j,y,m] a[x,m,j]
+                     - Cm[j,x,m] a[m,y,j] - Hterm[j,x,y,j],
+
+    is three batched matrix products, O(d^4) flops and O(d^3) memory per
+    map; it is summed over j only after the products, and every row of a
+    stack gets the bytes of a lone call.
+    """
+    d = a.shape[-1]
+    if a.shape[-3:] != (d, d, d) or d % 2 == 0:
+        raise ValueError(f"coefficients must end in shape (d, d, d), d odd, got {a.shape}")
+    Cm, Hterm = algebra.structure_tensors((d - 1) // 2)
+    diag = a.diagonal(axis1=-3, axis2=-1).swapaxes(-1, -2)  # diag[j, m] = a[j, m, j]
+    aT = a.swapaxes(-1, -3).swapaxes(-1, -2)  # aT[j, x, y] = a[x, y, j]
+    S = (
+        (diag @ a.reshape(*a.shape[:-3], d * d, d).swapaxes(-1, -2)).reshape(a.shape)
+        - aT @ a.swapaxes(-1, -2)
+        - Cm @ aT
+        - Hterm.diagonal(axis1=0, axis2=3).transpose(2, 0, 1)
+    )
+    return S.sum(axis=-3)
 
 
 def scalar(Ric: Rank2Tensor, g: Metric) -> float:
@@ -142,11 +170,20 @@ def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:
     return Rank2Tensor(alpha.n, S)
 
 
-def einstein_residual(alpha: Bilin, g: Metric) -> np.ndarray:
-    """Sym(Ric) - (s / dim) g for the connection alpha; zero iff alpha is Einstein."""
-    Ric = ricci(curvature(alpha), g)
-    s = scalar(Ric, g)
-    return 0.5 * (Ric.coeffs + Ric.coeffs.T) - (s / g.dim) * g.gram()
+def einstein_residual(alpha: Bilin | np.ndarray, g: Metric) -> np.ndarray:
+    """Sym(Ric) - (s / dim) g for the connection alpha; zero iff alpha is Einstein.
+
+    alpha is one map or a stack of coefficient arrays (..., d, d, d), and
+    the residual has shape (..., d, d).  Ric is _ricci_trace's and s is
+    scalar's sum, in its order, per map.
+    """
+    a = alpha.coeffs if isinstance(alpha, Bilin) else np.asarray(alpha, dtype=float)
+    if a.shape[-1] != g.dim:
+        raise ValueError("dimension mismatch")
+    Ric = _ricci_trace(a)
+    scale, signs = g.orthonormal_scales()
+    s = np.einsum("j,j,...jj->...", signs, scale * scale, Ric)
+    return 0.5 * (Ric + Ric.swapaxes(-1, -2)) - (s / g.dim)[..., None, None] * g.gram()
 
 
 def einstein_defect(alpha: Bilin, g: Metric) -> float:

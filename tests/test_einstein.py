@@ -185,7 +185,24 @@ def _monomials(X) -> np.ndarray:
 
 
 def _curvature_map(n, eps):
-    return lambda x: nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
+    """The flattened generic curvature at each row of a (p, k) stack of points."""
+    return lambda X: np.array([nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
+                               for x in np.atleast_2d(X)])
+
+
+def _count_residual_maps(monkeypatch) -> list:
+    """Patch nomizu.einstein_residual to record how many maps each call
+    evaluates: one for a Bilin, the leading size of a stack."""
+    counts = []
+    residual = nomizu.einstein_residual
+
+    def counted(alpha, g):
+        a = getattr(alpha, "coeffs", alpha)
+        counts.append(int(np.prod(np.shape(a)[:-3])))
+        return residual(alpha, g)
+
+    monkeypatch.setattr(nomizu, "einstein_residual", counted)
+    return counts
 
 
 class TestPolarize:
@@ -202,7 +219,7 @@ class TestPolarize:
         x = np.array(x[:k])
         M = einstein._polarize(_curvature_map(n, eps), k)
         assert M.shape == (1 + k + k * (k + 1) // 2, (2 * n + 1) ** 4)
-        generic = nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
+        generic = _curvature_map(n, eps)(x)[0]
         model = _monomials(x) @ M
         assert np.abs(model[0] - generic).max() <= TOL_NUM * np.abs(generic).max()
 
@@ -213,7 +230,8 @@ class TestPolarize:
 
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.5), (3, -2.0), (4, 0.3), (6, -1.0 - 1e-6)])
     def test_residual_quadratic_is_per_evaluation_polarization(self, n, eps):
-        # byte for byte the polarization written out one evaluation at a time
+        # byte for byte the polarization written out one lone evaluation at
+        # a time: each row of the stacked residual call is a lone call's bytes
         g = Metric(n, eps)
 
         def r(x):
@@ -288,7 +306,7 @@ class TestSolveRecord:
     """One DEBUG record per solve_numeric call, with the fields on record.solve."""
 
     FIELDS = {"n", "eps", "gap", "tol_gap", "margin", "eigenvalues", "centre",
-              "centred_constant", "draws", "checks"}
+              "centred_constant", "draws", "checks", "model_maps", "model_s"}
 
     def _records(self, caplog, *args, **kwargs):
         with caplog.at_level(logging.DEBUG, logger="bergerconn.einstein"):
@@ -311,6 +329,16 @@ class TestSolveRecord:
         assert np.abs(2.0 * q.A @ centre + q.l).max() <= 1e-12 * np.abs(q.A).max()
         assert abs(rec["centred_constant"] - q(centre[None])[0]) <= 1e-12 * abs(q.c)
         assert rec["draws"] >= rec["checks"] == len(sols) == 4
+
+    @pytest.mark.parametrize("n,eps,maps", [(3, -2.0, 10), (2, -1.5, 10), (4, 1.0, 3)])
+    def test_model_fields(self, n, eps, maps, caplog, monkeypatch):
+        # model_maps is the polarization stack, evaluated by one residual
+        # call; model_s is the wall time of generic_quadric
+        counts = _count_residual_maps(monkeypatch)
+        sols, rec = self._records(caplog, n, eps, count=4)
+        assert rec["model_maps"] == counts[0] == maps
+        assert counts[1:] == [1] * len(sols)
+        assert isinstance(rec["model_s"], float) and 0.0 < rec["model_s"] < 10.0
 
     def test_one_point_cell(self, caplog):
         # the centre is the one candidate and the one sample, checked once
@@ -335,6 +363,7 @@ class TestSolveRecord:
         sols, rec = self._records(caplog, 1, -1.0, count=5)
         assert len(sols) == 5 and rec["checks"] == 5
         assert rec["gap"] is rec["eigenvalues"] is rec["centre"] is rec["draws"] is None
+        assert rec["model_maps"] is rec["model_s"] is None
 
     def test_silent_by_default(self, caplog):
         with caplog.at_level(logging.INFO, logger="bergerconn.einstein"):
@@ -380,13 +409,12 @@ class TestSolveNumeric:
 
     @pytest.mark.parametrize("n,eps", [(2, -1.0), (3, -2.0)])
     def test_generic_evaluations_bounded(self, n, eps, monkeypatch):
-        # the quadratic model takes at most 10 curvature evaluations, and
-        # each returned sample one more for its check
-        calls = []
-        curvature = nomizu.curvature
-        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
+        # the quadratic model evaluates at most 10 maps, in one residual
+        # call, and each returned sample one more for its check
+        counts = _count_residual_maps(monkeypatch)
         sols = solve_numeric(n, eps)
-        assert 0 < len(calls) <= 10 + len(sols)
+        assert len(counts) == 1 + len(sols)
+        assert 0 < sum(counts) <= 10 + len(sols)
 
     def test_one_generic_check_per_cluster(self, monkeypatch):
         # a 1-pt. cell: its one sample, the centre, passes the generic check
@@ -553,15 +581,15 @@ class TestLazyGenericCheck:
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5)])
     @pytest.mark.parametrize("count", [4, 8])
     def test_checks_only_returned_samples(self, n, eps, count, monkeypatch):
-        checks, calls = [], []
-        defect, curvature = einstein.einstein_defect_at, nomizu.curvature
+        checks = []
+        defect = einstein.einstein_defect_at
         monkeypatch.setattr(einstein, "einstein_defect_at",
                             lambda *a: checks.append(a) or defect(*a))
-        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
+        counts = _count_residual_maps(monkeypatch)
         sols = solve_numeric(n, eps, count=count)
         assert len(sols) == count
         assert len(checks) == count
-        assert 0 < len(calls) <= 10 + count
+        assert 0 < sum(counts) <= 10 + count
 
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5), (3, -0.5)])
     def test_failed_check_gives_way(self, n, eps, monkeypatch):

@@ -295,6 +295,87 @@ class TestContractionsAgainstEinsum:
             assert np.abs(s_tensor(alpha, g).coeffs - expected).max() <= TOL_NUM
 
 
+# |eps| in [1e-3, 1e3], either sign
+EPS = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-3.0, 3.0), st.sampled_from((-1.0, 1.0)))
+
+
+def _weighted_ricci(R, g):
+    """Ric(X, Y) = sum_j sign_j g(R(f_j, X, Y), f_j) over the g-orthonormal
+    basis f_j = scale_j e_j, written out with its metric weights."""
+    scale, signs = g.orthonormal_scales()
+    return np.einsum("j,jxyl,lj->xy", signs * scale * scale, R.coeffs, g.gram())
+
+
+def _composed_residual(alpha, g):
+    Ric = ricci(curvature(alpha), g)
+    return sym(Ric).coeffs - scalar(Ric, g) / g.dim * g.gram()
+
+
+class TestRicciTrace:
+    """The Ricci trace of the curvature slice R[j, x, y, j], formed without R."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 8), eps=EPS, seed=st.integers(0, 2**32 - 1))
+    def test_dense_maps_match_full_curvature(self, n, eps, seed):
+        d = 2 * n + 1
+        alpha = Bilin(n, np.random.default_rng(seed).uniform(-2, 2, size=(d, d, d)))
+        g = Metric(n, eps)
+        R = curvature(alpha)
+        # BLAS blocking may round the two contractions apart by an ulp
+        bound = 1e-14 * R.max_abs()
+        trace = nomizu._ricci_trace(alpha.coeffs)
+        assert np.abs(trace - ricci(R, g).coeffs).max() <= bound
+        # the metric weights of the contraction are all 1
+        assert np.abs(trace - _weighted_ricci(R, g)).max() <= bound
+        expected = _composed_residual(alpha, g)
+        got = nomizu.einstein_residual(alpha, g)
+        assert np.abs(got - expected).max() <= 1e-14 * max(R.max_abs(), np.abs(expected).max())
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 8), eps=EPS,
+           x=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_skew_members_byte_identical(self, n, eps, x):
+        alpha = families.skew_family(n, eps, x)
+        g = Metric(n, eps)
+        assert nomizu._ricci_trace(alpha.coeffs).tobytes() == \
+            ricci(curvature(alpha), g).coeffs.tobytes()
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 8), eps=EPS, p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_stack_rows_are_lone_calls(self, n, eps, p, seed):
+        d = 2 * n + 1
+        stack = np.random.default_rng(seed).uniform(-2, 2, size=(p, d, d, d))
+        g = Metric(n, eps)
+        res = nomizu.einstein_residual(stack, g)
+        trace = nomizu._ricci_trace(stack)
+        assert res.shape == trace.shape == (p, d, d)
+        for i in range(p):
+            assert res[i].tobytes() == nomizu.einstein_residual(Bilin(n, stack[i]), g).tobytes()
+            assert trace[i].tobytes() == nomizu._ricci_trace(stack[i]).tobytes()
+
+    def test_nested_stack(self, rng):
+        stack = rng.uniform(-2, 2, size=(2, 3, 7, 7, 7))
+        g = Metric(3, -0.5)
+        res = nomizu.einstein_residual(stack, g)
+        assert res.shape == (2, 3, 7, 7)
+        assert res[1, 2].tobytes() == nomizu.einstein_residual(stack[1, 2], g).tobytes()
+
+    def test_no_curvature_formed(self, monkeypatch):
+        # the residual reads neither the full curvature nor ricci or scalar
+        for name in ("curvature", "ricci", "scalar"):
+            monkeypatch.setattr(nomizu, name, lambda *a: pytest.fail(f"{name} called"))
+        assert nomizu.einstein_defect(families.alpha_lc(4, -1.0), Metric(4, -1.0)) < TOL
+
+    @pytest.mark.parametrize("shape", [(5, 5, 7), (7, 7), (6, 6, 6)])
+    def test_bad_shape_refused(self, shape):
+        with pytest.raises(ValueError):
+            nomizu._ricci_trace(np.zeros(shape))
+
+    def test_metric_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            nomizu.einstein_residual(np.zeros((7, 7, 7)), Metric(2, -1.0))
+
+
 class TestSkewFamilyProperties:
     """Identities of random skew-torsion family members, n = 1..6."""
 
