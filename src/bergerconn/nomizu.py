@@ -90,7 +90,8 @@ def curvature(alpha: Bilin) -> CurvTensor:
 
 def ricci(R: CurvTensor, g: Metric) -> Rank2Tensor:
     """Ric(X, Y) = sum_j R[j, X, Y, j]: over a g-orthonormal basis the weights
-    sign_j scale_j^2 g_jj of the contraction are all 1, so g only sets n."""
+    sign_j scale_j^2 g_jj of the contraction are all 1, so g is read only to
+    check n."""
     if R.n != g.n:
         raise ValueError("dimension mismatch")
     return Rank2Tensor(R.n, np.einsum("jxyj->xy", R.coeffs))
