@@ -19,9 +19,11 @@ decision).  The polarization (_polarize) evaluates its 1 + 2k + k(k-1)/2
 points as one stack: the residual is one call of nomizu.einstein_residual
 on the stacked family members, a Ricci trace that never forms the full
 curvature.  Samples are read off q's normal form, and only those returned
-get the generic check.  The same helper gives the curvature as an exact
-quadratic map; one singular-value floor of such rows (_floor) excludes flat
-connections and gives the n = 1 minimum defect.
+get the generic check, which goes through the full curvature
+(nomizu.einstein_defect), as does the Ricci-flat check.  The same helper
+gives the curvature as an exact quadratic map; one singular-value floor of
+such rows (_floor) excludes flat connections and gives the n = 1 minimum
+defect.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ _family_member = families.skew_family
 
 
 def einstein_defect_at(n: int, eps: float, params) -> float:
-    """Einstein defect of the skew family member with the given parameters."""
+    """Einstein defect of the skew family member with the given parameters,
+    through the full generic curvature (nomizu.einstein_defect)."""
     return nomizu.einstein_defect(_family_member(n, eps, params), Metric(n, eps))
 
 
@@ -180,15 +183,13 @@ def _residual_quadratic(n: int, eps: float):
     Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j): the
     rows of _polarize, each x_i x_j coefficient (i < j) split in half over
     Q[i, j] and Q[j, i].  One call of nomizu.einstein_residual on the stack
-    of the polarization's family members, offset + X @ basis (10 at k = 3).
+    of the polarization's family members (10 at k = 3).
     """
     g = Metric(n, eps)
     k = param_count(n)
-    space = families.skew_direction_basis(n, eps)
-    offset, basis = space.offset.coeffs, space.matrix()
 
     def residuals(X):
-        members = (offset.ravel() + X @ basis).reshape(len(X), *offset.shape)
+        members = np.array([_family_member(n, eps, x).coeffs for x in X])
         return nomizu.einstein_residual(members, g).reshape(len(X), -1)
 
     # a subnormal eps overflows the residual; generic_quadric refuses it
@@ -269,9 +270,8 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     One DEBUG record per call on the bergerconn.einstein logger, also as its
     `solve` attribute, carries the rank-one gap and its margin to TOL_GAP,
     lam, x0, c' (0 where taken as 0), the candidates examined (draws), the
-    generic checks, the maps in the polarization stack (model_maps) and the
-    wall time of generic_quadric (model_s) (all but the checks None where
-    n = 1 has no quadric).
+    generic checks and the wall time of generic_quadric (model_s) (all but
+    the checks None where n = 1 has no quadric).
     """
     kind = classify(n, eps)
     if n == 1:
@@ -286,7 +286,6 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     t0 = time.perf_counter()
     q = generic_quadric(n, eps)
     model_s = time.perf_counter() - t0
-    k = len(q.l)
     lam, P = np.linalg.eigh(q.A)
     centre = -0.5 * P @ (P.T @ q.l / lam)
     const = float(q.c + 0.5 * q.l @ centre)
@@ -324,18 +323,17 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         elif isolated:
             raise RuntimeError(f"{kind.value} predicted, but {x} fails")
     _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(lam.tolist()),
-               tuple(centre.tolist()), const, draws, 1 + 2 * k + k * (k - 1) // 2, model_s)
+               tuple(centre.tolist()), const, draws, model_s)
     if not keep and count > 0 and kind is not VarietyClass.EMPTY:
         raise RuntimeError(f"classification predicts {kind.value} but no numeric solution found")
     return sorted(keep)
 
 
 def _log_solve(n: int, eps: float, checks: int, gap=None, margin=None, eigenvalues=None,
-               centre=None, centred_constant=None, draws=None, model_maps=None,
-               model_s=None) -> None:
+               centre=None, centred_constant=None, draws=None, model_s=None) -> None:
     record = dict(n=n, eps=eps, gap=gap, tol_gap=TOL_GAP, margin=margin, eigenvalues=eigenvalues,
                   centre=centre, centred_constant=centred_constant, draws=draws, checks=checks,
-                  model_maps=model_maps, model_s=model_s)
+                  model_s=model_s)
     _log.debug("solve_numeric n=%d eps=%r: %s", n, eps, record, extra={"solve": record})
 
 
@@ -389,8 +387,7 @@ class RicciFlatLocus:
 def ricci_flat_locus(n: int) -> RicciFlatLocus:
     """The Ricci-flat Einstein-with-skew-torsion connections for each n.
 
-    Emitted samples have vanishing full Ricci tensor, checked for all of an
-    n's samples by one stacked Ricci trace.  For n = 2 the locus
+    Emitted samples have vanishing full Ricci tensor.  For n = 2 the locus
     is the unit sphere in (s, s3, s4) at eps = -3/2; only the poles
     (s, s3, s4) = (+-1, 0, 0) have fully zero Ricci (elsewhere an
     antisymmetric Ricci part of size 6*sqrt(s3^2+s4^2) remains while the
@@ -414,11 +411,14 @@ def ricci_flat_locus(n: int) -> RicciFlatLocus:
         desc = f"eps = -(n+1)/2 = {eps}, s = +-1"
         samples = [(eps, (1.0,)), (eps, (-1.0,))]
 
-    members = np.array([_family_member(n, eps, params).coeffs for eps, params in samples])
-    norms = np.linalg.norm(nomizu._ricci_trace(members), axis=(1, 2)).tolist()
-    for sample, norm in zip(samples, norms):
+    norms = []
+    for eps, params in samples:
+        alpha = _family_member(n, eps, params)
+        Ric = nomizu.ricci(nomizu.curvature(alpha), Metric(n, eps))
+        norm = float(np.linalg.norm(Ric.coeffs))
         if norm > TOL_SOL:
-            raise RuntimeError(f"sample {sample} is not Ricci-flat: {norm:.2e}")
+            raise RuntimeError(f"sample {(eps, params)} is not Ricci-flat: {norm:.2e}")
+        norms.append(norm)
     return RicciFlatLocus(n, desc, tuple(samples), tuple(norms))
 
 

@@ -11,7 +11,10 @@ Ricci is the contraction of the (1,3) curvature, the trace
 Ric(X, Y) = sum_j R[j, X, Y, j] over the standard basis, and needs no
 metric; this convention is calibrated so that the round Levi-Civita
 connection (eps = -1) has Ric = 2n g.  The Einstein residual forms only that
-slice of R, for one map or a stack of maps, in O(d^3) memory per map.
+slice of R, for one map or a stack of maps, with O(d^3) working memory per
+map beside the cached structure tensors (Hterm is d^4); the Einstein defect
+of one connection goes through the full curvature instead, so a sample
+solved from the residual is checked by a computation it did not come from.
 Everything is computed over the standard basis of m and serves as the
 independent oracle for the closed-form families.
 """
@@ -106,9 +109,10 @@ def _ricci_trace(a: np.ndarray) -> np.ndarray:
         R[j,x,y,j] = a[x,y,m] a[j,m,j] - a[j,y,m] a[x,m,j]
                      - Cm[j,x,m] a[m,y,j] - Hterm[j,x,y,j],
 
-    is three batched matrix products, O(d^4) flops and O(d^3) memory per
-    map; it is summed over j only after the products, and every row of a
-    stack gets the bytes of a lone call.
+    is three batched matrix products, O(d^4) flops and O(d^3) working
+    memory per map, reading only the diagonal of the cached d^4 Hterm; it
+    is summed over j only after the products, and every row of a stack gets
+    the bytes of a lone call.
     """
     d = a.shape[-1]
     if a.shape[-3:] != (d, d, d) or d % 2 == 0:
@@ -188,5 +192,8 @@ def einstein_residual(alpha: Bilin | np.ndarray, g: Metric) -> np.ndarray:
 
 
 def einstein_defect(alpha: Bilin, g: Metric) -> float:
-    """Frobenius norm of the Einstein residual Sym(Ric) - (s / dim) g."""
-    return float(np.linalg.norm(einstein_residual(alpha, g)))
+    """Frobenius norm of Sym(Ric) - (s / dim) g, with Ric the ricci of the
+    full curvature: the value of einstein_residual's, by a computation that
+    shares none of _ricci_trace's products."""
+    Ric = ricci(curvature(alpha), g)
+    return float(np.linalg.norm(sym(Ric).coeffs - (scalar(Ric, g) / g.dim) * g.gram()))

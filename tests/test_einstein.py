@@ -190,11 +190,12 @@ def _curvature_map(n, eps):
                                for x in np.atleast_2d(X)])
 
 
-def _count_residual_maps(monkeypatch) -> list:
+def _count_generic_maps(monkeypatch) -> tuple[list, list]:
     """Patch nomizu.einstein_residual to record how many maps each call
-    evaluates: one for a Bilin, the leading size of a stack."""
-    counts = []
-    residual = nomizu.einstein_residual
+    evaluates (one for a Bilin, the leading size of a stack), and
+    nomizu.curvature to record its calls."""
+    counts, calls = [], []
+    residual, curvature = nomizu.einstein_residual, nomizu.curvature
 
     def counted(alpha, g):
         a = getattr(alpha, "coeffs", alpha)
@@ -202,7 +203,8 @@ def _count_residual_maps(monkeypatch) -> list:
         return residual(alpha, g)
 
     monkeypatch.setattr(nomizu, "einstein_residual", counted)
-    return counts
+    monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
+    return counts, calls
 
 
 class TestPolarize:
@@ -306,7 +308,7 @@ class TestSolveRecord:
     """One DEBUG record per solve_numeric call, with the fields on record.solve."""
 
     FIELDS = {"n", "eps", "gap", "tol_gap", "margin", "eigenvalues", "centre",
-              "centred_constant", "draws", "checks", "model_maps", "model_s"}
+              "centred_constant", "draws", "checks", "model_s"}
 
     def _records(self, caplog, *args, **kwargs):
         with caplog.at_level(logging.DEBUG, logger="bergerconn.einstein"):
@@ -332,12 +334,13 @@ class TestSolveRecord:
 
     @pytest.mark.parametrize("n,eps,maps", [(3, -2.0, 10), (2, -1.5, 10), (4, 1.0, 3)])
     def test_model_fields(self, n, eps, maps, caplog, monkeypatch):
-        # model_maps is the polarization stack, evaluated by one residual
-        # call; model_s is the wall time of generic_quadric
-        counts = _count_residual_maps(monkeypatch)
+        # the model is one residual call on the polarization stack, each
+        # sample's check one full curvature; model_s is the wall time of
+        # generic_quadric
+        counts, calls = _count_generic_maps(monkeypatch)
         sols, rec = self._records(caplog, n, eps, count=4)
-        assert rec["model_maps"] == counts[0] == maps
-        assert counts[1:] == [1] * len(sols)
+        assert counts == [maps]
+        assert len(calls) == rec["checks"] == len(sols)
         assert isinstance(rec["model_s"], float) and 0.0 < rec["model_s"] < 10.0
 
     def test_one_point_cell(self, caplog):
@@ -363,7 +366,7 @@ class TestSolveRecord:
         sols, rec = self._records(caplog, 1, -1.0, count=5)
         assert len(sols) == 5 and rec["checks"] == 5
         assert rec["gap"] is rec["eigenvalues"] is rec["centre"] is rec["draws"] is None
-        assert rec["model_maps"] is rec["model_s"] is None
+        assert rec["model_s"] is None
 
     def test_silent_by_default(self, caplog):
         with caplog.at_level(logging.INFO, logger="bergerconn.einstein"):
@@ -410,11 +413,11 @@ class TestSolveNumeric:
     @pytest.mark.parametrize("n,eps", [(2, -1.0), (3, -2.0)])
     def test_generic_evaluations_bounded(self, n, eps, monkeypatch):
         # the quadratic model evaluates at most 10 maps, in one residual
-        # call, and each returned sample one more for its check
-        counts = _count_residual_maps(monkeypatch)
+        # call, and each returned sample one more, a curvature for its check
+        counts, calls = _count_generic_maps(monkeypatch)
         sols = solve_numeric(n, eps)
-        assert len(counts) == 1 + len(sols)
-        assert 0 < sum(counts) <= 10 + len(sols)
+        assert len(counts) == 1 and len(calls) == len(sols)
+        assert 0 < counts[0] + len(calls) <= 10 + len(sols)
 
     def test_one_generic_check_per_cluster(self, monkeypatch):
         # a 1-pt. cell: its one sample, the centre, passes the generic check
@@ -585,11 +588,11 @@ class TestLazyGenericCheck:
         defect = einstein.einstein_defect_at
         monkeypatch.setattr(einstein, "einstein_defect_at",
                             lambda *a: checks.append(a) or defect(*a))
-        counts = _count_residual_maps(monkeypatch)
+        counts, calls = _count_generic_maps(monkeypatch)
         sols = solve_numeric(n, eps, count=count)
         assert len(sols) == count
         assert len(checks) == count
-        assert 0 < sum(counts) <= 10 + count
+        assert 0 < sum(counts) + len(calls) <= 10 + count
 
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5), (3, -0.5)])
     def test_failed_check_gives_way(self, n, eps, monkeypatch):

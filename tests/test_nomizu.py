@@ -364,7 +364,18 @@ class TestRicciTrace:
         # the residual reads neither the full curvature nor ricci or scalar
         for name in ("curvature", "ricci", "scalar"):
             monkeypatch.setattr(nomizu, name, lambda *a: pytest.fail(f"{name} called"))
-        assert nomizu.einstein_defect(families.alpha_lc(4, -1.0), Metric(4, -1.0)) < TOL
+        residual = nomizu.einstein_residual(families.alpha_lc(4, -1.0), Metric(4, -1.0))
+        assert np.abs(residual).max() < TOL
+
+    @pytest.mark.parametrize("n,eps,x", [(2, -1.5, (0.3, 0.2, -0.1)), (3, -2.0, (1.0, 0.5, 0.2)),
+                                         (5, 0.7, (0.5,))])
+    def test_defect_shares_nothing_with_the_trace(self, n, eps, x, monkeypatch):
+        # the defect, the check of solved samples, goes through the full
+        # curvature; it gives the residual's norm
+        alpha, g = families.skew_family(n, eps, x), Metric(n, eps)
+        expected = np.linalg.norm(nomizu.einstein_residual(alpha, g))
+        monkeypatch.setattr(nomizu, "_ricci_trace", lambda a: pytest.fail("trace called"))
+        assert abs(nomizu.einstein_defect(alpha, g) - expected) <= 1e-14 * max(expected, 1.0)
 
     @pytest.mark.parametrize("shape", [(5, 5, 7), (7, 7), (6, 6, 6)])
     def test_bad_shape_refused(self, shape):
