@@ -12,14 +12,15 @@ n = 3 and (s3, s4) for n = 2.  The Einstein condition cuts out a quadric:
 This module renders those equations, classifies the solution variety
 (reproducing the four-row table of regimes), and checks the Ricci-flat and
 flatness loci.  Since the family is affine in its parameters, the generic
-Einstein residual is an exact quadratic map r(x) = c0 + L x + Q(x, x); its
-coefficients, read off the generic calculus by polarization, have rank one,
-so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded rank
-decision).  The polarization (_polarize) evaluates its 1 + 2k + k(k-1)/2
-points as one stack: the residual is one call of nomizu.einstein_residual
-on the stacked family members, a Ricci trace that never forms the full
-curvature.  Samples are read off q's normal form, and only those returned
-get the generic check, which goes through the full curvature
+Einstein residual is an exact quadratic map r(x) = m(x) @ M over the
+monomials m(x) = (1, x_i, x_i x_j); its rows M, read off the generic
+calculus by polarization (_polarize, through _residual_rows), have rank
+one, so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded
+rank decision).  The polarization evaluates its 1 + 2k + k(k-1)/2 points as
+one stack: the residual is one call of nomizu.einstein_residual on the
+stacked family members, a Ricci trace that never forms the full curvature.
+Samples are read off q's normal form, and only those returned get the
+generic check, which goes through the full curvature
 (nomizu.einstein_defect), as does the Ricci-flat check.  The same helper
 gives the curvature as an exact quadratic map; one singular-value floor of
 such rows (_floor) excludes flat connections and gives the n = 1 minimum
@@ -125,15 +126,10 @@ def classify(n: int, eps: float) -> VarietyClass:
     return VarietyClass.ONE_POINT if eq.c == 0 else VarietyClass.EMPTY
 
 
-#: the skew family member at variety coordinates x: the named affine space's
-#: element, so one tabulation per (n, eps) serves every call
-_family_member = families.skew_family
-
-
 def einstein_defect_at(n: int, eps: float, params) -> float:
     """Einstein defect of the skew family member with the given parameters,
     through the full generic curvature (nomizu.einstein_defect)."""
-    return nomizu.einstein_defect(_family_member(n, eps, params), Metric(n, eps))
+    return nomizu.einstein_defect(families.skew_family(n, eps, params), Metric(n, eps))
 
 
 def _polarize(f, k: int) -> np.ndarray:
@@ -169,36 +165,26 @@ def _floor(M: np.ndarray) -> tuple[int, float, float, float]:
     singular vectors with R^T, so only a p x p SVD runs and V never forms.
     """
     U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
-    rank = _guarded_rank(s)
+    rank, gap = _guarded_rank(s)
     sigma = float(s[rank - 1]) if rank else 0.0
-    gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) and s[rank] > 0 else np.inf
     return rank, sigma, gap, float(np.linalg.norm(U[0, rank:]))
 
 
-def _residual_quadratic(n: int, eps: float):
-    """Coefficients (c0, L, Q) of the flattened generic Einstein residual.
-
-    The skew family is affine in its parameters x and the residual is
-    quadratic in the connection, so r(x) = c0 + x @ L + Q(x, x) exactly, with
-    Q(x, x) = einsum("i,j,ijm->m", x, x, Q) and Q symmetric in (i, j): the
-    rows of _polarize, each x_i x_j coefficient (i < j) split in half over
-    Q[i, j] and Q[j, i].  One call of nomizu.einstein_residual on the stack
-    of the polarization's family members (10 at k = 3).
-    """
+def _residual_rows(n: int, eps: float) -> np.ndarray:
+    """_polarize's rows M of the flattened generic Einstein residual, so that
+    r(x) = m(x) @ M: the skew family is affine in its parameters x and the
+    residual quadratic in the connection.  One call of
+    nomizu.einstein_residual on the stack of the polarization's family
+    members (10 at k = 3)."""
     g = Metric(n, eps)
-    k = param_count(n)
 
     def residuals(X):
-        members = np.array([_family_member(n, eps, x).coeffs for x in X])
+        members = np.array([families.skew_family(n, eps, x).coeffs for x in X])
         return nomizu.einstein_residual(members, g).reshape(len(X), -1)
 
     # a subnormal eps overflows the residual; generic_quadric refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _polarize(residuals, k)
-    i, j = np.triu_indices(k)
-    Q = np.empty((k, k, M.shape[1]))
-    Q[i, j] = Q[j, i] = M[k + 1:] / np.where(i == j, 1.0, 2.0)[:, None]
-    return M[0], M[1:k + 1], Q
+        return _polarize(residuals, param_count(n))
 
 
 @dataclass(frozen=True)
@@ -223,24 +209,25 @@ class GenericQuadric:
 def generic_quadric(n: int, eps: float) -> GenericQuadric:
     """The scalar quadric q with r(x) = v q(x), for n >= 2.
 
-    The stacked coefficients (c0, L, Q) of _residual_quadratic have rank
-    one, all multiples of one vector v; their projections on v, the top
-    right-singular vector of the stack, are q's coefficients.  The rank is
-    a guarded decision: RankGapError unless it is one with a clear gap, or
-    where the stack is not finite (a subnormal eps overflows it).
+    The rows M of _residual_rows have rank one, all multiples of one vector
+    v; their projections on v, the top right-singular vector of M, are q's
+    coefficients, each x_i x_j row (i < j) halved over A[i, j] and A[j, i].
+    The rank is a guarded decision: RankGapError unless it is one with a
+    clear gap, or where M is not finite (a subnormal eps overflows it).
     """
-    c0, L, Q = _residual_quadratic(n, eps)
-    k = len(L)
-    stack = np.vstack([c0, L, Q.reshape(k * k, -1)])
-    if not np.all(np.isfinite(stack)):
+    M = _residual_rows(n, eps)
+    if not np.all(np.isfinite(M)):
         raise RankGapError("generic Einstein residual is not finite")
-    _, sv, vt = np.linalg.svd(stack, full_matrices=False)
-    rank = _guarded_rank(sv)
+    _, sv, vt = np.linalg.svd(M, full_matrices=False)
+    rank, gap = _guarded_rank(sv)
     if rank != 1:
         raise RankGapError(f"generic Einstein residual has rank {rank}, not one")
     v = vt[0]
-    gap = sv[0] / sv[1] if sv[1] > 0 else np.inf
-    return GenericQuadric(v, float(c0 @ v), L @ v, Q @ v, float(gap))
+    k = param_count(n)
+    i, j = np.triu_indices(k)
+    A = np.empty((k, k))
+    A[i, j] = A[j, i] = M[k + 1:] @ v / np.where(i == j, 1.0, 2.0)
+    return GenericQuadric(v, float(M[0] @ v), M[1:k + 1] @ v, A, gap)
 
 
 #: seeded draws per requested sample on a positive-dimensional cell
@@ -257,9 +244,12 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     x0 = -A^-1 l / 2 and c' = q(x0), q(x0 + P u) = c' + sum_i lam_i u_i^2.
 
     A 1-pt. cell is x0, a 2-pt. cell x0 -+ P sqrt(-c'/lam).  Elsewhere u runs
-    over _DRAWS * count seeded draws: on the cone (c' taken as 0) each is
-    solved for the axis whose eigenvalue sign no other shares, otherwise
-    unit directions are scaled by sqrt(-c'/(u diag(lam) u)) where it is real.
+    over _DRAWS * count seeded draws z, made in parameter coordinates and
+    mapped into the frame (u = P^T z), so neither the frame eigh picks for a
+    repeated eigenvalue nor the sign of q moves a sample.  On the cone (c'
+    taken as 0) each is solved for the axis whose eigenvalue sign no other
+    shares, otherwise unit directions are scaled by
+    sqrt(-c'/(u diag(lam) u)) where it is real.
     Where c' is rounding (_CONST_TOL, a few ulps from eps = -1) it is taken
     as 0: a 2-pt. cell or ellipsoid gives x0 alone, a hyperboloid the cone.
     Each sample gets the generic check in turn; on a positive-dimensional
@@ -300,7 +290,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         U = {VarietyClass.ONE_POINT: np.zeros((1, len(lam))),
              VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(shape, np.empty((0, len(lam))))
     else:
-        U = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam)))
+        U = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam))) @ P
     if shape is VarietyClass.CONE:
         lone = lam < 0 if (lam < 0).sum() == 1 else lam > 0
         if lone.sum() != 1:
@@ -413,7 +403,7 @@ def ricci_flat_locus(n: int) -> RicciFlatLocus:
 
     norms = []
     for eps, params in samples:
-        alpha = _family_member(n, eps, params)
+        alpha = families.skew_family(n, eps, params)
         Ric = nomizu.ricci(nomizu.curvature(alpha), Metric(n, eps))
         norm = float(np.linalg.norm(Ric.coeffs))
         if norm > TOL_SOL:
@@ -462,7 +452,8 @@ def flat_connection_check(n: int, eps: float) -> FlatnessReport:
         raise ValueError("supported for n in {3, 4, 5, 6}")
 
     def curv(X):
-        return np.array([nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel() for x in X])
+        return np.array([nomizu.curvature(families.skew_family(n, eps, x)).coeffs.ravel()
+                         for x in X])
 
     if n == 3 and eps == -1.0:
         angles = np.linspace(0.0, 2 * np.pi, 17)
@@ -494,12 +485,12 @@ def _log_flatness(n: int, eps: float, calls: int, rank=None, sigma=None, gap=Non
 def min_defect_n1(eps: float) -> float:
     """Minimum Einstein defect over s in R for n = 1.
 
-    The residual is exactly c0 + s L + s^2 Q, and _floor of those rows
-    bounds its norm from below over every s; the bound is attained, since
-    on S^3 the torsion is s vol, S = 2 s^2 g and the traceless Ricci does
-    not depend on s (L and Q are rounding).  0.0 where the bound is not
-    certified (c > TOL_NUM, as at eps = -1 where the residual vanishes).
+    The residual is exactly m(s) @ M with M = _residual_rows(1, eps), and
+    _floor of M bounds its norm from below over every s; the bound is
+    attained, since on S^3 the torsion is s vol, S = 2 s^2 g and the
+    traceless Ricci does not depend on s (the s and s^2 rows of M are
+    rounding).  0.0 where the bound is not certified (c > TOL_NUM, as at
+    eps = -1 where the residual vanishes).
     """
-    c0, L, Q = _residual_quadratic(1, eps)
-    _, sigma, _, c = _floor(np.vstack([c0, L, Q[0]]))
+    _, sigma, _, c = _floor(_residual_rows(1, eps))
     return sigma if c <= TOL_NUM else 0.0

@@ -15,6 +15,7 @@ slice of R, for one map or a stack of maps, with O(d^3) working memory per
 map beside the cached structure tensors (Hterm is d^4); the Einstein defect
 of one connection goes through the full curvature instead, so a sample
 solved from the residual is checked by a computation it did not come from.
+Both take Sym(Ric) - (s / dim) g from one helper, _einstein_form.
 Everything is computed over the standard basis of m and serves as the
 independent oracle for the closed-form families.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from . import algebra
 from .algebra import Metric
 from .config import TOL_NUM
-from .spaces import Bilin, _metric_violation, _skew_form_violation
+from .spaces import Bilin, _metric_violation, _skew_form_violation, _torsion_difference
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ class Rank2Tensor:
 
 def torsion(alpha: Bilin) -> Bilin:
     Cm, _ = algebra.structure_tensors(alpha.n)
-    c = alpha.coeffs - alpha.coeffs.transpose(1, 0, 2) - Cm
-    return Bilin(alpha.n, c)
+    return Bilin(alpha.n, _torsion_difference(alpha.coeffs) - Cm)
 
 
 def curvature(alpha: Bilin) -> CurvTensor:
@@ -133,8 +133,16 @@ def scalar(Ric: Rank2Tensor, g: Metric) -> float:
     """sum_j sign_j Ric(f_j, f_j)."""
     if Ric.n != g.n:
         raise ValueError("dimension mismatch")
+    return float(_einstein_form(Ric.coeffs, g)[1])
+
+
+def _einstein_form(Ric: np.ndarray, g: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """(Sym(Ric) - (s / dim) g, s) for one Ricci array (d, d) or a stack
+    (..., d, d), with s = sum_j sign_j scale_j^2 Ric[..., j, j] the scalar
+    curvature, summed in that order per map."""
     scale, signs = g.orthonormal_scales()
-    return float(np.einsum("j,j,jj->", signs, scale * scale, Ric.coeffs))
+    s = np.einsum("j,j,...jj->...", signs, scale * scale, Ric)
+    return 0.5 * (Ric + Ric.swapaxes(-1, -2)) - (s / g.dim)[..., None, None] * g.gram(), s
 
 
 def sym(T: Rank2Tensor) -> Rank2Tensor:
@@ -179,21 +187,16 @@ def einstein_residual(alpha: Bilin | np.ndarray, g: Metric) -> np.ndarray:
     """Sym(Ric) - (s / dim) g for the connection alpha; zero iff alpha is Einstein.
 
     alpha is one map or a stack of coefficient arrays (..., d, d, d), and
-    the residual has shape (..., d, d).  Ric is _ricci_trace's and s is
-    scalar's sum, in its order, per map.
+    the residual has shape (..., d, d): _einstein_form of _ricci_trace's Ric.
     """
     a = alpha.coeffs if isinstance(alpha, Bilin) else np.asarray(alpha, dtype=float)
     if a.shape[-1] != g.dim:
         raise ValueError("dimension mismatch")
-    Ric = _ricci_trace(a)
-    scale, signs = g.orthonormal_scales()
-    s = np.einsum("j,j,...jj->...", signs, scale * scale, Ric)
-    return 0.5 * (Ric + Ric.swapaxes(-1, -2)) - (s / g.dim)[..., None, None] * g.gram()
+    return _einstein_form(_ricci_trace(a), g)[0]
 
 
 def einstein_defect(alpha: Bilin, g: Metric) -> float:
-    """Frobenius norm of Sym(Ric) - (s / dim) g, with Ric the ricci of the
-    full curvature: the value of einstein_residual's, by a computation that
+    """Frobenius norm of _einstein_form, with Ric the ricci of the full
+    curvature: the value of einstein_residual's, by a computation that
     shares none of _ricci_trace's products."""
-    Ric = ricci(curvature(alpha), g)
-    return float(np.linalg.norm(sym(Ric).coeffs - (scalar(Ric, g) / g.dim) * g.gram()))
+    return float(np.linalg.norm(_einstein_form(ricci(curvature(alpha), g).coeffs, g)[0]))

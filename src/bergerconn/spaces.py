@@ -34,8 +34,9 @@ Each build logs one DEBUG record on the "bergerconn.spaces" logger: the
 number of weight-zero columns, the residual on Gamma, kappa, the certified
 bound and its margin to TOL_NUM.
 
-Every rank decision (the zero weights, both nullspaces) uses a relative
-cutoff and a guarded gap, and raises RankGapError when there is none.
+Every rank decision (the zero weights, both nullspaces, the torsion map of
+levi_civita_generic, and einstein's) is _guarded_rank's: a relative cutoff
+and a guarded gap, and RankGapError when there is none.
 """
 
 from __future__ import annotations
@@ -170,20 +171,18 @@ class LinearSpace:
         return float(np.linalg.norm(M @ x - v))
 
 
-def _guarded_rank(s: np.ndarray) -> int:
-    """Numerical rank of the descending singular values s, refusing a rank
-    whose kept and discarded values are not TOL_GAP apart."""
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return 0
-    rank = int(np.count_nonzero(s > TOL_RANK * smax))
-    discarded = s[rank:]
-    if rank > 0 and len(discarded) and discarded[0] > 0:
-        if s[rank - 1] / discarded[0] < TOL_GAP:
-            raise RankGapError(
-                f"ambiguous rank: gap {s[rank - 1] / discarded[0]:.2e} below {TOL_GAP:.0e}"
-            )
-    return rank
+def _guarded_rank(s: np.ndarray) -> tuple[int, float]:
+    """Numerical rank of the descending singular values s and its gap, the
+    smallest kept over the largest discarded value (inf where nothing or
+    only zeros are discarded).  RankGapError where the gap is below TOL_GAP:
+    the kept and discarded values are not clearly apart."""
+    rank = int(np.count_nonzero(s > TOL_RANK * s[0])) if len(s) and s[0] > 0 else 0
+    kept = s[rank - 1] if rank else np.inf
+    dropped = s[rank] if rank < len(s) else 0.0
+    gap = float(kept / dropped) if dropped > 0 else np.inf
+    if gap < TOL_GAP:
+        raise RankGapError(f"ambiguous rank: gap {gap:.2e} below {TOL_GAP:.0e}")
+    return rank, gap
 
 
 def _nullspace(M: np.ndarray) -> np.ndarray:
@@ -193,13 +192,13 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
         return np.eye(M.shape[1])
     # U is never used; V must stay square, which only a wide M needs asked for
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    return vt[_guarded_rank(s):].conj()
+    return vt[_guarded_rank(s)[0]:].conj()
 
 
 def _rowspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the row space of M, with a guarded rank decision."""
     _, s, vt = np.linalg.svd(M, full_matrices=False)
-    return vt[: _guarded_rank(s)]
+    return vt[: _guarded_rank(s)[0]]
 
 
 def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -218,13 +217,9 @@ def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     H = np.tensordot(np.random.default_rng(2718).standard_normal(len(cartan)), cartan, 1)
     lam, U = np.linalg.eigh(1j * H)
     W = np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
-    zero = W <= TOL_RANK * W.max()
-    if W[~zero].min() < TOL_GAP * W[zero].max():
-        raise RankGapError(
-            f"ambiguous zero weight: gap {W[~zero].min() / W[zero].max():.2e} "
-            f"below {TOL_GAP:.0e}"
-        )
-    return U, np.nonzero(zero)
+    # the weights are split as singular values are: the discarded ones are zero
+    w = np.sort(W, axis=None)[::-1]
+    return U, np.nonzero(W <= w[_guarded_rank(w)[0]])
 
 
 def _root_nullspace(U: np.ndarray, cols, actions) -> np.ndarray:
@@ -451,13 +446,19 @@ def metric_connection_space(n: int, eps: float) -> LinearSpace:
     return LinearSpace(ambient_dim=(2 * n + 1) ** 3, basis=tuple(Bilin(n, c) for c in maps))
 
 
+def _torsion_difference(coeffs: np.ndarray) -> np.ndarray:
+    """alpha(X, Y) - alpha(Y, X) on all basis pairs of coeffs, or of each map
+    in a stack of shape (..., d, d, d): the torsion without its bracket term."""
+    return coeffs - np.swapaxes(coeffs, -3, -2)
+
+
 def _skew_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Failure of total antisymmetry of the lowered torsion of a direction.
 
     For a difference of two metric connections the bracket term of the
     torsion cancels, so T = alpha - alpha^t and the condition is linear.
     """
-    return _skew_form_violation((coeffs - np.swapaxes(coeffs, -3, -2)) @ G)
+    return _skew_form_violation(_torsion_difference(coeffs) @ G)
 
 
 def _skew_form_violation(om: np.ndarray) -> np.ndarray:
@@ -485,18 +486,19 @@ def levi_civita_generic(n: int, eps: float) -> Bilin:
     """The unique torsion-free element of metric_connection_space(n, eps).
 
     Solved as a linear system over the metric basis; a metric connection is
-    determined by its torsion, so the solution is unique.  RankGapError where
-    the torsion map loses rank on the metric space, RuntimeError where the
-    least-squares residual misses TOL_NUM.
+    determined by its torsion, so the solution is unique.  The rank of the
+    torsion map on the metric basis is a guarded decision on the singular
+    values the least-squares solve returns: RankGapError where it has no
+    clear gap or is not full, RuntimeError where the residual misses TOL_NUM.
     """
     Cm, _ = algebra.structure_tensors(n)
     met = metric_connection_space(n, eps)
-    M = np.array(
-        [(b.coeffs - b.coeffs.transpose(1, 0, 2)).ravel() for b in met.basis]
-    ).T
-    x, _, rank, _ = np.linalg.lstsq(M, Cm.ravel(), rcond=None)
+    d = 2 * n + 1
+    M = _torsion_difference(met.matrix().reshape(-1, d, d, d)).reshape(met.dim, -1).T
+    x, _, _, sv = np.linalg.lstsq(M, Cm.ravel(), rcond=None)
+    rank, _ = _guarded_rank(sv)
     if rank < met.dim:
-        raise RankGapError("torsion map degenerate on the metric space")
+        raise RankGapError(f"torsion map degenerate on the metric space: rank {rank} of {met.dim}")
     resid = np.linalg.norm(M @ x - Cm.ravel())
     if resid > TOL_NUM:
         raise RuntimeError(f"no torsion-free metric connection found: {resid:.2e}")

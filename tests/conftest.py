@@ -12,3 +12,20 @@ def rng():
 def random_mvec(rng, n):
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return MVec(n, z, 1j * rng.standard_normal())
+
+
+def gapless_torsion_space(n):
+    """A basis of three maps whose torsion differences alpha - alpha^t are
+    2 A0, 2 (A0 + 1e-7 A1) and 2 (A0 + 1e-10 A2), A orthonormal maps
+    antisymmetric in their first two slots: singular values near 3.5, 1.6e-7
+    and 1.4e-10, so the torsion rank has no clear gap.  Each map also has an
+    orthonormal part symmetric in those slots, which its torsion does not
+    see, so the basis itself is well conditioned."""
+    from bergerconn.spaces import Bilin, LinearSpace
+
+    d = 2 * n + 1
+    R = np.random.default_rng(5).standard_normal((6, d, d, d))
+    parts = np.concatenate([R[:3] - R[:3].swapaxes(1, 2), R[3:] + R[3:].swapaxes(1, 2)])
+    A0, A1, A2, S0, S1, S2 = np.linalg.qr(parts.reshape(6, -1).T)[0].T.reshape(6, d, d, d)
+    maps = (A0 + S0, A0 + 1e-7 * A1 + S1, A0 + 1e-10 * A2 + S2)
+    return LinearSpace(ambient_dim=d**3, basis=tuple(Bilin(n, c) for c in maps))

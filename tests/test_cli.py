@@ -17,6 +17,7 @@ from bergerconn.cli import (
     main,
     parse_eps,
 )
+from conftest import gapless_torsion_space
 
 
 class TestParseEps:
@@ -257,6 +258,17 @@ class TestRankGapReported:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == "FAIL rank decision: forced\n"
+        assert captured.out == ""
+
+    def test_torsion_rank_without_a_gap(self, monkeypatch, capsys):
+        # verify's first step, the Levi-Civita solve, refuses a torsion map
+        # whose rank has no clear gap
+        space = gapless_torsion_space(4)
+        monkeypatch.setattr(spaces, "metric_connection_space", lambda n, eps: space)
+        assert main(["verify", "--n", "4", "--eps=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL rank decision: ambiguous rank: gap ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_subnormal_eps(self):

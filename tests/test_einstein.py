@@ -13,8 +13,6 @@ from bergerconn.einstein import (
     CanonicalEquation,
     EinsteinVariety,
     VarietyClass,
-    _family_member,
-    _residual_quadratic,
     classify,
     einstein_defect_at,
     einstein_equation,
@@ -143,6 +141,8 @@ class TestClassify:
 
 
 class TestResidualQuadratic:
+    """The generic Einstein residual as _polarize's rows M (_residual_rows)."""
+
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
         n=st.integers(1, 6),
@@ -153,25 +153,25 @@ class TestResidualQuadratic:
     def test_reproduces_generic_residual(self, n, eps, sign, x):
         eps *= sign
         x = np.array(x[: param_count(n)])
-        c0, L, Q = _residual_quadratic(n, eps)
-        model = c0 + x @ L + np.einsum("i,j,ijm->m", x, x, Q)
-        generic = nomizu.einstein_residual(_family_member(n, eps, x), Metric(n, eps))
+        model = _monomials(x)[0] @ einstein._residual_rows(n, eps)
+        generic = nomizu.einstein_residual(families.skew_family(n, eps, x), Metric(n, eps))
         assert np.abs(model - generic.ravel()).max() <= TOL_NUM
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_derived_quadric_matches_equation(self, n):
-        # r(x) = v q(x) with q the canonical quadric: the stacked tensors have
-        # rank one, and their projections on v are q's coefficients
+        # r(x) = v q(x) with q the canonical quadric: the rows have rank one,
+        # and their projections on v are q's coefficients, one per monomial
+        k = param_count(n)
+        i, j = np.triu_indices(k)
         for eps in (-3.0, -2.0, -1.5, -1.0, -0.5, -0.1, 0.3, 1.0, 2.0):
-            c0, L, Q = _residual_quadratic(n, eps)
-            k = len(L)
-            _, sv, vt = np.linalg.svd(np.vstack([c0, L, Q.reshape(k * k, -1)]))
+            M = einstein._residual_rows(n, eps)
+            _, sv, vt = np.linalg.svd(M)
             assert sv[1] <= 1e-12 * sv[0]
-            v = vt[0]
-            derived = np.concatenate([[-(c0 @ v)], L @ v, (Q @ v).ravel()])
+            derived = M @ vt[0]
+            derived[0] = -derived[0]
             eq = einstein_equation(n, eps)
             quad = np.diag([eq.a] + [eq.b] * (k - 1))
-            expected = np.concatenate([[eq.c], np.zeros(k), quad.ravel()])
+            expected = np.concatenate([[eq.c], np.zeros(k), quad[i, j]])
             scale = derived @ expected / (expected @ expected)
             assert np.linalg.norm(derived - scale * expected) <= 1e-12 * np.linalg.norm(derived)
 
@@ -186,7 +186,7 @@ def _monomials(X) -> np.ndarray:
 
 def _curvature_map(n, eps):
     """The flattened generic curvature at each row of a (p, k) stack of points."""
-    return lambda X: np.array([nomizu.curvature(_family_member(n, eps, x)).coeffs.ravel()
+    return lambda X: np.array([nomizu.curvature(families.skew_family(n, eps, x)).coeffs.ravel()
                                for x in np.atleast_2d(X)])
 
 
@@ -237,22 +237,19 @@ class TestPolarize:
         g = Metric(n, eps)
 
         def r(x):
-            return nomizu.einstein_residual(_family_member(n, eps, x), g).ravel()
+            return nomizu.einstein_residual(families.skew_family(n, eps, x), g).ravel()
 
         k = param_count(n)
         E = np.eye(k)
         c0 = r(np.zeros(k))
         plus = [r(E[i]) for i in range(k)]
         minus = [r(-E[i]) for i in range(k)]
-        L = np.array([(plus[i] - minus[i]) / 2.0 for i in range(k)])
-        Q = np.empty((k, k, c0.size))
-        for i in range(k):
-            Q[i, i] = (plus[i] + minus[i]) / 2.0 - c0
-            for j in range(i + 1, k):
-                Q[i, j] = Q[j, i] = (r(E[i] + E[j]) - plus[i] - plus[j] + c0) / 2.0
-        got = _residual_quadratic(n, eps)
-        for a, b in zip(got, (c0, L, Q)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        rows = [c0] + [(plus[i] - minus[i]) / 2.0 for i in range(k)]
+        for i, j in zip(*np.triu_indices(k)):
+            rows.append((plus[i] + minus[i]) / 2.0 - c0 if i == j
+                        else r(E[i] + E[j]) - plus[i] - plus[j] + c0)
+        got = einstein._residual_rows(n, eps)
+        assert got.shape == (len(rows), c0.size) and got.tobytes() == np.array(rows).tobytes()
 
 
 class TestGenericQuadric:
@@ -267,7 +264,7 @@ class TestGenericQuadric:
         eps *= sign
         x = np.array(x[: param_count(n)])
         q = generic_quadric(n, eps)
-        generic = nomizu.einstein_residual(_family_member(n, eps, x), Metric(n, eps))
+        generic = nomizu.einstein_residual(families.skew_family(n, eps, x), Metric(n, eps))
         assert np.abs(q.v * q(x[None])[0] - generic.ravel()).max() <= TOL_NUM
 
     @pytest.mark.parametrize("n,eps", [(2, -1.5), (3, -2.0), (5, 1.0)])
@@ -280,13 +277,29 @@ class TestGenericQuadric:
         assert abs(q(x[None])[0] - (q.c + q.l @ x + x @ q.A @ x)) <= 1e-12
         assert q.gap >= TOL_GAP
 
+    def test_cross_term_rows_halved(self, monkeypatch):
+        # rows of a quadric with cross terms, times a unit w: each x_i x_j
+        # row (i < j) holds A[i, j] + A[j, i] and is split in half over them
+        A = np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.25], [-1.0, 0.25, 3.0]])
+        l, c = np.array([1.0, -2.0, 0.5]), 0.75
+        i, j = np.triu_indices(3)
+        w = np.linspace(1.0, 2.0, 7) / np.linalg.norm(np.linspace(1.0, 2.0, 7))
+        rows = np.concatenate([[c], l, np.where(i == j, 1.0, 2.0) * A[i, j]])
+        monkeypatch.setattr(einstein, "_residual_rows", lambda n, eps: np.outer(rows, w))
+        q = generic_quadric(3, -2.0)
+        sign = float(np.sign(q.v @ w))
+        assert np.abs(sign * q.v - w).max() <= 1e-15
+        assert abs(sign * q.c - c) <= 1e-15
+        assert np.abs(sign * q.l - l).max() <= 1e-15 and np.abs(sign * q.A - A).max() <= 1e-15
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rank_two_stack_raises(self, n, monkeypatch):
-        c0, L, Q = _residual_quadratic(n, -2.0)
+        M = einstein._residual_rows(n, -2.0)
+        c0 = M[0]
         # a constant term off the line of the others: a second direction
         w = np.roll(c0, 1) - (np.roll(c0, 1) @ c0) / (c0 @ c0) * c0
-        monkeypatch.setattr(einstein, "_residual_quadratic",
-                            lambda n, eps: (c0 + w, L, Q))
+        monkeypatch.setattr(einstein, "_residual_rows",
+                            lambda n, eps: np.vstack([c0 + w, M[1:]]))
         with pytest.raises(RankGapError):
             generic_quadric(n, -2.0)
         with pytest.raises(RankGapError):
@@ -505,6 +518,30 @@ class TestSolveNumeric:
             assert eq.residual(y) <= TOL_SOL and defect(n, eps, y) <= TOL_SOL
             if classify(n, eps) is VarietyClass.ONE_POINT:
                 assert np.abs(y).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,eps", [(3, -2.0), (3, 2.0), (2, -1.5), (2, 0.5)])
+    def test_samples_do_not_depend_on_the_eigenframe(self, n, eps, monkeypatch):
+        # A repeated eigenvalue leaves eigh free to pick any frame of its
+        # eigenspace, and the sign of q is the SVD's choice: A rotated inside
+        # that eigenspace, split by a few ulps so that eigh must move its
+        # frame, and q negated, give the same samples
+        q = generic_quadric(n, eps)
+        before = solve_numeric(n, eps, count=4)
+        lam, P = np.linalg.eigh(q.A)
+        block = np.flatnonzero(np.abs(lam - np.median(lam)) <= 1e-12 * np.abs(lam).max())
+        assert len(block) >= 2
+        rotation = np.linalg.qr(np.arange(1.0, len(block) ** 2 + 1).reshape(len(block), -1) ** 2)[0]
+        P[:, block] = P[:, block] @ rotation
+        lam[block] += 4 * np.finfo(float).eps * np.abs(lam).max() * np.arange(len(block))
+        A = (P * lam) @ P.T
+        moved = dataclasses.replace(q, v=-q.v, c=-q.c, l=-q.l, A=-0.5 * (A + A.T))
+        # eigh's frame does move: some axis turns, beyond a sign and the order
+        turned = np.linalg.eigh(moved.A)[1][:, ::-1].T @ np.linalg.eigh(q.A)[1]
+        assert np.abs(np.diag(turned)).min() < 0.99
+        monkeypatch.setattr(einstein, "generic_quadric", lambda *_: moved)
+        after = solve_numeric(n, eps, count=4)
+        assert len(after) == len(before) == 4
+        assert np.abs(np.array(after) - np.array(before)).max() <= 1e-12
 
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (3, -0.5), (3, 2.0), (2, 0.5), (3, -1.0)])
     def test_draws_capped(self, n, eps, monkeypatch, caplog):
@@ -757,7 +794,7 @@ class TestFlatnessModel:
         # R(x) - R(0) vanishes at x = 0: the constant monomial lies in the
         # null space and no floor is certified
         curvature = nomizu.curvature
-        zero = curvature(_family_member(4, -1.0, (0.0,))).coeffs
+        zero = curvature(families.skew_family(4, -1.0, (0.0,))).coeffs
         monkeypatch.setattr(nomizu, "curvature",
                             lambda a: nomizu.CurvTensor(a.n, curvature(a).coeffs - zero))
         with pytest.raises(RuntimeError, match="flat points may exist"):

@@ -1,7 +1,8 @@
 """The generic side (algebra, spaces, nomizu) imports nothing from the closed
 forms or the layers built on them, at module level or inside a function.  The
 closed forms (families) compute nothing with the generic calculus they are
-checked against: from nomizu they take only its tensor types."""
+checked against: from nomizu they take only its tensor types.  Every rank
+decision goes through spaces._guarded_rank."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,78 @@ def test_closed_forms_never_reference_generic_calculus():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {part for a in node.names for part in a.name.split(".")}
     assert names & GENERIC_CALCULUS == set()
+
+
+#: the only readers of TOL_RANK: the guarded rank decision, and the check of
+#: a caller's basis
+RANK_CUTOFF_READERS = {("spaces", "_guarded_rank"), ("spaces", "LinearSpace.__post_init__")}
+
+
+def _package_modules():
+    return sorted(p.stem for p in Path(bergerconn.__file__).parent.glob("*.py"))
+
+
+def _scoped_nodes(tree):
+    """(qualified name of the enclosing function or class, node) for every node."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child
+            yield from walk(child, inner)
+
+    yield from walk(tree, "")
+
+
+def test_rank_cutoff_read_in_one_place():
+    readers = set()
+    for module in _package_modules():
+        for scope, node in _scoped_nodes(ast.parse(_source(module))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "TOL_RANK" and isinstance(node.ctx, ast.Load):
+                readers.add((module, scope))
+    assert readers == RANK_CUTOFF_READERS
+
+
+def _rank_slot_read(call, parents) -> bool:
+    """Whether the 4-tuple an np.linalg.lstsq call returns has its third item,
+    the rank from lstsq's own cutoff, indexed or bound to a name other than _."""
+    use = parents[call]
+    if isinstance(use, ast.Subscript):
+        return not (isinstance(use.slice, ast.Constant) and use.slice.value % 4 != 2)
+    if isinstance(use, ast.Assign) and isinstance(use.targets[0], ast.Tuple):
+        elts = use.targets[0].elts
+        star = next((i for i, e in enumerate(elts) if isinstance(e, ast.Starred)), len(elts))
+        slot = elts[2] if star > 2 else elts[star].value
+        return not (isinstance(slot, ast.Name) and slot.id == "_")
+    return True
+
+
+def test_no_module_reads_the_lstsq_rank():
+    readers = []
+    for module in _package_modules():
+        tree = ast.parse(_source(module))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "lstsq" and _rank_slot_read(node, parents)):
+                readers.append((module, node.lineno))
+    assert readers == []
+
+
+@pytest.mark.parametrize("line,reads", [
+    ("x, _, _, sv = np.linalg.lstsq(M, b)", False),
+    ("x, *_ = np.linalg.lstsq(M, b)", False),
+    ("x = np.linalg.lstsq(M, b)[0]", False),
+    ("x, _, rank, _ = np.linalg.lstsq(M, b)", True),
+    ("x, *rest = np.linalg.lstsq(M, b)", True),
+    ("rank = np.linalg.lstsq(M, b)[2]", True),
+    ("rank = np.linalg.lstsq(M, b)[-2]", True),
+    ("out = np.linalg.lstsq(M, b)", True),
+])
+def test_lstsq_rank_detector(line, reads):
+    tree = ast.parse(line)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    (call,) = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert _rank_slot_read(call, parents) is reads

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from bergerconn.algebra import (
     h_basis,
     standard_basis,
 )
-from bergerconn.config import TOL_EXACT, TOL_NUM
+from bergerconn.config import TOL_EXACT, TOL_GAP, TOL_NUM
 from bergerconn import spaces
 from bergerconn.spaces import (
     Bilin,
@@ -33,7 +34,7 @@ from bergerconn.spaces import (
     metric_connection_space,
     skew_torsion_space,
 )
-from conftest import random_mvec
+from conftest import gapless_torsion_space, random_mvec
 
 TOL = 1e-9
 
@@ -398,6 +399,23 @@ class TestLeviCivitaGeneric:
     def test_torsion_free(self):
         lc = levi_civita_generic(2, 1.3)
         assert np.abs(nomizu.torsion(lc).coeffs).max() < TOL
+
+    def test_torsion_rank_without_a_gap_is_refused(self, monkeypatch):
+        # the rank is decided on the solve's own singular values: 1.6e-7 is
+        # kept and 1.4e-10 discarded, a gap of about 1e3 below TOL_GAP, which
+        # the solve's default cutoff alone would take as full rank
+        space = gapless_torsion_space(4)
+        d = 9
+        torsion = (space.matrix().reshape(-1, d, d, d)
+                   - space.matrix().reshape(-1, d, d, d).swapaxes(1, 2)).reshape(3, -1)
+        s = np.linalg.svd(torsion, compute_uv=False)
+        assert s[2] > np.finfo(float).eps * d**3 * s[0]
+        monkeypatch.setattr(spaces, "metric_connection_space", lambda n, eps: space)
+        with pytest.raises(RankGapError, match="gap") as exc:
+            levi_civita_generic(4, -1.0)
+        gap = float(re.search(r"gap (\S+)", str(exc.value)).group(1))
+        assert gap == pytest.approx(s[1] / s[2], rel=1e-2)
+        assert gap < TOL_GAP
 
     def test_n1_aw_coefficient(self):
         # the a*w coefficient is -(eps + 2) = -5 at n = 1, eps = 3
