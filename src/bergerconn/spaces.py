@@ -449,7 +449,7 @@ def metric_connection_space(n: int, eps: float) -> LinearSpace:
 def _torsion_difference(coeffs: np.ndarray) -> np.ndarray:
     """alpha(X, Y) - alpha(Y, X) on all basis pairs of coeffs, or of each map
     in a stack of shape (..., d, d, d): the torsion without its bracket term."""
-    return coeffs - np.swapaxes(coeffs, -3, -2)
+    return coeffs - coeffs.swapaxes(-3, -2)
 
 
 def _skew_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
