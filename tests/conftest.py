@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from bergerconn import cli
 from bergerconn.algebra import MVec
+
+# skew-family members, n = 1..6: |eps| in [0.1, 3] with its sign drawn
+# apart, and three coordinates (s, aux1, aux2) that each n cuts to its own
+members = dict(
+    n=st.integers(1, 6),
+    eps=st.floats(0.1, 3.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+)
 
 
 @pytest.fixture
@@ -12,6 +23,14 @@ def rng():
 def random_mvec(rng, n):
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return MVec(n, z, 1j * rng.standard_normal())
+
+
+def assert_verify_passes(n, eps, draws):
+    """Every check of `bergerconn verify` passes at (n, eps) over the draws."""
+    failing = [(name, residual, tol)
+               for name, residual, tol in cli._verification_checks(n, eps, draws)
+               if not residual <= tol]
+    assert failing == [], f"n={n}, eps={eps}: {failing}"
 
 
 def gapless_torsion_space(n):

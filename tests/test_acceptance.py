@@ -15,10 +15,13 @@ def _report(num: int, desc: str, ok: bool, detail: str):
     assert ok, f"criterion {num}: {desc} [{detail}]"
 
 
-EPS_SAMPLE = (-3.0, -1.0, -0.1, 0.5, 2.0)
-
-
-_skew_member = families.skew_family
+def _worst(grid):
+    """Per-name worst residual of verify's checks over (n, eps, draws) cells."""
+    worst = {}
+    for n, eps, draws in grid:
+        for name, residual, _ in cli._verification_checks(n, eps, draws):
+            worst[name] = max(worst.get(name, 0.0), residual)
+    return worst
 
 
 def _on_shell_point(n, eps, rng):
@@ -63,7 +66,7 @@ def test_criterion_2_skew_direction_counts():
     expected = {1: 1, 2: 3, 3: 3, 4: 1, 5: 1}
     got = {}
     for n in range(1, 6):
-        dims = {spaces.skew_torsion_space(n, eps).dim for eps in EPS_SAMPLE}
+        dims = {spaces.skew_torsion_space(n, eps).dim for eps in cli.EPS_SWEEP}
         got[n] = dims.pop() if len(dims) == 1 else tuple(sorted(dims))
     ok = got == expected
     _report(2, "skew-torsion direction dims 1,3,3,1,1", ok, f"got={list(got.values())}")
@@ -73,12 +76,12 @@ def test_criterion_3_closed_forms_vs_generic():
     tol = 1e-9
     rng = np.random.default_rng(31)
     regimes = (("s3", 1), ("s5", 2), ("s7", 3), ("general_n", 4))
-    worst = 0.0
-    for eps in EPS_SAMPLE:
+    off_family, grid = 0.0, []
+    for eps in cli.EPS_SWEEP:
         for regime, n in regimes:
-            g = Metric(n, eps)
+            draws = []
             for _ in range(20):
-                # torsion: general metric-family parameters
+                # torsion off the skew family: general metric-family parameters
                 q = complex(*rng.uniform(-2, 2, size=2))
                 t = float(rng.uniform(-2, 2))
                 if regime == "s5":
@@ -105,36 +108,21 @@ def test_criterion_3_closed_forms_vs_generic():
                     nomizu.torsion(alpha).coeffs
                     - families.closed_torsion(n, eps, params).coeffs
                 ).max()
-                worst = max(worst, float(r))
-
-                # curvature and Ricci: skew-eligible parameters, no s5 form
-                if regime == "s5":
-                    continue
-                k = 3 if regime == "s7" else 1
-                x = rng.uniform(-2, 2, size=k)
-                sk = families.FamilyParams.skew(regime, n, eps, *x, *[0.0] * (3 - k))
-                alpha = _skew_member(n, eps, x)
-                R = nomizu.curvature(alpha)
-                r = np.abs(R.coeffs - families.closed_curvature(n, eps, sk).coeffs).max()
-                worst = max(worst, float(r))
-                r = np.abs(
-                    nomizu.ricci(R, g).coeffs - families.closed_ricci(n, eps, sk).coeffs
-                ).max()
-                worst = max(worst, float(r))
+                off_family = max(off_family, float(r))
+                # torsion, curvature and Ricci on the skew family: verify's checks
+                draws.append(rng.uniform(-2, 2, size=einstein.param_count(n)))
+            grid.append((n, eps, draws))
+    worst = _worst(grid)
+    names = ("closed_torsion_vs_generic", "closed_curvature_vs_generic", "closed_ricci_vs_generic")
+    overall = max([off_family] + [worst[name] for name in names])
     _report(3, "closed torsion/curvature/Ricci vs generic calculus <= 1e-9",
-            worst <= tol, f"max residual {worst:.2e}")
+            overall <= tol, f"max residual {overall:.2e}: off-family torsion {off_family:.2e}, "
+            + ", ".join(f"{name} {worst[name]:.2e}" for name in names))
 
 
 def test_criterion_4_levi_civita():
-    worst_lc, worst_ric = 0.0, 0.0
-    for n in range(1, 6):
-        for eps in EPS_SAMPLE:
-            lc = spaces.levi_civita_generic(n, eps)
-            r = np.abs(lc.coeffs - families.alpha_lc(n, eps).coeffs).max()
-            worst_lc = max(worst_lc, float(r))
-        g = Metric(n, -1.0)
-        ric = nomizu.ricci(nomizu.curvature(families.alpha_lc(n, -1.0)), g)
-        worst_ric = max(worst_ric, float(np.abs(ric.coeffs - 2 * n * g.gram()).max()))
+    worst = _worst((n, eps, []) for n in range(1, 6) for eps in cli.EPS_SWEEP)
+    worst_lc, worst_ric = worst["levi_civita_closed_vs_generic"], worst["round_ricci_2n_g"]
     ok = worst_lc <= 1e-10 and worst_ric <= 1e-9
     _report(4, "generic Levi-Civita = closed form (1e-10); round Ric = 2n g (1e-9)",
             ok, f"lc {worst_lc:.2e}, ric {worst_ric:.2e}")
@@ -142,20 +130,12 @@ def test_criterion_4_levi_civita():
 
 def test_criterion_5_sym_ricci_identity():
     rng = np.random.default_rng(52)
-    worst, count = 0.0, 0
     cells = [(n, eps) for n in range(1, 6) for eps in (-2.0, -1.0, 0.5, 2.0)]
     per_cell = int(np.ceil(200 / len(cells)))
-    for n, eps in cells:
-        g = Metric(n, eps)
-        ric_lc = nomizu.ricci(nomizu.curvature(families.alpha_lc(n, eps)), g).coeffs
-        k = 3 if n in (2, 3) else 1
-        for _ in range(per_cell):
-            alpha = _skew_member(n, eps, rng.uniform(-2, 2, size=k))
-            ric = nomizu.ricci(nomizu.curvature(alpha), g)
-            S = nomizu.s_tensor(alpha, g).coeffs
-            r = np.abs(nomizu.sym(ric).coeffs - (ric_lc - S / 4.0)).max()
-            worst = max(worst, float(r))
-            count += 1
+    grid = [(n, eps, [rng.uniform(-2, 2, size=einstein.param_count(n)) for _ in range(per_cell)])
+            for n, eps in cells]
+    count = sum(len(draws) for _, _, draws in grid)
+    worst = _worst(grid)["sym_ricci_identity"]
     _report(5, "Sym(Ric) = Ric_LC - S/4 within 1e-9 on random skew connections",
             worst <= 1e-9 and count >= 200, f"{count} draws, max residual {worst:.2e}")
 
@@ -217,7 +197,7 @@ def test_criterion_8_special_loci():
                 x = _on_shell_point(n, eps, rng)
                 if x is None:
                     continue
-                ric = nomizu.ricci(nomizu.curvature(_skew_member(n, eps, x)), g)
+                ric = nomizu.ricci(nomizu.curvature(families.skew_family(n, eps, x)), g)
                 r = abs(
                     nomizu.scalar(ric, g)
                     - einstein.scalar_curvature_formula(n, eps, x)

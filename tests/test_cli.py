@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bergerconn
@@ -89,21 +90,28 @@ class TestVerify:
         assert len(lines) >= 2
         assert len({line.index(" residual ") for line in lines}) == 1
 
-    def test_failure_names_check(self, capsys, monkeypatch):
-        # negative control: corrupt one closed form and expect the verify
-        # command to fail naming that check
-        orig = families.closed_torsion
+    @pytest.mark.parametrize("target,check", [
+        ("families.closed_torsion", "closed_torsion_vs_generic"),
+        ("families.closed_curvature", "closed_curvature_vs_generic"),
+        ("families.closed_ricci", "closed_ricci_vs_generic"),
+        ("nomizu.s_tensor", "sym_ricci_identity"),
+        ("nomizu.torsion_form", "torsion_form_is_skew"),
+    ])
+    def test_failure_names_check(self, target, check, capsys, monkeypatch):
+        # negative control for each per-draw check: corrupt one entry of the
+        # tensor it reads, at n = 3, eps = -1 where all five run
+        module, name = target.split(".")
+        orig = getattr(importlib.import_module(f"bergerconn.{module}"), name)
 
-        def broken(n, eps, params):
-            b = orig(n, eps, params)
-            c = b.coeffs.copy()
-            c[0, 1, 0] += 1e-3
-            return type(b)(n, c)
+        def broken(*args):
+            out = orig(*args)
+            c = np.array(getattr(out, "coeffs", out))
+            c[(0, 1) + (0,) * (c.ndim - 2)] += 1e-3
+            return c if isinstance(out, np.ndarray) else type(out)(out.n, c)
 
-        monkeypatch.setattr(cli.families, "closed_torsion", broken)
-        assert main(["verify", "--n", "2", "--eps=-1"]) == 1
-        captured = capsys.readouterr()
-        assert "closed_torsion_vs_generic" in captured.err + captured.out
+        monkeypatch.setattr(f"bergerconn.{target}", broken)
+        assert main(["verify", "--n", "3", "--eps=-1"]) == 1
+        assert capsys.readouterr().err == f"FAIL: {check}\n"
 
     def test_skew_direction_off_the_generic_space_fails(self, capsys, monkeypatch):
         # negative control: move one named direction off the generic skew space
@@ -121,7 +129,7 @@ class TestVerify:
         assert capsys.readouterr().err == "FAIL: skew_directions_closed_vs_generic\n"
 
     def test_levi_civita_check_uses_named_tolerance(self):
-        checks = {name: tol for name, _, tol in cli._verification_checks(cli.RunConfig(n=2))}
+        checks = {name: tol for name, _, tol in cli._verification_checks(2, -1.0, [])}
         assert config.TOL_LC == 1e-10
         assert checks["levi_civita_closed_vs_generic"] == config.TOL_LC
 
@@ -315,6 +323,17 @@ class TestVerifyCurvatureReuse:
         assert names == [c for c in self.CHECKS if c not in skipped]
         assert all(c["pass"] for c in doc["checks"])
         assert len(seen) == 6
+
+    @pytest.mark.parametrize("count", [1, 12])
+    def test_direct_call_shares_ric_lc(self, count, monkeypatch):
+        # the acceptance grid passes many draws per call: Ric_LC is formed
+        # once, so alpha_lc and each draw get one curvature
+        seen = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: seen.append(a) or curvature(a))
+        draws = np.random.default_rng(7).uniform(-2, 2, size=(count, 3))
+        assert all(r <= tol for _, r, tol in cli._verification_checks(3, -1.0, draws))
+        assert len(seen) == 1 + count
 
 
 def _run_python(code):

@@ -23,7 +23,7 @@ from bergerconn.families import (
     theta,
 )
 from bergerconn.spaces import metric_connection_space, skew_torsion_space
-from conftest import random_mvec
+from conftest import assert_verify_passes, members, random_mvec
 
 TOL = 1e-9
 
@@ -239,35 +239,19 @@ class TestClosedTorsion:
         assert np.abs(T.coeffs - closed_torsion(n, eps, params).coeffs).max() < TOL
 
     def test_s7_matches_generic(self):
-        eps, s, s1, s2 = 0.5, 0.8, -0.4, 1.1
-        params = FamilyParams.skew("s7", 3, eps, s, s1, s2)
-        alpha = skew_family(3, eps, (s, s1, s2))
-        T = nomizu.torsion(alpha)
-        assert np.abs(T.coeffs - closed_torsion(3, eps, params).coeffs).max() < TOL
+        assert_verify_passes(3, 0.5, [(0.8, -0.4, 1.1)])
 
     def test_s5_matches_generic(self):
-        eps, s, s3, s4 = -2.0, -0.6, 0.3, 0.7
-        params = FamilyParams.skew("s5", 2, eps, s, s3, s4)
-        alpha = skew_family(2, eps, (s, s3, s4))
-        T = nomizu.torsion(alpha)
-        assert np.abs(T.coeffs - closed_torsion(2, eps, params).coeffs).max() < TOL
+        assert_verify_passes(2, -2.0, [(-0.6, 0.3, 0.7)])
 
 
 class TestClosedCurvature:
     @pytest.mark.parametrize("n,eps,s", [(1, -1.0, 0.6), (4, 1.5, -0.9), (5, -0.5, 1.2)])
     def test_general_regime(self, n, eps, s):
-        regime = "s3" if n == 1 else "general_n"
-        params = FamilyParams.skew(regime, n, eps, s)
-        alpha = skew_family(n, eps, (s,))
-        R = nomizu.curvature(alpha)
-        assert np.abs(R.coeffs - closed_curvature(n, eps, params).coeffs).max() < TOL
+        assert_verify_passes(n, eps, [(s,)])
 
     def test_s7_regime(self):
-        eps, s, s1, s2 = -2.0, 0.3, 0.8, -0.5
-        params = FamilyParams.skew("s7", 3, eps, s, s1, s2)
-        alpha = skew_family(3, eps, (s, s1, s2))
-        R = nomizu.curvature(alpha)
-        assert np.abs(R.coeffs - closed_curvature(3, eps, params).coeffs).max() < TOL
+        assert_verify_passes(3, -2.0, [(0.3, 0.8, -0.5)])
 
     def test_s5_raises(self):
         params = FamilyParams.skew("s5", 2, -1.0, 0.5)
@@ -283,18 +267,10 @@ class TestClosedCurvature:
 class TestClosedRicci:
     @pytest.mark.parametrize("n,eps,s", [(1, 2.0, -0.4), (4, -3.0, 1.1)])
     def test_general_regime(self, n, eps, s):
-        regime = "s3" if n == 1 else "general_n"
-        params = FamilyParams.skew(regime, n, eps, s)
-        g = Metric(n, eps)
-        Ric = nomizu.ricci(nomizu.curvature(skew_family(n, eps, (s,))), g)
-        assert np.abs(Ric.coeffs - closed_ricci(n, eps, params).coeffs).max() < TOL
+        assert_verify_passes(n, eps, [(s,)])
 
     def test_s7_regime(self):
-        eps, s, s1, s2 = 1.0, -0.7, 0.2, 0.9
-        params = FamilyParams.skew("s7", 3, eps, s, s1, s2)
-        g = Metric(3, eps)
-        Ric = nomizu.ricci(nomizu.curvature(skew_family(3, eps, (s, s1, s2))), g)
-        assert np.abs(Ric.coeffs - closed_ricci(3, eps, params).coeffs).max() < TOL
+        assert_verify_passes(3, 1.0, [(-0.7, 0.2, 0.9)])
 
     def test_s5_raises(self):
         params = FamilyParams.skew("s5", 2, -1.0, 0.5)
@@ -304,25 +280,11 @@ class TestClosedRicci:
 
 class TestClosedFormProperties:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        eps=st.floats(0.1, 3.0),
-        sign=st.sampled_from((-1.0, 1.0)),
-        x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-    )
-    def test_closed_forms_match_generic(self, n, eps, sign, x):
-        eps *= sign
-        regime = {1: "s3", 2: "s5", 3: "s7"}.get(n, "general_n")
-        params = FamilyParams.skew(regime, n, eps, *x)
-        alpha = skew_family(n, eps, x)
-        T = nomizu.torsion(alpha)
-        assert np.abs(T.coeffs - closed_torsion(n, eps, params).coeffs).max() <= TOL_NUM
-        if n == 2:  # no closed curvature on S^5
-            return
-        R = nomizu.curvature(alpha)
-        assert np.abs(R.coeffs - closed_curvature(n, eps, params).coeffs).max() <= TOL_NUM
-        Ric = nomizu.ricci(R, Metric(n, eps))
-        assert np.abs(Ric.coeffs - closed_ricci(n, eps, params).coeffs).max() <= TOL_NUM
+    @given(**members)
+    def test_verify_checks_pass(self, n, eps, sign, x):
+        # every verify check, the closed forms against the generic calculus
+        # and Sym(Ric) = Ric_LC - S/4 among them, at one random member
+        assert_verify_passes(n, sign * eps, [x])
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(

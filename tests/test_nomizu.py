@@ -23,7 +23,7 @@ from bergerconn.nomizu import (
     torsion_form,
 )
 from bergerconn.spaces import Bilin, skew_torsion_space
-from conftest import random_mvec
+from conftest import assert_verify_passes, members, random_mvec
 
 TOL = 1e-9
 
@@ -31,7 +31,7 @@ TOL = 1e-9
 class TestTorsion:
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, 0.5), (4, -2.0)])
     def test_levi_civita_torsion_free(self, n, eps):
-        assert np.abs(torsion(families.alpha_lc(n, eps)).coeffs).max() < TOL
+        assert_verify_passes(n, eps, [])
 
     def test_symmetric_map_leaves_bracket_term(self, rng):
         n = 2
@@ -66,13 +66,9 @@ class TestCurvature:
         assert np.abs(R.coeffs - expected).max() < TOL
 
     def test_matches_closed_form_random_q(self, rng):
-        n = 4
         for eps in (-2.0, 1.0):
             q = float(rng.uniform(-2, 2))
-            params = families.FamilyParams.skew("general_n", n, eps, 1.0 - q)
-            alpha = families.skew_family(n, eps, (1.0 - q,))
-            closed = families.closed_curvature(n, eps, params)
-            assert np.abs(curvature(alpha).coeffs - closed.coeffs).max() < TOL
+            assert_verify_passes(4, eps, [(1.0 - q,)])
 
     def test_flat_s7_connection(self):
         R = curvature(families.skew_family(3, -1.0, (1.0, 1.0, 0.0)))
@@ -86,10 +82,7 @@ class TestCurvature:
 
 class TestRicci:
     def test_round_is_2n_g(self):
-        n, eps = 2, -1.0
-        g = Metric(n, eps)
-        Ric = ricci(curvature(families.alpha_lc(n, eps)), g)
-        assert np.abs(Ric.coeffs - 2 * n * g.gram()).max() < TOL
+        assert_verify_passes(2, -1.0, [])
 
     def test_closed_form_blocks(self, rng):
         n, eps = 4, float(rng.uniform(-3, -0.5))
@@ -255,15 +248,9 @@ class TestEinsteinDefect:
 class TestSymRicciIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity(self, n, rng):
+        k = 3 if n in (2, 3) else 1
         for eps in (-3.0, -1.0, 1.0):
-            g = Metric(n, eps)
-            ric_lc = ricci(curvature(families.alpha_lc(n, eps)), g).coeffs
-            k = 3 if n in (2, 3) else 1
-            for _ in range(4):
-                alpha = families.skew_family(n, eps, rng.uniform(-2, 2, size=k))
-                Ric = ricci(curvature(alpha), g)
-                S = s_tensor(alpha, g).coeffs
-                assert np.abs(sym(Ric).coeffs - (ric_lc - S / 4.0)).max() < TOL
+            assert_verify_passes(n, eps, [rng.uniform(-2, 2, size=k) for _ in range(4)])
 
 
 class TestContractionsAgainstEinsum:
@@ -388,25 +375,9 @@ class TestRicciTrace:
 
 
 class TestSkewFamilyProperties:
-    """Identities of random skew-torsion family members, n = 1..6."""
-
-    members = dict(
-        n=st.integers(1, 6),
-        eps=st.floats(0.1, 3.0),
-        sign=st.sampled_from((-1.0, 1.0)),
-        x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-    )
-
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(**members)
-    def test_sym_ricci_identity(self, n, eps, sign, x):
-        eps *= sign
-        g = Metric(n, eps)
-        alpha = families.skew_family(n, eps, x)
-        ric_lc = ricci(curvature(families.alpha_lc(n, eps)), g).coeffs
-        Ric = sym(ricci(curvature(alpha), g)).coeffs
-        S = s_tensor(alpha, g).coeffs
-        assert np.abs(Ric - (ric_lc - S / 4.0)).max() <= TOL_NUM
+    """Identities of random skew-torsion family members, n = 1..6; the
+    closed forms and Sym(Ric) = Ric_LC - S/4 are among verify's checks,
+    which test_families runs over the same members."""
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(**members)
