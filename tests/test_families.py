@@ -281,7 +281,7 @@ class TestClosedRicci:
 class TestClosedFormProperties:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(**members)
-    def test_verify_checks_pass(self, n, eps, sign, x):
+    def test_closed_forms_match_generic(self, n, eps, sign, x):
         # every verify check, the closed forms against the generic calculus
         # and Sym(Ric) = Ric_LC - S/4 among them, at one random member
         assert_verify_passes(n, sign * eps, [x])

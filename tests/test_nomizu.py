@@ -375,9 +375,21 @@ class TestRicciTrace:
 
 
 class TestSkewFamilyProperties:
-    """Identities of random skew-torsion family members, n = 1..6; the
-    closed forms and Sym(Ric) = Ric_LC - S/4 are among verify's checks,
-    which test_families runs over the same members."""
+    """Identities of random skew-torsion family members, n = 1..6.  The
+    Sym(Ric) identity is read here straight from nomizu; verify's
+    sym_ricci_identity check, which test_families runs over the same
+    members, reaches it through the CLI's shared Ric_LC."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(**members)
+    def test_sym_ricci_identity(self, n, eps, sign, x):
+        eps *= sign
+        g = Metric(n, eps)
+        alpha = families.skew_family(n, eps, x)
+        ric_lc = ricci(curvature(families.alpha_lc(n, eps)), g).coeffs
+        Ric = sym(ricci(curvature(alpha), g)).coeffs
+        S = s_tensor(alpha, g).coeffs
+        assert np.abs(Ric - (ric_lc - S / 4.0)).max() <= TOL_NUM
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(**members)
