@@ -17,7 +17,7 @@ Riemannian for eps < 0 and Lorentzian for eps > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import config, einstein, families, nomizu, spaces
 from .algebra import Metric
-from .einstein import VarietyClass
 from .spaces import RankGapError
 
 
@@ -338,7 +337,7 @@ def build_export(cfg: RunConfig) -> dict:
     scalars = [
         einstein.scalar_curvature_formula(cfg.n, cfg.eps, x) for x in var.sample_points
     ]
-    defects = [einstein.einstein_defect_at(cfg.n, cfg.eps, x) for x in var.sample_points]
+    defects = einstein.einstein_defects(cfg.n, cfg.eps, var.sample_points).tolist()
     flat = bool(cfg.n == 3 and cfg.eps == -1.0)
     return {
         "tool": "bergerconn",

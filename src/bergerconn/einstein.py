@@ -25,11 +25,18 @@ generic check, which goes through the full curvature
 gives the curvature as an exact quadratic map; one singular-value floor of
 such rows (_floor) excludes flat connections and gives the n = 1 minimum
 defect.
+
+Every generic evaluation here takes its family members as one stack
+(_members, LinearSpace.elements of the named skew space): the polarization
+points, the flat circle, the Ricci-flat samples of one eps, and the
+solver's sample checks, a block at a time (einstein_defects).  Each row
+keeps the bytes of a lone call (einstein_defect_at).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -132,6 +139,21 @@ def einstein_defect_at(n: int, eps: float, params) -> float:
     return nomizu.einstein_defect(families.skew_family(n, eps, params), Metric(n, eps))
 
 
+def einstein_defects(n: int, eps: float, points) -> np.ndarray:
+    """Einstein defects of the skew family members at the rows of points,
+    shape (p, param_count(n)): one stacked nomizu.einstein_defect call,
+    each entry the bytes of einstein_defect_at."""
+    return nomizu.einstein_defect(_members(n, eps, points), Metric(n, eps))
+
+
+def _members(n: int, eps: float, points) -> np.ndarray:
+    """Coefficient stack (p, d, d, d) of the skew family members at the rows
+    of points, shape (p, param_count(n)), each the bytes of
+    families.skew_family."""
+    space = families.skew_direction_basis(n, eps)
+    return space.elements(np.reshape(points, (-1, space.dim)))
+
+
 def _polarize(f, k: int) -> np.ndarray:
     """Coefficient rows M of a map f quadratic in x in R^k, so that
     f(x) = m(x) @ M exactly (up to rounding), with m(x) the monomials
@@ -179,8 +201,7 @@ def _residual_rows(n: int, eps: float) -> np.ndarray:
     g = Metric(n, eps)
 
     def residuals(X):
-        members = np.array([families.skew_family(n, eps, x).coeffs for x in X])
-        return nomizu.einstein_residual(members, g).reshape(len(X), -1)
+        return nomizu.einstein_residual(_members(n, eps, X), g).reshape(len(X), -1)
 
     # a subnormal eps overflows the residual; generic_quadric refuses it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,25 +273,30 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     sqrt(-c'/(u diag(lam) u)) where it is real.
     Where c' is rounding (_CONST_TOL, a few ulps from eps = -1) it is taken
     as 0: a 2-pt. cell or ellipsoid gives x0 alone, a hyperboloid the cone.
-    Each sample gets the generic check in turn; on a positive-dimensional
-    cell one that fails gives way to the next draw.  RuntimeError where an
-    isolated point is not real or fails, the cone has no lone sign, or a
-    non-empty cell yields no sample; RankGapError from generic_quadric.
+    The candidates get the generic check in blocks, each the next
+    count - (samples kept) real candidates in one einstein_defects call, so
+    exactly the candidates a one-by-one check would reach are checked; on
+    a positive-dimensional cell one that fails gives way to the next draw.
+    RuntimeError where an isolated point is not real or fails, the cone has
+    no lone sign, or a non-empty cell yields no sample; RankGapError from
+    generic_quadric.
 
     One DEBUG record per call on the bergerconn.einstein logger, also as its
     `solve` attribute, carries the rank-one gap and its margin to TOL_GAP,
     lam, x0, c' (0 where taken as 0), the candidates examined (draws), the
-    generic checks and the wall time of generic_quadric (model_s) (all but
-    the checks None where n = 1 has no quadric).
+    generic checks, the wall time of generic_quadric (model_s) and that of
+    the checks (checks_s) (all but the checks and checks_s None where n = 1
+    has no quadric).
     """
     kind = classify(n, eps)
     if n == 1:
         # the whole s-line solves the condition at eps = -1
         line = kind is not VarietyClass.EMPTY
         out = [(s,) for s in np.linspace(-2.0, 2.0, count).tolist()] if line else []
-        if any(einstein_defect_at(1, eps, x) > TOL_SOL for x in out):
+        t0 = time.perf_counter()
+        if (einstein_defects(1, eps, out) > TOL_SOL).any():
             raise RuntimeError("line solution fails the defect check")
-        _log_solve(n, eps, checks=len(out))
+        _log_solve(n, eps, checks=len(out), checks_s=time.perf_counter() - t0)
         return out
 
     t0 = time.perf_counter()
@@ -301,29 +327,39 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t = -const / (U**2 @ lam)
         U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]
-    keep, checks, draws = [], 0, 0
-    for x in map(tuple, (centre + U @ P.T).tolist()):
-        if len(keep) >= count:
-            break
-        draws += 1
-        real = not np.isnan(x).any()
-        checks += real
-        if real and einstein_defect_at(n, eps, x) <= TOL_SOL:
-            keep.append(x)
-        elif isolated:
-            raise RuntimeError(f"{kind.value} predicted, but {x} fails")
+    X = centre + U @ P.T
+    real = ~np.isnan(X).any(axis=1)
+    keep, checks, draws, checks_s = [], 0, 0, 0.0
+    while len(keep) < count and draws < len(X):
+        # a block: the next count - len(keep) real candidates, and the
+        # unreal ones among them, checked in one stacked call
+        need = count - len(keep)
+        block = slice(draws, draws + int(np.searchsorted(np.cumsum(real[draws:]), need)) + 1)
+        live = real[block]
+        t0 = time.perf_counter()
+        passed = np.zeros(len(live), dtype=bool)
+        passed[live] = einstein_defects(n, eps, X[block][live]) <= TOL_SOL
+        checks_s += time.perf_counter() - t0
+        for x, ok in zip(map(tuple, X[block].tolist()), passed):
+            if ok:
+                keep.append(x)
+            elif isolated:
+                raise RuntimeError(f"{kind.value} predicted, but {x} fails")
+        checks += int(live.sum())
+        draws += len(live)
     _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(lam.tolist()),
-               tuple(centre.tolist()), const, draws, model_s)
+               tuple(centre.tolist()), const, draws, model_s, checks_s)
     if not keep and count > 0 and kind is not VarietyClass.EMPTY:
         raise RuntimeError(f"classification predicts {kind.value} but no numeric solution found")
     return sorted(keep)
 
 
 def _log_solve(n: int, eps: float, checks: int, gap=None, margin=None, eigenvalues=None,
-               centre=None, centred_constant=None, draws=None, model_s=None) -> None:
+               centre=None, centred_constant=None, draws=None, model_s=None,
+               checks_s=None) -> None:
     record = dict(n=n, eps=eps, gap=gap, tol_gap=TOL_GAP, margin=margin, eigenvalues=eigenvalues,
                   centre=centre, centred_constant=centred_constant, draws=draws, checks=checks,
-                  model_s=model_s)
+                  model_s=model_s, checks_s=checks_s)
     _log.debug("solve_numeric n=%d eps=%r: %s", n, eps, record, extra={"solve": record})
 
 
@@ -382,6 +418,7 @@ def ricci_flat_locus(n: int) -> RicciFlatLocus:
     (s, s3, s4) = (+-1, 0, 0) have fully zero Ricci (elsewhere an
     antisymmetric Ricci part of size 6*sqrt(s3^2+s4^2) remains while the
     symmetric part and the scalar vanish), so the samples are the poles.
+    The samples of one eps are checked in one stacked curvature call.
     """
     if n == 1:
         desc = "eps = -1, s = +-1"
@@ -402,13 +439,14 @@ def ricci_flat_locus(n: int) -> RicciFlatLocus:
         samples = [(eps, (1.0,)), (eps, (-1.0,))]
 
     norms = []
-    for eps, params in samples:
-        alpha = families.skew_family(n, eps, params)
-        Ric = nomizu.ricci(nomizu.curvature(alpha), Metric(n, eps))
-        norm = float(np.linalg.norm(Ric.coeffs))
-        if norm > TOL_SOL:
-            raise RuntimeError(f"sample {(eps, params)} is not Ricci-flat: {norm:.2e}")
-        norms.append(norm)
+    for eps, group in itertools.groupby(samples, key=lambda sample: sample[0]):
+        group = [params for _, params in group]
+        Ric = nomizu.ricci(nomizu.curvature(_members(n, eps, group)), Metric(n, eps))
+        for params, r in zip(group, Ric):
+            norm = float(np.linalg.norm(r))
+            if norm > TOL_SOL:
+                raise RuntimeError(f"sample {(eps, params)} is not Ricci-flat: {norm:.2e}")
+            norms.append(norm)
     return RicciFlatLocus(n, desc, tuple(samples), tuple(norms))
 
 
@@ -434,7 +472,8 @@ def flat_connection_check(n: int, eps: float) -> FlatnessReport:
 
     Only n = 3 with the round metric admits them: the circle s = 1,
     s1^2 + s2^2 = 1, checked by 17 generic curvature evaluations.  The
-    curvature map loops nomizu.curvature over the rows of its points.
+    curvature map is one stacked nomizu.curvature call on the family
+    members at the rows of its points.
 
     Elsewhere the curvature R(x), exactly quadratic in the parameters, is
     polarized once (3 generic evaluations at k = 1, 10 at k = 3) into rows M
@@ -444,16 +483,16 @@ def flat_connection_check(n: int, eps: float) -> FlatnessReport:
     call raises RuntimeError (RankGapError where the rank has no clear gap).
 
     One DEBUG record per call on the bergerconn.einstein logger, also as the
-    record's `flatness` attribute, carries n, eps, the generic curvature
-    calls, and _floor's rank, sigma (as sigma_plus), gap, its margin
-    gap / TOL_GAP and c (these five None on the circle).
+    record's `flatness` attribute, carries n, eps, the maps evaluated by the
+    generic curvature (curvature_calls: 3, 10 or 17), and _floor's rank,
+    sigma (as sigma_plus), gap, its margin gap / TOL_GAP and c (these five
+    None on the circle).
     """
     if n not in (3, 4, 5, 6):
         raise ValueError("supported for n in {3, 4, 5, 6}")
 
     def curv(X):
-        return np.array([nomizu.curvature(families.skew_family(n, eps, x)).coeffs.ravel()
-                         for x in X])
+        return nomizu.curvature(_members(n, eps, X)).reshape(len(X), -1)
 
     if n == 3 and eps == -1.0:
         angles = np.linspace(0.0, 2 * np.pi, 17)

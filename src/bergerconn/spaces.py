@@ -82,7 +82,7 @@ class Bilin:
         c.flags.writeable = False
         if c.shape != (d, d, d):
             raise ValueError(f"coeffs must have shape {(d, d, d)}, got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coeffs must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -149,15 +149,30 @@ class LinearSpace:
         construction and read-only."""
         return self._stack
 
+    @property
+    def n(self) -> int:
+        return self.basis[0].n if self.basis else self.offset.n
+
     def element(self, coeffs) -> Bilin:
-        """offset + sum_r coeffs[r] * basis[r]."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        n = self.basis[0].n if self.basis else self.offset.n
-        d = 2 * n + 1
-        c = (coeffs @ self.matrix()).reshape(d, d, d) if self.basis else np.zeros((d, d, d))
+        """offset + sum_r coeffs[r] * basis[r]: the one row of elements."""
+        return Bilin(self.n, self.elements(np.asarray(coeffs, dtype=float)[None])[0])
+
+    def elements(self, X) -> np.ndarray:
+        """Coefficient stack (p, d, d, d) of offset + X[i] @ basis for each
+        row of X, shape (p, dim), checked finite once over the stack.
+
+        Each row is a vector-matrix product of its own, as a lone element
+        is: one matrix product over the stack may round a row differently.
+        """
+        X = np.asarray(X, dtype=float)
+        d = 2 * self.n + 1
+        c = ((X[:, None] @ self.matrix()).reshape(-1, d, d, d) if self.basis
+             else np.zeros((len(X), d, d, d)))
         if self.offset is not None:
-            c = c + self.offset.coeffs
-        return Bilin(n, c)
+            c += self.offset.coeffs
+        if not np.isfinite(c).all():
+            raise ValueError("coeffs must be finite")
+        return c
 
     def projection_residual(self, b: Bilin) -> float:
         """Distance from b (minus the offset, if any) to the span of the basis."""

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the pass/fail lines.
 """
 
 import numpy as np
-import pytest
 
 from bergerconn import cli, einstein, families, nomizu, spaces
 from bergerconn.algebra import Metric

@@ -190,6 +190,13 @@ class TestExport:
         doc = json.loads(capsys.readouterr().out)
         assert doc["flat_connections"] is True
 
+    @pytest.mark.parametrize("n,eps", [(2, -1.5), (3, -1.0), (4, 1.0), (1, -2.0)])
+    def test_defects_are_lone_defects(self, n, eps):
+        # one stacked check over the samples, each entry a lone call's bytes
+        doc = cli.build_export(cli.RunConfig(n=n, eps=eps))
+        lone = [einstein.einstein_defect_at(n, eps, x) for x in doc["samples"]]
+        assert np.array(doc["residuals"]["einstein_defect"]).tobytes() == np.array(lone).tobytes()
+
     def test_deterministic_across_runs(self, capsys):
         assert main(["export", "--n", "4", "--eps", "1", "--seed", "3"]) == 0
         first = capsys.readouterr().out

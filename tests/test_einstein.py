@@ -10,7 +10,6 @@ from bergerconn import einstein, families, nomizu
 from bergerconn.algebra import Metric
 from bergerconn.config import TOL_GAP, TOL_NUM, TOL_SOL
 from bergerconn.einstein import (
-    CanonicalEquation,
     EinsteinVariety,
     VarietyClass,
     classify,
@@ -190,21 +189,37 @@ def _curvature_map(n, eps):
                                for x in np.atleast_2d(X)])
 
 
+def _maps(alpha) -> int:
+    """How many maps a call of the generic calculus evaluates: one for a
+    Bilin, the size of a stack (..., d, d, d) otherwise."""
+    return int(np.prod(np.shape(getattr(alpha, "coeffs", alpha))[:-3]))
+
+
 def _count_generic_maps(monkeypatch) -> tuple[list, list]:
-    """Patch nomizu.einstein_residual to record how many maps each call
-    evaluates (one for a Bilin, the leading size of a stack), and
-    nomizu.curvature to record its calls."""
+    """Patch nomizu.einstein_residual and nomizu.curvature to record how many
+    maps each of their calls evaluates."""
     counts, calls = [], []
     residual, curvature = nomizu.einstein_residual, nomizu.curvature
-
-    def counted(alpha, g):
-        a = getattr(alpha, "coeffs", alpha)
-        counts.append(int(np.prod(np.shape(a)[:-3])))
-        return residual(alpha, g)
-
-    monkeypatch.setattr(nomizu, "einstein_residual", counted)
-    monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(a) or curvature(a))
+    monkeypatch.setattr(nomizu, "einstein_residual",
+                        lambda alpha, g: counts.append(_maps(alpha)) or residual(alpha, g))
+    monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(_maps(a)) or curvature(a))
     return counts, calls
+
+
+def _patch_defects(monkeypatch, defects) -> list:
+    """Replace the solver's stacked check einstein.einstein_defects by
+    defects(n, eps, X, original), X the (p, k) block of candidates; returns
+    the list of every candidate checked, in order."""
+    checked = []
+    original = einstein.einstein_defects
+
+    def patched(n, eps, X):
+        X = np.asarray(X, dtype=float)
+        checked.extend(map(tuple, X.tolist()))
+        return np.asarray(defects(n, eps, X, original), dtype=float)
+
+    monkeypatch.setattr(einstein, "einstein_defects", patched)
+    return checked
 
 
 class TestPolarize:
@@ -321,7 +336,7 @@ class TestSolveRecord:
     """One DEBUG record per solve_numeric call, with the fields on record.solve."""
 
     FIELDS = {"n", "eps", "gap", "tol_gap", "margin", "eigenvalues", "centre",
-              "centred_constant", "draws", "checks", "model_s"}
+              "centred_constant", "draws", "checks", "model_s", "checks_s"}
 
     def _records(self, caplog, *args, **kwargs):
         with caplog.at_level(logging.DEBUG, logger="bergerconn.einstein"):
@@ -349,12 +364,13 @@ class TestSolveRecord:
     def test_model_fields(self, n, eps, maps, caplog, monkeypatch):
         # the model is one residual call on the polarization stack, each
         # sample's check one full curvature; model_s is the wall time of
-        # generic_quadric
+        # generic_quadric, checks_s that of the checks
         counts, calls = _count_generic_maps(monkeypatch)
         sols, rec = self._records(caplog, n, eps, count=4)
         assert counts == [maps]
-        assert len(calls) == rec["checks"] == len(sols)
+        assert sum(calls) == rec["checks"] == len(sols)
         assert isinstance(rec["model_s"], float) and 0.0 < rec["model_s"] < 10.0
+        assert isinstance(rec["checks_s"], float) and 0.0 < rec["checks_s"] < 10.0
 
     def test_one_point_cell(self, caplog):
         # the centre is the one candidate and the one sample, checked once
@@ -380,6 +396,7 @@ class TestSolveRecord:
         assert len(sols) == 5 and rec["checks"] == 5
         assert rec["gap"] is rec["eigenvalues"] is rec["centre"] is rec["draws"] is None
         assert rec["model_s"] is None
+        assert isinstance(rec["checks_s"], float) and 0.0 < rec["checks_s"] < 10.0
 
     def test_silent_by_default(self, caplog):
         with caplog.at_level(logging.INFO, logger="bergerconn.einstein"):
@@ -429,18 +446,28 @@ class TestSolveNumeric:
         # call, and each returned sample one more, a curvature for its check
         counts, calls = _count_generic_maps(monkeypatch)
         sols = solve_numeric(n, eps)
-        assert len(counts) == 1 and len(calls) == len(sols)
-        assert 0 < counts[0] + len(calls) <= 10 + len(sols)
+        assert len(counts) == 1 and sum(calls) == len(sols)
+        assert 0 < counts[0] + sum(calls) <= 10 + len(sols)
 
     def test_one_generic_check_per_cluster(self, monkeypatch):
         # a 1-pt. cell: its one sample, the centre, passes the generic check
         # at the first try
-        calls = []
-        defect = einstein.einstein_defect_at
-        monkeypatch.setattr(einstein, "einstein_defect_at",
-                            lambda *a: calls.append(a) or defect(*a))
+        checked = _patch_defects(monkeypatch, lambda n, eps, X, defects: defects(n, eps, X))
         assert len(solve_numeric(5, -1.0)) == 1
-        assert len(calls) == 1
+        assert len(checked) == 1
+
+    @pytest.mark.parametrize("n,eps,count", [(3, -2.0, 8), (2, -1.5, 4), (3, -1.0, 8)])
+    def test_checks_go_in_blocks(self, n, eps, count, monkeypatch):
+        # every check passing: the count candidates are checked in one
+        # stacked call, one curvature call for as many maps
+        calls = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(_maps(a)) or curvature(a))
+        blocks = []
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: blocks.append(len(X))
+                       or defects(n, eps, X))
+        assert len(solve_numeric(n, eps, count=count)) == count
+        assert blocks == [count] and calls == [count]
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_two_points_next_to_round(self, n):
@@ -507,8 +534,8 @@ class TestSolveNumeric:
                                     c=q.c - (R @ q.l) @ a + a @ A @ a)
         defect = einstein.einstein_defect_at
         monkeypatch.setattr(einstein, "generic_quadric", lambda *_: moved)
-        monkeypatch.setattr(einstein, "einstein_defect_at",
-                            lambda n, eps, x: defect(n, eps, R.T @ (np.array(x) - a)))
+        # each candidate x checked at R^T (x - a), the row (x - a) @ R
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: defects(n, eps, (X - a) @ R))
         sols = solve_numeric(n, eps, count=4)
         expected = {VarietyClass.ONE_POINT: 1, VarietyClass.TWO_POINTS: 2}
         assert len(sols) == expected.get(classify(n, eps), 4)
@@ -547,7 +574,7 @@ class TestSolveNumeric:
     def test_draws_capped(self, n, eps, monkeypatch, caplog):
         # every check failing: each real draw is checked once, then the
         # solve gives up after _DRAWS per requested sample
-        monkeypatch.setattr(einstein, "einstein_defect_at", lambda *a: np.inf)
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: np.full(len(X), np.inf))
         caplog.set_level(logging.DEBUG, logger="bergerconn.einstein")
         with pytest.raises(RuntimeError, match="no numeric solution"):
             solve_numeric(n, eps, count=2)
@@ -581,7 +608,7 @@ class TestNormalFormRefusals:
         const = q.c + 0.5 * q.l[0] * centre
         self._patch_quadric(monkeypatch, 4, -2.0,
                             c=q.c - const + ulps * np.finfo(float).eps * lam)
-        monkeypatch.setattr(einstein, "einstein_defect_at", lambda *a: 0.0)
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: np.zeros(len(X)))
         if raises:
             with pytest.raises(RuntimeError, match="2 pt."):
                 solve_numeric(4, -2.0)
@@ -596,17 +623,18 @@ class TestNormalFormRefusals:
     @pytest.mark.parametrize("n,eps,points", [(4, -2.0, 2), (5, -1.0, 1), (2, -1.0, 1)])
     def test_isolated_point_failing_its_check(self, n, eps, points, monkeypatch):
         # an isolated point has no draw to give way to: the last point of
-        # the cell fails, and the cell raises rather than return fewer
-        defect = einstein.einstein_defect_at
-        checked = []
+        # the cell fails, and the cell raises rather than return fewer; its
+        # points are checked in one block
+        def last_fails(n, eps, X, defects):
+            out = defects(n, eps, X)
+            out[-1] = np.inf
+            return out
 
-        def last_fails(*a):
-            checked.append(a)
-            return np.inf if len(checked) == points else defect(*a)
-
-        monkeypatch.setattr(einstein, "einstein_defect_at", last_fails)
-        with pytest.raises(RuntimeError, match="fails"):
+        checked = _patch_defects(monkeypatch, last_fails)
+        with pytest.raises(RuntimeError, match="fails") as raised:
             solve_numeric(n, eps)
+        assert len(checked) == points
+        assert str(checked[-1]) in str(raised.value)
 
     def test_ellipsoid_with_no_real_direction(self, monkeypatch):
         q = generic_quadric(2, -2.0)
@@ -621,37 +649,33 @@ class TestLazyGenericCheck:
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5)])
     @pytest.mark.parametrize("count", [4, 8])
     def test_checks_only_returned_samples(self, n, eps, count, monkeypatch):
-        checks = []
-        defect = einstein.einstein_defect_at
-        monkeypatch.setattr(einstein, "einstein_defect_at",
-                            lambda *a: checks.append(a) or defect(*a))
+        checks = _patch_defects(monkeypatch, lambda n, eps, X, defects: defects(n, eps, X))
         counts, calls = _count_generic_maps(monkeypatch)
         sols = solve_numeric(n, eps, count=count)
         assert len(sols) == count
         assert len(checks) == count
-        assert 0 < sum(counts) + len(calls) <= 10 + count
+        assert 0 < sum(counts) + sum(calls) <= 10 + count
 
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5), (3, -0.5)])
     def test_failed_check_gives_way(self, n, eps, monkeypatch):
         # the first generic check fails on a positive-dimensional cell: its
         # candidate is not returned, and the cell still returns count
         # samples, each passing the real check
-        checked = []
-        defect = einstein.einstein_defect_at
+        def first_fails(n, eps, X, defects):
+            out = defects(n, eps, X)
+            if len(checked) == len(X):
+                out[0] = np.inf
+            return out
 
-        def first_fails(*a):
-            checked.append(a[2])
-            return np.inf if len(checked) == 1 else defect(*a)
-
-        monkeypatch.setattr(einstein, "einstein_defect_at", first_fails)
+        checked = _patch_defects(monkeypatch, first_fails)
         sols = solve_numeric(n, eps, count=4)
-        assert len(sols) == 4
-        assert checked[0] not in sols
+        assert len(sols) == 4 and len(checked) == 5
+        assert checked[0] not in sols and sorted(checked[1:]) == sols
         for x in sols:
-            assert defect(n, eps, x) <= TOL
+            assert einstein_defect_at(n, eps, x) <= TOL
 
     def test_every_check_failing_raises(self, monkeypatch):
-        monkeypatch.setattr(einstein, "einstein_defect_at", lambda *a: np.inf)
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: np.full(len(X), np.inf))
         with pytest.raises(RuntimeError):
             solve_numeric(3, -2.0)
 
@@ -735,6 +759,22 @@ class TestRicciFlat:
         assert locus.samples
         assert max(locus.ricci_norms) <= 1e-8
 
+    @pytest.mark.parametrize("n,maps", [(3, [2] * 5), (2, [2]), (5, [2])])
+    def test_one_stacked_curvature_per_eps(self, n, maps, monkeypatch):
+        # the samples are checked in one curvature call per eps, and each
+        # norm keeps a lone call's bytes
+        before = ricci_flat_locus(n)
+        counted = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(_maps(a)) or curvature(a))
+        locus = ricci_flat_locus(n)
+        assert counted == maps
+        monkeypatch.undo()
+        assert locus == before
+        for (eps, x), norm in zip(locus.samples, locus.ricci_norms):
+            Ric = nomizu.ricci(nomizu.curvature(families.skew_family(n, eps, x)), Metric(n, eps))
+            assert norm == float(np.linalg.norm(Ric.coeffs))
+
     def test_samples_solve_einstein(self):
         for n in (1, 2, 3, 4):
             for eps, params in ricci_flat_locus(n).samples:
@@ -795,8 +835,7 @@ class TestFlatnessModel:
         # null space and no floor is certified
         curvature = nomizu.curvature
         zero = curvature(families.skew_family(4, -1.0, (0.0,))).coeffs
-        monkeypatch.setattr(nomizu, "curvature",
-                            lambda a: nomizu.CurvTensor(a.n, curvature(a).coeffs - zero))
+        monkeypatch.setattr(nomizu, "curvature", lambda a: curvature(a) - zero)
         with pytest.raises(RuntimeError, match="flat points may exist"):
             flat_connection_check(4, -1.0)
 
@@ -818,13 +857,14 @@ class TestFlatnessModel:
 
     @pytest.mark.parametrize("n,eps,calls", [(4, -1.0, 3), (6, 2.0, 3), (3, -2.0, 10)])
     def test_curvature_calls(self, n, eps, calls, monkeypatch):
-        # the polarization alone: 3 generic calls at one parameter, 10 at three
+        # the polarization alone: 3 generic maps at one parameter, 10 at
+        # three, in one stacked curvature call
         flat_connection_check(n, eps)
         counted = []
         curvature = nomizu.curvature
-        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(a) or curvature(a))
+        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(_maps(a)) or curvature(a))
         flat_connection_check(n, eps)
-        assert len(counted) == calls
+        assert counted == [calls]
 
 
 class TestFlatnessRecord:
@@ -843,22 +883,27 @@ class TestFlatnessRecord:
 
     @pytest.mark.parametrize("n,eps,calls", [(4, -1.0, 3), (3, -2.0, 10)])
     def test_fields(self, n, eps, calls, caplog, monkeypatch):
+        # curvature_calls counts the maps of the stacked call
         counted = []
         curvature = nomizu.curvature
-        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(a) or curvature(a))
+        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(_maps(a)) or curvature(a))
         rep, rec = self._record(caplog, n, eps)
         assert (rec["n"], rec["eps"]) == (n, eps)
-        assert rec["curvature_calls"] == len(counted) == calls
+        assert rec["curvature_calls"] == sum(counted) == calls
         assert rec["sigma_plus"] == rep.min_norm_on_grid
         M = einstein._polarize(_curvature_map(n, eps), param_count(n))
         assert (rec["rank"], rec["sigma_plus"], rec["gap"], rec["c"]) == einstein._floor(M)
         assert rec["margin"] == rec["gap"] / TOL_GAP
         assert rec["margin"] >= 1.0 and rec["c"] <= TOL_NUM
 
-    def test_circle(self, caplog):
+    def test_circle(self, caplog, monkeypatch):
+        counted = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: counted.append(_maps(a)) or curvature(a))
         rep, rec = self._record(caplog, 3, -1.0)
         assert rep.flat_exists
         assert (rec["n"], rec["eps"], rec["curvature_calls"]) == (3, -1.0, 17)
+        assert counted == [17]
         assert all(rec[f] is None for f in ("rank", "sigma_plus", "gap", "margin", "c"))
 
     def test_silent_by_default(self, caplog):

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerconn import families, nomizu
-from bergerconn.algebra import Metric, MVec, metric_eval, standard_basis
+from bergerconn.algebra import Metric, MVec, metric_eval
 from bergerconn.config import TOL_NUM
 from bergerconn.families import (
     FamilyParams,
-    PointTensors,
     UnsupportedRegimeError,
     alpha_general,
     alpha_lc,

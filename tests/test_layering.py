@@ -148,3 +148,35 @@ def test_lstsq_rank_detector(line, reads):
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     (call,) = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
     assert _rank_slot_read(call, parents) is reads
+
+
+def _unused_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) for every name an import binds that the source never
+    reads; `from __future__` imports bind nothing."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound if name not in used]
+
+
+@pytest.mark.parametrize("module", [m for m in _package_modules() if m != "__init__"])
+def test_every_import_is_used(module):
+    # __init__ imports to re-export, and is exempt
+    assert _unused_imports(_source(module)) == []
+
+
+@pytest.mark.parametrize("source,unused", [
+    ("import numpy as np\nnp.zeros(1)", []),
+    ("import numpy as np", [("np", 1)]),
+    ("import os.path\nos.sep", []),
+    ("from . import a, b\nb.f()", [("a", 1)]),
+    ("from x import y as z\ndef f(v: z): pass", []),
+    ("from __future__ import annotations", []),
+])
+def test_unused_import_detector(source, unused):
+    assert _unused_imports(source) == unused

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from bergerconn.nomizu import (
     torsion,
     torsion_form,
 )
-from bergerconn.spaces import Bilin, skew_torsion_space
+from bergerconn.spaces import BYTES_PER_CUBE, Bilin
 from conftest import assert_verify_passes, members, random_mvec
 
 TOL = 1e-9
@@ -374,6 +376,92 @@ class TestRicciTrace:
             nomizu.einstein_residual(np.zeros((7, 7, 7)), Metric(2, -1.0))
 
 
+class TestStackedCurvature:
+    """curvature, einstein_defect and LinearSpace.elements on a stack of maps:
+    every row a lone call's bytes, in kernel calls of at most _chunk_size(d)
+    maps, within the memory guard's budget."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 8), eps=EPS, seed=st.integers(0, 2**32 - 1))
+    def test_rows_are_lone_calls(self, n, eps, seed):
+        # skew family members, and dense maps that no sparsity rounds exactly
+        d = 2 * n + 1
+        rng = np.random.default_rng(seed)
+        space = families.skew_direction_basis(n, eps)
+        X = rng.uniform(-3.0, 3.0, size=(6, space.dim))
+        g = Metric(n, eps)
+        members = space.elements(X)
+        assert members.shape == (6, d, d, d)
+        for i, x in enumerate(X):
+            assert members[i].tobytes() == families.skew_family(n, eps, x).coeffs.tobytes()
+        for stack in (members, rng.uniform(-2.0, 2.0, size=(6, d, d, d))):
+            nested = stack.reshape(2, 3, d, d, d)
+            R, defects = curvature(nested), einstein_defect(nested, g)
+            assert R.shape == (2, 3, d, d, d, d) and defects.shape == (2, 3)
+            for i, c in enumerate(stack):
+                alpha = Bilin(n, c)
+                assert R[i // 3, i % 3].tobytes() == curvature(alpha).coeffs.tobytes()
+                assert defects[i // 3, i % 3] == einstein_defect(alpha, g)
+
+    @pytest.mark.parametrize("n,eps", [(1, -2.0), (2, -1.5), (3, 2.0), (5, -0.3)])
+    def test_defect_is_the_composed_norm(self, n, eps, rng):
+        # byte for byte np.linalg.norm of the Einstein form of the lone
+        # ricci(curvature), as the defect was written before it took
+        # stacks; dense maps, so that a reordered sum would show
+        d, g = 2 * n + 1, Metric(n, eps)
+        for _ in range(5):
+            alpha = Bilin(n, rng.uniform(-2.0, 2.0, size=(d, d, d)))
+            E = nomizu._einstein_form(ricci(curvature(alpha), g).coeffs, g)[0]
+            assert einstein_defect(alpha, g) == float(np.linalg.norm(E))
+
+    def test_lone_call_is_the_stack_kernel(self, monkeypatch):
+        sizes = []
+        terms = nomizu._curvature_terms
+        monkeypatch.setattr(nomizu, "_curvature_terms",
+                            lambda a, out: sizes.append(len(a)) or terms(a, out))
+        alpha = families.skew_family(3, -2.0, (0.5, 0.1, -0.2))
+        curvature(alpha)
+        einstein_defect(alpha, Metric(3, -2.0))
+        assert sizes == [1, 1]
+
+    @pytest.mark.parametrize("n,maps", [(1, 30), (3, 17), (6, 10)])
+    def test_chunks_within_budget(self, n, maps, monkeypatch):
+        d = 2 * n + 1
+        step = nomizu._chunk_size(d)
+        assert step == 1 or 16 * d**4 * step <= BYTES_PER_CUBE * d**3
+        sizes = []
+        terms = nomizu._curvature_terms
+        monkeypatch.setattr(nomizu, "_curvature_terms",
+                            lambda a, out: sizes.append(len(a)) or terms(a, out))
+        stack = np.random.default_rng(n).uniform(-1.0, 1.0, size=(maps, d, d, d))
+        curvature(stack)
+        einstein_defect(stack, Metric(n, -1.0))
+        full, rest = divmod(maps, step)
+        assert sizes == 2 * ([step] * full + [rest] * (rest > 0))
+
+    def test_n20_one_map_per_kernel_call(self, monkeypatch):
+        # at n = 20 one map's working set fills the budget: the kernel gets
+        # one map per call, and the defect of a stack holds no more than
+        # BYTES_PER_CUBE d^3 bytes at once
+        n, d = 20, 41
+        structure_tensors(n)
+        sizes = []
+        terms = nomizu._curvature_terms
+        monkeypatch.setattr(nomizu, "_curvature_terms",
+                            lambda a, out: sizes.append(len(a)) or terms(a, out))
+        stack = np.random.default_rng(20).uniform(-1.0, 1.0, size=(3, d, d, d))
+        g = Metric(n, -1.0)
+        tracemalloc.start()
+        try:
+            defects = einstein_defect(stack, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [1, 1, 1]
+        assert peak <= BYTES_PER_CUBE * d**3
+        assert defects[1] == einstein_defect(Bilin(n, stack[1]), g)
+
+
 class TestSkewFamilyProperties:
     """Identities of random skew-torsion family members, n = 1..6.  The
     Sym(Ric) identity is read here straight from nomizu; verify's
@@ -399,13 +487,6 @@ class TestSkewFamilyProperties:
         assert nomizu.is_metric(families.skew_family(n, eps, x), g)
         q = complex(x[0], x[1])
         assert nomizu.is_metric(families.alpha_metric(n, eps, q, x[2]), g)
-
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(**members)
-    def test_torsion_form_is_skew(self, n, eps, sign, x):
-        eps *= sign
-        g = Metric(n, eps)
-        assert nomizu.is_skew(torsion_form(families.skew_family(n, eps, x), g))
 
 
 class TestIsSkew:

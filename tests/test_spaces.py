@@ -112,6 +112,26 @@ class TestLinearSpace:
         with pytest.raises(ValueError):
             sp.element(np.ones(sp.dim + 1))
 
+    @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.5), (3, 0.5), (5, -2.0)])
+    def test_elements_are_stacked_elements(self, n, eps, rng):
+        for sp in (metric_connection_space(n, eps), skew_torsion_space(n, eps)):
+            X = rng.uniform(-2, 2, size=(4, sp.dim))
+            stack = sp.elements(X)
+            assert stack.shape == (4,) + (2 * n + 1,) * 3
+            for x, c in zip(X, stack):
+                assert c.tobytes() == sp.element(x).coeffs.tobytes()
+            assert sp.elements(X[:0]).shape == (0,) + (2 * n + 1,) * 3
+
+    def test_elements_refuse_a_non_finite_member(self):
+        # one non-finite row refuses the whole stack, as Bilin refuses one map
+        sp = skew_torsion_space(2, -1.5)
+        X = np.ones((3, sp.dim))
+        X[1, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            sp.elements(X)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            sp.element(X[1])
+
 
 class TestStackedBasis:
     """matrix() is the basis stacked once at construction, read-only."""
