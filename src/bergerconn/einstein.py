@@ -157,7 +157,7 @@ def _members(n: int, eps: float, points) -> np.ndarray:
 def _polarize(f, k: int) -> np.ndarray:
     """Coefficient rows M of a map f quadratic in x in R^k, so that
     f(x) = m(x) @ M exactly (up to rounding), with m(x) the monomials
-    (1, x_i, x_i x_j for i <= j) and the pairs (i, j) in np.triu_indices order.
+    (1, x_i, x_i x_j for i <= j) and the pairs (i, j) in _pairs order.
 
     The rows follow by polarization from f(0), f(+-e_i) and f(e_i + e_j):
     1 + 2k + k(k-1)/2 points, as many as there are monomials (3 for k = 1,
@@ -165,7 +165,7 @@ def _polarize(f, k: int) -> np.ndarray:
     one row each, in a single call.
     """
     E = np.eye(k)
-    i, j = np.triu_indices(k)
+    i, j = _pairs(k)
     pair = i != j
     F = f(np.vstack([np.zeros(k), E, -E, E[i[pair]] + E[j[pair]]]))
     c0, plus, minus = F[0], F[1:k + 1], F[k + 1:2 * k + 1]
@@ -173,6 +173,14 @@ def _polarize(f, k: int) -> np.ndarray:
     quad[~pair] = (plus + minus) / 2.0 - c0
     quad[pair] = F[2 * k + 1:] - plus[i[pair]] - plus[j[pair]] + c0
     return np.vstack([c0, (plus - minus) / 2.0, quad])
+
+
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i <= j < k in np.triu_indices(k) order, the layout of
+    the quadratic monomials, built directly: np.triu_indices's own set-up
+    costs several times as much at these small k."""
+    r = np.arange(k)
+    return np.nonzero(r[:, None] <= r)
 
 
 def _floor(M: np.ndarray) -> tuple[int, float, float, float]:
@@ -237,7 +245,7 @@ def generic_quadric(n: int, eps: float) -> GenericQuadric:
     clear gap, or where M is not finite (a subnormal eps overflows it).
     """
     M = _residual_rows(n, eps)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise RankGapError("generic Einstein residual is not finite")
     _, sv, vt = np.linalg.svd(M, full_matrices=False)
     rank, gap = _guarded_rank(sv)
@@ -245,7 +253,7 @@ def generic_quadric(n: int, eps: float) -> GenericQuadric:
         raise RankGapError(f"generic Einstein residual has rank {rank}, not one")
     v = vt[0]
     k = param_count(n)
-    i, j = np.triu_indices(k)
+    i, j = _pairs(k)
     A = np.empty((k, k))
     A[i, j] = A[j, i] = M[k + 1:] @ v / np.where(i == j, 1.0, 2.0)
     return GenericQuadric(v, float(M[0] @ v), M[1:k + 1] @ v, A, gap)

@@ -240,6 +240,11 @@ class TestPolarize:
         model = _monomials(x) @ M
         assert np.abs(model[0] - generic).max() <= TOL_NUM * np.abs(generic).max()
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_pairs_are_triu_indices(self, k):
+        for got, expected in zip(einstein._pairs(k), np.triu_indices(k)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
     def test_monomials(self):
         x = np.array([2.0, 3.0, 5.0])
         assert _monomials(x).tolist() == [[1, 2, 3, 5, 4, 6, 10, 9, 15, 25]]
