@@ -21,18 +21,23 @@ operator on all d^3 = (2n+1)^3 coefficients:
 2. Root constraints.  The equivariance constraints of the 2(n - 1)
    first-row generators Gamma (real and imaginary parts of E_1j,
    j = 2..n), each supported on 4 coordinates, are written on those
-   columns by index arithmetic, keeping only their nonzero rows; their
-   nullspace is mapped back to the standard basis and its real and
-   imaginary parts orthonormalised.
-3. Certified check.  Every h-basis element is at most one bracket of
-   Gamma, so the residual over the whole h basis is at most 2 kappa times
-   the residual on Gamma, with kappa = 3 at every n (see
-   _invariant_basis_raw).  When that bound exceeds TOL_NUM, the build
-   raises RankGapError.
+   columns by index arithmetic, keeping only their nonzero rows.  Their
+   nullspace is mapped back to the standard basis through the exact
+   nonzeros of the eigenbasis: each column has at most 8 standard
+   entries, and the real and imaginary parts are orthonormalised on the
+   union of those entries alone (49, 85, then 12n + 1 of them), so the
+   basis is exactly zero off that support.
+3. Certified check.  The residual on Gamma is computed from the nonzero
+   entries of the maps and of Gamma, for all of Gamma at once.  Every
+   h-basis element is at most one bracket of Gamma, so the residual over
+   the whole h basis is at most 2 kappa times the residual on Gamma, with
+   kappa = 3 at every n (see _invariant_basis_raw).  When that bound
+   exceeds TOL_NUM, the build raises RankGapError.
 
 Each build logs one DEBUG record on the "bergerconn.spaces" logger: the
-number of weight-zero columns, the residual on Gamma, kappa, the certified
-bound and its margin to TOL_NUM.
+number of weight-zero columns, the support (how many standard entries the
+maps use), the residual on Gamma, kappa, the certified bound and its margin
+to TOL_NUM.
 
 Every rank decision (the zero weights, both nullspaces, the torsion map of
 levi_civita_generic, and einstein's) is _guarded_rank's: a relative cutoff
@@ -54,9 +59,11 @@ from .config import TOL_GAP, TOL_NUM, TOL_RANK
 
 _log = logging.getLogger(__name__)
 
-#: estimated bytes per d^3 that an invariant nullspace build holds at large n,
-#: almost all of it in _real_span (peak RSS growth measured about 765 at n = 25
-#: and 835 at n = 30; below n = 10 a fixed 20 MB dominates)
+#: estimated bytes per d^3 that an invariant nullspace build holds at large n.
+#: Its peak RSS growth measured about 460 at n = 25..40, most of it the su(n)
+#: action matrices and the space's two copies of its maps; _real_span holds
+#: about 60.  Below n = 10 a fixed 8 MB dominates.  nomizu._chunk_size reads
+#: the value too, so it is kept at the 1250 fitted to the earlier dense build.
 BYTES_PER_CUBE = 1250
 
 
@@ -132,7 +139,14 @@ class LinearSpace:
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M = np.array([b.coeffs.ravel() for b in self.basis])
+        maps = self.basis + (() if self.offset is None else (self.offset,))
+        ns = sorted({b.n for b in maps})
+        if len(ns) > 1:
+            raise ValueError(f"basis and offset mix n = {ns}")
+        if maps and maps[0].coeffs.size != self.ambient_dim:
+            raise ValueError(f"maps of n = {ns[0]} have {maps[0].coeffs.size} coefficients, "
+                             f"not ambient_dim = {self.ambient_dim}")
+        M = np.array([b.coeffs.ravel() for b in self.basis]).reshape(-1, self.ambient_dim)
         M.flags.writeable = False
         object.__setattr__(self, "_stack", M)
         if self.basis:
@@ -272,40 +286,76 @@ def _real_span(U: np.ndarray, cols, null: np.ndarray) -> np.ndarray:
     """Orthonormal real basis, over the flattened standard basis, of the maps
     whose weight-column coefficients are the rows of null.
 
-    The invariant space is closed under conjugation, so the real and
-    imaginary parts of the complex solutions span its real form.
+    The column conj(u_i) x conj(u_j) x u_k has an entry only where all three
+    eigenvectors do, so it is read off U's exact nonzeros: at most 8 standard
+    entries, since each column of U has at most 2 (measured for n = 2..10;
+    more would only widen the support).  The invariant space is closed under
+    conjugation, so the real and imaginary parts of the complex solutions
+    span its real form; they are orthonormalised on the union of the
+    columns' entries alone (49, 85, then 12n + 1 of them) and scattered into
+    the d^3 coordinates, so the basis is exactly zero off that support.
     """
+    d = len(U)
     I, J, K = cols
-    T = np.einsum("rt,at,bt,ct->rabc", null, U[:, I].conj(), U[:, J].conj(), U[:, K],
-                  optimize=True).reshape(len(null), -1)
-    return _rowspace(np.vstack([T.real, T.imag]))
+    # the rows of each column's nonzeros first; fewer nonzeros pad with a 0
+    rows = np.argsort(U == 0, axis=0, kind="stable")[: np.count_nonzero(U, axis=0).max()]
+    vals = np.take_along_axis(U, rows, axis=0)
+    a, b, c = rows[:, I], rows[:, J], rows[:, K]
+    keys = (a[:, None, None] * d + b[None, :, None]) * d + c[None, None]
+    w = vals[:, I].conj()[:, None, None] * vals[:, J].conj()[None, :, None] * vals[:, K][None, None]
+    e = np.nonzero(w)
+    support, at = np.unique(keys[e], return_inverse=True)
+    W = np.zeros((len(support), len(I)), dtype=complex)
+    W[at, e[-1]] = w[e]
+    T = null @ W.T
+    span = _rowspace(np.vstack([T.real, T.imag]))
+    basis = np.zeros((len(span), d**3))
+    basis[:, support] = span
+    return basis
+
+
+def _meet(x: np.ndarray, on: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (p, q) with x[p] == on[q], for coordinates in range(d):
+    each index of x against the entries of on with its coordinate, by one
+    sort of on."""
+    order = np.argsort(on, kind="stable")
+    count = np.bincount(on, minlength=d)
+    start = np.cumsum(count) - count
+    c = count[x]
+    p = np.repeat(np.arange(len(x)), c)
+    # the pairs of p take order[start[x[p]]:][:c[p]], one after the other
+    shift = np.repeat(start[x] - np.cumsum(c) + c, c)
+    return p, order[shift + np.arange(len(p))]
 
 
 def _equivariance_residual(basis: np.ndarray, actions) -> float:
     """Largest entry of A alpha(X, Y) - alpha(AX, Y) - alpha(X, AY) over the
     maps alpha = basis[r] (shape (r, d, d, d)) and the actions A.
 
-    An action with support S (its rows and columns that are not zero) moves
-    only the slots in S, so its residual vanishes unless a slot lies in S.
-    It is computed on the three boxes with the first, second or output slot
-    in S, contracting over S alone.
+    Computed from the nonzero entries alone, for all actions at once.  An
+    entry alpha[r, i, j, k] meets the action entries A[m, k] in its output
+    slot and A[i, x], A[j, x] in its input slots; each such pair adds one
+    term to the entry of the residual that the slot moves to, and the terms
+    are summed per entry by one bincount.  Working memory is the nonzeros
+    of the maps times the action entries per coordinate, not d^3 per
+    action; no actions give 0.
     """
-    every = slice(None)
-
-    def part(i, j, m):
-        return basis[:, i][:, :, j][..., m]
-
-    worst = 0.0
-    for A in actions:
-        S = np.flatnonzero(A.any(axis=0) | A.any(axis=1))
-        for i, j, m in ((S, every, every), (every, S, every), (every, every, S)):
-            out = (
-                part(i, j, S) @ A[m][:, S].T
-                - np.moveaxis(np.tensordot(A[S][:, i], part(S, j, m), (0, 1)), 0, 1)
-                - np.moveaxis(np.tensordot(A[S][:, j], part(i, S, m), (0, 2)), 0, 2)
-            )
-            worst = max(worst, float(np.abs(out).max(initial=0.0)))
-    return worst
+    d = basis.shape[-1]
+    # the nonzeros of a flat boolean array are several times faster to find
+    # than those of the floats or of a 4-axis array
+    g, row, col = np.nonzero(actions != 0)
+    coef = actions[g, row, col]
+    entry = np.unravel_index(np.flatnonzero(basis != 0), basis.shape)
+    v = basis[entry]
+    keys, terms = [], []
+    for slot, sign, on, to in ((3, 1.0, col, row), (1, -1.0, row, col), (2, -1.0, row, col)):
+        p, q = _meet(entry[slot], on, d)
+        moved = [e[p] for e in entry]
+        moved[slot] = to[q]
+        keys.append(np.ravel_multi_index((g[q], *moved), (len(actions), *basis.shape)))
+        terms.append(sign * coef[q] * v[p])
+    _, at = np.unique(np.concatenate(keys), return_inverse=True)
+    return float(np.abs(np.bincount(at, np.concatenate(terms))).max(initial=0.0))
 
 
 def _first_row_actions(n: int) -> np.ndarray:
@@ -333,10 +383,11 @@ def _action_bound(actions) -> float:
 def check_fits_memory(n: int) -> None:
     """Raise ValueError if the invariant nullspace for n cannot fit in memory.
 
-    The largest arrays of the build are _real_span's, each O(d^3): the
-    solutions over the standard basis and the SVD of their real and
-    imaginary parts, estimated with the rest at BYTES_PER_CUBE d^3 bytes
-    (about 1.2 GiB at n = 50).  The bound is physical memory, not a
+    The largest arrays of the build are each O(d^3): the n^2 - 1 action
+    matrices on m, and the basis maps over the standard basis, which the
+    space keeps twice.  Its peak RSS growth was measured at about 460 d^3
+    bytes for n = 25..40; the estimate is BYTES_PER_CUBE d^3 bytes (about
+    1.2 GiB at n = 50), above that.  The bound is physical memory, not a
     cgroup or ulimit share, so this refuses hopeless n without promising
     that others fit.  Where the platform does not report physical memory,
     nothing is checked.
@@ -400,15 +451,17 @@ def _invariant_basis_raw(n: int) -> np.ndarray:
         basis = _real_span(U, cols, _root_nullspace(U, cols, gamma))
         columns = len(cols[0])
     residual = _equivariance_residual(basis.reshape(-1, d, d, d), gamma)
+    support = int(np.count_nonzero(basis.any(axis=0)))
     kappa = _action_bound(gamma)
     bound = 2 * kappa * residual
     _log.debug(
-        "invariant space n=%d: %d columns, %d generators, residual %.3g, kappa %g, "
-        "bound %.3g, margin %.3g to TOL_NUM",
-        n, columns, len(gamma), residual, kappa, bound, TOL_NUM / bound if bound else np.inf,
+        "invariant space n=%d: %d columns, support %d, %d generators, residual %.3g, "
+        "kappa %g, bound %.3g, margin %.3g to TOL_NUM",
+        n, columns, support, len(gamma), residual, kappa, bound,
+        TOL_NUM / bound if bound else np.inf,
         extra={"equivariance": {
-            "n": n, "columns": columns, "generators": len(gamma), "residual": residual,
-            "kappa": kappa, "bound": bound, "tol_num": TOL_NUM,
+            "n": n, "columns": columns, "support": support, "generators": len(gamma),
+            "residual": residual, "kappa": kappa, "bound": bound, "tol_num": TOL_NUM,
         }},
     )
     if bound > TOL_NUM:

@@ -89,6 +89,25 @@ class TestLinearSpace:
         with pytest.raises(ValueError):
             LinearSpace(27, (b,))
 
+    def test_rejects_maps_of_another_size(self):
+        one, two = Bilin(1, np.ones((3, 3, 3))), Bilin(2, np.ones((5, 5, 5)))
+        with pytest.raises(ValueError, match="27 coefficients, not ambient_dim = 5"):
+            LinearSpace(ambient_dim=5, basis=(one,))
+        with pytest.raises(ValueError, match="125 coefficients, not ambient_dim = 27"):
+            LinearSpace(27, (), offset=two)
+
+    def test_rejects_mixed_n(self):
+        one, two = Bilin(1, np.ones((3, 3, 3))), Bilin(2, np.ones((5, 5, 5)))
+        with pytest.raises(ValueError, match=re.escape("mix n = [1, 2]")):
+            LinearSpace(27, (one, two))
+        with pytest.raises(ValueError, match=re.escape("mix n = [1, 2]")):
+            LinearSpace(27, (one,), offset=two)
+
+    def test_empty_basis_matrix_has_ambient_width(self):
+        sp = LinearSpace(27, (), offset=Bilin(1, np.ones((3, 3, 3))))
+        assert sp.matrix().shape == (0, 27)
+        assert sp.elements(np.zeros((2, 0))).shape == (2, 3, 3, 3)
+
     def test_projection_residual(self):
         c = np.zeros((3, 3, 3))
         c[0, 0, 0] = 1.0
@@ -201,6 +220,16 @@ class TestInvariantSpace:
                 )
                 assert np.abs(resid).max() < TOL
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_exactly_zero_off_the_support(self, n):
+        # each weight-zero column has at most 8 standard entries, and the
+        # basis is built on their union alone: 49, 85, then 12n + 1 entries
+        on = _invariant_basis_raw(n).any(axis=0)
+        assert np.count_nonzero(on) == {2: 49, 3: 85}.get(n, 12 * n + 1)
+        for eps in (-1.0, 2.0):
+            for sp in (metric_connection_space(n, eps), skew_torsion_space(n, eps)):
+                assert not sp.matrix()[:, ~on].any()
+
     @pytest.mark.parametrize("n,count", [(2, 25), (3, 31), (4, 25), (5, 31), (8, 49)])
     def test_zero_weight_columns(self, n, count):
         U, (i, j, k) = _zero_weight_triples(n)
@@ -295,6 +324,27 @@ class TestCertifiedCheck:
             assert np.abs(built - Ar).max() <= TOL_EXACT
         assert _action_bound(_first_row_actions(n)) == 3.0
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sparse_residual_matches_full(self, n):
+        # the terms are summed in another order, so the residual of the
+        # basis, which is at rounding level, is compared on the terms' scale
+        rng = np.random.default_rng(n)
+        d = 2 * n + 1
+        gamma = _first_row_actions(n)
+        base = _invariant_basis_raw(n).reshape(-1, d, d, d)
+        off = ~base.any(axis=0)
+        for maps in (base, rng.standard_normal((2, d, d, d)),
+                     base + 1e-7 * off * rng.standard_normal(base.shape)):
+            full = _full_residual(maps, gamma)
+            scale = max(full, _action_bound(gamma) * np.abs(maps).max())
+            assert abs(_equivariance_residual(maps, gamma) - full) <= 1e-12 * scale
+        assert _full_residual(maps, gamma) > 1e-8
+
+    def test_residual_without_actions_is_zero(self, rng):
+        gamma = _first_row_actions(1)
+        assert _equivariance_residual(_invariant_basis_raw(1).reshape(-1, 3, 3, 3), gamma) == 0.0
+        assert _equivariance_residual(rng.standard_normal((2, 3, 3, 3)), gamma) == 0.0
+
     def test_action_bound_of_no_actions(self):
         assert _first_row_actions(1).shape == (0, 3, 3)
         assert _action_bound(_first_row_actions(1)) == 0.0
@@ -341,12 +391,14 @@ class TestCertifiedCheck:
 
     def test_one_debug_record_per_build(self, caplog):
         caplog.set_level(logging.DEBUG, logger="bergerconn.spaces")
-        for n, columns in [(1, 27), (2, 25), (3, 31), (8, 49), (4, 25)]:
+        for n, columns, support in [(1, 27, 27), (2, 25, 49), (3, 31, 85), (8, 49, 97),
+                                    (4, 25, 49)]:
             caplog.clear()
             _invariant_basis_raw(n)
             (rec,) = [r for r in caplog.records if r.name == "bergerconn.spaces"]
             assert rec.equivariance["columns"] == columns
-            assert f"{columns} columns" in rec.getMessage()
+            assert rec.equivariance["support"] == support
+            assert f"{columns} columns, support {support}," in rec.getMessage()
         assert rec.levelno == logging.DEBUG
         info = rec.equivariance
         assert (info["n"], info["generators"], info["kappa"]) == (4, 6, 3.0)
