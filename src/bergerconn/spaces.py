@@ -338,8 +338,10 @@ def _equivariance_residual(basis: np.ndarray, actions) -> float:
     term to the entry of the residual that the slot moves to, and the terms
     are summed per entry by one bincount.  Working memory is the nonzeros
     of the maps times the action entries per coordinate, not d^3 per
-    action; no actions give 0.
+    action.
     """
+    if len(actions) == 0:
+        return 0.0  # n = 1, where the index work alone would cost 0.1 ms
     d = basis.shape[-1]
     # the nonzeros of a flat boolean array are several times faster to find
     # than those of the floats or of a 4-axis array
