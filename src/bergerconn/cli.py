@@ -142,10 +142,11 @@ def _verification_checks(n: int, eps: float, draws):
     """
     g = Metric(n, eps)
 
-    lc = spaces.levi_civita_generic(n, eps)
+    # the skew space's offset is levi_civita_generic(n, eps)
+    skew = spaces.skew_torsion_space(n, eps)
     yield (
         "levi_civita_closed_vs_generic",
-        float(np.abs(lc.coeffs - families.alpha_lc(n, eps).coeffs).max()),
+        float(np.abs(skew.offset.coeffs - families.alpha_lc(n, eps).coeffs).max()),
         config.TOL_LC,
     )
     yield (
@@ -153,7 +154,6 @@ def _verification_checks(n: int, eps: float, draws):
         float(np.abs(nomizu.torsion(families.alpha_lc(n, eps)).coeffs).max()),
         config.TOL_NUM,
     )
-    skew = spaces.skew_torsion_space(n, eps)
     got = (
         spaces.invariant_bilinear_space(n).dim,
         spaces.metric_connection_space(n, eps).dim,
@@ -163,8 +163,8 @@ def _verification_checks(n: int, eps: float, draws):
     # each named direction, moved onto the generic offset, against the generic span
     yield (
         "skew_directions_closed_vs_generic",
-        max(skew.projection_residual(b + skew.offset) / max(1.0, float(np.abs(b.coeffs).max()))
-            for b in families.skew_direction_basis(n, eps).basis),
+        max(skew.projection_residual(c + skew.offset.coeffs) / max(1.0, float(np.abs(c).max()))
+            for c in families.skew_direction_basis(n, eps).maps),
         config.TOL_NUM,
     )
 

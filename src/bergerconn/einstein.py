@@ -104,12 +104,13 @@ def einstein_equation(n: int, eps: float) -> CanonicalEquation:
     names = param_names(n)
     if n == 1:
         return CanonicalEquation(n, eps, 0.0, 0.0, 0.0, names, line=(eps == -1.0))
+    # at eps = -1, (eps + 1) / eps is 0 / -1 = -0.0; adding 0.0 makes it +0.0
     if n == 2:
-        return CanonicalEquation(n, eps, 1.0, 1.0, 3.0 * (eps + 1.0) / eps, names)
+        return CanonicalEquation(n, eps, 1.0, 1.0, 3.0 * (eps + 1.0) / eps + 0.0, names)
     if n == 3:
         return CanonicalEquation(n, eps, eps, 1.0, 2.0 * (eps + 1.0), names)
     return CanonicalEquation(
-        n, eps, 1.0, 0.0, ((n + 1.0) / (n - 1.0)) * (eps + 1.0) / eps, names
+        n, eps, 1.0, 0.0, ((n + 1.0) / (n - 1.0)) * (eps + 1.0) / eps + 0.0, names
     )
 
 

@@ -265,7 +265,7 @@ def skew_direction_basis(n: int, eps: float) -> LinearSpace:
         named = (direction_s(2, eps), _delta_s5(eps, -1.0), _delta_s5(eps, 1.0j))
     else:
         named = (direction_s(n, eps),)
-    return LinearSpace(ambient_dim=(2 * n + 1) ** 3, basis=named, offset=alpha_lc(n, eps))
+    return LinearSpace(np.stack([b.coeffs for b in named]), alpha_lc(n, eps))
 
 
 def skew_family(n: int, eps: float, params) -> Bilin:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,8 +60,8 @@ from .config import TOL_GAP, TOL_NUM, TOL_RANK
 _log = logging.getLogger(__name__)
 
 #: estimated bytes per d^3 that an invariant nullspace build holds at large n.
-#: Its peak RSS growth measured about 460 at n = 25..40, most of it the su(n)
-#: action matrices and the space's two copies of its maps; _real_span holds
+#: Its peak RSS growth measured about 420 at n = 25..35, most of it the su(n)
+#: action matrices and the one stack of the space's maps; _real_span holds
 #: about 60.  Below n = 10 a fixed 8 MB dominates.  nomizu._chunk_size reads
 #: the value too, so it is kept at the 1250 fitted to the earlier dense build.
 BYTES_PER_CUBE = 1250
@@ -131,71 +131,74 @@ class Bilin:
 
 @dataclass(frozen=True)
 class LinearSpace:
-    """A (possibly affine) subspace of bilinear maps, given by a basis."""
+    """A (possibly affine) subspace of bilinear maps: offset plus the span of
+    maps, one read-only stack of shape (dim, d, d, d), copied at construction."""
 
-    ambient_dim: int
-    basis: tuple[Bilin, ...]
+    maps: np.ndarray
     offset: Bilin | None = None
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        maps = self.basis + (() if self.offset is None else (self.offset,))
-        ns = sorted({b.n for b in maps})
-        if len(ns) > 1:
-            raise ValueError(f"basis and offset mix n = {ns}")
-        if maps and maps[0].coeffs.size != self.ambient_dim:
-            raise ValueError(f"maps of n = {ns[0]} have {maps[0].coeffs.size} coefficients, "
-                             f"not ambient_dim = {self.ambient_dim}")
-        M = np.array([b.coeffs.ravel() for b in self.basis]).reshape(-1, self.ambient_dim)
-        M.flags.writeable = False
-        object.__setattr__(self, "_stack", M)
-        if self.basis:
-            s = np.linalg.svd(M, compute_uv=False)
+        maps = np.array(self.maps, dtype=float)
+        maps.flags.writeable = False
+        d = maps.shape[-1] if maps.ndim == 4 else 0
+        if maps.shape[1:] != (d, d, d) or d % 2 == 0:
+            raise ValueError(f"maps must have shape (dim, d, d, d) with d odd, got {maps.shape}")
+        if self.offset is not None and self.offset.coeffs.shape != (d, d, d):
+            raise ValueError(f"offset of n = {self.offset.n} on maps of n = {(d - 1) // 2}")
+        if not np.isfinite(maps).all():
+            raise ValueError("maps must be finite")
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "_flat", maps.reshape(len(maps), d**3))
+        if len(maps):
+            s = np.linalg.svd(self._flat, compute_uv=False)
             if s[-1] <= TOL_RANK * max(s[0], 1.0):
                 raise ValueError("basis elements are not linearly independent")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.maps)
 
     def matrix(self) -> np.ndarray:
-        """Stacked flattened basis, shape (dim, ambient_dim), built once at
-        construction and read-only."""
-        return self._stack
+        """The maps flattened, shape (dim, d^3): the same read-only view of
+        the stack on every call."""
+        return self._flat
 
     @property
     def n(self) -> int:
-        return self.basis[0].n if self.basis else self.offset.n
+        return (self.maps.shape[-1] - 1) // 2
+
+    @cached_property
+    def basis(self) -> tuple[Bilin, ...]:
+        """The maps as read-only Bilin copies, made on first read."""
+        return tuple(Bilin(self.n, c) for c in self.maps)
 
     def element(self, coeffs) -> Bilin:
-        """offset + sum_r coeffs[r] * basis[r]: the one row of elements."""
+        """offset + sum_r coeffs[r] * maps[r]: the one row of elements."""
         return Bilin(self.n, self.elements(np.asarray(coeffs, dtype=float)[None])[0])
 
     def elements(self, X) -> np.ndarray:
-        """Coefficient stack (p, d, d, d) of offset + X[i] @ basis for each
+        """Coefficient stack (p, d, d, d) of offset + X[i] @ maps for each
         row of X, shape (p, dim), checked finite once over the stack.
 
         Each row is a vector-matrix product of its own, as a lone element
         is: one matrix product over the stack may round a row differently.
         """
         X = np.asarray(X, dtype=float)
-        d = 2 * self.n + 1
-        c = ((X[:, None] @ self.matrix()).reshape(-1, d, d, d) if self.basis
-             else np.zeros((len(X), d, d, d)))
+        c = (X[:, None] @ self._flat).reshape(-1, *self.maps.shape[1:])
         if self.offset is not None:
             c += self.offset.coeffs
         if not np.isfinite(c).all():
             raise ValueError("coeffs must be finite")
         return c
 
-    def projection_residual(self, b: Bilin) -> float:
-        """Distance from b (minus the offset, if any) to the span of the basis."""
-        v = b.coeffs.ravel()
+    def projection_residual(self, b) -> float:
+        """Distance from b (a Bilin or its coefficients) minus the offset, if
+        any, to the span of the maps."""
+        v = np.ravel(b.coeffs if isinstance(b, Bilin) else b)
         if self.offset is not None:
             v = v - self.offset.coeffs.ravel()
-        if not self.basis:
-            return float(np.linalg.norm(v))
-        M = self.matrix().T
+        M = self._flat.T
         x, *_ = np.linalg.lstsq(M, v, rcond=None)
         return float(np.linalg.norm(M @ x - v))
 
@@ -386,9 +389,9 @@ def check_fits_memory(n: int) -> None:
     """Raise ValueError if the invariant nullspace for n cannot fit in memory.
 
     The largest arrays of the build are each O(d^3): the n^2 - 1 action
-    matrices on m, and the basis maps over the standard basis, which the
-    space keeps twice.  Its peak RSS growth was measured at about 460 d^3
-    bytes for n = 25..40; the estimate is BYTES_PER_CUBE d^3 bytes (about
+    matrices on m, and the basis maps over the standard basis, held once as
+    the space's stack.  Its peak RSS growth was measured at about 420 d^3
+    bytes for n = 25..35; the estimate is BYTES_PER_CUBE d^3 bytes (about
     1.2 GiB at n = 50), above that.  The bound is physical memory, not a
     cgroup or ulimit share, so this refuses hopeless n without promising
     that others fit.  Where the platform does not report physical memory,
@@ -481,9 +484,7 @@ def invariant_bilinear_space(n: int) -> LinearSpace:
     Dimension 27, 13, 9, 7 for n = 1, 2, 3 and >= 4.
     """
     d = 2 * n + 1
-    null = _invariant_basis_raw(n)
-    basis = tuple(Bilin(n, row.reshape(d, d, d)) for row in null)
-    return LinearSpace(ambient_dim=d**3, basis=basis)
+    return LinearSpace(_invariant_basis_raw(n).reshape(-1, d, d, d))
 
 
 def _metric_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -497,13 +498,11 @@ def _solution_space(space: LinearSpace, violation, G: np.ndarray) -> np.ndarray:
     """Basis, stacked with shape (r, d, d, d), of the maps of space on which
     the linear map violation(-, G) vanishes.
 
-    violation is applied once to the stacked basis of space, and the new
-    basis is null @ stacked.
+    violation is applied once to the maps of space, and the new basis is
+    null @ space.matrix().
     """
-    d = 2 * space.basis[0].n + 1
-    stacked = space.matrix()
-    V = violation(stacked.reshape(-1, d, d, d), G).reshape(len(stacked), -1).T
-    return (_nullspace(V) @ stacked).reshape(-1, d, d, d)
+    V = violation(space.maps, G).reshape(space.dim, -1).T
+    return (_nullspace(V) @ space.matrix()).reshape(-1, *space.maps.shape[1:])
 
 
 @lru_cache(maxsize=None)
@@ -512,8 +511,8 @@ def metric_connection_space(n: int, eps: float) -> LinearSpace:
 
     Dimension 9, 7, 5, 3 for n = 1, 2, 3 and >= 4, independent of eps.
     """
-    maps = _solution_space(invariant_bilinear_space(n), _metric_violation, Metric(n, eps).gram())
-    return LinearSpace(ambient_dim=(2 * n + 1) ** 3, basis=tuple(Bilin(n, c) for c in maps))
+    return LinearSpace(
+        _solution_space(invariant_bilinear_space(n), _metric_violation, Metric(n, eps).gram()))
 
 
 def _torsion_difference(coeffs: np.ndarray) -> np.ndarray:
@@ -547,9 +546,9 @@ def skew_torsion_space(n: int, eps: float) -> LinearSpace:
     difference is totally skew.  Direction dimension 1, 3, 3, 1 for
     n = 1, 2, 3 and >= 4.
     """
+    offset = levi_civita_generic(n, eps)
     maps = _solution_space(metric_connection_space(n, eps), _skew_violation, Metric(n, eps).gram())
-    return LinearSpace(ambient_dim=(2 * n + 1) ** 3, basis=tuple(Bilin(n, c) for c in maps),
-                       offset=levi_civita_generic(n, eps))
+    return LinearSpace(maps, offset)
 
 
 def levi_civita_generic(n: int, eps: float) -> Bilin:
@@ -563,8 +562,7 @@ def levi_civita_generic(n: int, eps: float) -> Bilin:
     """
     Cm, _ = algebra.structure_tensors(n)
     met = metric_connection_space(n, eps)
-    d = 2 * n + 1
-    M = _torsion_difference(met.matrix().reshape(-1, d, d, d)).reshape(met.dim, -1).T
+    M = _torsion_difference(met.maps).reshape(met.dim, -1).T
     x, _, _, sv = np.linalg.lstsq(M, Cm.ravel(), rcond=None)
     rank, _ = _guarded_rank(sv)
     if rank < met.dim:

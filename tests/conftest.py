@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bergerconn import cli
+from bergerconn import cli, spaces
 from bergerconn.algebra import MVec
 
 # skew-family members, n = 1..6: |eps| in [0.1, 3] with its sign drawn
@@ -18,6 +18,16 @@ members = dict(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cold_spaces():
+    """Empty the caches of the generic spaces, so that a call reaches what a
+    test patches beneath them, such as the Levi-Civita solve beneath
+    skew_torsion_space."""
+    for build in (spaces.invariant_bilinear_space, spaces.metric_connection_space,
+                  spaces.skew_torsion_space):
+        build.cache_clear()
 
 
 def random_mvec(rng, n):
@@ -40,11 +50,9 @@ def gapless_torsion_space(n):
     and 1.4e-10, so the torsion rank has no clear gap.  Each map also has an
     orthonormal part symmetric in those slots, which its torsion does not
     see, so the basis itself is well conditioned."""
-    from bergerconn.spaces import Bilin, LinearSpace
-
     d = 2 * n + 1
     R = np.random.default_rng(5).standard_normal((6, d, d, d))
     parts = np.concatenate([R[:3] - R[:3].swapaxes(1, 2), R[3:] + R[3:].swapaxes(1, 2)])
     A0, A1, A2, S0, S1, S2 = np.linalg.qr(parts.reshape(6, -1).T)[0].T.reshape(6, d, d, d)
     maps = (A0 + S0, A0 + 1e-7 * A1 + S1, A0 + 1e-10 * A2 + S2)
-    return LinearSpace(ambient_dim=d**3, basis=tuple(Bilin(n, c) for c in maps))
+    return spaces.LinearSpace(np.stack(maps))

@@ -70,7 +70,7 @@ class TestDims:
     def test_checked_beyond_n6(self, monkeypatch):
         assert main(["dims", "--n", "7"]) == 0
         inv = spaces.invariant_bilinear_space(7)
-        short = spaces.LinearSpace(inv.ambient_dim, inv.basis[:-1])
+        short = spaces.LinearSpace(inv.maps[:-1])
         monkeypatch.setattr(spaces, "invariant_bilinear_space", lambda n: short)
         assert main(["dims", "--n", "7"]) == 1
 
@@ -119,14 +119,26 @@ class TestVerify:
 
         def moved(n, eps):
             named = orig(n, eps)
-            c = named.basis[0].coeffs.copy()
-            c[0, 1, 0] += 1e-6
-            basis = (spaces.Bilin(n, c),) + named.basis[1:]
-            return spaces.LinearSpace(named.ambient_dim, basis, named.offset)
+            maps = named.maps.copy()
+            maps[0, 0, 1, 0] += 1e-6
+            return spaces.LinearSpace(maps, named.offset)
 
         monkeypatch.setattr(cli.families, "skew_direction_basis", moved)
         assert main(["verify", "--n", "2", "--eps=-1"]) == 1
         assert capsys.readouterr().err == "FAIL: skew_directions_closed_vs_generic\n"
+
+    def test_one_levi_civita_solve(self, monkeypatch, cold_spaces):
+        # the Levi-Civita checks read the skew space's offset, not a second solve
+        solves = []
+        orig = spaces.levi_civita_generic
+
+        def counted(n, eps):
+            solves.append((n, eps))
+            return orig(n, eps)
+
+        monkeypatch.setattr(spaces, "levi_civita_generic", counted)
+        list(cli._verification_checks(3, -1.0, [np.zeros(3)]))
+        assert solves == [(3, -1.0)]
 
     def test_levi_civita_check_uses_named_tolerance(self):
         checks = {name: tol for name, _, tol in cli._verification_checks(2, -1.0, [])}
@@ -142,6 +154,14 @@ class TestClassify:
     def test_empty_cell(self, capsys):
         assert main(["classify", "--n", "2", "--eps=-0.5"]) == 0
         assert "empty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_round_metric_prints_zero(self, n, capsys):
+        assert main(["classify", "--n", str(n), "--eps=-1"]) == 0
+        line = next(s for s in capsys.readouterr().out.splitlines() if "equation:" in s)
+        assert line.endswith(" = 0")
+        assert main(["export", "--n", str(n), "--eps=-1"]) == 0
+        assert '"c": 0.0,' in capsys.readouterr().out
 
     def test_json_samples_satisfy_equation(self, capsys):
         assert main(["classify", "--n", "4", "--eps", "1", "--format", "json"]) == 0
@@ -265,7 +285,7 @@ class TestRankGapReported:
         (["table"], einstein, "classify"),
         (["export", "--n", "3", "--eps=-2"], einstein, "generic_quadric"),
     ])
-    def test_fail_line(self, argv, module, name, monkeypatch, capsys):
+    def test_fail_line(self, argv, module, name, monkeypatch, capsys, cold_spaces):
         def raises(*args):
             raise spaces.RankGapError("forced")
 
@@ -275,7 +295,7 @@ class TestRankGapReported:
         assert captured.err == "FAIL rank decision: forced\n"
         assert captured.out == ""
 
-    def test_torsion_rank_without_a_gap(self, monkeypatch, capsys):
+    def test_torsion_rank_without_a_gap(self, monkeypatch, capsys, cold_spaces):
         # verify's first step, the Levi-Civita solve, refuses a torsion map
         # whose rank has no clear gap
         space = gapless_torsion_space(4)

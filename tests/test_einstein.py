@@ -50,6 +50,12 @@ class TestEquation:
         assert eq.c == -3.0
         assert eq.residual((0.0, 0.0, 0.0)) == 3.0
 
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_round_metric_constant_is_positive_zero(self, n):
+        # (eps + 1) / eps is -0.0 at eps = -1
+        c = einstein_equation(n, -1.0).c
+        assert c == 0.0 and np.copysign(1.0, c) == 1.0
+
     def test_n1_line_flag(self):
         assert einstein_equation(1, -1.0).line
         assert not einstein_equation(1, -2.0).line

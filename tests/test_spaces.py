@@ -1,6 +1,7 @@
 import logging
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,37 +82,41 @@ class TestBilin:
 
 class TestLinearSpace:
     def test_rejects_dependent_basis(self):
-        b = Bilin.zero(1)
         c = np.zeros((3, 3, 3))
         c[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            LinearSpace(27, (Bilin(1, c), Bilin(1, c)))
+            LinearSpace(np.stack([c, c]))
         with pytest.raises(ValueError):
-            LinearSpace(27, (b,))
+            LinearSpace(np.zeros((1, 3, 3, 3)))
 
-    def test_rejects_maps_of_another_size(self):
-        one, two = Bilin(1, np.ones((3, 3, 3))), Bilin(2, np.ones((5, 5, 5)))
-        with pytest.raises(ValueError, match="27 coefficients, not ambient_dim = 5"):
-            LinearSpace(ambient_dim=5, basis=(one,))
-        with pytest.raises(ValueError, match="125 coefficients, not ambient_dim = 27"):
-            LinearSpace(27, (), offset=two)
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (1, 4, 4, 4), (1, 3, 3, 5), (2, 27), (1, 1, 3, 3, 3)])
+    def test_rejects_maps_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(dim, d, d, d) with d odd, got {shape}")):
+            LinearSpace(np.ones(shape))
 
     def test_rejects_mixed_n(self):
-        one, two = Bilin(1, np.ones((3, 3, 3))), Bilin(2, np.ones((5, 5, 5)))
-        with pytest.raises(ValueError, match=re.escape("mix n = [1, 2]")):
-            LinearSpace(27, (one, two))
-        with pytest.raises(ValueError, match=re.escape("mix n = [1, 2]")):
-            LinearSpace(27, (one,), offset=two)
+        one, two = np.ones((1, 3, 3, 3)), Bilin(2, np.ones((5, 5, 5)))
+        with pytest.raises(ValueError, match="offset of n = 2 on maps of n = 1"):
+            LinearSpace(one, offset=two)
+        with pytest.raises(ValueError, match="offset of n = 2 on maps of n = 1"):
+            LinearSpace(np.zeros((0, 3, 3, 3)), offset=two)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_maps(self, bad):
+        maps = np.eye(27).reshape(27, 3, 3, 3)[:2].copy()
+        maps[1, 2, 0, 1] = bad
+        with pytest.raises(ValueError, match="maps must be finite"):
+            LinearSpace(maps)
 
     def test_empty_basis_matrix_has_ambient_width(self):
-        sp = LinearSpace(27, (), offset=Bilin(1, np.ones((3, 3, 3))))
+        sp = LinearSpace(np.zeros((0, 3, 3, 3)), offset=Bilin(1, np.ones((3, 3, 3))))
         assert sp.matrix().shape == (0, 27)
         assert sp.elements(np.zeros((2, 0))).shape == (2, 3, 3, 3)
 
     def test_projection_residual(self):
         c = np.zeros((3, 3, 3))
         c[0, 0, 0] = 1.0
-        sp = LinearSpace(27, (Bilin(1, c),))
+        sp = LinearSpace(c[None])
         assert sp.projection_residual(Bilin(1, 2.0 * c)) < 1e-14
         c2 = np.zeros((3, 3, 3))
         c2[1, 1, 1] = 3.0
@@ -166,6 +171,42 @@ class TestStackedBasis:
         sp = skew_torsion_space(3, -2.0)
         assert sp.matrix() is sp.matrix()
         assert np.array_equal(sp.matrix(), np.array([b.coeffs.ravel() for b in sp.basis]))
+
+    def test_one_read_only_stack(self):
+        given = np.eye(27).reshape(27, 3, 3, 3)[:4].copy()
+        sp = LinearSpace(given)
+        given[0, 0, 0, 0] = 5.0  # the space keeps its own copy
+        assert sp.maps[0, 0, 0, 0] == 1.0
+        assert np.shares_memory(sp.matrix(), sp.maps)
+        with pytest.raises(ValueError):
+            sp.maps[0, 0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("n,eps", [(2, -1.5), (4, 1.0)])
+    def test_basis_reads_the_stack(self, n, eps):
+        sp = skew_torsion_space(n, eps)
+        assert sp.basis is sp.basis
+        assert len(sp.basis) == sp.dim
+        for b, c in zip(sp.basis, sp.maps):
+            assert b.n == n
+            assert np.array_equal(b.coeffs, c)
+            with pytest.raises(ValueError):
+                b.coeffs[0, 0, 0] = 1.0
+
+    def test_stack_held_once(self):
+        # the space copies the r maps once; the independence SVD works in
+        # LAPACK's own buffers, which tracemalloc does not see
+        n = 10
+        d = 2 * n + 1
+        maps = np.array(invariant_bilinear_space(n).maps)
+        size = maps.nbytes
+        assert size == len(maps) * d**3 * 8
+        tracemalloc.start()
+        try:
+            LinearSpace(maps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * size
 
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.5), (3, -2.0), (4, 1.0), (6, -3.0)])
     def test_element_coefficients_unchanged(self, n, eps, rng):
