@@ -541,10 +541,10 @@ def skew_torsion_space(n: int, eps: float) -> LinearSpace:
     """Affine space of metric connections with totally skew torsion, from the
     generic calculus alone.
 
-    The offset is levi_civita_generic(n, eps); the directions are the
-    orthonormal maps of metric_connection_space(n, eps) whose torsion
-    difference is totally skew.  Direction dimension 1, 3, 3, 1 for
-    n = 1, 2, 3 and >= 4.
+    The offset is levi_civita_generic(n, eps), solved first so that its
+    refusals come before the directions'; the directions are the orthonormal
+    maps of metric_connection_space(n, eps) whose torsion difference is
+    totally skew.  Direction dimension 1, 3, 3, 1 for n = 1, 2, 3 and >= 4.
     """
     offset = levi_civita_generic(n, eps)
     maps = _solution_space(metric_connection_space(n, eps), _skew_violation, Metric(n, eps).gram())
