@@ -295,23 +295,24 @@ def orthonormal_basis(g: Metric) -> tuple[list[MVec], np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def h_basis(n: int) -> tuple[HVec, ...]:
-    """Standard basis of su(n): real-antisymmetric, imaginary-symmetric and
-    imaginary-diagonal traceless generators; dimension n^2 - 1."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            B = np.zeros((n, n), dtype=complex)
-            B[i, j], B[j, i] = 1.0, -1.0
-            out.append(HVec(B))
-            B = np.zeros((n, n), dtype=complex)
-            B[i, j] = B[j, i] = 1j
-            out.append(HVec(B))
-    for i in range(n - 1):
-        B = np.zeros((n, n), dtype=complex)
-        B[i, i], B[i + 1, i + 1] = 1j, -1j
-        out.append(HVec(B))
-    return tuple(out)
+def h_basis(n: int) -> np.ndarray:
+    """Standard basis of su(n) as one read-only complex (n^2 - 1, n, n) stack.
+
+    In order: for each i < j (row by row), E_ij - E_ji and then
+    i(E_ij + E_ji); then the n - 1 diagonal i(E_kk - E_(k+1)(k+1)).  So the
+    first 2(n - 1) entries are the ones with an entry in the first row off
+    the diagonal.  Built by index assignment; adjoint_matrices refuses the
+    stack, once, if it is not finite, anti-Hermitian and traceless.
+    """
+    i, j = np.triu_indices(n, 1)
+    k = np.arange(n - 1)
+    pair, cartan = 2 * np.arange(len(i)), 2 * len(i) + k
+    H = np.zeros((n * n - 1, n, n), dtype=complex)
+    H[pair, i, j], H[pair, j, i] = 1.0, -1.0
+    H[pair + 1, i, j] = H[pair + 1, j, i] = 1j
+    H[cartan, k, k], H[cartan, k + 1, k + 1] = 1j, -1j
+    H.flags.writeable = False
+    return H
 
 
 @lru_cache(maxsize=None)
@@ -319,11 +320,11 @@ def adjoint_matrices(n: int) -> np.ndarray:
     """Real (n^2-1, 2n+1, 2n+1) array: the action of each h-basis element on m
     in standard-basis coordinates, A[r][:, k] = coords([h_r, e_k]).  Read-only.
 
-    One contraction of the stacked h basis with the basis z-vectors; the
-    stack is refused if its matrices are not finite, anti-Hermitian and
-    traceless.
+    One contraction of the h_basis stack, as it is, with the basis
+    z-vectors; the stack is refused if its matrices are not finite,
+    anti-Hermitian and traceless.
     """
-    H = np.array([h.B for h in h_basis(n)], dtype=complex).reshape(-1, n, n)
+    H = h_basis(n)
     _require_su(H, "B")
     Z, _ = _from_coords(np.eye(2 * n + 1))  # the standard basis
     A = np.ascontiguousarray(np.swapaxes(_act(H, Z), -1, -2))

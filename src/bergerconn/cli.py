@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     except RankGapError as exc:
         print(f"FAIL rank decision: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, ValueError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
 

@@ -39,9 +39,10 @@ number of weight-zero columns, the support (how many standard entries the
 maps use), the residual on Gamma, kappa, the certified bound and its margin
 to TOL_NUM.
 
-Every rank decision (the zero weights, both nullspaces, the torsion map of
-levi_civita_generic, and einstein's) is _guarded_rank's: a relative cutoff
-and a guarded gap, and RankGapError when there is none.
+Every rank decision (the zero weights, both nullspaces, the independence
+of a space's maps, the torsion map of levi_civita_generic, and einstein's)
+is _guarded_rank's: a relative cutoff and a guarded gap, and RankGapError
+when there is none.
 """
 
 from __future__ import annotations
@@ -132,15 +133,15 @@ class Bilin:
 @dataclass(frozen=True)
 class LinearSpace:
     """A (possibly affine) subspace of bilinear maps: offset plus the span of
-    maps, one read-only stack of shape (dim, d, d, d), copied at construction."""
+    maps, one read-only stack of shape (dim, d, d, d), copied at construction.
+    Maps that are not linearly independent are refused, whatever their sizes."""
 
     maps: np.ndarray
     offset: Bilin | None = None
     _flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        maps = np.array(self.maps, dtype=float)
-        maps.flags.writeable = False
+        maps = np.asarray(self.maps, dtype=float)
         d = maps.shape[-1] if maps.ndim == 4 else 0
         if maps.shape[1:] != (d, d, d) or d % 2 == 0:
             raise ValueError(f"maps must have shape (dim, d, d, d) with d odd, got {maps.shape}")
@@ -148,12 +149,20 @@ class LinearSpace:
             raise ValueError(f"offset of n = {self.offset.n} on maps of n = {(d - 1) // 2}")
         if not np.isfinite(maps).all():
             raise ValueError("maps must be finite")
+        if len(maps):
+            # a guarded rank on the maps scaled to comparable sizes, so that
+            # size is not taken for dependence; a zero map is dependent.  R
+            # of the maps' transpose has one column per map, of its norm, and
+            # QR's working copy is freed before the space makes its own.
+            R = np.linalg.qr(maps.reshape(len(maps), d**3).T, mode="r")
+            size = np.abs(R).max(axis=0)
+            if not size.all() or _guarded_rank(
+                    np.linalg.svd(R / size, compute_uv=False))[0] < len(maps):
+                raise ValueError("basis elements are not linearly independent")
+        maps = np.array(maps)
+        maps.flags.writeable = False
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_flat", maps.reshape(len(maps), d**3))
-        if len(maps):
-            s = np.linalg.svd(self._flat, compute_uv=False)
-            if s[-1] <= TOL_RANK * max(s[0], 1.0):
-                raise ValueError("basis elements are not linearly independent")
 
     @property
     def dim(self) -> int:
@@ -203,14 +212,22 @@ class LinearSpace:
         return float(np.linalg.norm(M @ x - v))
 
 
-def _guarded_rank(s: np.ndarray) -> tuple[int, float]:
-    """Numerical rank of the descending singular values s and its gap, the
-    smallest kept over the largest discarded value (inf where nothing or
-    only zeros are discarded).  RankGapError where the gap is below TOL_GAP:
-    the kept and discarded values are not clearly apart."""
-    rank = int(np.count_nonzero(s > TOL_RANK * s[0])) if len(s) and s[0] > 0 else 0
-    kept = s[rank - 1] if rank else np.inf
-    dropped = s[rank] if rank < len(s) else 0.0
+def _guarded_rank(s: np.ndarray, descending: bool = True) -> tuple[int, float]:
+    """Numerical rank of the singular values s and its gap, the smallest kept
+    over the largest discarded value (inf where nothing or only zeros are
+    discarded).  s is descending, as an SVD returns it, or in any order with
+    descending=False: then it is read through masks, at about three times
+    the cost, which the SVD callers do not pay.  RankGapError where the gap
+    is below TOL_GAP: the kept and discarded values are not clearly apart."""
+    if descending:
+        rank = int(np.count_nonzero(s > TOL_RANK * s[0])) if len(s) and s[0] > 0 else 0
+        kept = s[rank - 1] if rank else np.inf
+        dropped = s[rank] if rank < len(s) else 0.0
+    else:
+        keep = s > TOL_RANK * s.max(initial=0.0)
+        rank = int(np.count_nonzero(keep))
+        kept = s.min(where=keep, initial=np.inf)
+        dropped = s.max(where=~keep, initial=0.0)
     gap = float(kept / dropped) if dropped > 0 else np.inf
     if gap < TOL_GAP:
         raise RankGapError(f"ambiguous rank: gap {gap:.2e} below {TOL_GAP:.0e}")
@@ -237,21 +254,27 @@ def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Weight basis of m for the maximal torus of su(n), and the slot triples
     of weight zero.
 
-    The diagonal elements of the h basis span the Cartan subalgebra; one
-    generic combination H of them acts on m with a unitary eigenbasis U,
-    i H U = U diag(lam).  The tensor conj(u_i) x conj(u_j) x u_k is an
-    H-eigenvector of weight lam_k - lam_i - lam_j, so every invariant map
-    lies in the span of the weight-zero triples (i, j, k), returned as three
-    index arrays: 25, 31 and 6n + 1 of them for n = 2, 3 and >= 4.
+    The diagonal elements of the h basis, picked by a mask on the h_basis
+    stack, span the Cartan subalgebra; one generic combination H of them
+    acts on m with a unitary eigenbasis U, i H U = U diag(lam).  The tensor
+    conj(u_i) x conj(u_j) x u_k is an H-eigenvector of weight
+    lam_k - lam_i - lam_j, so every invariant map lies in the span of the
+    weight-zero triples (i, j, k), returned as three index arrays in C
+    order: 25, 31 and 6n + 1 of them for n = 2, 3 and >= 4.  The zero
+    weights are _guarded_rank's discarded values, read unsorted: the
+    triples below the smallest kept weight, which one np.partition finds,
+    with no sort of the d^3 weights.
     """
-    diagonal = [np.array_equal(h.B, np.diag(np.diag(h.B))) for h in algebra.h_basis(n)]
-    cartan = algebra.adjoint_matrices(n)[np.flatnonzero(diagonal)]
+    h = algebra.h_basis(n)
+    diagonal = np.count_nonzero(h, axis=(1, 2)) == np.count_nonzero(h.diagonal(0, 1, 2), axis=1)
+    cartan = algebra.adjoint_matrices(n)[diagonal]
     H = np.tensordot(np.random.default_rng(2718).standard_normal(len(cartan)), cartan, 1)
     lam, U = np.linalg.eigh(1j * H)
     W = np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
     # the weights are split as singular values are: the discarded ones are zero
-    w = np.sort(W, axis=None)[::-1]
-    return U, np.nonzero(W <= w[_guarded_rank(w)[0]])
+    w = W.ravel()
+    cut = w.size - _guarded_rank(w, descending=False)[0]
+    return U, np.nonzero(W < np.partition(w, cut)[cut])
 
 
 def _root_nullspace(U: np.ndarray, cols, actions) -> np.ndarray:
@@ -366,10 +389,10 @@ def _equivariance_residual(basis: np.ndarray, actions) -> float:
 def _first_row_actions(n: int) -> np.ndarray:
     """Actions on m of Gamma: X_j = E_1j - E_j1 and Y_j = i(E_1j + E_j1) for
     j = 2..n, the h-basis elements with an entry in the first row off the
-    diagonal.  2(n - 1) matrices, each supported on the coordinates of z_1
+    diagonal, picked by a mask on the h_basis stack (its first 2(n - 1)
+    entries).  2(n - 1) matrices, each supported on the coordinates of z_1
     and z_j; they generate su(n)."""
-    first_row = [r for r, h in enumerate(algebra.h_basis(n)) if h.B[0, 1:].any()]
-    return algebra.adjoint_matrices(n)[first_row]
+    return algebra.adjoint_matrices(n)[algebra.h_basis(n)[:, 0, 1:].any(axis=1)]
 
 
 def _action_bound(actions) -> float:

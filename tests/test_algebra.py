@@ -127,7 +127,7 @@ class TestBrackets:
         assert abs(m.a.imag - C[2, 2].imag) < 1e-14 and abs(m.a.real) < 1e-14
 
     def test_hm_kills_fiber(self):
-        h = h_basis(3)[0]
+        h = HVec(h_basis(3)[0])
         assert np.abs(bracket_hm(h, MVec(3, np.zeros(3, dtype=complex), 1j)).coords()).max() == 0
 
     def test_hm_zero_h(self, rng):
@@ -141,7 +141,7 @@ class TestBrackets:
 
     def test_hm_agrees_with_ambient(self, rng):
         X = random_mvec(rng, 3)
-        for h in h_basis(3):
+        for h in map(HVec, h_basis(3)):
             Ah, Ax = embed_h(h).A, embed_m(X).A
             _, m = project(AmbientMat(Ah @ Ax - Ax @ Ah))
             assert np.abs(bracket_hm(h, X).coords() - m.coords()).max() < 1e-12
@@ -212,15 +212,36 @@ class TestBases:
 
     def test_cached_h_basis_is_read_only(self):
         with pytest.raises(ValueError):
-            h_basis(3)[0].B[0, 1] = 5
-        assert h_basis(3)[0].B[0, 1] == 1.0
+            h_basis(3)[0, 0, 1] = 5
+        assert h_basis(3)[0, 0, 1] == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_h_basis_is_one_stack_in_the_stated_order(self, n):
+        H = h_basis(n)
+        assert isinstance(H, np.ndarray) and not H.flags.writeable
+        assert H.shape == (n * n - 1, n, n) and H.dtype == complex
+        assert np.abs(H + np.swapaxes(H, 1, 2).conj()).max(initial=0.0) == 0
+        assert np.abs(np.trace(H, axis1=1, axis2=2)).max(initial=0.0) == 0
+        expected = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected.append(np.zeros((n, n), dtype=complex))
+                expected[-1][i, j], expected[-1][j, i] = 1.0, -1.0
+                expected.append(np.zeros((n, n), dtype=complex))
+                expected[-1][i, j] = expected[-1][j, i] = 1j
+        for k in range(n - 1):
+            expected.append(np.zeros((n, n), dtype=complex))
+            expected[-1][k, k], expected[-1][k + 1, k + 1] = 1j, -1j
+        assert np.array_equal(H, np.array(expected).reshape(-1, n, n))
+        first_row = [r for r, B in enumerate(H) if B[0, 1:].any()]
+        assert first_row == list(range(2 * (n - 1)))
 
 
 class TestLieAlgebraProperties:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_jacobi_identity(self, n):
         mats = [embed_m(X).A for X in standard_basis(n)]
-        mats += [embed_h(h).A for h in h_basis(n)]
+        mats += [embed_h(HVec(B)).A for B in h_basis(n)]
 
         def br(a, b):
             return a @ b - b @ a
@@ -237,7 +258,7 @@ class TestLieAlgebraProperties:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_reductivity(self, n):
-        for h in h_basis(n):
+        for h in map(HVec, h_basis(n)):
             for X in standard_basis(n):
                 Ah, Ax = embed_h(h).A, embed_m(X).A
                 hp, _ = project(AmbientMat(Ah @ Ax - Ax @ Ah))
@@ -247,7 +268,7 @@ class TestLieAlgebraProperties:
     def test_metric_h_invariance(self, eps):
         n = 2
         g = Metric(n, eps)
-        for h in h_basis(n):
+        for h in map(HVec, h_basis(n)):
             for X in standard_basis(n):
                 for Y in standard_basis(n):
                     v = metric_eval(g, bracket_hm(h, X), Y) + metric_eval(
@@ -269,7 +290,7 @@ def per_entry_tables(n):
             for k in range(d):
                 Hterm[i, j, k] = bracket_hm(h, basis[k]).coords()
                 Hterm[j, i, k] = -Hterm[i, j, k]
-    hs = h_basis(n)
+    hs = [HVec(B) for B in h_basis(n)]
     A = np.zeros((len(hs), d, d))
     for r, h in enumerate(hs):
         for k, X in enumerate(basis):
@@ -348,17 +369,16 @@ class TestBatchedTables:
             structure_tensors.__wrapped__(1)
 
     @pytest.mark.parametrize(
-        "B",
-        [np.array([[1j, 0.0], [0.0, 1j]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
-         np.array([[np.nan, 0.0], [0.0, 0.0]])],
+        "B,message",
+        [(np.array([[1j, 0.0], [0.0, 1j]]), "B must be traceless"),
+         (np.array([[0.0, 1.0], [1.0, 0.0]]), "B must be anti-Hermitian"),
+         (np.array([[np.nan, 0.0], [0.0, 0.0]]), "B entries must be finite")],
         ids=["trace", "hermitian", "nan"],
     )
-    def test_adjoint_matrices_refuse_bad_generators(self, monkeypatch, B):
-        good = h_basis(2)
-        fake = type("FakeHVec", (), {})()
-        fake.B = B
-        monkeypatch.setattr(algebra, "h_basis", lambda n: (*good, fake))
-        with pytest.raises(ValueError):
+    def test_adjoint_matrices_refuse_bad_generators(self, monkeypatch, B, message):
+        stack = np.concatenate([h_basis(2), B[None]])
+        monkeypatch.setattr(algebra, "h_basis", lambda n: stack)
+        with pytest.raises(ValueError, match=message):
             adjoint_matrices.__wrapped__(2)
 
     def test_checks_find_one_bad_entry_in_a_stack(self):

@@ -332,6 +332,20 @@ class TestSolverFailureReported:
         assert capsys.readouterr().err.startswith("FAIL: ")
 
 
+class TestValueErrorReported:
+    """A ValueError raised inside a command is one FAIL line with exit 1."""
+
+    @pytest.mark.parametrize("command", ["classify", "export"])
+    @pytest.mark.parametrize("n,eps", [(2, "1e-7"), (2, "1e-6"), (4, "1e-6"),
+                                       (3, "1e9"), (3, "-1e9"), (3, "1e10"), (3, "-1e10")])
+    def test_fail_line(self, command, n, eps, capsys):
+        assert main([command, "--n", str(n), f"--eps={eps}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestVerifyCurvatureReuse:
     CHECKS = ["levi_civita_closed_vs_generic", "levi_civita_torsion_free", "dimension_counts",
               "skew_directions_closed_vs_generic", "closed_torsion_vs_generic", "torsion_form_is_skew", "sym_ricci_identity",

@@ -75,9 +75,8 @@ def test_closed_forms_never_reference_generic_calculus():
     assert names & GENERIC_CALCULUS == set()
 
 
-#: the only readers of TOL_RANK: the guarded rank decision, and the check of
-#: a caller's basis
-RANK_CUTOFF_READERS = {("spaces", "_guarded_rank"), ("spaces", "LinearSpace.__post_init__")}
+#: the only reader of TOL_RANK: the guarded rank decision
+RANK_CUTOFF_READERS = {("spaces", "_guarded_rank")}
 
 
 def _package_modules():

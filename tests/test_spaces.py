@@ -89,6 +89,19 @@ class TestLinearSpace:
         with pytest.raises(ValueError):
             LinearSpace(np.zeros((1, 3, 3, 3)))
 
+    def test_independence_is_decided_at_any_scale(self, rng):
+        # the named family at n = 3 has a direction of size |eps| beside two
+        # of size 1: independent maps, however far apart their sizes
+        for eps in (1e9, -1e9, 1e10, -1e10):
+            assert families.skew_direction_basis(3, eps).dim == 3
+        a, b = rng.standard_normal((2, 5, 5, 5))
+        assert LinearSpace(np.stack([1e-6 * a, 1e12 * b])).dim == 2
+        for scale in (1e-6, 1e12):
+            with pytest.raises(ValueError, match="not linearly independent"):
+                LinearSpace(scale * np.stack([a, b, a - 2 * b]))
+            with pytest.raises(ValueError, match="not linearly independent"):
+                LinearSpace(np.stack([scale * a, np.zeros_like(a)]))
+
     @pytest.mark.parametrize("shape", [(3, 3, 3), (1, 4, 4, 4), (1, 3, 3, 5), (2, 27), (1, 1, 3, 3, 3)])
     def test_rejects_maps_of_another_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"(dim, d, d, d) with d odd, got {shape}")):
@@ -277,6 +290,20 @@ class TestInvariantSpace:
         assert len(i) == len(j) == len(k) == count
         assert np.abs(U.conj().T @ U - np.eye(2 * n + 1)).max() < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_zero_weight_triples_match_a_sorted_split(self, n):
+        # the weights sorted in descending order and split as singular values
+        U, cols = _zero_weight_triples(n)
+        diagonal = [r for r, B in enumerate(h_basis(n)) if np.array_equal(B, np.diag(np.diag(B)))]
+        cartan = adjoint_matrices(n)[diagonal]
+        H = np.tensordot(np.random.default_rng(2718).standard_normal(len(cartan)), cartan, 1)
+        lam, ref_U = np.linalg.eigh(1j * H)
+        W = np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
+        w = np.sort(W, axis=None)[::-1]
+        ref = np.nonzero(W <= w[spaces._guarded_rank(w)[0]])
+        assert np.array_equal(U, ref_U)
+        assert len(cols) == 3 and all(np.array_equal(c, r) for c, r in zip(cols, ref))
+
     def test_refuses_n_beyond_memory(self):
         # about 1250 d^3 bytes: some 10 TB at n = 1000
         with pytest.raises(ValueError, match="physical memory"):
@@ -300,6 +327,20 @@ class TestInvariantSpace:
         # 1e-6 is kept and 1e-9 discarded, a gap of 1e3 below TOL_GAP
         with pytest.raises(RankGapError):
             span(np.diag([1.0, 1e-6, 1e-9]))
+
+    @pytest.mark.parametrize("s", [[3.0, 2.0, 1e-12, 0.0], [1.0, 1e-3], [1.0, 1e-6, 1e-9],
+                                   [0.0, 0.0], [], [5.0]])
+    def test_rank_read_in_any_order(self, s, rng):
+        # the masked read of shuffled values decides as the descending read
+        s = np.array(s)
+        shuffled = rng.permutation(s)
+        try:
+            expected = spaces._guarded_rank(s)
+        except RankGapError:
+            with pytest.raises(RankGapError):
+                spaces._guarded_rank(shuffled, descending=False)
+        else:
+            assert spaces._guarded_rank(shuffled, descending=False) == expected
 
     def test_nullspace_of_wide_matrix_is_complete(self):
         null = _nullspace(np.array([[1.0, 1.0, 0.0]]))
@@ -325,13 +366,12 @@ def _stated_combinations(n):
     X[j] = E_1j - E_j1 and Y[j] = i(E_1j + E_j1), indices from 0."""
     A = adjoint_matrices(n)
     X, Y = {}, {}
-    for r, h in enumerate(h_basis(n)):
-        if h.B[0, 1:].any():
-            j = int(np.flatnonzero(h.B[0])[0])
-            (X if h.B[0, j].real else Y)[j] = A[r]
+    for r, B in enumerate(h_basis(n)):
+        if B[0, 1:].any():
+            j = int(np.flatnonzero(B[0])[0])
+            (X if B[0, j].real else Y)[j] = A[r]
     combos = []
-    for h in h_basis(n):
-        B = h.B
+    for B in h_basis(n):
         off = [(i, j) for i, j in zip(*np.nonzero(B)) if i < j]
         if not off:  # Cartan i(E_kk - E_(k+1)(k+1))
             k = int(np.flatnonzero(np.diag(B))[0])
