@@ -13,6 +13,12 @@ index, the only basis vector with a != 0.  The result is the coefficient
 tensor that the generic tensor calculus is compared against; nothing of
 that calculus is used to compute it.
 
+For small d a call pays more for numpy's dispatch than for arithmetic, so
+the blocks are written by index assignment, the S^7 cross product as its
+component products and the Ricci diagonal as a strided slice: no np.eye,
+np.stack or np.cross runs per call.  Each output is np.array_equal to the
+one those helpers gave (tests/test_closed_form_pins.py).
+
 The skew-torsion family is written once, as one affine space
 (skew_direction_basis): the Levi-Civita map plus the named directions in the
 paper's coordinates (s; s1, s2 on S^7; s3, s4 on S^5).  skew_family reads its
@@ -31,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MVec, _from_coords, _to_coords
+from .algebra import MVec, _to_coords
 from .config import TOL_NUM
 from .nomizu import CurvTensor, Rank2Tensor
 from .spaces import Bilin, LinearSpace
@@ -47,8 +53,16 @@ def theta(z: np.ndarray) -> np.ndarray:
 
 
 def _ccross(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """conj(z) x conj(w), the conjugated C^3 cross product."""
-    return np.cross(np.conj(z), np.conj(w))
+    """conj(z) x conj(w), the conjugated C^3 cross product over the last axis,
+    broadcast over the others.  The components are the products np.cross
+    forms, in its order, so the bytes are np.cross's."""
+    a, b = np.conj(z), np.conj(w)
+    c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    c = np.empty(c0.shape + (3,), dtype=c0.dtype)
+    c[..., 0] = c0
+    c[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    c[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return c
 
 
 def _basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,17 +74,30 @@ def _basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Re h and Im h: the l-th coordinate of a z-vector v is Re(conj(z_l)^t v).
     The fibre vector e_{d-1} has z = 0 and a = i, every other basis vector
     has a = 0, so a term with a factor a, b or c is a slice update on index -1.
+
+    All three are written entry by entry on strided slices: e_{2l} has z = 1
+    and e_{2l+1} has z = i in slot l, so Re h is the identity on the z-block
+    and Im h has 1 at (2l, 2l+1) and -1 at (2l+1, 2l).
     """
-    Z, _ = _from_coords(np.eye(2 * n + 1))
-    h = np.conj(Z) @ Z.T
-    return Z, h, np.stack([h.real, h.imag])
+    d = 2 * n + 1
+    Z = np.zeros((d, n), dtype=complex)
+    Z.reshape(-1)[::d] = 1.0  # Z[2l, l], flat index l d
+    Z.reshape(-1)[n::d] = 1.0j  # Z[2l+1, l], flat index l d + n
+    ZJ = np.zeros((2, d, d))
+    ZJ[0].reshape(-1)[: 2 * n * (d + 1) : d + 1] = 1.0
+    ZJ[1].reshape(-1)[1 : 2 * n * (d + 1) : 2 * (d + 1)] = 1.0
+    ZJ[1].reshape(-1)[d : 2 * n * (d + 1) : 2 * (d + 1)] = -1.0
+    h = np.empty((d, d), dtype=complex)
+    h.real, h.imag = ZJ
+    return Z, h, ZJ
 
 
 def _times_z(S, ZJ: np.ndarray) -> np.ndarray:
     """Real coordinates of S z_i for complex scalars S, as one matmul with the
-    blocks ZJ of _basis: shape S.shape + (d, d), indexed [..., i, l]."""
+    blocks ZJ of _basis: shape S.shape + (d, d), indexed [..., i, l].  The
+    left factor is S read as (Re, Im) pairs, a float view of S."""
     S = np.asarray(S, dtype=complex)
-    Sr = np.stack([S.real, S.imag], axis=-1).reshape(-1, 2)
+    Sr = S.reshape(-1, 1).view(float)
     return (Sr @ ZJ.reshape(2, -1)).reshape(S.shape + ZJ.shape[1:])
 
 
@@ -265,7 +292,7 @@ def skew_direction_basis(n: int, eps: float) -> LinearSpace:
         named = (direction_s(2, eps), _delta_s5(eps, -1.0), _delta_s5(eps, 1.0j))
     else:
         named = (direction_s(n, eps),)
-    return LinearSpace(np.stack([b.coeffs for b in named]), alpha_lc(n, eps))
+    return LinearSpace(np.array([b.coeffs for b in named]), alpha_lc(n, eps))
 
 
 def skew_family(n: int, eps: float, params) -> Bilin:
@@ -363,6 +390,6 @@ def closed_ricci(n: int, eps: float, params: FamilyParams) -> Rank2Tensor:
         cz -= 4 * (params.p * np.conj(params.p)).real
     d = 2 * n + 1
     Ric = np.zeros((d, d))
-    Ric[: d - 1, : d - 1] = cz * np.eye(d - 1)
+    Ric.reshape(-1)[: (d - 1) * (d + 1) : d + 1] = cz  # the z-block's diagonal
     Ric[d - 1, d - 1] = -ca  # ab = -1 on the pair ((0,i),(0,i))
     return Rank2Tensor(n, Ric)

@@ -198,8 +198,9 @@ def sym(T: Rank2Tensor) -> Rank2Tensor:
 
 def torsion_form(alpha: Bilin, g: Metric) -> np.ndarray:
     """The lowered torsion omega[i, j, k] = g(T(e_i, e_j), e_k)."""
-    T = torsion(alpha)
-    return np.einsum("ijk,kl->ijl", T.coeffs, g.gram())
+    if alpha.n != g.n:
+        raise ValueError("dimension mismatch")
+    return torsion(alpha).coeffs @ g.gram()
 
 
 def skew_residual(omega: np.ndarray) -> float:
@@ -217,17 +218,28 @@ def is_skew(omega: np.ndarray) -> bool:
 
 def is_metric(alpha: Bilin, g: Metric) -> bool:
     """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) = 0 on all basis triples."""
+    if alpha.n != g.n:
+        raise ValueError("dimension mismatch")
     return bool(np.abs(_metric_violation(alpha.coeffs, g.gram())).max() <= TOL_NUM)
 
 
 def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:
-    """S(X, Y) = sum_j sign_j g(T(f_j, X), T(f_j, Y))."""
+    """S(X, Y) = sum_j sign_j g(T(f_j, X), T(f_j, Y)).
+
+    The sum over j and the lowered slot is one matrix product, of the
+    weighted lowered torsion with axes (x, j, k) against T with axes
+    (j, k, y), each read as a contiguous 2-D array: the product and the
+    operands that np.tensordot over axes ([0, 2], [0, 2]) forms.
+    """
+    if alpha.n != g.n:
+        raise ValueError("dimension mismatch")
     T = torsion(alpha).coeffs
+    d = g.dim
     scale, signs = g.orthonormal_scales()
     # T(f_j, e_x) has coefficients scale_j * T[j, x, :]
     w = (signs * scale * scale)[:, None, None]
-    S = np.tensordot(w * (T @ g.gram()), T, axes=([0, 2], [0, 2]))
-    return Rank2Tensor(alpha.n, S)
+    A = (w * (T @ g.gram())).transpose(1, 0, 2).reshape(d, d * d)
+    return Rank2Tensor(alpha.n, np.dot(A, T.transpose(0, 2, 1).reshape(d * d, d)))
 
 
 def einstein_residual(alpha: Bilin | np.ndarray, g: Metric) -> np.ndarray:

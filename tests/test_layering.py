@@ -75,6 +75,19 @@ def test_closed_forms_never_reference_generic_calculus():
     assert names & GENERIC_CALCULUS == set()
 
 
+#: numpy helpers written in Python, each a few microseconds a call: kept off
+#: the per-map paths of the closed forms and of the one-map products
+PYTHON_LEVEL_HELPERS = {"tensordot", "cross", "stack"}
+
+
+@pytest.mark.parametrize("module", ["families", "nomizu"])
+def test_no_python_level_numpy_helpers(module):
+    used = [(node.attr, node.lineno) for node in ast.walk(ast.parse(_source(module)))
+            if isinstance(node, ast.Attribute) and node.attr in PYTHON_LEVEL_HELPERS
+            and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    assert used == [], f"{module}.py uses {used}"
+
+
 #: the only reader of TOL_RANK: the guarded rank decision
 RANK_CUTOFF_READERS = {("spaces", "_guarded_rank")}
 

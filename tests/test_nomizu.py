@@ -376,6 +376,20 @@ class TestRicciTrace:
             nomizu.einstein_residual(np.zeros((7, 7, 7)), Metric(2, -1.0))
 
 
+@pytest.mark.parametrize("call", [
+    nomizu.s_tensor,
+    nomizu.torsion_form,
+    nomizu.is_metric,
+    nomizu.einstein_residual,
+    lambda alpha, g: ricci(curvature(alpha), g),
+    lambda alpha, g: scalar(ricci(curvature(alpha), Metric(alpha.n, g.eps)), g),
+], ids=["s_tensor", "torsion_form", "is_metric", "einstein_residual", "ricci", "scalar"])
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+def test_metric_of_another_n_refused(call, n, m):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        call(families.alpha_lc(n, -1.0), Metric(m, -1.0))
+
+
 class TestStackedCurvature:
     """curvature, einstein_defect and LinearSpace.elements on a stack of maps:
     every row a lone call's bytes, in kernel calls of at most _chunk_size(d)
