@@ -2,7 +2,8 @@
 forms or the layers built on them, at module level or inside a function.  The
 closed forms (families) compute nothing with the generic calculus they are
 checked against: from nomizu they take only its tensor types.  Every rank
-decision goes through spaces._guarded_rank."""
+decision goes through spaces._guarded_rank.  Neither the closed forms nor
+nomizu use np.tensordot, np.cross or np.stack."""
 
 import ast
 from pathlib import Path
