@@ -8,8 +8,11 @@ This module computes, over the standard basis of m, the space of all such
 maps, the subspace of metric-compatible ones (alpha(X, -) skew-adjoint for
 g_eps) and the affine subspace whose torsion 3-form is totally skew.  It is
 the generic side of the cross-check and imports nothing from the closed
-forms: the skew space's offset is the torsion-free metric map solved here,
-and its directions are the raw nullspace, not the named family.
+forms: the skew space's offset is the torsion-free metric map by the Koszul
+formula, and its directions are the raw nullspace, not the named family.
+The metric and skew conditions read only the lowered map alpha G_eps, which
+G_eps leaves invariant, so both spaces are solved once per n, at eps = -1
+where G is the identity, and divided by diag(G_eps) at any other eps.
 
 The invariant maps are found in three steps, none of which forms an
 operator on all d^3 = (2n+1)^3 coefficients:
@@ -40,9 +43,8 @@ maps use), the residual on Gamma, kappa, the certified bound and its margin
 to TOL_NUM.
 
 Every rank decision (the zero weights, both nullspaces, the independence
-of a space's maps, the torsion map of levi_civita_generic, and einstein's)
-is _guarded_rank's: a relative cutoff and a guarded gap, and RankGapError
-when there is none.
+of a space's maps, and einstein's) is _guarded_rank's: a relative cutoff
+and a guarded gap, and RankGapError when there is none.
 """
 
 from __future__ import annotations
@@ -532,10 +534,15 @@ def _solution_space(space: LinearSpace, violation, G: np.ndarray) -> np.ndarray:
 def metric_connection_space(n: int, eps: float) -> LinearSpace:
     """Equivariant maps with alpha(X, -) in so(m, g_eps).
 
-    Dimension 9, 7, 5, 3 for n = 1, 2, 3 and >= 4, independent of eps.
+    At eps = -1, where G is the identity, the orthonormal nullspace of the
+    metric violation; at any other eps, that basis divided by diag(G_eps) on
+    the output slot, which is not orthonormal.  Dimension 9, 7, 5, 3 for
+    n = 1, 2, 3 and >= 4, independent of eps.
     """
-    return LinearSpace(
-        _solution_space(invariant_bilinear_space(n), _metric_violation, Metric(n, eps).gram()))
+    G = Metric(n, eps).gram()
+    if eps != -1.0:
+        return LinearSpace(metric_connection_space(n, -1.0).maps / G.diagonal())
+    return LinearSpace(_solution_space(invariant_bilinear_space(n), _metric_violation, G))
 
 
 def _torsion_difference(coeffs: np.ndarray) -> np.ndarray:
@@ -564,33 +571,34 @@ def skew_torsion_space(n: int, eps: float) -> LinearSpace:
     """Affine space of metric connections with totally skew torsion, from the
     generic calculus alone.
 
-    The offset is levi_civita_generic(n, eps), solved first so that its
-    refusals come before the directions'; the directions are the orthonormal
-    maps of metric_connection_space(n, eps) whose torsion difference is
-    totally skew.  Direction dimension 1, 3, 3, 1 for n = 1, 2, 3 and >= 4.
+    The offset is levi_civita_generic(n, eps).  The directions are the metric
+    maps whose lowered torsion difference is totally skew: at eps = -1 an
+    orthonormal nullspace on metric_connection_space, at any other eps that
+    basis divided by diag(G_eps), which is not orthonormal.  Direction
+    dimension 1, 3, 3, 1 for n = 1, 2, 3 and >= 4.
     """
-    offset = levi_civita_generic(n, eps)
-    maps = _solution_space(metric_connection_space(n, eps), _skew_violation, Metric(n, eps).gram())
-    return LinearSpace(maps, offset)
+    G = Metric(n, eps).gram()
+    if eps != -1.0:
+        maps = skew_torsion_space(n, -1.0).maps / G.diagonal()
+    else:
+        maps = _solution_space(metric_connection_space(n, eps), _skew_violation, G)
+    return LinearSpace(maps, levi_civita_generic(n, eps))
 
 
 def levi_civita_generic(n: int, eps: float) -> Bilin:
-    """The unique torsion-free element of metric_connection_space(n, eps).
+    """The unique torsion-free metric map, by the Koszul formula.
 
-    Solved as a linear system over the metric basis; a metric connection is
-    determined by its torsion, so the solution is unique.  The rank of the
-    torsion map on the metric basis is a guarded decision on the singular
-    values the least-squares solve returns: RankGapError where it has no
-    clear gap or is not full, RuntimeError where the residual misses TOL_NUM.
+    On a reductive homogeneous space with an invariant metric,
+    alpha(X, Y) = 1/2 [X, Y]_m + U(X, Y) with
+    g(U(X, Y), Z) = 1/2 (g([Z, X]_m, Y) + g(X, [Z, Y]_m))
+    (Kobayashi-Nomizu, Foundations of Differential Geometry II, Ch. X).
+    Lowered, g(alpha(e_i, e_j), e_k) is half of CG[i, j, k] plus
+    CG[k, i, j] + CG[k, j, i], with CG = Cm diag(G), and alpha is that
+    divided by diag(G) on the output slot.  The U-part is summed first, so
+    where its two terms cancel they cancel exactly, and no rounding is
+    magnified by a small |eps|.
     """
     Cm, _ = algebra.structure_tensors(n)
-    met = metric_connection_space(n, eps)
-    M = _torsion_difference(met.maps).reshape(met.dim, -1).T
-    x, _, _, sv = np.linalg.lstsq(M, Cm.ravel(), rcond=None)
-    rank, _ = _guarded_rank(sv)
-    if rank < met.dim:
-        raise RankGapError(f"torsion map degenerate on the metric space: rank {rank} of {met.dim}")
-    resid = np.linalg.norm(M @ x - Cm.ravel())
-    if resid > TOL_NUM:
-        raise RuntimeError(f"no torsion-free metric connection found: {resid:.2e}")
-    return met.element(x)
+    G = Metric(n, eps).gram().diagonal()
+    CG = Cm * G
+    return Bilin(n, 0.5 * (CG + (CG.transpose(1, 2, 0) + CG.transpose(2, 1, 0))) / G)

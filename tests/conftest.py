@@ -23,7 +23,7 @@ def rng():
 @pytest.fixture
 def cold_spaces():
     """Empty the caches of the generic spaces, so that a call reaches what a
-    test patches beneath them, such as the Levi-Civita solve beneath
+    test patches beneath them, such as the Levi-Civita map beneath
     skew_torsion_space."""
     for build in (spaces.invariant_bilinear_space, spaces.metric_connection_space,
                   spaces.skew_torsion_space):

@@ -296,8 +296,9 @@ class TestRankGapReported:
         assert captured.out == ""
 
     def test_torsion_rank_without_a_gap(self, monkeypatch, capsys, cold_spaces):
-        # verify's first step, the Levi-Civita solve, refuses a torsion map
-        # whose rank has no clear gap
+        # verify's first step, the skew directions solved on the metric
+        # space at eps = -1, refuses a metric basis whose torsion has no
+        # clear rank gap
         space = gapless_torsion_space(4)
         monkeypatch.setattr(spaces, "metric_connection_space", lambda n, eps: space)
         assert main(["verify", "--n", "4", "--eps=-1"]) == 1
@@ -326,8 +327,9 @@ class TestSolverFailureReported:
         assert captured.out == ""
 
     def test_levi_civita_residual_miss(self, capsys):
-        # at (3, 1e6) the torsion-free solve misses TOL_NUM: a residual
-        # failure, not a rank decision
+        # at (3, 1e6) the Levi-Civita map is one ulp of its entries of size
+        # eps off the closed form, 1.2e-10 against the absolute TOL_LC: a
+        # residual failure, not a rank decision
         assert main(["verify", "--n", "3", "--eps=1e6"]) == 1
         assert capsys.readouterr().err.startswith("FAIL: ")
 

@@ -3,7 +3,8 @@ forms or the layers built on them, at module level or inside a function.  The
 closed forms (families) compute nothing with the generic calculus they are
 checked against: from nomizu they take only its tensor types.  Every rank
 decision goes through spaces._guarded_rank.  Neither the closed forms nor
-nomizu use np.tensordot, np.cross or np.stack."""
+nomizu use np.tensordot, np.cross or np.stack.  The generic Levi-Civita map
+calls nothing from np.linalg."""
 
 import ast
 from pathlib import Path
@@ -193,3 +194,13 @@ def test_every_import_is_used(module):
 ])
 def test_unused_import_detector(source, unused):
     assert _unused_imports(source) == unused
+
+
+def test_levi_civita_map_solves_nothing():
+    # the Koszul formula is a tensor expression: no np.linalg call
+    (fn,) = [node for node in ast.walk(ast.parse(_source("spaces")))
+             if isinstance(node, ast.FunctionDef) and node.name == "levi_civita_generic"]
+    calls = [node.attr for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "linalg"]
+    assert calls == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergerconn import families, nomizu
+from bergerconn import cli, families, nomizu
 from bergerconn.algebra import (
     Metric,
     MVec,
@@ -36,6 +36,7 @@ from bergerconn.spaces import (
     skew_torsion_space,
 )
 from conftest import assert_verify_passes, gapless_torsion_space, random_mvec
+from test_space_pins import levi_civita_ref
 
 TOL = 1e-9
 
@@ -523,6 +524,19 @@ class TestMetricSpace:
         for b in metric_connection_space(3, 1.5).basis:
             assert nomizu.is_metric(b, g)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("eps", [s * 10.0**k for k in range(-10, 11) for s in (1, -1)])
+    def test_right_dimension_or_refused(self, n, eps):
+        # the spaces at extreme eps have the paper's dimension or are refused;
+        # a clean gap must never hand back a wrong one
+        _, met, skw = cli.expected_dims(n)
+        for build, dim in ((metric_connection_space, met), (skew_torsion_space, skw)):
+            try:
+                got = build(n, eps).dim
+            except (ValueError, RankGapError):
+                continue
+            assert got == dim, f"{build.__name__}({n}, {eps})"
+
 
 class TestSkewSpace:
     @pytest.mark.parametrize("n,eps", [(1, -2.0), (2, 0.7), (3, -1.0), (4, 1.0)])
@@ -548,23 +562,32 @@ class TestLeviCivitaGeneric:
     def test_matches_closed_form(self, n, eps):
         assert_verify_passes(n, eps, [])
 
+    def test_closed_form_at_every_scale(self):
+        # the Koszul sum cancels exactly where the closed form has zeros, so
+        # it stays within rounding of it from |eps| = 1e-10 to 1e10
+        for n in range(1, 7):
+            for eps in (s * 10.0**k for k in range(-10, 11) for s in (1, -1)):
+                closed = families.alpha_lc(n, eps).coeffs
+                got = levi_civita_generic(n, eps).coeffs
+                assert np.abs(got - closed).max() <= 1e-15 * np.abs(closed).max(), (n, eps)
+
     def test_torsion_free(self):
         lc = levi_civita_generic(2, 1.3)
         assert np.abs(nomizu.torsion(lc).coeffs).max() < TOL
 
-    def test_torsion_rank_without_a_gap_is_refused(self, monkeypatch):
-        # the rank is decided on the solve's own singular values: 1.6e-7 is
-        # kept and 1.4e-10 discarded, a gap of about 1e3 below TOL_GAP, which
-        # the solve's default cutoff alone would take as full rank
+    def test_torsion_rank_without_a_gap_is_refused(self):
+        # the reference least-squares solve decides the rank on its own
+        # singular values: 1.6e-7 is kept and 1.4e-10 discarded, a gap of
+        # about 1e3 below TOL_GAP, which the solve's default cutoff alone
+        # would take as full rank
         space = gapless_torsion_space(4)
         d = 9
         torsion = (space.matrix().reshape(-1, d, d, d)
                    - space.matrix().reshape(-1, d, d, d).swapaxes(1, 2)).reshape(3, -1)
         s = np.linalg.svd(torsion, compute_uv=False)
         assert s[2] > np.finfo(float).eps * d**3 * s[0]
-        monkeypatch.setattr(spaces, "metric_connection_space", lambda n, eps: space)
         with pytest.raises(RankGapError, match="gap") as exc:
-            levi_civita_generic(4, -1.0)
+            levi_civita_ref(4, -1.0, space)
         gap = float(re.search(r"gap (\S+)", str(exc.value)).group(1))
         assert gap == pytest.approx(s[1] / s[2], rel=1e-2)
         assert gap < TOL_GAP
