@@ -298,9 +298,34 @@ def skew_direction_basis(n: int, eps: float) -> LinearSpace:
 def skew_family(n: int, eps: float, params) -> Bilin:
     """Skew-torsion family member alpha_lc + s direction_s (+ the two
     n = 2, 3 directions) from variety coordinates (s, aux1, aux2), padded
-    with zeros and cut to the family's dimension."""
+    with zeros and cut to the family's dimension (_parameter_rows)."""
     space = skew_direction_basis(n, eps)
-    return space.element((tuple(np.atleast_1d(params)) + (0.0, 0.0))[:space.dim])
+    return space.element(_parameter_rows(n, np.atleast_1d(params)[None], space.dim)[0])
+
+
+def _parameter_rows(n: int, points, k: int) -> np.ndarray:
+    """points as rows of the k parameters of the skew family at n, shape
+    (p, k): a short row is padded with zeros, and the coordinates past k are
+    dropped when they are zero.  ValueError where one of them is not, or
+    where points is not a stack of rows; an empty points is no rows."""
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        if X.size:
+            raise _width_error(n, k, f"points must be rows of them, got shape {X.shape}")
+        return X.reshape(0, k)
+    width = X.shape[1]
+    if width < k:
+        return np.concatenate([X, np.zeros((len(X), k - width))], axis=1)
+    if width > k:
+        if X[:, k:].any():
+            raise _width_error(n, k, f"a row of {width} has a nonzero coordinate past them")
+        return X[:, :k]
+    return X
+
+
+def _width_error(n: int, k: int, detail: str) -> ValueError:
+    return ValueError(f"the skew family of n = {n} has {k} parameter{'s' if k > 1 else ''}; "
+                      f"{detail}")
 
 
 # ---------------------------------------------------------------------------

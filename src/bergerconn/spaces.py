@@ -97,6 +97,17 @@ class Bilin:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _holding(cls, n: int, c: np.ndarray) -> "Bilin":
+        """A Bilin on c itself, made read-only, with no copy and no check:
+        for a fresh float array of shape (d, d, d), already checked finite,
+        that no caller keeps a writable reference to."""
+        c.flags.writeable = False
+        alpha = object.__new__(cls)
+        object.__setattr__(alpha, "n", n)
+        object.__setattr__(alpha, "coeffs", c)
+        return alpha
+
+    @classmethod
     def zero(cls, n: int) -> "Bilin":
         d = 2 * n + 1
         return cls(n, np.zeros((d, d, d)))
@@ -185,8 +196,9 @@ class LinearSpace:
         return tuple(Bilin(self.n, c) for c in self.maps)
 
     def element(self, coeffs) -> Bilin:
-        """offset + sum_r coeffs[r] * maps[r]: the one row of elements."""
-        return Bilin(self.n, self.elements(np.asarray(coeffs, dtype=float)[None])[0])
+        """offset + sum_r coeffs[r] * maps[r]: the one row of elements, which
+        the Bilin holds as it is, checked finite once and copied by no one."""
+        return Bilin._holding(self.n, self.elements(np.asarray(coeffs, dtype=float)[None])[0])
 
     def elements(self, X) -> np.ndarray:
         """Coefficient stack (p, d, d, d) of offset + X[i] @ maps for each

@@ -201,15 +201,25 @@ def _maps(alpha) -> int:
     return int(np.prod(np.shape(getattr(alpha, "coeffs", alpha))[:-3]))
 
 
+def _count_curvature_maps(monkeypatch) -> list:
+    """Patch nomizu._curvature_terms, the one kernel of the full curvature
+    that nomizu.curvature and nomizu.einstein_defect both run, to record how
+    many maps each of its calls evaluates."""
+    calls = []
+    terms = nomizu._curvature_terms
+    monkeypatch.setattr(nomizu, "_curvature_terms",
+                        lambda a, out: calls.append(len(a)) or terms(a, out))
+    return calls
+
+
 def _count_generic_maps(monkeypatch) -> tuple[list, list]:
-    """Patch nomizu.einstein_residual and nomizu.curvature to record how many
-    maps each of their calls evaluates."""
-    counts, calls = [], []
-    residual, curvature = nomizu.einstein_residual, nomizu.curvature
+    """Patch nomizu.einstein_residual and the full curvature's kernel to
+    record how many maps each of their calls evaluates."""
+    counts = []
+    residual = nomizu.einstein_residual
     monkeypatch.setattr(nomizu, "einstein_residual",
                         lambda alpha, g: counts.append(_maps(alpha)) or residual(alpha, g))
-    monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(_maps(a)) or curvature(a))
-    return counts, calls
+    return counts, _count_curvature_maps(monkeypatch)
 
 
 def _patch_defects(monkeypatch, defects) -> list:
@@ -471,9 +481,7 @@ class TestSolveNumeric:
     def test_checks_go_in_blocks(self, n, eps, count, monkeypatch):
         # every check passing: the count candidates are checked in one
         # stacked call, one curvature call for as many maps
-        calls = []
-        curvature = nomizu.curvature
-        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(_maps(a)) or curvature(a))
+        calls = _count_curvature_maps(monkeypatch)
         blocks = []
         _patch_defects(monkeypatch, lambda n, eps, X, defects: blocks.append(len(X))
                        or defects(n, eps, X))
@@ -951,3 +959,47 @@ class TestMinDefectN1:
         # the minimum
         defect = einstein_defect_at(1, eps, (s,))
         assert abs(defect - min_defect_n1(eps)) <= 1e-12 * max(defect, 1.0)
+
+
+class TestParameterWidth:
+    """einstein_defects, einstein_defect_at and skew_family read a point
+    alike: a short one is padded with zeros and zeros past param_count(n)
+    are dropped, but a nonzero coordinate there is refused, where the
+    points used to be reshaped into rows of other points."""
+
+    def test_three_coordinates_at_n4_refused(self):
+        with pytest.raises(ValueError, match="has 1 parameter"):
+            einstein.einstein_defects(4, -2.0, [(1.0, 5.0, 7.0)])
+        with pytest.raises(ValueError, match="has 1 parameter"):
+            einstein_defect_at(4, -2.0, (1.0, 5.0, 7.0))
+        with pytest.raises(ValueError, match="has 1 parameter"):
+            families.skew_family(4, -2.0, (1.0, 5.0, 7.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_message_names_param_count(self, n):
+        k = param_count(n)
+        point = tuple(np.arange(1.0, k + 2.0))
+        for call in (lambda: einstein.einstein_defects(n, -2.0, [point, point]),
+                     lambda: einstein_defect_at(n, -2.0, point)):
+            with pytest.raises(ValueError, match=rf"has {k} parameter"):
+                call()
+
+    def test_flat_points_refused(self):
+        # a flat sequence is not read as rows of points
+        with pytest.raises(ValueError, match="has 1 parameter; points must be rows"):
+            einstein.einstein_defects(4, -2.0, [1.0, 5.0, 7.0])
+
+    @pytest.mark.parametrize("n,eps", [(4, -2.0), (3, -2.0), (2, 0.5), (1, -0.5)])
+    def test_padding_and_trailing_zeros(self, n, eps):
+        k = param_count(n)
+        full = (0.8, -0.3, 0.4)[:k]
+        defect = einstein_defect_at(n, eps, full)
+        for x in [full + (0.0,) * (3 - k), full + (0.0, -0.0)]:
+            assert einstein_defect_at(n, eps, x) == defect
+            assert einstein.einstein_defects(n, eps, [x, x]).tolist() == [defect, defect]
+        short = einstein_defect_at(n, eps, (0.8,))
+        assert short == einstein_defect_at(n, eps, (0.8,) + (0.0,) * (k - 1))
+        assert einstein.einstein_defects(n, eps, [(0.8,)]).tolist() == [short]
+
+    def test_no_points(self):
+        assert einstein.einstein_defects(3, -2.0, []).shape == (0,)

@@ -21,7 +21,7 @@ from bergerconn.families import (
     skew_family,
     theta,
 )
-from bergerconn.spaces import metric_connection_space, skew_torsion_space
+from bergerconn.spaces import Bilin, metric_connection_space, skew_torsion_space
 from conftest import assert_verify_passes, members, random_mvec
 
 TOL = 1e-9
@@ -221,6 +221,36 @@ class TestConnectionFamilies:
         alpha = build(eps)
         assert nomizu.is_metric(alpha, g)
         assert nomizu.is_skew(nomizu.torsion_form(alpha, g))
+
+
+class TestSkewFamilyMembers:
+    """skew_family pads a short tuple with zeros and drops zeros past the
+    family's parameters; a nonzero one there is refused, not dropped."""
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 3), (3, 3), (4, 1), (6, 1)])
+    def test_nonzero_past_the_family_refused(self, n, k):
+        x = (1.0, 5.0, 7.0, 2.0)[:k + 1]
+        with pytest.raises(ValueError, match=rf"has {k} parameter"):
+            skew_family(n, -2.0, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_short_tuples_padded_and_zeros_dropped(self, n):
+        full = skew_family(n, -2.0, (0.7, 0.0, 0.0)[: 3 if n in (2, 3) else 1]).coeffs
+        for x in [(0.7,), 0.7, (0.7, 0.0), (0.7, 0.0, 0.0, -0.0)]:
+            assert skew_family(n, -2.0, x).coeffs.tobytes() == full.tobytes()
+
+    def test_member_checked_and_copied_once(self, monkeypatch):
+        # LinearSpace.elements checks the new member finite; the Bilin holds
+        # that array read-only, with no second copy and check of its own
+        monkeypatch.setattr(Bilin, "__post_init__", lambda self: pytest.fail("copied again"))
+        alpha = skew_family(3, -2.0, (0.5, 0.1, -0.2))
+        assert not alpha.coeffs.flags.writeable and alpha.coeffs.shape == (7, 7, 7)
+        space = skew_direction_basis(3, -2.0)
+        assert alpha.coeffs.tobytes() == space.elements([(0.5, 0.1, -0.2)])[0].tobytes()
+
+    def test_non_finite_member_refused(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            skew_family(3, -2.0, (np.inf, 0.0, 0.0))
 
 
 class TestClosedTorsion:

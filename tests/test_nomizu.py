@@ -324,7 +324,7 @@ class TestRicciTrace:
     @given(n=st.integers(1, 8), eps=EPS,
            x=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
     def test_skew_members_byte_identical(self, n, eps, x):
-        alpha = families.skew_family(n, eps, x)
+        alpha = families.skew_family(n, eps, x[: 3 if n in (2, 3) else 1])
         g = Metric(n, eps)
         assert nomizu._ricci_trace(alpha.coeffs).tobytes() == \
             ricci(curvature(alpha), g).coeffs.tobytes()
@@ -487,7 +487,7 @@ class TestSkewFamilyProperties:
     def test_sym_ricci_identity(self, n, eps, sign, x):
         eps *= sign
         g = Metric(n, eps)
-        alpha = families.skew_family(n, eps, x)
+        alpha = families.skew_family(n, eps, x[: 3 if n in (2, 3) else 1])
         ric_lc = ricci(curvature(families.alpha_lc(n, eps)), g).coeffs
         Ric = sym(ricci(curvature(alpha), g)).coeffs
         S = s_tensor(alpha, g).coeffs
@@ -498,7 +498,7 @@ class TestSkewFamilyProperties:
     def test_members_are_metric(self, n, eps, sign, x):
         eps *= sign
         g = Metric(n, eps)
-        assert nomizu.is_metric(families.skew_family(n, eps, x), g)
+        assert nomizu.is_metric(families.skew_family(n, eps, x[: 3 if n in (2, 3) else 1]), g)
         q = complex(x[0], x[1])
         assert nomizu.is_metric(families.alpha_metric(n, eps, q, x[2]), g)
 
