@@ -964,8 +964,8 @@ class TestMinDefectN1:
 class TestParameterWidth:
     """einstein_defects, einstein_defect_at and skew_family read a point
     alike: a short one is padded with zeros and zeros past param_count(n)
-    are dropped, but a nonzero coordinate there is refused, where the
-    points used to be reshaped into rows of other points."""
+    are dropped, but a nonzero coordinate there is refused, never read as
+    another point."""
 
     def test_three_coordinates_at_n4_refused(self):
         with pytest.raises(ValueError, match="has 1 parameter"):
