@@ -17,6 +17,7 @@ Riemannian for eps < 0 and Lorentzian for eps > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,7 +209,9 @@ class Metric:
 
     def gram(self) -> np.ndarray:
         """Gram matrix of the standard basis: diag(1, ..., 1, -eps)."""
-        G = np.eye(self.dim)
+        d = self.dim
+        G = np.zeros((d, d))
+        G.flat[::d + 1] = 1.0
         G[-1, -1] = -self.eps
         return G
 
@@ -217,13 +220,12 @@ class Metric:
         g_eps-orthonormal one, and the signs g(f_j, f_j).
 
         Only the fiber vector is rescaled, by 1/sqrt(|eps|); its sign is
-        -sign(eps).
+        -sign(eps).  Both are worked out in scalars: the Einstein form asks
+        for them once per call.
         """
-        scale = np.ones(self.dim)
-        scale[-1] = 1.0 / np.sqrt(abs(self.eps))
-        signs = np.ones(self.dim)
-        signs[-1] = -np.sign(self.eps)
-        return scale, signs
+        ones = (1.0,) * (self.dim - 1)
+        return (np.array(ones + (1.0 / math.sqrt(abs(self.eps)),)),
+                np.array(ones + (-math.copysign(1.0, self.eps),)))
 
 
 def metric_eval(g: Metric, X: MVec, Y: MVec) -> float:

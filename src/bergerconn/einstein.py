@@ -29,12 +29,12 @@ defect.
 Every generic evaluation here takes its family members as one stack
 (_members, LinearSpace.elements of the named skew space): the polarization
 points, the flat circle, the Ricci-flat samples of one eps, and the
-solver's sample checks, a block at a time (einstein_defects).  A lone
-check (einstein_defect_at) is the one-row case of the same pipeline, from
-the parameters to the defect with no Bilin on the way, so each stacked row
-keeps its bytes.  The points are read by families' one rule: short rows
-padded with zeros, zeros past param_count(n) dropped, and a nonzero
-coordinate there refused with ValueError.
+solver's sample checks, a block at a time (einstein_defects).  Each row
+keeps the bytes of a lone call (einstein_defect_at), whose skew_family
+member goes through the same element map and the same defect pipeline.
+The points are read by families' one rule: short rows padded with zeros,
+zeros past param_count(n) dropped, and a nonzero coordinate there refused
+with ValueError.
 """
 
 from __future__ import annotations
@@ -142,11 +142,10 @@ def classify(n: int, eps: float) -> VarietyClass:
 
 def einstein_defect_at(n: int, eps: float, params) -> float:
     """Einstein defect of the skew family member with the given parameters,
-    through the full generic curvature: the one-row case of
-    einstein_defects, so it has a stacked row's bytes.  The parameters are
-    padded and cut as families.skew_family does."""
-    return float(nomizu.einstein_defect(_members(n, eps, np.atleast_1d(params)[None]),
-                                        Metric(n, eps))[0])
+    through the full generic curvature (nomizu.einstein_defect), with the
+    bytes of einstein_defects' row.  The parameters are padded and cut as
+    families.skew_family does."""
+    return nomizu.einstein_defect(families.skew_family(n, eps, params), Metric(n, eps))
 
 
 def einstein_defects(n: int, eps: float, points) -> np.ndarray:
@@ -301,8 +300,6 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     count - (samples kept) real candidates in one einstein_defects call, so
     exactly the candidates a one-by-one check would reach are checked; on
     a positive-dimensional cell one that fails gives way to the next draw.
-    The draws are made at once but mapped to candidates only as the blocks
-    reach them, each row with the bytes of the all-draws transform.
     RuntimeError where an isolated point is not real or fails, the cone has
     no lone sign, or a non-empty cell yields no sample; RankGapError from
     generic_quadric.
@@ -338,47 +335,29 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         if kind not in (VarietyClass.EMPTY, VarietyClass.CONE):
             shape = VarietyClass.CONE if lam.min() < 0 < lam.max() else VarietyClass.ONE_POINT
     isolated = shape in (VarietyClass.ONE_POINT, VarietyClass.TWO_POINTS)
+    if isolated or shape is VarietyClass.EMPTY:
+        U = {VarietyClass.ONE_POINT: np.zeros((1, len(lam))),
+             VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(shape, np.empty((0, len(lam))))
+    else:
+        U = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam))) @ P
     if shape is VarietyClass.CONE:
         lone = lam < 0 if (lam < 0).sum() == 1 else lam > 0
         if lone.sum() != 1:
             raise RuntimeError(f"cone predicted, but the eigenvalues are {lam}")
-
-    def candidates(U):
-        # frame coordinates U, rows in place, to parameter points; a row is
-        # the same bytes in any stack of two or more rows
-        if shape is VarietyClass.CONE:
-            rest = U[:, ~lone] ** 2 @ lam[~lone]
-            U[:, lone] = np.copysign(np.sqrt(-rest / lam[lone])[:, None], U[:, lone])
-        elif shape is not VarietyClass.ONE_POINT:
-            U /= np.linalg.norm(U, axis=1, keepdims=True)
-            t = -const / (U**2 @ lam)
-            U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]
-        return centre + U @ P.T
-
-    if isolated or shape is VarietyClass.EMPTY:
-        X = candidates({VarietyClass.ONE_POINT: np.zeros((1, len(lam))),
-                        VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(
-                            shape, np.empty((0, len(lam)))))
-        real, done = ~np.isnan(X).any(axis=1), len(X)
-    else:
-        # the draws are made at once, and transformed only as blocks reach them
-        Z = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam)))
-        X, real, done = np.empty_like(Z), np.zeros(len(Z), dtype=bool), 0
+        rest = U[:, ~lone] ** 2 @ lam[~lone]
+        U[:, lone] = np.copysign(np.sqrt(-rest / lam[lone])[:, None], U[:, lone])
+    elif shape is not VarietyClass.ONE_POINT:
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        t = -const / (U**2 @ lam)
+        U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]
+    X = centre + U @ P.T
+    real = ~np.isnan(X).any(axis=1)
     keep, checks, draws, checks_s = [], 0, 0, 0.0
     while len(keep) < count and draws < len(X):
         # a block: the next count - len(keep) real candidates, and the
         # unreal ones among them, checked in one stacked call
         need = count - len(keep)
-        found = np.flatnonzero(real[draws:done])
-        while len(found) < need and done < len(X):
-            # four draws for each real candidate still missing; never one
-            # row alone, whose products may round apart from a stacked row's
-            stop = min(len(X), done + 4 * (need - len(found)))
-            rows = slice(max(0, min(done, stop - 2)), stop)
-            X[rows] = candidates(Z[rows] @ P)
-            real[rows] = ~np.isnan(X[rows]).any(axis=1)
-            found, done = np.flatnonzero(real[draws:stop]), stop
-        block = slice(draws, draws + found[need - 1] + 1 if len(found) >= need else len(X))
+        block = slice(draws, draws + int(np.searchsorted(np.cumsum(real[draws:]), need)) + 1)
         live = real[block]
         t0 = time.perf_counter()
         passed = np.zeros(len(live), dtype=bool)

@@ -15,12 +15,12 @@ slice of R, for one map or a stack of maps, with O(d^3) working memory per
 map beside the cached structure tensors (Hterm is d^4); the Einstein defect
 goes through the full curvature instead, so a sample solved from the
 residual is checked by a computation it did not come from.  Both take
-Sym(Ric) - (s / dim) g from one helper, _einstein_form, which reads the
-metric's scalars, not its arrays.
+Sym(Ric) - (s / dim) g from one helper, _einstein_form.
 
 The defect is one array pipeline, map -> curvature -> Ricci ->
-Sym(Ric) - (s / dim) g -> norm, on plain coefficient arrays: the Bilin,
-CurvTensor and Rank2Tensor wrappers appear only at the public boundary.
+Sym(Ric) - (s / dim) g -> norm, on plain coefficient arrays: curvature and
+ricci give arrays for arrays, so the Bilin, CurvTensor and Rank2Tensor
+wrappers appear only at the public boundary.
 
 curvature, ricci, einstein_defect and einstein_residual each take one map
 or a stack of coefficient arrays (..., d, d, d), and every row of a stack
@@ -35,7 +35,6 @@ independent oracle for the closed-form families.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,25 +191,10 @@ def scalar(Ric: Rank2Tensor, g: Metric) -> float:
 def _einstein_form(Ric: np.ndarray, g: Metric) -> tuple[np.ndarray, np.ndarray]:
     """(Sym(Ric) - (s / dim) g, s) for one Ricci array (d, d) or a stack
     (..., d, d), with s = sum_j sign_j scale_j^2 Ric[..., j, j] the scalar
-    curvature, summed in that order per map.
-
-    Both are read off the scalars g.dim and g.eps, the values
-    Metric.orthonormal_scales and Metric.gram would give: the weight
-    sign_j scale_j^2 is 1 but on the fibre, where it is
-    -sign(eps) (1 / sqrt|eps|)^2, and the Gram matrix is diag(1, ..., 1, -eps).
-    """
-    d, eps = g.dim, g.eps
-    scale = 1.0 / math.sqrt(abs(eps))
-    w = np.ones(d)
-    w[-1] = -math.copysign(scale * scale, eps)
-    s = np.einsum("j,...jj->...", w, Ric)
-    G = np.zeros((d, d))
-    G.flat[::d + 1] = 1.0
-    G[-1, -1] = -eps
-    E = Ric + Ric.swapaxes(-1, -2)
-    E *= 0.5
-    E -= (s / d)[..., None, None] * G
-    return E, s
+    curvature, summed in that order per map."""
+    scale, signs = g.orthonormal_scales()
+    s = np.einsum("j,j,...jj->...", signs, scale * scale, Ric)
+    return 0.5 * (Ric + Ric.swapaxes(-1, -2)) - (s / g.dim)[..., None, None] * g.gram(), s
 
 
 def sym(T: Rank2Tensor) -> Rank2Tensor:
@@ -281,25 +265,19 @@ def einstein_defect(alpha: Bilin | np.ndarray, g: Metric) -> float | np.ndarray:
     shares none of _ricci_trace's products.
 
     alpha is one map, giving a float, or a stack of coefficient arrays
-    (..., d, d, d), giving an array (...); a lone map is a stack of one, and
-    every row gets a lone call's bytes.  One pipeline, _chunk_size(d) maps
-    at a time: _curvature_terms into one reused buffer, the Ricci trace
-    (ricci's einsum), _einstein_form and each row's norm, with no
-    CurvTensor or Rank2Tensor on the way.
+    (..., d, d, d), giving an array (...); the curvature is formed
+    _chunk_size(d) maps at a time, and every row gets a lone call's bytes.
+    The norms of a chunk are one stacked dot product, each row's E . E as
+    np.linalg.norm forms it for one array.
     """
     a = alpha.coeffs if isinstance(alpha, Bilin) else np.asarray(alpha, dtype=float)
     d = g.dim
-    if a.shape[-3:] != (d, d, d):
+    if a.shape[-1] != d:
         raise ValueError("dimension mismatch")
     flat = a.reshape(-1, d, d, d)
     step = _chunk_size(d)
-    R = np.empty((min(len(flat), step), d, d, d, d))
     norms = np.empty(len(flat))
     for i in range(0, len(flat), step):
-        maps = flat[i:i + step]
-        curv = R[:len(maps)]
-        _curvature_terms(maps, curv)
-        E = _einstein_form(np.einsum("...jxyj->...xy", curv), g)[0].reshape(len(maps), 1, d * d)
-        # each row's E . E, the product np.linalg.norm takes of one array
-        norms[i:i + len(maps)] = np.sqrt(E @ E.swapaxes(-1, -2)).ravel()
+        E = _einstein_form(ricci(curvature(flat[i:i + step]), g), g)[0].reshape(-1, 1, d * d)
+        norms[i:i + step] = np.sqrt(E @ E.swapaxes(-1, -2)).ravel()
     return float(norms[0]) if isinstance(alpha, Bilin) else norms.reshape(a.shape[:-3])

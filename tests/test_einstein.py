@@ -201,25 +201,15 @@ def _maps(alpha) -> int:
     return int(np.prod(np.shape(getattr(alpha, "coeffs", alpha))[:-3]))
 
 
-def _count_curvature_maps(monkeypatch) -> list:
-    """Patch nomizu._curvature_terms, the one kernel of the full curvature
-    that nomizu.curvature and nomizu.einstein_defect both run, to record how
-    many maps each of its calls evaluates."""
-    calls = []
-    terms = nomizu._curvature_terms
-    monkeypatch.setattr(nomizu, "_curvature_terms",
-                        lambda a, out: calls.append(len(a)) or terms(a, out))
-    return calls
-
-
 def _count_generic_maps(monkeypatch) -> tuple[list, list]:
-    """Patch nomizu.einstein_residual and the full curvature's kernel to
-    record how many maps each of their calls evaluates."""
-    counts = []
-    residual = nomizu.einstein_residual
+    """Patch nomizu.einstein_residual and nomizu.curvature to record how many
+    maps each of their calls evaluates."""
+    counts, calls = [], []
+    residual, curvature = nomizu.einstein_residual, nomizu.curvature
     monkeypatch.setattr(nomizu, "einstein_residual",
                         lambda alpha, g: counts.append(_maps(alpha)) or residual(alpha, g))
-    return counts, _count_curvature_maps(monkeypatch)
+    monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(_maps(a)) or curvature(a))
+    return counts, calls
 
 
 def _patch_defects(monkeypatch, defects) -> list:
@@ -481,7 +471,9 @@ class TestSolveNumeric:
     def test_checks_go_in_blocks(self, n, eps, count, monkeypatch):
         # every check passing: the count candidates are checked in one
         # stacked call, one curvature call for as many maps
-        calls = _count_curvature_maps(monkeypatch)
+        calls = []
+        curvature = nomizu.curvature
+        monkeypatch.setattr(nomizu, "curvature", lambda a: calls.append(_maps(a)) or curvature(a))
         blocks = []
         _patch_defects(monkeypatch, lambda n, eps, X, defects: blocks.append(len(X))
                        or defects(n, eps, X))

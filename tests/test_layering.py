@@ -4,8 +4,7 @@ closed forms (families) compute nothing with the generic calculus they are
 checked against: from nomizu they take only its tensor types.  Every rank
 decision goes through spaces._guarded_rank.  Neither the closed forms nor
 nomizu use np.tensordot, np.cross or np.stack.  The generic Levi-Civita map
-calls nothing from np.linalg.  The Einstein form reads the metric's scalars,
-not its arrays."""
+calls nothing from np.linalg."""
 
 import ast
 from pathlib import Path
@@ -205,12 +204,3 @@ def test_levi_civita_map_solves_nothing():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
              and node.value.attr == "linalg"]
     assert calls == []
-
-
-def test_einstein_form_reads_no_metric_arrays():
-    # the weights and the Gram diagonal come from g.dim and g.eps: no
-    # Metric.orthonormal_scales or Metric.gram call per form
-    (fn,) = [node for node in ast.walk(ast.parse(_source("nomizu")))
-             if isinstance(node, ast.FunctionDef) and node.name == "_einstein_form"]
-    read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
-    assert read & {"orthonormal_scales", "gram"} == set()
