@@ -220,12 +220,18 @@ class Metric:
         g_eps-orthonormal one, and the signs g(f_j, f_j).
 
         Only the fiber vector is rescaled, by 1/sqrt(|eps|); its sign is
-        -sign(eps).  Both are worked out in scalars: the Einstein form asks
-        for them once per call.
+        -sign(eps).  Both are worked out in scalars.
         """
         ones = (1.0,) * (self.dim - 1)
         return (np.array(ones + (1.0 / math.sqrt(abs(self.eps)),)),
                 np.array(ones + (-math.copysign(1.0, self.eps),)))
+
+    def trace_weights(self) -> np.ndarray:
+        """sign_j scale_j^2 of orthonormal_scales, the weights of a trace over
+        the g_eps-orthonormal basis: 1, but -sign(eps) (1/sqrt(|eps|))^2 on
+        the fiber, worked out in scalars for the Einstein form's every call."""
+        scale = 1.0 / math.sqrt(abs(self.eps))
+        return np.array((1.0,) * (self.dim - 1) + (-math.copysign(scale * scale, self.eps),))
 
 
 def metric_eval(g: Metric, X: MVec, Y: MVec) -> float:

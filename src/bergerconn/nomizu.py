@@ -192,8 +192,7 @@ def _einstein_form(Ric: np.ndarray, g: Metric) -> tuple[np.ndarray, np.ndarray]:
     """(Sym(Ric) - (s / dim) g, s) for one Ricci array (d, d) or a stack
     (..., d, d), with s = sum_j sign_j scale_j^2 Ric[..., j, j] the scalar
     curvature, summed in that order per map."""
-    scale, signs = g.orthonormal_scales()
-    s = np.einsum("j,j,...jj->...", signs, scale * scale, Ric)
+    s = np.einsum("j,...jj->...", g.trace_weights(), Ric)
     return 0.5 * (Ric + Ric.swapaxes(-1, -2)) - (s / g.dim)[..., None, None] * g.gram(), s
 
 
@@ -240,9 +239,8 @@ def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:
         raise ValueError("dimension mismatch")
     T = torsion(alpha).coeffs
     d = g.dim
-    scale, signs = g.orthonormal_scales()
     # T(f_j, e_x) has coefficients scale_j * T[j, x, :]
-    w = (signs * scale * scale)[:, None, None]
+    w = g.trace_weights()[:, None, None]
     A = (w * (T @ g.gram())).transpose(1, 0, 2).reshape(d, d * d)
     return Rank2Tensor(alpha.n, np.dot(A, T.transpose(0, 2, 1).reshape(d * d, d)))
 

@@ -2,7 +2,8 @@
 here, so that a change to the order of any rounding step fails.
 
 - metric_arrays_ref: Metric.orthonormal_scales and Metric.gram as they
-  were built from numpy arrays (np.ones, np.sqrt, np.sign, np.eye).
+  were built from numpy arrays (np.ones, np.sqrt, np.sign, np.eye);
+  Metric.trace_weights is signs * scale * scale of them.
 - einstein_form_ref: Sym(Ric) - (s / dim) g with those weights and that
   Gram matrix, and s as a three-operand einsum.
 - einstein_defect_at_ref: the lone defect through the wrappers: the member
@@ -189,7 +190,9 @@ class TestEinsteinForm:
     @given(n=N, eps=EPS)
     def test_metric_arrays_are_the_reference(self, n, eps):
         g = Metric(n, eps)
-        for got, ref in zip((*g.orthonormal_scales(), g.gram()), metric_arrays_ref(g)):
+        scale, signs, G = metric_arrays_ref(g)
+        for got, ref in zip((*g.orthonormal_scales(), g.gram(), g.trace_weights()),
+                            (scale, signs, G, signs * scale * scale)):
             assert_bytes(got, ref, "metric arrays")
 
     @PINS
