@@ -220,11 +220,13 @@ class Metric:
         g_eps-orthonormal one, and the signs g(f_j, f_j).
 
         Only the fiber vector is rescaled, by 1/sqrt(|eps|); its sign is
-        -sign(eps).  Both are worked out in scalars.
+        -sign(eps).
         """
-        ones = (1.0,) * (self.dim - 1)
-        return (np.array(ones + (1.0 / math.sqrt(abs(self.eps)),)),
-                np.array(ones + (-math.copysign(1.0, self.eps),)))
+        scale = np.ones(self.dim)
+        scale[-1] = 1.0 / np.sqrt(abs(self.eps))
+        signs = np.ones(self.dim)
+        signs[-1] = -np.sign(self.eps)
+        return scale, signs
 
     def trace_weights(self) -> np.ndarray:
         """sign_j scale_j^2 of orthonormal_scales, the weights of a trace over

@@ -1,9 +1,9 @@
 """Byte pins: the generic Einstein check against reference forms kept
 here, so that a change to the order of any rounding step fails.
 
-- metric_arrays_ref: Metric.orthonormal_scales and Metric.gram as they
-  were built from numpy arrays (np.ones, np.sqrt, np.sign, np.eye);
-  Metric.trace_weights is signs * scale * scale of them.
+- metric_arrays_ref: the metric's scales, signs and Gram matrix from
+  numpy arrays (np.ones, np.sqrt, np.sign, np.eye), as Metric once built
+  them all; Metric.trace_weights must be signs * scale * scale of them.
 - einstein_form_ref: Sym(Ric) - (s / dim) g with those weights and that
   Gram matrix, and s as a three-operand einsum.
 - einstein_defect_at_ref: the lone defect through the wrappers: the member
