@@ -8,17 +8,8 @@ deformation parameter eps of the Berger metric.
 """
 
 from .algebra import (
-    AmbientMat,
-    HVec,
     Metric,
     MVec,
-    bracket_hm,
-    bracket_mm,
-    embed_h,
-    embed_m,
-    metric_eval,
-    orthonormal_basis,
-    project,
     standard_basis,
 )
 from .einstein import (
@@ -36,14 +27,12 @@ from .einstein import (
 )
 from .families import (
     FamilyParams,
-    PointTensors,
     alpha_general,
     alpha_lc,
     alpha_metric,
     closed_curvature,
     closed_ricci,
     closed_torsion,
-    point_tensors,
     skew_family,
 )
 from .nomizu import (

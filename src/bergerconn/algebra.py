@@ -143,50 +143,6 @@ class MVec:
 
 
 @dataclass(frozen=True)
-class HVec:
-    """Element of h = su(n): an anti-Hermitian traceless n x n matrix.
-
-    Keeps a read-only copy of B, so a cached basis element cannot be changed.
-    """
-
-    B: np.ndarray
-
-    def __post_init__(self):
-        B = np.array(self.B, dtype=complex)
-        B.flags.writeable = False
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError("B must be square")
-        _require_su(B, "B")
-        object.__setattr__(self, "B", B)
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    @classmethod
-    def zero(cls, n: int) -> "HVec":
-        return cls(np.zeros((n, n), dtype=complex))
-
-
-@dataclass(frozen=True)
-class AmbientMat:
-    """Element of g = su(n+1): an anti-Hermitian traceless (n+1)x(n+1) matrix."""
-
-    A: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        _require_su(A, "A")
-        object.__setattr__(self, "A", A)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0] - 1
-
-
-@dataclass(frozen=True)
 class Metric:
     """The invariant metric g_eps on m.  Riemannian iff eps < 0."""
 
@@ -236,52 +192,6 @@ class Metric:
         return np.array((1.0,) * (self.dim - 1) + (-math.copysign(scale * scale, self.eps),))
 
 
-def metric_eval(g: Metric, X: MVec, Y: MVec) -> float:
-    """g_eps((z,a),(w,b)) = Re(z^t conj(w)) + eps*a*b.
-
-    a*b is the product of two purely imaginary numbers, hence real.
-    """
-    if g.n != X.n or X.n != Y.n:
-        raise ValueError("dimension mismatch")
-    return float(np.real(X.z @ np.conj(Y.z)) + g.eps * np.real(X.a * Y.a))
-
-
-def embed_m(X: MVec) -> AmbientMat:
-    """Block embedding of (z, a) into su(n+1)."""
-    return AmbientMat(_embed(X.z, X.a))
-
-def embed_h(h: HVec) -> AmbientMat:
-    n = h.n
-    A = np.zeros((n + 1, n + 1), dtype=complex)
-    A[:n, :n] = h.B
-    return AmbientMat(A)
-
-
-def project(A: AmbientMat) -> tuple[HVec, MVec]:
-    """Split an ambient matrix along g = h + m.
-
-    The m-part carries (z, a) with a = A[n][n]; the h-part is the top-left
-    block with the -(a/n)I_n contribution of m removed.
-    """
-    B, z, a = _split(A.A)
-    return HVec(B), MVec(A.n, z, a)
-
-
-def bracket_mm(X: MVec, Y: MVec) -> tuple[HVec, MVec]:
-    """[X, Y] in g, returned as its (h, m)-parts."""
-    if X.n != Y.n:
-        raise ValueError("dimension mismatch")
-    Ax, Ay = embed_m(X).A, embed_m(Y).A
-    return project(AmbientMat(Ax @ Ay - Ay @ Ax))
-
-
-def bracket_hm(h: HVec, X: MVec) -> MVec:
-    """[h, (z, a)] = (Bz, 0), the action of su(n) on m."""
-    if h.n != X.n:
-        raise ValueError("dimension mismatch")
-    return MVec(X.n, h.B @ X.z, 0.0)
-
-
 def standard_basis(n: int) -> list[MVec]:
     """(e_k, 0), (i e_k, 0) for k = 1..n, then (0, i); g_eps-Gram diag(1,...,1,-eps)."""
     out = []
@@ -292,16 +202,6 @@ def standard_basis(n: int) -> list[MVec]:
         out.append(MVec(n, 1j * e, 0.0))
     out.append(MVec(n, np.zeros(n, dtype=complex), 1j))
     return out
-
-
-def orthonormal_basis(g: Metric) -> tuple[list[MVec], np.ndarray]:
-    """Orthonormal basis of (m, g_eps) together with the signs g(f_j, f_j).
-
-    Rescales the last standard basis vector by 1/sqrt(|eps|); the last sign
-    is -sign(eps).
-    """
-    scale, signs = g.orthonormal_scales()
-    return [c * X for c, X in zip(scale, standard_basis(g.n))], signs
 
 
 @lru_cache(maxsize=None)
@@ -351,9 +251,9 @@ def structure_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     All brackets come from one batched product of the stacked ambient
     matrices E_i, C[i, j] = E_i E_j - E_j E_i, split along h + m at once.
-    Each stack is refused, as a whole, on the checks AmbientMat, HVec and
-    MVec make per element: anti-Hermitian and traceless matrices and
-    h-parts, purely imaginary a and finite entries.
+    Each stack is refused, as a whole, unless its matrices and h-parts are
+    anti-Hermitian and traceless, its a purely imaginary and its entries
+    finite.
     """
     Z, fiber = _from_coords(np.eye(2 * n + 1))  # the standard basis
     E = _embed(Z, fiber)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,9 +73,10 @@ def parse_eps(text: str) -> float:
 
 
 def _round_floats(obj):
-    """Normalize all floats to 15 significant digits for stable output."""
+    """Normalize all floats to 15 significant digits for stable output, and
+    write a non-finite one as null: JSON has no inf or nan."""
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        return float(f"{obj:.15g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -82,9 +84,14 @@ def _round_floats(obj):
     return obj
 
 
+def _to_json(doc: dict) -> str:
+    """doc as strict JSON (RFC 8259): no Infinity or NaN token is written."""
+    return json.dumps(_round_floats(doc), sort_keys=True, indent=2, allow_nan=False)
+
+
 def _emit(doc: dict, cfg: RunConfig) -> None:
     if cfg.fmt == "json":
-        print(json.dumps(_round_floats(doc), sort_keys=True, indent=2))
+        print(_to_json(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +369,7 @@ def build_export(cfg: RunConfig) -> dict:
 
 def cmd_export(cfg: RunConfig) -> int:
     doc = build_export(cfg)
-    text = json.dumps(_round_floats(doc), sort_keys=True, indent=2) + "\n"
+    text = _to_json(doc) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

@@ -309,8 +309,10 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     lam, x0, c' (0 where taken as 0), the candidates examined (draws), the
     generic checks, the wall time of generic_quadric (model_s) and that of
     the checks (checks_s) (all but the checks and checks_s None where n = 1
-    has no quadric).
+    has no quadric).  ValueError, before any computation, where count < 0.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     kind = classify(n, eps)
     if n == 1:
         # the whole s-line solves the condition at eps = -1

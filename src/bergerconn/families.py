@@ -25,9 +25,6 @@ paper's coordinates (s; s1, s2 on S^7; s3, s4 on S^5).  skew_family reads its
 members off that space.  The generic side builds its skew space without it
 (spaces.skew_torsion_space), and cli's verify checks that the named
 directions lie in it.
-
-The base-point tensors (psi, eta, xi, Phi, and for small n Theta,
-Theta-tilde, psi-hat) render the skew directions in coordinate-free form.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MVec, _to_coords
+from .algebra import _to_coords
 from .config import TOL_NUM
 from .nomizu import CurvTensor, Rank2Tensor
 from .spaces import Bilin, LinearSpace
@@ -174,56 +171,6 @@ class FamilyParams:
         p = complex(-aux1, aux2)
         p2 = eps * p if regime == "s5" else 0.0
         return cls(regime, q, t, p, p2)
-
-
-@dataclass(frozen=True)
-class PointTensors:
-    """Invariant tensors at the base point, in m-coordinates.
-
-    Theta and Theta-tilde exist only for n = 3, psi-hat only for n = 2.
-    """
-
-    n: int
-
-    def psi(self, X: MVec) -> MVec:
-        return MVec(self.n, 1j * X.z, 0.0)
-
-    def eta(self, X: MVec) -> float:
-        # the real number i*a for purely imaginary a
-        return float((1j * X.a).real)
-
-    @property
-    def xi(self) -> MVec:
-        return MVec(self.n, np.zeros(self.n, dtype=complex), -1j)
-
-    def Phi(self, X: MVec, Y: MVec) -> float:
-        return float(-np.imag(np.conj(X.z) @ Y.z))
-
-    def Omega(self, X: MVec, Y: MVec, Z: MVec) -> float:
-        self._require(3, "Omega")
-        return float(-np.real(np.linalg.det(np.column_stack([X.z, Y.z, Z.z]))))
-
-    def Theta(self, X: MVec, Y: MVec) -> MVec:
-        self._require(3, "Theta")
-        return MVec(3, -_ccross(X.z, Y.z), 0.0)
-
-    def Theta_tilde(self, X: MVec, Y: MVec) -> MVec:
-        self._require(3, "Theta_tilde")
-        return MVec(3, 1j * _ccross(X.z, Y.z), 0.0)
-
-    def psi_hat(self, X: MVec) -> MVec:
-        self._require(2, "psi_hat")
-        return MVec(2, theta(X.z), 0.0)
-
-    def _require(self, n: int, name: str) -> None:
-        if self.n != n:
-            raise ValueError(f"{name} is only defined for n = {n}")
-
-
-def point_tensors(n: int) -> PointTensors:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return PointTensors(n)
 
 
 # ---------------------------------------------------------------------------

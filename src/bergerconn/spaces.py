@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import algebra
-from .algebra import Metric, MVec
+from .algebra import Metric
 from .config import TOL_GAP, TOL_NUM, TOL_RANK
 
 _log = logging.getLogger(__name__)
@@ -108,11 +108,6 @@ class Bilin:
         return alpha
 
     @classmethod
-    def zero(cls, n: int) -> "Bilin":
-        d = 2 * n + 1
-        return cls(n, np.zeros((d, d, d)))
-
-    @classmethod
     def from_function(cls, n: int, f) -> "Bilin":
         """Tabulate f(X, Y) -> MVec on all standard basis pairs."""
         basis = algebra.standard_basis(n)
@@ -122,12 +117,6 @@ class Bilin:
             for j, Y in enumerate(basis):
                 c[i, j] = f(X, Y).coords()
         return cls(n, c)
-
-    def apply(self, X: MVec, Y: MVec) -> MVec:
-        if self.n != X.n or X.n != Y.n:
-            raise ValueError("dimension mismatch")
-        v = np.einsum("i,j,ijk->k", X.coords(), Y.coords(), self.coeffs)
-        return MVec.from_coords(self.n, v)
 
     def __add__(self, other: "Bilin") -> "Bilin":
         if self.n != other.n:

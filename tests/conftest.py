@@ -3,7 +3,6 @@ import pytest
 from hypothesis import strategies as st
 
 from bergerconn import cli, spaces
-from bergerconn.algebra import MVec
 
 # skew-family members, n = 1..6: |eps| in [0.1, 3] with its sign drawn
 # apart, and three coordinates (s, aux1, aux2) that each n cuts to its own
@@ -30,9 +29,9 @@ def cold_spaces():
         build.cache_clear()
 
 
-def random_mvec(rng, n):
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return MVec(n, z, 1j * rng.standard_normal())
+def random_vector(rng, n):
+    """Real coordinates of a random tangent vector (z, a) of m, length 2n + 1."""
+    return rng.standard_normal(2 * n + 1)
 
 
 def assert_verify_passes(n, eps, draws):

@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the pass/fail lines.
 import numpy as np
 
 from bergerconn import cli, einstein, families, nomizu, spaces
-from bergerconn.algebra import Metric
+from bergerconn.algebra import Metric, MVec
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -91,7 +91,7 @@ def test_criterion_3_closed_forms_vs_generic():
                     def theta_part(X, Y, p=p, p2=p2):
                         dz = -eps * p * Y.a * families.theta(X.z) + p2 * X.a * families.theta(Y.z)
                         da = -1j * np.imag(np.conj(p) * (np.conj(families.theta(X.z)) @ Y.z))
-                        return families.MVec(2, dz, da)
+                        return MVec(2, dz, da)
 
                     alpha = families.alpha_metric(n, eps, q, t) + spaces.Bilin.from_function(
                         2, theta_part

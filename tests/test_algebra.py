@@ -1,25 +1,17 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from bergerconn import algebra
 from bergerconn.algebra import (
-    AmbientMat,
-    HVec,
     Metric,
     MVec,
     adjoint_matrices,
-    bracket_hm,
-    bracket_mm,
-    embed_h,
-    embed_m,
     h_basis,
-    metric_eval,
-    orthonormal_basis,
-    project,
     standard_basis,
     structure_tensors,
 )
-from conftest import random_mvec
+from conftest import random_vector
 
 TOL = 1e-9
 
@@ -28,6 +20,13 @@ def e(n, k):
     z = np.zeros(n, dtype=complex)
     z[k] = 1.0
     return z
+
+
+def table_bracket(n, x, y):
+    """[X, Y] from the running tables: the coordinates of its m-part, and its
+    h-part as the matrix of its action on m."""
+    Cm, Hterm = structure_tensors(n)
+    return np.einsum("i,j,ijk->k", x, y, Cm), np.einsum("i,j,ijkl->lk", x, y, Hterm)
 
 
 class TestMVec:
@@ -40,137 +39,139 @@ class TestMVec:
             MVec(1, np.array([np.inf + 0j]), 0.0)
 
     def test_coords_roundtrip(self, rng):
-        X = random_mvec(rng, 3)
-        Y = MVec.from_coords(3, X.coords())
-        assert np.allclose(X.z, Y.z) and abs(X.a - Y.a) < 1e-15
-
-
-class TestMatrixChecks:
-    @pytest.mark.parametrize("cls", [HVec, AmbientMat])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_nonfinite(self, cls, bad):
-        M = np.zeros((2, 2), dtype=complex)
-        M[0, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            cls(M)
+        x = random_vector(rng, 3)
+        assert np.array_equal(MVec.from_coords(3, x).coords(), x)
 
 
 class TestEmbedding:
     def test_n1_real_vector(self):
-        A = embed_m(MVec(1, np.array([1.0 + 0j]), 0.0)).A
+        A = algebra._embed(e(1, 0), 0.0)
         assert np.allclose(A, np.array([[0, 1], [-1, 0]]))
 
     def test_n2_fiber_direction(self):
-        A = embed_m(MVec(2, np.zeros(2, dtype=complex), 1j)).A
+        A = algebra._embed(np.zeros(2, dtype=complex), 1j)
         assert np.allclose(A, np.diag([-0.5j, -0.5j, 1j]))
 
     def test_n2_imaginary_entry(self):
-        A = embed_m(MVec(2, np.array([1j, 0.0]), 0.0)).A
+        A = algebra._embed(np.array([1j, 0.0]), 0.0)
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 2] = 1j
         expected[2, 0] = 1j
         assert np.allclose(A, expected)
 
     def test_embed_is_ambient(self, rng):
-        X = random_mvec(rng, 3)
-        assert isinstance(embed_m(X), AmbientMat)
+        # anti-Hermitian and traceless: a matrix of su(n+1)
+        algebra._require_su(ref.embed(random_vector(rng, 3)), "A")
 
 
 class TestProject:
     def test_m_projects_to_itself(self, rng):
-        X = random_mvec(rng, 2)
-        h, m = project(embed_m(X))
-        assert np.abs(h.B).max() < 1e-15
-        assert np.allclose(m.z, X.z) and abs(m.a - X.a) < 1e-15
+        x = random_vector(rng, 2)
+        B, m = ref.split(ref.embed(x))
+        assert np.abs(B).max() < 1e-15
+        assert np.allclose(m, x)
 
     def test_h_projects_to_itself(self):
         B = np.array([[1j, 1.0], [-1.0, -1j]])
-        h, m = project(embed_h(HVec(B)))
-        assert np.allclose(h.B, B)
-        assert np.abs(m.coords()).max() < 1e-15
+        h, m = ref.split(ref.embed_h(B))
+        assert np.allclose(h, B)
+        assert np.abs(m).max() < 1e-15
 
     def test_linearity(self, rng):
-        X = random_mvec(rng, 2)
+        x = random_vector(rng, 2)
         B = np.array([[1j, 2 + 1j], [-2 + 1j, -1j]])
-        A = AmbientMat(embed_m(X).A + embed_h(HVec(B)).A)
-        h, m = project(A)
-        assert np.allclose(h.B, B)
-        assert np.allclose(m.coords(), X.coords())
+        h, m = ref.split(ref.embed(x) + ref.embed_h(B))
+        assert np.allclose(h, B)
+        assert np.allclose(m, x)
 
 
 class TestBrackets:
+    """The bracket as the running tables hold it: the m-part Cm, the action
+    of the h-part Hterm and the su(n) action adjoint_matrices."""
+
     def test_mm_antisymmetry(self, rng):
-        X = random_mvec(rng, 3)
-        h, m = bracket_mm(X, X)
-        assert np.abs(h.B).max() < TOL and np.abs(m.coords()).max() < TOL
+        Cm, Hterm = structure_tensors(3)
+        assert np.array_equal(Cm, -Cm.swapaxes(0, 1))
+        assert np.array_equal(Hterm, -Hterm.swapaxes(0, 1))
+        x = random_vector(rng, 3)
+        m, h = table_bracket(3, x, x)
+        assert np.abs(h).max() < TOL and np.abs(m).max() < TOL
 
     def test_fiber_acts_as_complex_structure(self, rng):
-        # [(0,i), (w,0)] = (0, (-i(n+1)/n) w, 0) up to the h-part (which is zero)
+        # [(0,i), (w,0)] = (-i(n+1)/n w, 0), with h-part zero
         for n in (1, 2, 4):
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            h, m = bracket_mm(MVec(n, np.zeros(n, dtype=complex), 1j), MVec(n, w, 0.0))
-            assert np.abs(h.B).max() < 1e-14
-            assert np.allclose(m.z, -1j * (n + 1) / n * w)
-            assert abs(m.a) < 1e-14
+            m, h = table_bracket(n, np.eye(2 * n + 1)[-1], ref.coords(w))
+            assert np.abs(h).max() < 1e-14
+            assert np.allclose(m, ref.coords(-1j * (n + 1) / n * w))
 
     def test_z_block_closes_on_fiber(self):
         # [(e1,0), (i e1,0)] for n = 2 has nonzero h-part and m-part (0, c i)
-        X = MVec(2, e(2, 0), 0.0)
-        Y = MVec(2, 1j * e(2, 0), 0.0)
-        h, m = bracket_mm(X, Y)
-        assert np.abs(h.B).max() > 0.1
-        assert np.abs(m.z).max() < 1e-14
-        # oracle: ambient commutator
-        Ax, Ay = embed_m(X).A, embed_m(Y).A
-        C = Ax @ Ay - Ay @ Ax
-        assert abs(m.a - C[2, 2]) < 1e-14
-        assert abs(m.a.imag - C[2, 2].imag) < 1e-14 and abs(m.a.real) < 1e-14
+        x, y = ref.coords(e(2, 0)), ref.coords(1j * e(2, 0))
+        m, h = table_bracket(2, x, y)
+        assert np.abs(h).max() > 0.1
+        assert np.abs(m[:-1]).max() < 1e-14
+        # oracle: the ambient commutator
+        C = ref.commutator(ref.embed(x), ref.embed(y))
+        assert abs(m[-1] - C[2, 2].imag) < 1e-14 and abs(C[2, 2].real) < 1e-14
 
     def test_hm_kills_fiber(self):
-        h = HVec(h_basis(3)[0])
-        assert np.abs(bracket_hm(h, MVec(3, np.zeros(3, dtype=complex), 1j)).coords()).max() == 0
+        _, Hterm = structure_tensors(3)
+        assert np.abs(adjoint_matrices(3)[:, :, -1]).max() == 0
+        assert np.abs(Hterm[:, :, -1]).max() == 0
 
-    def test_hm_zero_h(self, rng):
-        X = random_mvec(rng, 2)
-        assert np.abs(bracket_hm(HVec.zero(2), X).coords()).max() == 0
+    def test_hm_zero_h(self):
+        # the action is faithful: only h = 0 acts on m as zero
+        for n in (2, 3, 4):
+            A = adjoint_matrices(n)
+            assert np.linalg.matrix_rank(A.reshape(len(A), -1)) == n * n - 1
 
     def test_hm_diagonal_action(self):
-        h = HVec(np.diag([1j, -1j]))
-        out = bracket_hm(h, MVec(2, e(2, 0), 0.0))
-        assert np.allclose(out.z, 1j * e(2, 0)) and out.a == 0
+        # h_basis(2)[2] = diag(i, -i) maps (e1, 0) to (i e1, 0)
+        B = h_basis(2)[2]
+        assert np.array_equal(B, np.diag([1j, -1j]))
+        out = adjoint_matrices(2)[2] @ ref.coords(e(2, 0))
+        assert np.allclose(out, ref.coords(1j * e(2, 0)))
+        assert np.array_equal(out, ref.bracket_hm(B, ref.coords(e(2, 0))))
 
     def test_hm_agrees_with_ambient(self, rng):
-        X = random_mvec(rng, 3)
-        for h in map(HVec, h_basis(3)):
-            Ah, Ax = embed_h(h).A, embed_m(X).A
-            _, m = project(AmbientMat(Ah @ Ax - Ax @ Ah))
-            assert np.abs(bracket_hm(h, X).coords() - m.coords()).max() < 1e-12
+        x = random_vector(rng, 3)
+        for B, A in zip(h_basis(3), adjoint_matrices(3)):
+            _, m = ref.split(ref.commutator(ref.embed_h(B), ref.embed(x)))
+            assert np.abs(A @ x - m).max() < 1e-12
+            assert np.abs(ref.bracket_hm(B, x) - m).max() < 1e-12
 
     def test_mm_bilinear(self, rng):
-        X, Y, W = (random_mvec(rng, 2) for _ in range(3))
+        # the per-pair bracket is bilinear, and the tables give it at any pair
+        x, y, w = (random_vector(rng, 2) for _ in range(3))
         c = 1.7
-        lhs = bracket_mm(MVec(2, X.z + c * W.z, X.a + c * W.a), Y)
-        a = bracket_mm(X, Y)
-        b = bracket_mm(W, Y)
-        assert np.abs(lhs[1].coords() - (a[1].coords() + c * b[1].coords())).max() < TOL
-        assert np.abs(lhs[0].B - (a[0].B + c * b[0].B)).max() < TOL
+        lhs = ref.bracket_mm(x + c * w, y)
+        a, b = ref.bracket_mm(x, y), ref.bracket_mm(w, y)
+        assert np.abs(lhs[1] - (a[1] + c * b[1])).max() < TOL
+        assert np.abs(lhs[0] - (a[0] + c * b[0])).max() < TOL
+        m, h = table_bracket(2, x + c * w, y)
+        assert np.abs(m - lhs[1]).max() < TOL
+        action = np.array([ref.bracket_hm(lhs[0], v) for v in np.eye(5)]).T
+        assert np.abs(h - action).max() < TOL
 
 
 class TestMetric:
+    """The metric as Metric.gram holds it, against the formula
+    Re(z^t conj(w)) + eps a b."""
+
     def test_unit_z_vector(self):
-        g = Metric(1, -1.0)
-        X = MVec(1, e(1, 0), 0.0)
-        assert metric_eval(g, X, X) == 1.0
+        x = ref.coords(e(1, 0))
+        assert ref.metric(-1.0, x, x) == 1.0 == Metric(1, -1.0).gram()[0, 0]
 
     def test_fiber_norm_is_minus_eps(self):
         for eps in (-2.0, -1.0, 0.5, 3.0):
-            g = Metric(2, eps)
-            xi = MVec(2, np.zeros(2, dtype=complex), 1j)
-            assert abs(metric_eval(g, xi, xi) + eps) < 1e-15
+            xi = np.eye(5)[-1]
+            assert abs(ref.metric(eps, xi, xi) + eps) < 1e-15
+            assert xi @ Metric(2, eps).gram() @ xi == -eps
 
     def test_blocks_orthogonal(self):
-        g = Metric(1, 2.0)
-        assert metric_eval(g, MVec(1, e(1, 0), 0.0), MVec(1, np.zeros(1, complex), 1j)) == 0
+        x, xi = ref.coords(e(1, 0)), np.eye(3)[-1]
+        assert ref.metric(2.0, x, xi) == 0 == Metric(1, 2.0).gram()[0, -1]
 
     def test_rejects_zero_eps(self):
         with pytest.raises(ValueError):
@@ -181,29 +182,30 @@ class TestMetric:
         assert Metric(2, 2.0).signature == "lorentzian"
 
 
+def frame_gram(g):
+    """Gram matrix, by the metric formula, of the frame f_j = scale_j e_j of
+    g.orthonormal_scales, with the scales and signs."""
+    scale, signs = g.orthonormal_scales()
+    return ref.gram(g.eps, np.diag(scale)), scale, signs
+
+
 class TestBases:
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.0), (2, 2.0)])
     def test_gram_of_standard_basis(self, n, eps):
-        g = Metric(n, eps)
-        basis = standard_basis(n)
-        G = np.array([[metric_eval(g, X, Y) for Y in basis] for X in basis])
-        assert np.allclose(G, g.gram())
+        basis = np.array([X.coords() for X in standard_basis(n)])
+        assert np.array_equal(basis, np.eye(2 * n + 1))
+        assert np.allclose(ref.gram(eps, basis), Metric(n, eps).gram())
 
     def test_orthonormal_round_case(self):
-        basis, signs = orthonormal_basis(Metric(2, -1.0))
-        std = standard_basis(2)
-        assert all(
-            np.abs(b.coords() - s.coords()).max() < 1e-15 for b, s in zip(basis, std)
-        )
-        assert np.all(signs == 1)
+        G, scale, signs = frame_gram(Metric(2, -1.0))
+        assert np.all(scale == 1) and np.all(signs == 1)
+        assert np.abs(G - np.eye(5)).max() < 1e-15
 
     def test_orthonormal_lorentzian(self):
-        basis, signs = orthonormal_basis(Metric(2, 4.0))
-        assert abs(basis[-1].a - 0.5j) < 1e-15
+        G, scale, signs = frame_gram(Metric(2, 4.0))
+        assert abs(scale[-1] - 0.5) < 1e-15
         assert signs[-1] == -1
-        g = Metric(2, 4.0)
-        for b, s in zip(basis, signs):
-            assert abs(metric_eval(g, b, b) - s) < 1e-12
+        assert np.abs(G - np.diag(signs)).max() < 1e-12
 
     def test_cached_tensors_are_read_only(self):
         for arr in (*structure_tensors(2), adjoint_matrices(2)):
@@ -237,71 +239,74 @@ class TestBases:
         assert first_row == list(range(2 * (n - 1)))
 
 
+def cyclic(T):
+    """T[i, j, k, ...] + T[j, k, i, ...] + T[k, i, j, ...]."""
+    return T + np.moveaxis(T, (0, 1, 2), (2, 0, 1)) + np.moveaxis(T, (0, 1, 2), (1, 2, 0))
+
+
 class TestLieAlgebraProperties:
+    """Identities of su(n+1) = h + m, checked on the tables the program runs:
+    Cm, Hterm and adjoint_matrices."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_jacobi_identity(self, n):
-        mats = [embed_m(X).A for X in standard_basis(n)]
-        mats += [embed_h(HVec(B)).A for B in h_basis(n)]
-
-        def br(a, b):
-            return a @ b - b @ a
-
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, len(mats), size=(30, 3))
-        for i, j, k in idx:
-            J = (
-                br(mats[i], br(mats[j], mats[k]))
-                + br(mats[j], br(mats[k], mats[i]))
-                + br(mats[k], br(mats[i], mats[j]))
-            )
-            assert np.abs(J).max() < TOL
+        Cm, Hterm = structure_tensors(n)
+        A = adjoint_matrices(n)
+        # m, m, m: [X, [Y, Z]] = [X, [Y, Z]_m] - [[Y, Z]_h, X], cyclically
+        m_part = np.einsum("jkl,ilm->ijkm", Cm, Cm) - np.einsum("jkim->ijkm", Hterm)
+        assert np.abs(cyclic(m_part)).max() < TOL
+        # its h-part, read through its action on m, which is faithful
+        h_part = np.einsum("jkl,ilpm->ijkpm", Cm, Hterm)
+        assert np.abs(cyclic(h_part)).max() < TOL
+        # h, m, m: h acts on [X, Y] as a derivation, on both parts; act[i, j]
+        # is the matrix of [X, Y]_h on m
+        act = Hterm.swapaxes(2, 3)
+        for Ar in A:
+            dm = (np.einsum("kl,ijl->ijk", Ar, Cm) - np.einsum("li,ljk->ijk", Ar, Cm)
+                  - np.einsum("lj,ilk->ijk", Ar, Cm))
+            assert np.abs(dm).max() < TOL
+            dh = (Ar @ act - act @ Ar - np.einsum("li,ljpk->ijpk", Ar, act)
+                  - np.einsum("lj,ilpk->ijpk", Ar, act))
+            assert np.abs(dh).max() < TOL
+        # h, h, m: the action is a representation, [A_r, A_s] = A([h_r, h_s])
+        H = h_basis(n)
+        flat = H.view(float).reshape(len(H), 2 * n * n).T
+        for r, s in zip(*np.triu_indices(len(H), 1)):
+            C = ref.commutator(H[r], H[s]).view(float).ravel()
+            c = np.linalg.lstsq(flat, C, rcond=None)[0]
+            assert np.abs(flat @ c - C).max() < TOL
+            assert np.abs(ref.commutator(A[r], A[s]) - np.tensordot(c, A, 1)).max() < TOL
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_reductivity(self, n):
-        for h in map(HVec, h_basis(n)):
-            for X in standard_basis(n):
-                Ah, Ax = embed_h(h).A, embed_m(X).A
-                hp, _ = project(AmbientMat(Ah @ Ax - Ax @ Ah))
-                assert np.abs(hp.B).max() < TOL
+        # [h, m] lies in m: lifting a table column back into su(n+1) gives
+        # the whole ambient commutator, with no h-part left over
+        basis = np.eye(2 * n + 1)
+        _, Hterm = structure_tensors(n)
+        for B, A in zip(h_basis(n), adjoint_matrices(n)):
+            for k, x in enumerate(basis):
+                C = ref.commutator(ref.embed_h(B), ref.embed(x))
+                assert np.abs(C - ref.embed(A[:, k])).max() < TOL
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                B, _ = ref.bracket_mm(basis[i], basis[j])
+                for k, x in enumerate(basis):
+                    C = ref.commutator(ref.embed_h(B), ref.embed(x))
+                    assert np.abs(C - ref.embed(Hterm[i, j, k])).max() < TOL
 
     @pytest.mark.parametrize("eps", [-3.0, -1.0, 0.5, 2.0])
     def test_metric_h_invariance(self, eps):
-        n = 2
-        g = Metric(n, eps)
-        for h in map(HVec, h_basis(n)):
-            for X in standard_basis(n):
-                for Y in standard_basis(n):
-                    v = metric_eval(g, bracket_hm(h, X), Y) + metric_eval(
-                        g, X, bracket_hm(h, Y)
-                    )
-                    assert abs(v) < TOL
-
-
-def per_entry_tables(n):
-    """(Cm, Hterm, adjoint) tabulated one bracket at a time."""
-    basis = standard_basis(n)
-    d = 2 * n + 1
-    Cm, Hterm = np.zeros((d, d, d)), np.zeros((d, d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            h, m = bracket_mm(basis[i], basis[j])
-            Cm[i, j] = m.coords()
-            Cm[j, i] = -Cm[i, j]
-            for k in range(d):
-                Hterm[i, j, k] = bracket_hm(h, basis[k]).coords()
-                Hterm[j, i, k] = -Hterm[i, j, k]
-    hs = [HVec(B) for B in h_basis(n)]
-    A = np.zeros((len(hs), d, d))
-    for r, h in enumerate(hs):
-        for k, X in enumerate(basis):
-            A[r][:, k] = bracket_hm(h, X).coords()
-    return Cm, Hterm, A
+        # g([h, X], Y) + g(X, [h, Y]) = 0: A^t G + G A = 0 for every A
+        G = ref.gram(eps, np.eye(5))
+        assert np.array_equal(G, Metric(2, eps).gram())
+        for A in adjoint_matrices(2):
+            assert np.abs(A.T @ G + G @ A).max() < TOL
 
 
 class TestBatchedTables:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equal_to_per_entry_tabulation(self, n):
-        Cm, Hterm, A = per_entry_tables(n)
+        Cm, Hterm, A = ref.per_entry_tables(n)
         got_Cm, got_Hterm = structure_tensors(n)
         assert np.array_equal(got_Cm, Cm)
         assert np.array_equal(got_Hterm, Hterm)
@@ -397,10 +402,10 @@ class TestBatchedTables:
             algebra._require_m(z, a)
 
     def test_orthonormal_scales_match_basis(self):
+        # the frame of orthonormal_scales is g_eps-orthonormal by the metric
+        # formula, and trace_weights are its sign_j scale_j^2
         for eps in (-3.0, -1.0, 0.25, 2.0):
             g = Metric(3, eps)
-            scale, signs = g.orthonormal_scales()
-            basis, basis_signs = orthonormal_basis(g)
-            coords = np.array([X.coords() for X in basis])
-            assert np.array_equal(coords, np.diag(scale))
-            assert np.array_equal(signs, basis_signs)
+            G, scale, signs = frame_gram(g)
+            assert np.abs(G - np.diag(signs)).max() < 1e-12
+            assert np.allclose(g.trace_weights(), signs * scale * scale, rtol=1e-15, atol=0)

@@ -205,6 +205,19 @@ class TestExport:
             assert abs(sum(v * v for v in x) - 1.0) < 1e-6
             assert abs(s) < 1e-4  # unit sphere: scalar vanishes
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ricci_flat_flag_agrees_with_the_locus(self, n):
+        # true at every eps of ricci_flat_locus's samples, false at each
+        # TABLE_ROWS eps off it; at n = 3 the locus is all of eps >= -2
+        def flag(eps):
+            return cli.build_export(cli.RunConfig(n=n, eps=eps))["ricci_flat"]
+
+        on = {eps for eps, _ in einstein.ricci_flat_locus(n).samples}
+        off = [eps for _, eps in cli.TABLE_ROWS if eps not in on] + ([-2.5] if n == 3 else [])
+        assert off
+        assert all(flag(eps) is True for eps in on)
+        assert all(flag(eps) is False for eps in off)
+
     def test_flat_connection_flag(self, capsys):
         assert main(["export", "--n", "3", "--eps=-1"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -238,6 +251,29 @@ class TestExport:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not path.parent.exists()
+
+
+class TestStrictJson:
+    """JSON output holds only what a strict parser reads: a non-finite float
+    is written as null, and no Infinity or NaN token is ever written."""
+
+    # the skew directions' residual overflows at these eps
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n,eps", [("2", "--eps=1e300"), ("4", "--eps=1e200")])
+    def test_overflowing_residual_is_null(self, n, eps, capsys):
+        assert main(["verify", "--n", n, eps, "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        (check,) = [c for c in doc["checks"] if c["name"] == "skew_directions_closed_vs_generic"]
+        assert check["residual"] is None and check["pass"] is False
+
+    @pytest.mark.parametrize("argv", [["export", "--n", "1", "--eps=-1"],
+                                      ["dims", "--n", "1", "--format", "json"]])
+    def test_writer_refuses_non_finite(self, argv, monkeypatch, capsys):
+        # with the rounding bypassed, the writer itself refuses a nan
+        monkeypatch.setattr(cli, "_round_floats", lambda doc: {**doc, "x": float("nan")})
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("FAIL: ")
 
 
 class TestUsageErrors:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from bergerconn import cli, families, nomizu
-from bergerconn.algebra import Metric, MVec, _from_coords
+from bergerconn.algebra import Metric, _from_coords, _to_coords
 from bergerconn.families import FamilyParams
 from bergerconn.spaces import Bilin
+import reference
 
 N_GRID = range(1, 9)
 EPS_GRID = cli.EPS_SWEEP + (-1.5,)
@@ -139,13 +140,14 @@ class TestHelpers:
             assert_pinned(families._ccross(z, w), ccross_ref(z, w), f"_ccross on {z.shape}, {w.shape}")
 
     def test_theta_on_vectors(self, rng):
-        pt = families.point_tensors(3)
+        # _ccross on one pair of vectors, against the np.cross forms of Theta
+        # and Theta-tilde in the reference
         for _ in range(50):
-            X, Y = (MVec(3, rng.standard_normal(3) + 1j * rng.standard_normal(3), 0.0)
+            x, y = (_to_coords(rng.standard_normal(3) + 1j * rng.standard_normal(3), 0.0)
                     for _ in range(2))
-            C = ccross_ref(X.z, Y.z)
-            assert_pinned(pt.Theta(X, Y).z, MVec(3, -C, 0.0).z, "Theta")
-            assert_pinned(pt.Theta_tilde(X, Y).z, MVec(3, 1j * C, 0.0).z, "Theta_tilde")
+            C = families._ccross(_from_coords(x)[0], _from_coords(y)[0])
+            assert_pinned(_to_coords(-C, 0.0), reference.Theta(x, y), "Theta")
+            assert_pinned(_to_coords(1j * C, 0.0), reference.Theta_tilde(x, y), "Theta_tilde")
 
 
 @pytest.mark.parametrize("n", N_GRID)

@@ -713,6 +713,23 @@ class TestSampleCounts:
             assert einstein_defect_at(n, eps, x) <= TOL
 
 
+class TestCountRefused:
+    """A negative count is refused before any computation; count = 0 asks
+    for no samples."""
+
+    @pytest.mark.parametrize("n,eps,count", [(1, -1.0, -1), (3, -2.0, -1), (4, -2.0, -3)])
+    def test_negative_count(self, n, eps, count, monkeypatch):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            variety(n, eps, count=count)
+        monkeypatch.setattr(einstein, "classify", lambda n, eps: pytest.fail("computed"))
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            solve_numeric(n, eps, count=count)
+
+    @pytest.mark.parametrize("n,eps", [(1, -1.0), (3, -2.0), (4, -2.0)])
+    def test_zero_count(self, n, eps):
+        assert solve_numeric(n, eps, count=0) == []
+
+
 class TestVariety:
     def test_nonempty_has_samples(self):
         v = variety(4, -2.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerconn import families, nomizu
-from bergerconn.algebra import Metric, MVec, metric_eval
+from bergerconn.algebra import Metric
 from bergerconn.config import TOL_NUM
 from bergerconn.families import (
     FamilyParams,
@@ -16,13 +16,13 @@ from bergerconn.families import (
     closed_ricci,
     closed_torsion,
     direction_s,
-    point_tensors,
     skew_direction_basis,
     skew_family,
     theta,
 )
 from bergerconn.spaces import Bilin, metric_connection_space, skew_torsion_space
-from conftest import assert_verify_passes, members, random_mvec
+from conftest import assert_verify_passes, members, random_vector
+from reference import Omega, Phi, Theta, Theta_tilde, apply, eta, metric, psi, psi_hat, xi
 
 TOL = 1e-9
 
@@ -71,88 +71,74 @@ class TestFamilyParams:
 
 
 class TestPointTensors:
+    """The reference's base-point tensors, in which the skew directions are
+    rendered below, agree with one another."""
+
     def test_psi_squares_to_minus_id_on_z(self, rng):
-        pt = point_tensors(3)
-        X = MVec(3, rng.standard_normal(3) + 1j * rng.standard_normal(3), 0.0)
-        Y = pt.psi(pt.psi(X))
-        assert np.allclose(Y.z, -X.z) and Y.a == 0
+        x = psi(random_vector(rng, 3))  # a random (z, 0)
+        assert np.allclose(psi(psi(x)), -x)
 
     def test_eta_xi_phi_relations(self, rng):
-        pt = point_tensors(2)
-        X = random_mvec(rng, 2)
-        assert pt.eta(pt.xi) == 1.0
-        assert np.abs(pt.psi(pt.xi).coords()).max() == 0
-        assert pt.Phi(pt.xi, X) == 0.0
-        assert abs(pt.Phi(X, pt.psi(X)) + np.linalg.norm(X.z) ** 2) < 1e-12
+        x = random_vector(rng, 2)
+        assert eta(xi(2)) == 1.0
+        assert np.abs(psi(xi(2))).max() == 0
+        assert Phi(xi(2), x) == 0.0
+        assert abs(Phi(x, psi(x)) + x[:-1] @ x[:-1]) < 1e-12
 
     def test_phi_antisymmetric(self, rng):
-        pt = point_tensors(3)
-        X, Y = random_mvec(rng, 3), random_mvec(rng, 3)
-        assert abs(pt.Phi(X, Y) + pt.Phi(Y, X)) < 1e-12
+        x, y = random_vector(rng, 3), random_vector(rng, 3)
+        assert abs(Phi(x, y) + Phi(y, x)) < 1e-12
 
     def test_omega_antisymmetric(self, rng):
-        pt = point_tensors(3)
-        X, Y, Z = (random_mvec(rng, 3) for _ in range(3))
-        assert abs(pt.Omega(X, Y, Z) + pt.Omega(Y, X, Z)) < 1e-10
-        assert abs(pt.Omega(X, Y, Z) + pt.Omega(X, Z, Y)) < 1e-10
+        x, y, u = (random_vector(rng, 3) for _ in range(3))
+        assert abs(Omega(x, y, u) + Omega(y, x, u)) < 1e-10
+        assert abs(Omega(x, y, u) + Omega(x, u, y)) < 1e-10
 
     def test_theta_pairs_with_omega(self, rng):
         # g_{-1}(Theta(X,Y), Z) = Omega(X,Y,Z)
-        pt = point_tensors(3)
-        g = Metric(3, -1.0)
-        X, Y, Z = (random_mvec(rng, 3) for _ in range(3))
-        lhs = metric_eval(g, pt.Theta(X, Y), Z)
-        assert abs(lhs - pt.Omega(X, Y, Z)) < 1e-10
+        x, y, u = (random_vector(rng, 3) for _ in range(3))
+        assert abs(metric(-1.0, Theta(x, y), u) - Omega(x, y, u)) < 1e-10
 
     def test_theta_tilde_pairs_with_omega_psi(self, rng):
         # g_{-1}(Theta_tilde(X,Y), Z) = Omega(X,Y,psi Z)
-        pt = point_tensors(3)
-        g = Metric(3, -1.0)
-        X, Y, Z = (random_mvec(rng, 3) for _ in range(3))
-        lhs = metric_eval(g, pt.Theta_tilde(X, Y), Z)
-        assert abs(lhs - pt.Omega(X, Y, pt.psi(Z))) < 1e-10
+        x, y, u = (random_vector(rng, 3) for _ in range(3))
+        assert abs(metric(-1.0, Theta_tilde(x, y), u) - Omega(x, y, psi(u))) < 1e-10
 
     def test_psi_hat_anticommutes_with_psi(self, rng):
-        pt = point_tensors(2)
-        X = MVec(2, rng.standard_normal(2) + 1j * rng.standard_normal(2), 0.0)
-        A = pt.psi_hat(pt.psi(X))
-        B = pt.psi(pt.psi_hat(X))
-        assert np.allclose(A.z, -B.z)
-
-    def test_small_n_guards(self):
-        X2 = MVec(2, np.zeros(2, complex), 1j)
-        with pytest.raises(ValueError):
-            point_tensors(2).Omega(X2, X2, X2)
-        with pytest.raises(ValueError):
-            point_tensors(3).psi_hat(MVec(3, np.zeros(3, complex), 0.0))
-        with pytest.raises(ValueError):
-            point_tensors(0)
+        x = random_vector(rng, 2)
+        assert np.allclose(psi_hat(psi(x)), -psi(psi_hat(x)))
 
 
 class TestDirectionRenderings:
     @pytest.mark.parametrize("n,eps", [(1, -2.0), (4, 0.5)])
     def test_s_direction_coordinate_free(self, n, eps, rng):
         # D_s(X,Y) = Phi(X,Y) xi + eps (eta(X) psi(Y) - eta(Y) psi(X))
-        pt = point_tensors(n)
-        D = direction_s(n, eps)
+        D = direction_s(n, eps).coeffs
         for _ in range(5):
-            X, Y = random_mvec(rng, n), random_mvec(rng, n)
-            expected = (
-                pt.Phi(X, Y) * pt.xi.coords()
-                + eps * (pt.eta(X) * pt.psi(Y).coords() - pt.eta(Y) * pt.psi(X).coords())
-            )
-            assert np.abs(D.apply(X, Y).coords() - expected).max() < 1e-10
+            x, y = random_vector(rng, n), random_vector(rng, n)
+            expected = Phi(x, y) * xi(n) + eps * (eta(x) * psi(y) - eta(y) * psi(x))
+            assert np.abs(apply(D, x, y) - expected).max() < 1e-10
 
     def test_s7_directions_are_theta_pair(self, rng):
         eps = -1.0
-        pt = point_tensors(3)
         _, d1, d2 = skew_direction_basis(3, eps).basis
-        X, Y = random_mvec(rng, 3), random_mvec(rng, 3)
-        assert np.abs(d1.apply(X, Y).coords() - pt.Theta(X, Y).coords()).max() < 1e-10
-        assert (
-            np.abs(d2.apply(X, Y).coords() - pt.Theta_tilde(X, Y).coords()).max()
-            < 1e-10
-        )
+        x, y = random_vector(rng, 3), random_vector(rng, 3)
+        assert np.abs(apply(d1.coeffs, x, y) - Theta(x, y)).max() < 1e-10
+        assert np.abs(apply(d2.coeffs, x, y) - Theta_tilde(x, y)).max() < 1e-10
+
+    @pytest.mark.parametrize("eps", [-1.5, 0.7])
+    def test_s5_directions_are_psi_hat_pair(self, eps, rng):
+        # D_s3(X,Y) = Phi(psi_hat X, Y) xi + eps (eta(X) psi psi_hat Y - eta(Y) psi psi_hat X)
+        # D_s4(X,Y) = Phi(psi_hat psi X, Y) xi + eps (eta(X) psi_hat Y - eta(Y) psi_hat X)
+        d3, d4 = (families._delta_s5(eps, p).coeffs for p in (-1.0, 1.0j))
+        for _ in range(5):
+            x, y = random_vector(rng, 2), random_vector(rng, 2)
+            expected3 = Phi(psi_hat(x), y) * xi(2) + eps * (
+                eta(x) * psi(psi_hat(y)) - eta(y) * psi(psi_hat(x)))
+            expected4 = Phi(psi_hat(psi(x)), y) * xi(2) + eps * (
+                eta(x) * psi_hat(y) - eta(y) * psi_hat(x))
+            assert np.abs(apply(d3, x, y) - expected3).max() < 1e-10
+            assert np.abs(apply(d4, x, y) - expected4).max() < 1e-10
 
     @pytest.mark.parametrize("n,eps", [(2, -1.5), (3, 0.5), (4, -1.0)])
     def test_directions_span_skew_space(self, n, eps):

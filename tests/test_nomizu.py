@@ -9,7 +9,6 @@ from bergerconn import families, nomizu
 from bergerconn.config import TOL_NUM
 from bergerconn.algebra import (
     Metric,
-    metric_eval,
     standard_basis,
     structure_tensors,
 )
@@ -25,7 +24,8 @@ from bergerconn.nomizu import (
     torsion_form,
 )
 from bergerconn.spaces import BYTES_PER_CUBE, Bilin
-from conftest import assert_verify_passes, members, random_mvec
+from conftest import assert_verify_passes, members, random_vector
+from reference import apply, metric
 
 TOL = 1e-9
 
@@ -59,7 +59,6 @@ class TestCurvature:
         n, eps = 4, -1.0
         g = Metric(n, eps)
         R = curvature(families.skew_family(n, eps, (0.0,)))
-        basis = standard_basis(n)
         G = g.gram()
         d = 2 * n + 1
         expected = np.einsum("jk,il->ijkl", G, np.eye(d)) - np.einsum(
@@ -208,28 +207,19 @@ class TestSTensor:
         d = 2 * n + 1
         vecs = []
         signs = []
-        from bergerconn.algebra import MVec
-
-        raw = [random_mvec(rng, n) for _ in range(d)]
-        for v in raw:
-            w = v.coords().astype(float)
+        for w in (random_vector(rng, n) for _ in range(d)):
             for u, su in zip(vecs, signs):
                 w = w - su * (w @ g.gram() @ u) * u
             nrm2 = w @ g.gram() @ w
             vecs.append(w / np.sqrt(abs(nrm2)))
             signs.append(np.sign(nrm2))
-        T = nomizu.torsion(alpha)
-        basis = standard_basis(n)
+        T = nomizu.torsion(alpha).coeffs
+        basis = np.eye(d)
         S2 = np.zeros((d, d))
         for x in range(d):
             for y in range(d):
-                acc = 0.0
-                for u, su in zip(vecs, signs):
-                    f = MVec.from_coords(n, u)
-                    tx = T.apply(f, basis[x])
-                    ty = T.apply(f, basis[y])
-                    acc += su * metric_eval(g, tx, ty)
-                S2[x, y] = acc
+                S2[x, y] = sum(su * metric(eps, apply(T, u, basis[x]), apply(T, u, basis[y]))
+                               for u, su in zip(vecs, signs))
         assert np.abs(S - S2).max() < 1e-8
 
 
