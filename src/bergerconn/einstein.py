@@ -281,6 +281,12 @@ _DRAWS = 64
 _CONST_TOL = 16 * np.finfo(float).eps
 
 
+def _require_count(count: int) -> None:
+    """ValueError where a sample count is negative."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+
+
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tuple[float, ...]]:
     """Up to `count` parameter tuples with Einstein defect <= TOL_SOL, in
     sorted order, from the normal form of q (generic_quadric): with
@@ -311,8 +317,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     the checks (checks_s) (all but the checks and checks_s None where n = 1
     has no quadric).  ValueError, before any computation, where count < 0.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _require_count(count)
     kind = classify(n, eps)
     if n == 1:
         # the whole s-line solves the condition at eps = -1
@@ -405,6 +410,10 @@ class EinsteinVariety:
 
 
 def variety(n: int, eps: float, count: int = 4, seed: int = 0) -> EinsteinVariety:
+    """The class, canonical equation and up to count samples of the cell
+    (n, eps); ValueError, before any computation, where count < 0, also at
+    an empty cell, which draws no sample."""
+    _require_count(count)
     eq = einstein_equation(n, eps)
     kind = classify(n, eps)
     samples = () if kind is VarietyClass.EMPTY else tuple(

@@ -43,8 +43,11 @@ maps use), the residual on Gamma, kappa, the certified bound and its margin
 to TOL_NUM.
 
 Every rank decision (the zero weights, both nullspaces, the independence
-of a space's maps, and einstein's) is _guarded_rank's: a relative cutoff
-and a guarded gap, and RankGapError when there is none.
+of the maps handed to LinearSpace, and einstein's) is _guarded_rank's: a
+relative cutoff and a guarded gap, and RankGapError when there is none.
+Each is made once: the three spaces solved here are held by
+LinearSpace._holding, which does not decide their independence again (its
+docstring says why that is safe).
 """
 
 from __future__ import annotations
@@ -136,7 +139,9 @@ class Bilin:
 class LinearSpace:
     """A (possibly affine) subspace of bilinear maps: offset plus the span of
     maps, one read-only stack of shape (dim, d, d, d), copied at construction.
-    Maps that are not linearly independent are refused, whatever their sizes."""
+    Maps that are not linearly independent are refused, whatever their sizes.
+    The spaces this module solves itself are built by _holding instead, with
+    no second rank decision."""
 
     maps: np.ndarray
     offset: Bilin | None = None
@@ -144,6 +149,52 @@ class LinearSpace:
 
     def __post_init__(self):
         maps = np.asarray(self.maps, dtype=float)
+        self._require(maps)
+        if len(maps):
+            # a guarded rank on the maps scaled to comparable sizes, so that
+            # size is not taken for dependence; a zero map is dependent.  R
+            # of the maps' transpose has one column per map, of its norm, and
+            # QR's working copy is freed before the space makes its own.
+            R = np.linalg.qr(maps.reshape(len(maps), -1).T, mode="r")
+            size = np.abs(R).max(axis=0)
+            if not size.all() or _guarded_rank(
+                    np.linalg.svd(R / size, compute_uv=False))[0] < len(maps):
+                raise ValueError("basis elements are not linearly independent")
+        self._hold(np.array(maps))
+
+    @classmethod
+    def _holding(cls, maps: np.ndarray, offset: Bilin | None = None) -> "LinearSpace":
+        """A LinearSpace on maps itself, made read-only, with no copy and no
+        independence check; the shape, offset and finiteness checks still
+        run.  For a fresh float stack that no caller keeps a writable
+        reference to, whose rows are independent by construction, as they
+        are in the three spaces this module solves:
+
+        - the rows of _rowspace (the identity at n = 1), and _nullspace(V)
+          @ an orthonormal stack, are orthonormal, after a guarded rank
+          decision;
+        - such a stack B divided by diag(G_eps) on the output slot has the
+          entries fl(b/g) = b(1 + delta)/g, |delta| <= 2^-53: it is B' D,
+          with B' within one rounding per entry of B and D = diag(1/g)
+          invertible.  Rows that close to orthonormal ones are independent
+          (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+          ch. 3), and so are they times D, whenever the quotient is finite,
+          which is checked.  A gradual underflow adds at most
+          2^-1075 |g| <= 2^-51 to an entry of B', still far too little to
+          make them dependent.
+
+        The public constructor's scaled check refuses the second kind at
+        |eps| <= 1e-9, where the fibre entries grow like 1/|eps|.
+        """
+        space = object.__new__(cls)
+        object.__setattr__(space, "offset", offset)
+        space._require(maps)
+        space._hold(maps)
+        return space
+
+    def _require(self, maps: np.ndarray) -> None:
+        """Refuse a float stack that is not finite and of shape (dim, d, d, d)
+        with d odd, or whose d is not the offset's."""
         d = maps.shape[-1] if maps.ndim == 4 else 0
         if maps.shape[1:] != (d, d, d) or d % 2 == 0:
             raise ValueError(f"maps must have shape (dim, d, d, d) with d odd, got {maps.shape}")
@@ -151,20 +202,12 @@ class LinearSpace:
             raise ValueError(f"offset of n = {self.offset.n} on maps of n = {(d - 1) // 2}")
         if not np.isfinite(maps).all():
             raise ValueError("maps must be finite")
-        if len(maps):
-            # a guarded rank on the maps scaled to comparable sizes, so that
-            # size is not taken for dependence; a zero map is dependent.  R
-            # of the maps' transpose has one column per map, of its norm, and
-            # QR's working copy is freed before the space makes its own.
-            R = np.linalg.qr(maps.reshape(len(maps), d**3).T, mode="r")
-            size = np.abs(R).max(axis=0)
-            if not size.all() or _guarded_rank(
-                    np.linalg.svd(R / size, compute_uv=False))[0] < len(maps):
-                raise ValueError("basis elements are not linearly independent")
-        maps = np.array(maps)
+
+    def _hold(self, maps: np.ndarray) -> None:
+        """Hold the checked stack maps itself, read-only, as the space's."""
         maps.flags.writeable = False
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_flat", maps.reshape(len(maps), d**3))
+        object.__setattr__(self, "_flat", maps.reshape(len(maps), maps.shape[-1] ** 3))
 
     @property
     def dim(self) -> int:
@@ -242,7 +285,11 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
     complex), with a guarded rank decision."""
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
-    # U is never used; V must stay square, which only a wide M needs asked for
+    # U is never used.  A tall M is reduced to its R first, as LAPACK's SVD
+    # does itself (Chan, ACM TOMS 8, 1982), but without forming the tall U;
+    # V must stay square, which only a wide M needs asked for
+    if M.shape[0] > M.shape[1]:
+        M = np.linalg.qr(M, mode="r")
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return vt[_guarded_rank(s)[0]:].conj()
 
@@ -510,7 +557,7 @@ def invariant_bilinear_space(n: int) -> LinearSpace:
     Dimension 27, 13, 9, 7 for n = 1, 2, 3 and >= 4.
     """
     d = 2 * n + 1
-    return LinearSpace(_invariant_basis_raw(n).reshape(-1, d, d, d))
+    return LinearSpace._holding(_invariant_basis_raw(n).reshape(-1, d, d, d))
 
 
 def _metric_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -542,8 +589,8 @@ def metric_connection_space(n: int, eps: float) -> LinearSpace:
     """
     G = Metric(n, eps).gram()
     if eps != -1.0:
-        return LinearSpace(metric_connection_space(n, -1.0).maps / G.diagonal())
-    return LinearSpace(_solution_space(invariant_bilinear_space(n), _metric_violation, G))
+        return LinearSpace._holding(metric_connection_space(n, -1.0).maps / G.diagonal())
+    return LinearSpace._holding(_solution_space(invariant_bilinear_space(n), _metric_violation, G))
 
 
 def _torsion_difference(coeffs: np.ndarray) -> np.ndarray:
@@ -583,7 +630,7 @@ def skew_torsion_space(n: int, eps: float) -> LinearSpace:
         maps = skew_torsion_space(n, -1.0).maps / G.diagonal()
     else:
         maps = _solution_space(metric_connection_space(n, eps), _skew_violation, G)
-    return LinearSpace(maps, levi_civita_generic(n, eps))
+    return LinearSpace._holding(maps, levi_civita_generic(n, eps))
 
 
 def levi_civita_generic(n: int, eps: float) -> Bilin:

@@ -83,6 +83,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
 
+    @pytest.mark.parametrize("n,eps", [(2, "1e-10"), (4, "-1e-9"), (6, "1e-10")])
+    def test_passes_at_small_eps(self, n, eps, capsys):
+        # the rescaled metric basis is held as solved, not refused as
+        # dependent because its fibre entries grow like 1/|eps|
+        assert main(["verify", "--n", str(n), f"--eps={eps}"]) == 0
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out and captured.err == ""
+
+    def test_n3_small_eps_fails_on_its_cause(self, capsys):
+        # the z-only skew directions' rounding over |eps| (ROADMAP item 4),
+        # not a refusal of the space
+        assert main(["verify", "--n", "3", "--eps=1e-9"]) == 1
+        assert capsys.readouterr().err == "FAIL: skew_directions_closed_vs_generic\n"
+
     def test_text_columns_aligned(self, capsys):
         assert main(["verify", "--n", "2", "--eps=-3/2"]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines()

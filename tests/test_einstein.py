@@ -729,6 +729,16 @@ class TestCountRefused:
     def test_zero_count(self, n, eps):
         assert solve_numeric(n, eps, count=0) == []
 
+    @pytest.mark.parametrize("n,eps", [(1, 2.0), (2, -0.5), (4, -0.5)])
+    def test_negative_count_at_an_empty_cell(self, n, eps, monkeypatch):
+        # an empty cell draws no sample, and still refuses a negative count
+        assert classify(n, eps) is VarietyClass.EMPTY
+        assert variety(n, eps, count=0).sample_points == ()
+        for name in ("classify", "einstein_equation", "solve_numeric"):
+            monkeypatch.setattr(einstein, name, lambda *args, **kw: pytest.fail("computed"))
+        with pytest.raises(ValueError, match="count must be >= 0, got -3"):
+            variety(n, eps, count=-3)
+
 
 class TestVariety:
     def test_nonempty_has_samples(self):

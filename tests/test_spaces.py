@@ -231,6 +231,100 @@ class TestStackedBasis:
             assert np.array_equal(sp.element(x).coeffs, rebuilt)
 
 
+#: eps = +-10^k, k = -10..10: the extreme-eps grid of ROADMAP item 4
+EXTREME_EPS = [s * 10.0**k for k in range(-10, 11) for s in (1, -1)]
+
+
+def _exact_product(x, g):
+    """p, e with p + e = x * g exactly, p = fl(x * g) (Dekker's product,
+    exact where nothing overflows or underflows)."""
+    def halves(a):
+        c = 134217729.0 * a  # 2^27 + 1 splits a into two 26-bit halves
+        hi = c - (c - a)
+        return hi, a - hi
+
+    p = x * g
+    (xh, xl), (gh, gl) = halves(x), halves(g)
+    return p, ((xh * gh - p) + xh * gl + xl * gh) + xl * gl
+
+
+class TestSolvedSpacesHeld:
+    """The three spaces spaces solves are held by LinearSpace._holding: their
+    solves decide the rank once, and no rescale decides one again."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rescaled_spaces_decide_no_rank(self, n, monkeypatch, cold_spaces):
+        base = skew_torsion_space(n, -1.0)  # and the eps = -1 metric space
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a rescaled space ran a QR or an SVD")
+
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        _, met, skw = cli.expected_dims(n)
+        for eps in cli.EPS_SWEEP:
+            assert metric_connection_space(n, eps).dim == met
+            assert skew_torsion_space(n, eps).dim == skw
+        assert skew_torsion_space(n, -1.0) is base
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_rank_decision_per_solve(self, n, monkeypatch, cold_spaces):
+        counts = {"decisions": 0, "solves": 0}
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spaces, "_guarded_rank", counted("decisions", spaces._guarded_rank))
+        for solve in ("_zero_weight_triples", "_nullspace", "_rowspace"):
+            monkeypatch.setattr(spaces, solve, counted("solves", getattr(spaces, solve)))
+        seen = []
+        for build, args in ((invariant_bilinear_space, (n,)), (metric_connection_space, (n, -1.0)),
+                            (skew_torsion_space, (n, -1.0))):
+            counts.update(decisions=0, solves=0)
+            build(*args)
+            assert counts["decisions"] == counts["solves"]
+            seen.append(counts["solves"])
+        # the weights, the root nullspace and the real span; one nullspace each
+        assert seen == [0 if n == 1 else 3, 1, 1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rescale_within_one_rounding(self, n):
+        # maps_eps * diag(G_eps) is B' of _holding's docstring: within one
+        # rounding of the eps = -1 maps B in every entry, |B' - B| <= u |B|,
+        # the product formed exactly
+        u = np.finfo(float).eps / 2
+        dims = cli.expected_dims(n)
+        for eps in EXTREME_EPS:
+            g = Metric(n, eps).gram().diagonal()
+            for build, dim in ((metric_connection_space, dims[1]),
+                               (skew_torsion_space, dims[2])):
+                space, base = build(n, eps), build(n, -1.0).maps
+                assert space.dim == dim, f"{build.__name__}({n}, {eps})"
+                p, e = _exact_product(space.maps, g)
+                # p is within a factor 2 of base, so p - base is exact; the
+                # sum with e rounds once more, hence the 1 + 2u
+                off = (p - base) + e
+                assert (np.abs(off) <= u * (1 + 2 * u) * np.abs(base)).all(), (
+                    f"{build.__name__}({n}, {eps})")
+
+    def test_holding_keeps_the_stack_and_its_checks(self):
+        fresh = np.eye(27).reshape(27, 3, 3, 3)[:4].copy()
+        held = LinearSpace._holding(fresh)
+        assert held.maps is fresh and not fresh.flags.writeable
+        assert np.shares_memory(held.matrix(), fresh) and held.n == 1 and held.dim == 4
+        with pytest.raises(ValueError, match="maps must have shape"):
+            LinearSpace._holding(np.ones((1, 4, 4, 4)))
+        with pytest.raises(ValueError, match="offset of n = 2 on maps of n = 1"):
+            LinearSpace._holding(np.ones((1, 3, 3, 3)), Bilin(2, np.ones((5, 5, 5))))
+        bad = np.ones((1, 3, 3, 3))
+        bad[0, 1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="maps must be finite"):
+            LinearSpace._holding(bad)
+
+
 class TestStackedViolations:
     """The violation maps act on a stack of maps as on each map alone."""
 
@@ -345,6 +439,27 @@ class TestInvariantSpace:
         assert null.shape == (2, 3)
         assert np.abs(null @ [1.0, 1.0, 0.0]).max() < 1e-15
         assert np.abs(null @ null.T - np.eye(2)).max() < 1e-15
+
+    def test_nullspace_of_tall_matrix_is_the_svds(self, monkeypatch, cold_spaces):
+        # a tall M goes through its R first; every solve of n = 1..10 returns
+        # byte for byte the rows of the thin SVD of M itself
+        solves = []
+
+        def recorded(M):
+            null = _nullspace(M)
+            solves.append((M, null))
+            return null
+
+        monkeypatch.setattr(spaces, "_nullspace", recorded)
+        for n in range(1, 11):
+            skew_torsion_space(n, -1.0)
+        assert len(solves) == 2 + 3 * 9
+        for M, null in solves:
+            assert M.shape[0] >= M.shape[1]
+            _, s, vt = np.linalg.svd(M, full_matrices=False)
+            expected = vt[spaces._guarded_rank(s)[0]:].conj()
+            assert null.shape == expected.shape and null.dtype == expected.dtype
+            assert null.tobytes() == expected.tobytes(), M.shape
 
 
 def _full_residual(maps, A):
@@ -522,7 +637,7 @@ class TestMetricSpace:
             assert nomizu.is_metric(b, g)
 
     @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("eps", [s * 10.0**k for k in range(-10, 11) for s in (1, -1)])
+    @pytest.mark.parametrize("eps", EXTREME_EPS)
     def test_right_dimension_or_refused(self, n, eps):
         # the spaces at extreme eps have the paper's dimension or are refused;
         # a clean gap must never hand back a wrong one
