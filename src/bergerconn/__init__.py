@@ -7,11 +7,7 @@ the classification of Einstein-with-skew-torsion connections for any
 deformation parameter eps of the Berger metric.
 """
 
-from .algebra import (
-    Metric,
-    MVec,
-    standard_basis,
-)
+from .algebra import Metric
 from .einstein import (
     CanonicalEquation,
     EinsteinVariety,
@@ -41,7 +37,6 @@ from .nomizu import (
     curvature,
     einstein_defect,
     is_metric,
-    is_skew,
     ricci,
     s_tensor,
     scalar,

@@ -98,7 +98,10 @@ def _act(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MVec:
-    """Element (z, a) of m = C^n + Ri, the tangent model at the base point."""
+    """Element (z, a) of m = C^n + Ri, the tangent model at the base point.
+
+    Read only by standard_basis and spaces.Bilin.from_function, which
+    perfbench's tracer hooks; the package computes on coordinate arrays."""
 
     n: int
     z: np.ndarray
@@ -113,33 +116,12 @@ class MVec:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "a", complex(0.0, a.imag))
 
-    @classmethod
-    def zero(cls, n: int) -> "MVec":
-        return cls(n, np.zeros(n, dtype=complex), 0.0)
-
     def coords(self) -> np.ndarray:
         """Real coordinates in the standard basis, length 2n+1.
 
         Layout: (Re z_1, Im z_1, ..., Re z_n, Im z_n, Im a).
         """
         return _to_coords(self.z, self.a)
-
-    @classmethod
-    def from_coords(cls, n: int, v) -> "MVec":
-        return cls(n, *_from_coords(np.asarray(v, dtype=float).reshape(2 * n + 1)))
-
-    def __add__(self, other: "MVec") -> "MVec":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return MVec(self.n, self.z + other.z, self.a + other.a)
-
-    def __sub__(self, other: "MVec") -> "MVec":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return MVec(self.n, self.z - other.z, self.a - other.a)
-
-    def __rmul__(self, c: float) -> "MVec":
-        return MVec(self.n, c * self.z, c * self.a)
 
 
 @dataclass(frozen=True)
@@ -158,10 +140,6 @@ class Metric:
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
-
-    @property
-    def signature(self) -> str:
-        return "riemannian" if self.eps < 0 else "lorentzian"
 
     def gram(self) -> np.ndarray:
         """Gram matrix of the standard basis: diag(1, ..., 1, -eps)."""

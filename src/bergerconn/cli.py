@@ -89,11 +89,6 @@ def _to_json(doc: dict) -> str:
     return json.dumps(_round_floats(doc), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        print(_to_json(doc))
-
-
 # ---------------------------------------------------------------------------
 # dims
 
@@ -121,7 +116,7 @@ def compute_dims(n: int) -> dict:
 def cmd_dims(cfg: RunConfig) -> int:
     doc = compute_dims(cfg.n)
     if cfg.fmt == "json":
-        _emit(doc, cfg)
+        print(_to_json(doc))
     else:
         print(f"n = {cfg.n}")
         print(f"  invariant bilinear maps : {doc['invariant']}")
@@ -141,9 +136,10 @@ def _verification_checks(n: int, eps: float, draws):
 
     The Levi-Civita, dimension and skew-direction checks read (n, eps)
     alone.  The per-draw checks report their worst residual over `draws`,
-    each a point (s, aux1, aux2) of the skew family cut to
-    einstein.param_count(n) entries; no draws leave them at 0.  Ric_LC is
-    formed once per call, so the call forms 1 + len(draws) curvatures.
+    each a point of the skew family's einstein.param_count(n) parameters,
+    refused as skew_family refuses any other width; no draws leave them
+    at 0.  Ric_LC is formed once per call, so the call forms
+    1 + len(draws) curvatures.
     `cmd_verify` passes five draws from --seed; the acceptance gate and
     the property tests run the same checks over their own grids.
     """
@@ -175,16 +171,14 @@ def _verification_checks(n: int, eps: float, draws):
         config.TOL_NUM,
     )
 
-    k = einstein.param_count(n)
     regime = {1: "s3", 2: "s5", 3: "s7"}.get(n, "general_n")
 
     # one curvature and Ricci per map, shared by every check that reads them
     ric_lc = nomizu.ricci(nomizu.curvature(families.alpha_lc(n, eps)), g).coeffs
     r_skew, r_formulicas, r_tor, r_cur, r_ric = 0.0, 0.0, 0.0, 0.0, 0.0
     for x in draws:
-        x = x[:k]
         alpha = families.skew_family(n, eps, x)
-        params = families.FamilyParams.skew(regime, n, eps, *x, *([0.0] * (3 - k)))
+        params = families.FamilyParams.skew(regime, n, eps, *x)
         R = nomizu.curvature(alpha)
         ric = nomizu.ricci(R, g)
         om = nomizu.torsion_form(alpha, g)
@@ -232,17 +226,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     results = [(name, resid, tol, resid <= tol)
                for name, resid, tol in _verification_checks(cfg.n, cfg.eps, draws)]
     if cfg.fmt == "json":
-        _emit(
-            {
-                "n": cfg.n,
-                "eps": cfg.eps,
-                "checks": [
-                    {"name": n_, "residual": r, "tol": t, "pass": p}
-                    for n_, r, t, p in results
-                ],
-            },
-            cfg,
-        )
+        print(_to_json({
+            "n": cfg.n,
+            "eps": cfg.eps,
+            "checks": [
+                {"name": n_, "residual": r, "tol": t, "pass": p}
+                for n_, r, t, p in results
+            ],
+        }))
     else:
         width = max(len(name) for name, *_ in results)
         for name, resid, tol, ok in results:
@@ -270,7 +261,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         "samples": [list(x) for x in var.sample_points],
     }
     if cfg.fmt == "json":
-        _emit(doc, cfg)
+        print(_to_json(doc))
     else:
         print(f"n = {cfg.n}, eps = {cfg.eps}: {var.kind.value}")
         if cfg.n == 1:
@@ -301,8 +292,8 @@ def cmd_table(cfg: RunConfig) -> int:
         if got[i][j] != expected[i][j]
     ]
     if cfg.fmt == "json":
-        _emit({"rows": [r for r, _ in TABLE_ROWS], "columns": list(TABLE_COLUMNS),
-               "cells": got, "mismatches": len(mismatches)}, cfg)
+        print(_to_json({"rows": [r for r, _ in TABLE_ROWS], "columns": list(TABLE_COLUMNS),
+                        "cells": got, "mismatches": len(mismatches)}))
     elif cfg.fmt == "csv":
         print("regime," + ",".join(f"n={n}" if n < 4 else "n>=4" for n in TABLE_COLUMNS))
         for (label, _), row in zip(TABLE_ROWS, got):

@@ -32,9 +32,9 @@ points, the flat circle, the Ricci-flat samples of one eps, and the
 solver's sample checks, a block at a time (einstein_defects).  Each row
 keeps the bytes of a lone call (einstein_defect_at), whose skew_family
 member goes through the same element map and the same defect pipeline.
-The points are read by families' one rule: short rows padded with zeros,
-zeros past param_count(n) dropped, and a nonzero coordinate there refused
-with ValueError.
+The points are read by families' one rule: each has exactly
+param_count(n) coordinates, and any other width is refused with
+ValueError.
 """
 
 from __future__ import annotations
@@ -143,24 +143,23 @@ def classify(n: int, eps: float) -> VarietyClass:
 def einstein_defect_at(n: int, eps: float, params) -> float:
     """Einstein defect of the skew family member with the given parameters,
     through the full generic curvature (nomizu.einstein_defect), with the
-    bytes of einstein_defects' row.  The parameters are padded and cut as
-    families.skew_family does."""
+    bytes of einstein_defects' row.  The parameters are read as
+    families.skew_family reads them."""
     return nomizu.einstein_defect(families.skew_family(n, eps, params), Metric(n, eps))
 
 
 def einstein_defects(n: int, eps: float, points) -> np.ndarray:
     """Einstein defects of the skew family members at the rows of points,
     shape (p, param_count(n)): one stacked nomizu.einstein_defect call,
-    each entry the bytes of einstein_defect_at.  ValueError where a row has
-    a nonzero coordinate past param_count(n)."""
+    each entry the bytes of einstein_defect_at.  ValueError where a row is
+    not param_count(n) wide."""
     return nomizu.einstein_defect(_members(n, eps, points), Metric(n, eps))
 
 
 def _members(n: int, eps: float, points) -> np.ndarray:
     """Coefficient stack (p, d, d, d) of the skew family members at the rows
     of points, shape (p, param_count(n)), each the bytes of
-    families.skew_family, with its padding and its refusal of a nonzero
-    coordinate past the family's."""
+    families.skew_family, with its refusal of a row of any other width."""
     space = families.skew_direction_basis(n, eps)
     return space.elements(families._parameter_rows(n, points, space.dim))
 

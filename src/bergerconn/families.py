@@ -112,8 +112,8 @@ def _theta_terms(c: np.ndarray, k: complex, p: complex, m: float, Z: np.ndarray)
 class FamilyParams:
     """Parameters (q, t, p, p2) of a connection family in one regime.
 
-    The derived skew parameters are s = 1 - q and, where applicable,
-    (s1, s2) resp. (s3, s4) = (-Re p, Im p).
+    The skew parameters are s = 1 - q and, where applicable, (s1, s2) resp.
+    (s3, s4) = (-Re p, Im p); skew builds the family's parameters from them.
     """
 
     regime: str
@@ -131,21 +131,6 @@ class FamilyParams:
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "p", complex(self.p))
         object.__setattr__(self, "p2", complex(self.p2))
-
-    @property
-    def s(self) -> float:
-        return float((1 - self.q).real)
-
-    @property
-    def s1(self) -> float:
-        return -self.p.real
-
-    @property
-    def s2(self) -> float:
-        return self.p.imag
-
-    s3 = s1
-    s4 = s2
 
     def check_n(self, n: int) -> None:
         expected = self._REGIME_N[self.regime]
@@ -244,30 +229,24 @@ def skew_direction_basis(n: int, eps: float) -> LinearSpace:
 
 def skew_family(n: int, eps: float, params) -> Bilin:
     """Skew-torsion family member alpha_lc + s direction_s (+ the two
-    n = 2, 3 directions) from variety coordinates (s, aux1, aux2), padded
-    with zeros and cut to the family's dimension (_parameter_rows)."""
+    n = 2, 3 directions) from variety coordinates (s, aux1, aux2), exactly
+    as many of them as the family has parameters (_parameter_rows)."""
     space = skew_direction_basis(n, eps)
     return space.element(_parameter_rows(n, np.atleast_1d(params)[None], space.dim)[0])
 
 
 def _parameter_rows(n: int, points, k: int) -> np.ndarray:
     """points as rows of the k parameters of the skew family at n, shape
-    (p, k): a short row is padded with zeros, and the coordinates past k are
-    dropped when they are zero.  ValueError where one of them is not, or
-    where points is not a stack of rows; an empty points is no rows."""
+    (p, k); an empty points is no rows.  ValueError where points is not a
+    stack of rows, or its rows are not k wide."""
     X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        if X.size:
-            raise _width_error(n, k, f"points must be rows of them, got shape {X.shape}")
+    if X.ndim == 2 and X.shape[1] == k:
+        return X
+    if X.shape[:1] == (0,):
         return X.reshape(0, k)
-    width = X.shape[1]
-    if width < k:
-        return np.concatenate([X, np.zeros((len(X), k - width))], axis=1)
-    if width > k:
-        if X[:, k:].any():
-            raise _width_error(n, k, f"a row of {width} has a nonzero coordinate past them")
-        return X[:, :k]
-    return X
+    if X.ndim != 2:
+        raise _width_error(n, k, f"points must be rows of them, got shape {X.shape}")
+    raise _width_error(n, k, f"got rows of {X.shape[1]}")
 
 
 def _width_error(n: int, k: int, detail: str) -> ValueError:

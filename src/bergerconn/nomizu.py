@@ -65,9 +65,6 @@ class CurvTensor:
             raise ValueError(f"coeffs must have shape {(d,) * 4}")
         object.__setattr__(self, "coeffs", c)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
 
 @dataclass(frozen=True)
 class Rank2Tensor:
@@ -213,11 +210,6 @@ def skew_residual(omega: np.ndarray) -> float:
     first two, which are the last two of omega.transpose(2, 0, 1)."""
     return max(float(np.abs(_skew_form_violation(w)).max())
                for w in (omega, omega.transpose(2, 0, 1)))
-
-
-def is_skew(omega: np.ndarray) -> bool:
-    """Total antisymmetry of a rank-3 array, within TOL_NUM."""
-    return skew_residual(omega) <= TOL_NUM
 
 
 def is_metric(alpha: Bilin, g: Metric) -> bool:

@@ -121,19 +121,6 @@ class Bilin:
                 c[i, j] = f(X, Y).coords()
         return cls(n, c)
 
-    def __add__(self, other: "Bilin") -> "Bilin":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return Bilin(self.n, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Bilin") -> "Bilin":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return Bilin(self.n, self.coeffs - other.coeffs)
-
-    def __rmul__(self, c: float) -> "Bilin":
-        return Bilin(self.n, float(c) * self.coeffs)
-
 
 @dataclass(frozen=True)
 class LinearSpace:
@@ -556,6 +543,8 @@ def invariant_bilinear_space(n: int) -> LinearSpace:
 
     Dimension 27, 13, 9, 7 for n = 1, 2, 3 and >= 4.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     d = 2 * n + 1
     return LinearSpace._holding(_invariant_basis_raw(n).reshape(-1, d, d, d))
 
@@ -567,14 +556,15 @@ def _metric_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     return lowered + np.swapaxes(lowered, -1, -2)
 
 
-def _solution_space(space: LinearSpace, violation, G: np.ndarray) -> np.ndarray:
+def _solution_space(space: LinearSpace, violation) -> np.ndarray:
     """Basis, stacked with shape (r, d, d, d), of the maps of space on which
-    the linear map violation(-, G) vanishes.
+    the linear map violation vanishes.
 
     violation is applied once to the maps of space, and the new basis is
-    null @ space.matrix().
+    null @ space.matrix().  Both solves run at eps = -1 only, where G is the
+    identity and a map's lowered form is the map itself.
     """
-    V = violation(space.maps, G).reshape(space.dim, -1).T
+    V = violation(space.maps).reshape(space.dim, -1).T
     return (_nullspace(V) @ space.matrix()).reshape(-1, *space.maps.shape[1:])
 
 
@@ -583,14 +573,15 @@ def metric_connection_space(n: int, eps: float) -> LinearSpace:
     """Equivariant maps with alpha(X, -) in so(m, g_eps).
 
     At eps = -1, where G is the identity, the orthonormal nullspace of the
-    metric violation; at any other eps, that basis divided by diag(G_eps) on
-    the output slot, which is not orthonormal.  Dimension 9, 7, 5, 3 for
-    n = 1, 2, 3 and >= 4, independent of eps.
+    metric violation, alpha plus alpha with its last two slots swapped; at
+    any other eps, that basis divided by diag(G_eps) on the output slot,
+    which is not orthonormal.  Dimension 9, 7, 5, 3 for n = 1, 2, 3 and
+    >= 4, independent of eps.
     """
-    G = Metric(n, eps).gram()
     if eps != -1.0:
-        return LinearSpace._holding(metric_connection_space(n, -1.0).maps / G.diagonal())
-    return LinearSpace._holding(_solution_space(invariant_bilinear_space(n), _metric_violation, G))
+        return LinearSpace._holding(
+            metric_connection_space(n, -1.0).maps / Metric(n, eps).gram().diagonal())
+    return LinearSpace._holding(_solution_space(invariant_bilinear_space(n), _skew_form_violation))
 
 
 def _torsion_difference(coeffs: np.ndarray) -> np.ndarray:
@@ -599,13 +590,14 @@ def _torsion_difference(coeffs: np.ndarray) -> np.ndarray:
     return coeffs - coeffs.swapaxes(-3, -2)
 
 
-def _skew_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Failure of total antisymmetry of the lowered torsion of a direction.
+def _skew_violation(coeffs: np.ndarray) -> np.ndarray:
+    """Failure of total antisymmetry of the torsion of a direction, lowered
+    by the identity Gram of eps = -1.
 
     For a difference of two metric connections the bracket term of the
     torsion cancels, so T = alpha - alpha^t and the condition is linear.
     """
-    return _skew_form_violation(_torsion_difference(coeffs) @ G)
+    return _skew_form_violation(_torsion_difference(coeffs))
 
 
 def _skew_form_violation(om: np.ndarray) -> np.ndarray:
@@ -625,11 +617,10 @@ def skew_torsion_space(n: int, eps: float) -> LinearSpace:
     basis divided by diag(G_eps), which is not orthonormal.  Direction
     dimension 1, 3, 3, 1 for n = 1, 2, 3 and >= 4.
     """
-    G = Metric(n, eps).gram()
     if eps != -1.0:
-        maps = skew_torsion_space(n, -1.0).maps / G.diagonal()
+        maps = skew_torsion_space(n, -1.0).maps / Metric(n, eps).gram().diagonal()
     else:
-        maps = _solution_space(metric_connection_space(n, eps), _skew_violation, G)
+        maps = _solution_space(metric_connection_space(n, eps), _skew_violation)
     return LinearSpace._holding(maps, levi_civita_generic(n, eps))
 
 

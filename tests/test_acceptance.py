@@ -6,7 +6,8 @@ Run with `pytest tests/test_acceptance.py -s` to see the pass/fail lines.
 import numpy as np
 
 from bergerconn import cli, einstein, families, nomizu, spaces
-from bergerconn.algebra import Metric, MVec
+from bergerconn.algebra import Metric, _from_coords, _to_coords
+from bergerconn.spaces import Bilin
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -76,6 +77,8 @@ def test_criterion_3_closed_forms_vs_generic():
     rng = np.random.default_rng(31)
     regimes = (("s3", 1), ("s5", 2), ("s7", 3), ("general_n", 4))
     off_family, grid = 0.0, []
+    Z, _ = _from_coords(np.eye(5))  # the z-parts of the S^5 standard basis
+    T = families.theta(Z)
     for eps in cli.EPS_SWEEP:
         for regime, n in regimes:
             draws = []
@@ -87,19 +90,18 @@ def test_criterion_3_closed_forms_vs_generic():
                     p = complex(*rng.uniform(-2, 2, size=2))
                     p2 = complex(*rng.uniform(-2, 2, size=2))
                     params = families.FamilyParams(regime, q, t, p, p2)
-
-                    def theta_part(X, Y, p=p, p2=p2):
-                        dz = -eps * p * Y.a * families.theta(X.z) + p2 * X.a * families.theta(Y.z)
-                        da = -1j * np.imag(np.conj(p) * (np.conj(families.theta(X.z)) @ Y.z))
-                        return MVec(2, dz, da)
-
-                    alpha = families.alpha_metric(n, eps, q, t) + spaces.Bilin.from_function(
-                        2, theta_part
-                    )
+                    # the theta terms (-eps p b theta(z) + p2 a theta(w),
+                    # -i Im(conj(p) conj(theta(z))^t w)) on the standard basis
+                    c = np.zeros((5, 5, 5))
+                    c[:, -1] += _to_coords(-eps * p * 1j * T, 0.0)
+                    c[-1] += _to_coords(p2 * 1j * T, 0.0)
+                    c[..., -1] = -np.imag(np.conj(p) * (np.conj(T) @ Z.T))
+                    alpha = Bilin(2, families.alpha_metric(n, eps, q, t).coeffs + c)
                 elif regime == "s7":
                     p = complex(*rng.uniform(-2, 2, size=2))
                     params = families.FamilyParams(regime, q, t, p)
-                    alpha = families.alpha_metric(n, eps, q, t) + families._delta_s7(p)
+                    alpha = Bilin(3, families.alpha_metric(n, eps, q, t).coeffs
+                                  + families._delta_s7(p).coeffs)
                 else:
                     params = families.FamilyParams(regime, q, t)
                     alpha = families.alpha_metric(n, eps, q, t)

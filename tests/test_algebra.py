@@ -40,7 +40,7 @@ class TestMVec:
 
     def test_coords_roundtrip(self, rng):
         x = random_vector(rng, 3)
-        assert np.array_equal(MVec.from_coords(3, x).coords(), x)
+        assert np.array_equal(MVec(3, *algebra._from_coords(x)).coords(), x)
 
 
 class TestEmbedding:
@@ -178,8 +178,10 @@ class TestMetric:
             Metric(2, 0.0)
 
     def test_signature(self):
-        assert Metric(2, -1.0).signature == "riemannian"
-        assert Metric(2, 2.0).signature == "lorentzian"
+        # Riemannian iff eps < 0: every orthonormal sign is +1 there, and the
+        # fibre's is -1 for eps > 0
+        assert (Metric(2, -1.0).orthonormal_scales()[1] == 1.0).all()
+        assert Metric(2, 2.0).orthonormal_scales()[1].tolist() == [1.0] * 4 + [-1.0]
 
 
 def frame_gram(g):

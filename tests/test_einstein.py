@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergerconn import einstein, families, nomizu
+from bergerconn import cli, einstein, families, nomizu
 from bergerconn.algebra import Metric
 from bergerconn.config import TOL_GAP, TOL_NUM, TOL_SOL
 from bergerconn.einstein import (
@@ -982,9 +982,9 @@ class TestMinDefectN1:
 
 class TestParameterWidth:
     """einstein_defects, einstein_defect_at and skew_family read a point
-    alike: a short one is padded with zeros and zeros past param_count(n)
-    are dropped, but a nonzero coordinate there is refused, never read as
-    another point."""
+    alike: it has exactly param_count(n) coordinates, and a point of any
+    other width is refused, neither padded, cut nor read as another
+    point."""
 
     def test_three_coordinates_at_n4_refused(self):
         with pytest.raises(ValueError, match="has 1 parameter"):
@@ -993,6 +993,9 @@ class TestParameterWidth:
             einstein_defect_at(4, -2.0, (1.0, 5.0, 7.0))
         with pytest.raises(ValueError, match="has 1 parameter"):
             families.skew_family(4, -2.0, (1.0, 5.0, 7.0))
+        # verify's per-draw checks read a draw the same way, not cut to (1.0,)
+        with pytest.raises(ValueError, match="has 1 parameter"):
+            list(cli._verification_checks(4, -2.0, [(1.0, 5.0, 7.0)]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_message_names_param_count(self, n):
@@ -1010,15 +1013,16 @@ class TestParameterWidth:
 
     @pytest.mark.parametrize("n,eps", [(4, -2.0), (3, -2.0), (2, 0.5), (1, -0.5)])
     def test_padding_and_trailing_zeros(self, n, eps):
+        # neither is read: a row of any width but param_count(n) is refused
         k = param_count(n)
         full = (0.8, -0.3, 0.4)[:k]
         defect = einstein_defect_at(n, eps, full)
-        for x in [full + (0.0,) * (3 - k), full + (0.0, -0.0)]:
-            assert einstein_defect_at(n, eps, x) == defect
-            assert einstein.einstein_defects(n, eps, [x, x]).tolist() == [defect, defect]
-        short = einstein_defect_at(n, eps, (0.8,))
-        assert short == einstein_defect_at(n, eps, (0.8,) + (0.0,) * (k - 1))
-        assert einstein.einstein_defects(n, eps, [(0.8,)]).tolist() == [short]
+        assert einstein.einstein_defects(n, eps, [full, full]).tolist() == [defect, defect]
+        for x in [x for x in (full + (0.0,) * (3 - k), full + (0.0, -0.0), (0.8,)) if len(x) != k]:
+            with pytest.raises(ValueError, match=rf"has {k} parameter"):
+                einstein_defect_at(n, eps, x)
+            with pytest.raises(ValueError, match=rf"has {k} parameters?; got rows of {len(x)}"):
+                einstein.einstein_defects(n, eps, [x, x])
 
     def test_no_points(self):
         assert einstein.einstein_defects(3, -2.0, []).shape == (0,)

@@ -4,7 +4,9 @@ closed forms (families) compute nothing with the generic calculus they are
 checked against: from nomizu they take only its tensor types.  Every rank
 decision goes through spaces._guarded_rank.  Neither the closed forms nor
 nomizu use np.tensordot, np.cross or np.stack.  The generic Levi-Civita map
-calls nothing from np.linalg."""
+calls nothing from np.linalg.  The per-vector layer (MVec, standard_basis,
+Bilin.from_function) is held in the package only for the benchmark's tracer:
+no other module reads it, and the acceptance gate builds nothing with it."""
 
 import ast
 from pathlib import Path
@@ -204,3 +206,30 @@ def test_levi_civita_map_solves_nothing():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
              and node.value.attr == "linalg"]
     assert calls == []
+
+
+#: the per-vector layer, kept only because perfbench's tracer hooks it
+PER_VECTOR = {"MVec", "standard_basis", "from_function"}
+
+
+def _names(tree):
+    """(scope, name) for every name, attribute and imported name of the tree."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Name):
+            yield scope, node.id
+        elif isinstance(node, ast.Attribute):
+            yield scope, node.attr
+        elif isinstance(node, ast.alias):
+            yield scope, node.name.split(".")[-1]
+
+
+def test_per_vector_layer_read_only_by_algebra_and_from_function():
+    readers = {(module, scope) for module in _package_modules() if module != "algebra"
+               for scope, name in _names(ast.parse(_source(module)))
+               if name in PER_VECTOR - {"from_function"}}
+    assert readers <= {("spaces", "Bilin.from_function")}
+
+
+def test_acceptance_gate_builds_without_the_per_vector_layer():
+    gate = (Path(__file__).parent / "test_acceptance.py").read_text()
+    assert {name for _, name in _names(ast.parse(gate))} & PER_VECTOR == set()

@@ -73,7 +73,7 @@ class TestCurvature:
 
     def test_flat_s7_connection(self):
         R = curvature(families.skew_family(3, -1.0, (1.0, 1.0, 0.0)))
-        assert R.max_abs() < TOL
+        assert np.abs(R.coeffs).max() < TOL
 
     def test_antisymmetric_first_slots(self, rng):
         c = rng.standard_normal((5, 5, 5))
@@ -155,9 +155,9 @@ class TestTorsionForm:
         t_good = eps * q - (n + 1) / n - 2 * eps
         g = Metric(n, eps)
         om = torsion_form(families.alpha_metric(n, eps, q, t_good), g)
-        assert nomizu.is_skew(om)
+        assert nomizu.skew_residual(om) <= TOL_NUM
         om_bad = torsion_form(families.alpha_metric(n, eps, q, t_good + 0.5), g)
-        assert not nomizu.is_skew(om_bad)
+        assert nomizu.skew_residual(om_bad) > TOL_NUM
 
     def test_matches_closed_3form(self, rng):
         n, eps, s = 4, 1.5, 0.8
@@ -301,14 +301,15 @@ class TestRicciTrace:
         g = Metric(n, eps)
         R = curvature(alpha)
         # BLAS blocking may round the two contractions apart by an ulp
-        bound = 1e-14 * R.max_abs()
+        size = np.abs(R.coeffs).max()
+        bound = 1e-14 * size
         trace = nomizu._ricci_trace(alpha.coeffs)
         assert np.abs(trace - ricci(R, g).coeffs).max() <= bound
         # the metric weights of the contraction are all 1
         assert np.abs(trace - _weighted_ricci(R, g)).max() <= bound
         expected = _composed_residual(alpha, g)
         got = nomizu.einstein_residual(alpha, g)
-        assert np.abs(got - expected).max() <= 1e-14 * max(R.max_abs(), np.abs(expected).max())
+        assert np.abs(got - expected).max() <= 1e-14 * max(size, np.abs(expected).max())
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 8), eps=EPS,
@@ -495,7 +496,7 @@ class TestSkewFamilyProperties:
 
 class TestIsSkew:
     """skew_residual reads both antisymmetries through the helper the skew
-    space uses; is_skew compares it with TOL_NUM."""
+    space uses; a totally skew array is one within TOL_NUM."""
 
     @staticmethod
     def totally_skew(rng, d):
@@ -505,7 +506,7 @@ class TestIsSkew:
 
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_totally_skew_passes(self, d, rng):
-        assert nomizu.is_skew(self.totally_skew(rng, d))
+        assert nomizu.skew_residual(self.totally_skew(rng, d)) <= TOL_NUM
 
     @pytest.mark.parametrize("axes", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
     def test_symmetric_part_in_any_pair_fails(self, axes, rng):
@@ -516,12 +517,12 @@ class TestIsSkew:
         sym_part = w + w.transpose(axes)
         sym_part /= np.abs(sym_part).max()
         omega = self.totally_skew(rng, d)
-        assert not nomizu.is_skew(omega + 10 * TOL_NUM * sym_part)
-        assert nomizu.is_skew(omega + 0.1 * TOL_NUM * sym_part)
+        assert nomizu.skew_residual(omega + 10 * TOL_NUM * sym_part) > TOL_NUM
+        assert nomizu.skew_residual(omega + 0.1 * TOL_NUM * sym_part) <= TOL_NUM
 
     def test_matches_both_transposes(self, rng):
-        # the same residual and decision as the two explicit transposes,
-        # over random arrays near the tolerance
+        # the same residual as the two explicit transposes, over random
+        # arrays on both sides of the tolerance
         decisions = []
         for _ in range(50):
             noise = rng.uniform(0, 2 * TOL_NUM) * rng.standard_normal((4, 4, 4))
@@ -530,6 +531,5 @@ class TestIsSkew:
                            np.abs(omega + omega.transpose(0, 2, 1)).max())
             explicit = residual <= TOL_NUM
             assert nomizu.skew_residual(omega) == residual
-            assert nomizu.is_skew(omega) == explicit
             decisions.append(explicit)
         assert any(decisions) and not all(decisions)

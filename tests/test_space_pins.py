@@ -29,8 +29,9 @@ EPS_GRID = cli.EPS_SWEEP + (-1.5, 1e3, -1e3)
 
 def metric_space_ref(n, eps):
     """The metric maps as the nullspace of the metric violation with G_eps."""
+    G = Metric(n, eps).gram()
     return LinearSpace(spaces._solution_space(
-        spaces.invariant_bilinear_space(n), spaces._metric_violation, Metric(n, eps).gram()))
+        spaces.invariant_bilinear_space(n), lambda c: spaces._metric_violation(c, G)))
 
 
 def levi_civita_ref(n, eps, met=None):
@@ -54,8 +55,10 @@ def levi_civita_ref(n, eps, met=None):
 def skew_space_ref(n, eps):
     """The skew directions as the nullspace of the skew violation with G_eps
     on metric_space_ref, offset by levi_civita_ref."""
+    G = Metric(n, eps).gram()
     met = metric_space_ref(n, eps)
-    maps = spaces._solution_space(met, spaces._skew_violation, Metric(n, eps).gram())
+    maps = spaces._solution_space(
+        met, lambda c: spaces._skew_form_violation(spaces._torsion_difference(c) @ G))
     return LinearSpace(maps, levi_civita_ref(n, eps, met))
 
 
