@@ -25,7 +25,6 @@ from .families import (
     FamilyParams,
     alpha_general,
     alpha_lc,
-    alpha_metric,
     closed_curvature,
     closed_ricci,
     closed_torsion,
@@ -36,10 +35,8 @@ from .nomizu import (
     Rank2Tensor,
     curvature,
     einstein_defect,
-    is_metric,
     ricci,
     s_tensor,
-    scalar,
     sym,
     torsion,
     torsion_form,

@@ -11,26 +11,23 @@ n = 3 and (s3, s4) for n = 2.  The Einstein condition cuts out a quadric:
 
 This module renders those equations, classifies the solution variety
 (reproducing the four-row table of regimes), and checks the Ricci-flat and
-flatness loci.  Since the family is affine in its parameters, the generic
-Einstein residual is an exact quadratic map r(x) = m(x) @ M over the
-monomials m(x) = (1, x_i, x_i x_j); its rows M, read off the generic
-calculus by polarization (_polarize, through _residual_rows), have rank
-one, so r(x) = v q(x) with q a scalar quadric (generic_quadric, a guarded
-rank decision).  The polarization evaluates its 1 + 2k + k(k-1)/2 points as
-one stack: the residual is one call of nomizu.einstein_residual on the
-stacked family members, a Ricci trace that never forms the full curvature.
-Samples are read off q's normal form, and only those returned get the
-generic check, which goes through the full curvature
-(nomizu.einstein_defect), as does the Ricci-flat check.  The same helper
-gives the curvature as an exact quadratic map; one singular-value floor of
-such rows (_floor) excludes flat connections and gives the n = 1 minimum
-defect.
+flatness loci.  On the skew family Sym(Ric) = Ric_LC - S(T)/4 (Agricola,
+The Srni lectures on non-integrable geometries with torsion, 2006), so the
+generic Einstein residual is exactly r(x) = m(x) @ M over the monomials
+m(x) = (1, x_i x_j), even around the Levi-Civita offset (_residual_rows:
+E(Ric_LC) and the S pairs).  The rows have rank one, so r(x) = v q(x) with
+q a scalar quadric (generic_quadric, a guarded rank decision), and samples
+are read off q's normal form.  Only those returned get the generic check,
+through the full curvature (nomizu.einstein_defect), as does the Ricci-flat
+check.  The curvature, exactly quadratic in x, is polarized (_polarize);
+one singular-value floor of such rows (_floor) excludes flat connections,
+and of _residual_rows gives the n = 1 minimum defect.
 
-Every generic evaluation here takes its family members as one stack
-(_members, LinearSpace.elements of the named skew space): the polarization
-points, the flat circle, the Ricci-flat samples of one eps, and the
-solver's sample checks, a block at a time (einstein_defects).  Each row
-keeps the bytes of a lone call (einstein_defect_at), whose skew_family
+Every generic curvature evaluation here takes its family members as one
+stack (_members, LinearSpace.elements of the named skew space): the flat
+polarization points, the flat circle, the Ricci-flat samples of one eps,
+and the solver's sample checks, a block at a time (einstein_defects).  Each
+row keeps the bytes of a lone call (einstein_defect_at), whose skew_family
 member goes through the same element map and the same defect pipeline.
 The points are read by families' one rule: each has exactly
 param_count(n) coordinates, and any other width is refused with
@@ -50,7 +47,7 @@ import numpy as np
 from . import families, nomizu
 from .algebra import Metric
 from .config import TOL_GAP, TOL_NUM, TOL_SOL
-from .spaces import RankGapError, _guarded_rank
+from .spaces import RankGapError, _guarded_rank, _torsion_difference
 
 _log = logging.getLogger(__name__)
 
@@ -198,7 +195,9 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _floor(M: np.ndarray) -> tuple[int, float, float, float]:
-    """A lower bound on |m(x) @ M| over all x, for _polarize's rows M.
+    """A lower bound on |m(x) @ M| over all x, for rows M on any monomials
+    m(x) whose first entry is the constant 1: _polarize's (1, x_i, x_i x_j)
+    or _residual_rows' (1, x_i x_j).
 
     Returns (rank, sigma, gap, c): the guarded rank of M, its smallest kept
     singular value sigma, the gap sigma / (largest discarded) and c, the
@@ -215,38 +214,40 @@ def _floor(M: np.ndarray) -> tuple[int, float, float, float]:
 
 
 def _residual_rows(n: int, eps: float) -> np.ndarray:
-    """_polarize's rows M of the flattened generic Einstein residual, so that
-    r(x) = m(x) @ M: the skew family is affine in its parameters x and the
-    residual quadratic in the connection.  One call of
-    nomizu.einstein_residual on the stack of the polarization's family
-    members (10 at k = 3)."""
+    """Rows M of the flattened generic Einstein residual, r(x) = m(x) @ M on
+    the monomials m(x) = (1, x_i x_j for i <= j) in _pairs order.
+
+    The family is nabla^g + T(x)/2, T(x) = sum_a x_a T_a with T_a = D_a - D_a^t
+    the torsion of the direction D_a, and Sym(Ric) = Ric_LC - S(T(x))/4: r
+    has no linear row.  The constant row is E(Ric_LC), one einstein_residual
+    call on the offset; the x_i x_j row is -E(S_ij + S_ji)/4 (-E(S_ii)/4 for
+    i = j), S_ab from nomizu._s_pairs and E = Sym - (s / dim) g.
+    """
+    space = families.skew_direction_basis(n, eps)
     g = Metric(n, eps)
-
-    def residuals(X):
-        return nomizu.einstein_residual(_members(n, eps, X), g).reshape(len(X), -1)
-
+    i, j = _pairs(space.dim)
+    pair = i != j
     # a subnormal eps overflows the residual; generic_quadric refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        return _polarize(residuals, param_count(n))
+        S = nomizu._s_pairs(_torsion_difference(space.maps), g)
+        Q = S[i, j]
+        Q[pair] += S[j[pair], i[pair]]
+        M = np.empty((1 + len(i), g.dim * g.dim))
+        M[0] = nomizu.einstein_residual(space.offset, g).ravel()
+        M[1:] = -0.25 * nomizu._einstein_form(Q, g)[0].reshape(len(i), -1)
+    return M
 
 
 @dataclass(frozen=True)
 class GenericQuadric:
     """The generic Einstein residual as r(x) = v q(x): v a unit vector and
-    q(x) = c + l @ x + x @ A @ x a scalar quadric (A symmetric), read off the
-    generic calculus; gap is sigma1/sigma2 of the rank-one decision."""
+    q(x) = c + x @ A @ x a scalar quadric (A symmetric), read off the generic
+    calculus; gap is sigma1/sigma2 of the rank-one decision."""
 
     v: np.ndarray
     c: float
-    l: np.ndarray
     A: np.ndarray
     gap: float
-
-    def __call__(self, X) -> np.ndarray:
-        """q at each row of X."""
-        X = np.asarray(X, dtype=float)
-        XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), self.A.size)
-        return self.c + X @ self.l + XX @ self.A.ravel()
 
 
 def generic_quadric(n: int, eps: float) -> GenericQuadric:
@@ -269,14 +270,14 @@ def generic_quadric(n: int, eps: float) -> GenericQuadric:
     k = param_count(n)
     i, j = _pairs(k)
     A = np.empty((k, k))
-    A[i, j] = A[j, i] = M[k + 1:] @ v / np.where(i == j, 1.0, 2.0)
-    return GenericQuadric(v, float(M[0] @ v), M[1:k + 1] @ v, A, gap)
+    A[i, j] = A[j, i] = M[1:] @ v / np.where(i == j, 1.0, 2.0)
+    return GenericQuadric(v, float(M[0] @ v), A, gap)
 
 
 #: seeded draws per requested sample on a positive-dimensional cell
 _DRAWS = 64
-#: |c'| <= _CONST_TOL max|lam| is rounding (c' was off by up to 3.1 ulps of
-#: max|lam| next to eps = -1, n = 2..6)
+#: |c'| <= _CONST_TOL max|lam| is rounding (|c'| read up to 4 ulps of max|lam|
+#: one ulp either side of eps = -1, n = 2..6)
 _CONST_TOL = 16 * np.finfo(float).eps
 
 
@@ -288,11 +289,12 @@ def _require_count(count: int) -> None:
 
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tuple[float, ...]]:
     """Up to `count` parameter tuples with Einstein defect <= TOL_SOL, in
-    sorted order, from the normal form of q (generic_quadric): with
-    eigh(A) = P diag(lam) P^T (A is nonsingular as eps != 0), centre
-    x0 = -A^-1 l / 2 and c' = q(x0), q(x0 + P u) = c' + sum_i lam_i u_i^2.
+    sorted order, from the normal form of q (generic_quadric): q is even
+    around the Levi-Civita offset x = 0, so with eigh(A) = P diag(lam) P^T
+    (A is nonsingular as eps != 0) and c' = q.c, q(P u) = c' + sum_i lam_i
+    u_i^2, and a sample is x = P u.
 
-    A 1-pt. cell is x0, a 2-pt. cell x0 -+ P sqrt(-c'/lam).  Elsewhere u runs
+    A 1-pt. cell is 0, a 2-pt. cell -+ P sqrt(-c'/lam).  Elsewhere u runs
     over _DRAWS * count seeded draws z, made in parameter coordinates and
     mapped into the frame (u = P^T z), so neither the frame eigh picks for a
     repeated eigenvalue nor the sign of q moves a sample.  On the cone (c'
@@ -300,7 +302,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     shares, otherwise unit directions are scaled by
     sqrt(-c'/(u diag(lam) u)) where it is real.
     Where c' is rounding (_CONST_TOL, a few ulps from eps = -1) it is taken
-    as 0: a 2-pt. cell or ellipsoid gives x0 alone, a hyperboloid the cone.
+    as 0: a 2-pt. cell or ellipsoid gives 0 alone, a hyperboloid the cone.
     The candidates get the generic check in blocks, each the next
     count - (samples kept) real candidates in one einstein_defects call, so
     exactly the candidates a one-by-one check would reach are checked; on
@@ -311,7 +313,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
 
     One DEBUG record per call on the bergerconn.einstein logger, also as its
     `solve` attribute, carries the rank-one gap and its margin to TOL_GAP,
-    lam, x0, c' (0 where taken as 0), the candidates examined (draws), the
+    lam, c' (0 where taken as 0), the candidates examined (draws), the
     generic checks, the wall time of generic_quadric (model_s) and that of
     the checks (checks_s) (all but the checks and checks_s None where n = 1
     has no quadric).  ValueError, before any computation, where count < 0.
@@ -332,11 +334,10 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     q = generic_quadric(n, eps)
     model_s = time.perf_counter() - t0
     lam, P = np.linalg.eigh(q.A)
-    centre = -0.5 * P @ (P.T @ q.l / lam)
-    const = float(q.c + 0.5 * q.l @ centre)
+    const = q.c
     shape = kind
     if kind is VarietyClass.CONE or abs(const) <= _CONST_TOL * np.abs(lam).max():
-        # c' is rounding: an indefinite cell is sampled as the cone, a definite one as x0
+        # c' is rounding: an indefinite cell is sampled as the cone, a definite one as 0
         const = 0.0
         if kind not in (VarietyClass.EMPTY, VarietyClass.CONE):
             shape = VarietyClass.CONE if lam.min() < 0 < lam.max() else VarietyClass.ONE_POINT
@@ -356,7 +357,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t = -const / (U**2 @ lam)
         U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]
-    X = centre + U @ P.T
+    X = U @ P.T
     real = ~np.isnan(X).any(axis=1)
     keep, checks, draws, checks_s = [], 0, 0, 0.0
     while len(keep) < count and draws < len(X):
@@ -376,18 +377,17 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
                 raise RuntimeError(f"{kind.value} predicted, but {x} fails")
         checks += int(live.sum())
         draws += len(live)
-    _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(lam.tolist()),
-               tuple(centre.tolist()), const, draws, model_s, checks_s)
+    _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(lam.tolist()), const, draws,
+               model_s, checks_s)
     if not keep and count > 0 and kind is not VarietyClass.EMPTY:
         raise RuntimeError(f"classification predicts {kind.value} but no numeric solution found")
     return sorted(keep)
 
 
 def _log_solve(n: int, eps: float, checks: int, gap=None, margin=None, eigenvalues=None,
-               centre=None, centred_constant=None, draws=None, model_s=None,
-               checks_s=None) -> None:
+               centred_constant=None, draws=None, model_s=None, checks_s=None) -> None:
     record = dict(n=n, eps=eps, gap=gap, tol_gap=TOL_GAP, margin=margin, eigenvalues=eigenvalues,
-                  centre=centre, centred_constant=centred_constant, draws=draws, checks=checks,
+                  centred_constant=centred_constant, draws=draws, checks=checks,
                   model_s=model_s, checks_s=checks_s)
     _log.debug("solve_numeric n=%d eps=%r: %s", n, eps, record, extra={"solve": record})
 
@@ -557,12 +557,12 @@ def _log_flatness(n: int, eps: float, calls: int, rank=None, sigma=None, gap=Non
 def min_defect_n1(eps: float) -> float:
     """Minimum Einstein defect over s in R for n = 1.
 
-    The residual is exactly m(s) @ M with M = _residual_rows(1, eps), and
-    _floor of M bounds its norm from below over every s; the bound is
-    attained, since on S^3 the torsion is s vol, S = 2 s^2 g and the
-    traceless Ricci does not depend on s (the s and s^2 rows of M are
-    rounding).  0.0 where the bound is not certified (c > TOL_NUM, as at
-    eps = -1 where the residual vanishes).
+    The residual is exactly m(s) @ M with M = _residual_rows(1, eps) on the
+    monomials (1, s^2), and _floor of M bounds its norm from below over
+    every s; the bound is attained, since on S^3 the torsion is s vol,
+    S = 2 s^2 g and the traceless Ricci does not depend on s (the s^2 row
+    of M is rounding).  0.0 where the bound is not certified (c > TOL_NUM,
+    as at eps = -1 where the residual vanishes).
     """
     _, sigma, _, c = _floor(_residual_rows(1, eps))
     return sigma if c <= TOL_NUM else 0.0

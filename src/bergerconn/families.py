@@ -173,11 +173,6 @@ def alpha_general(n: int, q1: complex, q2: complex, q3: complex, t: float) -> Bi
     return Bilin(n, c)
 
 
-def alpha_metric(n: int, eps: float, q: complex, t: float) -> Bilin:
-    """Metric-compatible family: (-eps q b z + t a w, -i Im(conj(q) conj(z)^t w))."""
-    return alpha_general(n, -eps * q, t, -np.conj(q), 0.0)
-
-
 @lru_cache(maxsize=None)
 def alpha_lc(n: int, eps: float) -> Bilin:
     """Levi-Civita map: (-eps b z - (eps + (n+1)/n) a w, -i Im(conj(z)^t w))."""

@@ -41,11 +41,9 @@ import numpy as np
 
 from . import algebra
 from .algebra import Metric
-from .config import TOL_NUM
 from .spaces import (
     BYTES_PER_CUBE,
     Bilin,
-    _metric_violation,
     _skew_form_violation,
     _torsion_difference,
 )
@@ -178,13 +176,6 @@ def _ricci_trace(a: np.ndarray) -> np.ndarray:
     return S.sum(axis=-3)
 
 
-def scalar(Ric: Rank2Tensor, g: Metric) -> float:
-    """sum_j sign_j Ric(f_j, f_j)."""
-    if Ric.n != g.n:
-        raise ValueError("dimension mismatch")
-    return float(_einstein_form(Ric.coeffs, g)[1])
-
-
 def _einstein_form(Ric: np.ndarray, g: Metric) -> tuple[np.ndarray, np.ndarray]:
     """(Sym(Ric) - (s / dim) g, s) for one Ricci array (d, d) or a stack
     (..., d, d), with s = sum_j sign_j scale_j^2 Ric[..., j, j] the scalar
@@ -212,29 +203,30 @@ def skew_residual(omega: np.ndarray) -> float:
                for w in (omega, omega.transpose(2, 0, 1)))
 
 
-def is_metric(alpha: Bilin, g: Metric) -> bool:
-    """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) = 0 on all basis triples."""
-    if alpha.n != g.n:
-        raise ValueError("dimension mismatch")
-    return bool(np.abs(_metric_violation(alpha.coeffs, g.gram())).max() <= TOL_NUM)
-
-
 def s_tensor(alpha: Bilin, g: Metric) -> Rank2Tensor:
-    """S(X, Y) = sum_j sign_j g(T(f_j, X), T(f_j, Y)).
-
-    The sum over j and the lowered slot is one matrix product, of the
-    weighted lowered torsion with axes (x, j, k) against T with axes
-    (j, k, y), each read as a contiguous 2-D array: the product and the
-    operands that np.tensordot over axes ([0, 2], [0, 2]) forms.
-    """
+    """S(X, Y) = sum_j sign_j g(T(f_j, X), T(f_j, Y)): _s_pairs of the one
+    torsion of alpha."""
     if alpha.n != g.n:
         raise ValueError("dimension mismatch")
-    T = torsion(alpha).coeffs
-    d = g.dim
-    # T(f_j, e_x) has coefficients scale_j * T[j, x, :]
-    w = g.trace_weights()[:, None, None]
-    A = (w * (T @ g.gram())).transpose(1, 0, 2).reshape(d, d * d)
-    return Rank2Tensor(alpha.n, np.dot(A, T.transpose(0, 2, 1).reshape(d * d, d)))
+    return Rank2Tensor(alpha.n, _s_pairs(torsion(alpha).coeffs[None], g)[0, 0])
+
+
+def _s_pairs(T: np.ndarray, g: Metric) -> np.ndarray:
+    """S polarized on a stack of torsions T (k, d, d, d): S[a, b, x, y] =
+    sum_j sign_j g(T_a(f_j, e_x), T_b(f_j, e_y)), so that S of
+    sum_a x_a T_a is sum_ab x_a x_b S[a, b].
+
+    The weight sign_j scale_j^2 is 1 / g_jj, one division rather than a
+    product with the rounded scale_j^2 (at eps = 1e10 this keeps the n = 2
+    quadric's -c/lam exact).  The sums over j and the lowered slot are one
+    matrix product of contiguous 2-D operands, for k = 1 those np.tensordot
+    over axes ([0, 2], [0, 2]) forms.
+    """
+    k, d = len(T), g.dim
+    G = g.gram()
+    A = ((T @ G) / G.diagonal()[:, None, None]).transpose(0, 2, 1, 3).reshape(k * d, d * d)
+    B = T.transpose(1, 3, 0, 2).reshape(d * d, k * d)
+    return np.dot(A, B).reshape(k, d, k, d).transpose(0, 2, 1, 3)
 
 
 def einstein_residual(alpha: Bilin | np.ndarray, g: Metric) -> np.ndarray:

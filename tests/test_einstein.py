@@ -26,6 +26,7 @@ from bergerconn.einstein import (
     variety,
 )
 from bergerconn.spaces import RankGapError
+from reference import scalar
 
 TOL = 1e-8
 
@@ -146,21 +147,31 @@ class TestClassify:
 
 
 class TestResidualQuadratic:
-    """The generic Einstein residual as _polarize's rows M (_residual_rows)."""
+    """The generic Einstein residual as _residual_rows' rows M on the
+    monomials (1, x_i x_j): Ric_LC and the S pairs."""
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(
-        n=st.integers(1, 6),
-        eps=st.floats(0.1, 3.0),
+        n=st.integers(1, 8),
+        eps=st.floats(-3.0, 3.0),
         sign=st.sampled_from((-1.0, 1.0)),
         x=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
     )
     def test_reproduces_generic_residual(self, n, eps, sign, x):
-        eps *= sign
+        # against the full curvature, which shares neither the Ricci trace
+        # nor S with the rows, at |eps| in [1e-3, 1e3]; the allowance is
+        # relative to the terms that form m(x) @ M
+        eps = sign * 10.0 ** eps
         x = np.array(x[: param_count(n)])
-        model = _monomials(x)[0] @ einstein._residual_rows(n, eps)
-        generic = nomizu.einstein_residual(families.skew_family(n, eps, x), Metric(n, eps))
-        assert np.abs(model - generic.ravel()).max() <= TOL_NUM
+        g = Metric(n, eps)
+        M = einstein._residual_rows(n, eps)
+        model = _even_monomials(x)[0] @ M
+        alpha = families.skew_family(n, eps, x)
+        generic = nomizu._einstein_form(nomizu.ricci(nomizu.curvature(alpha), g).coeffs, g)[0]
+        scale = max(1.0, (np.abs(_even_monomials(x)[0]) @ np.abs(M)).max())
+        assert np.abs(model - generic.ravel()).max() <= 1e-13 * scale
+        defect = nomizu.einstein_defect(alpha, g)
+        assert abs(np.linalg.norm(model) - defect) <= 1e-13 * scale * g.dim
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_derived_quadric_matches_equation(self, n):
@@ -176,9 +187,28 @@ class TestResidualQuadratic:
             derived[0] = -derived[0]
             eq = einstein_equation(n, eps)
             quad = np.diag([eq.a] + [eq.b] * (k - 1))
-            expected = np.concatenate([[eq.c], np.zeros(k), quad[i, j]])
+            expected = np.concatenate([[eq.c], quad[i, j]])
             scale = derived @ expected / (expected @ expected)
             assert np.linalg.norm(derived - scale * expected) <= 1e-12 * np.linalg.norm(derived)
+
+    @pytest.mark.parametrize("n,eps", [(1, -2.0), (2, -1.5), (3, 2.0), (4, -1.0), (6, 1e3)])
+    def test_rows_are_ric_lc_and_the_s_pairs(self, n, eps):
+        # the constant row is E(Ric_LC) of the offset, with a lone
+        # einstein_residual call's bytes; the x_i x_j row is -E(S_ij + S_ji)/4
+        # (-E(S_ii)/4 on the diagonal), here S of family members polarized
+        g = Metric(n, eps)
+        k = param_count(n)
+        M = einstein._residual_rows(n, eps)
+        assert M[0].tobytes() == nomizu.einstein_residual(families.alpha_lc(n, eps), g).tobytes()
+
+        def S(x):
+            return nomizu.s_tensor(families.skew_family(n, eps, x), g).coeffs
+
+        E = np.eye(k)
+        for row, (i, j) in zip(M[1:], zip(*np.triu_indices(k))):
+            pair = S(E[i] + E[j]) - S(E[i]) - S(E[j]) if i != j else S(E[i])
+            expected = -0.25 * nomizu._einstein_form(pair, g)[0].ravel()
+            assert np.abs(row - expected).max() <= 1e-13 * np.abs(M).max()
 
 
 def _monomials(X) -> np.ndarray:
@@ -187,6 +217,14 @@ def _monomials(X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     i, j = np.triu_indices(X.shape[1])
     return np.hstack([np.ones((len(X), 1)), X, X[:, i] * X[:, j]])
+
+
+def _even_monomials(X) -> np.ndarray:
+    """The monomials (1, x_i x_j for i <= j) of each row of X, shape
+    (N, 1 + k(k+1)/2), in the order of einstein._residual_rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    i, j = np.triu_indices(X.shape[1])
+    return np.hstack([np.ones((len(X), 1)), X[:, i] * X[:, j]])
 
 
 def _curvature_map(n, eps):
@@ -258,8 +296,9 @@ class TestPolarize:
 
     @pytest.mark.parametrize("n,eps", [(1, -1.0), (2, -1.5), (3, -2.0), (4, 0.3), (6, -1.0 - 1e-6)])
     def test_residual_quadratic_is_per_evaluation_polarization(self, n, eps):
-        # byte for byte the polarization written out one lone evaluation at
-        # a time: each row of the stacked residual call is a lone call's bytes
+        # the polarization written out one lone residual evaluation at a
+        # time: its linear rows are rounding, and the rest are _residual_rows
+        # within 1e-13 of the largest entry
         g = Metric(n, eps)
 
         def r(x):
@@ -270,12 +309,17 @@ class TestPolarize:
         c0 = r(np.zeros(k))
         plus = [r(E[i]) for i in range(k)]
         minus = [r(-E[i]) for i in range(k)]
-        rows = [c0] + [(plus[i] - minus[i]) / 2.0 for i in range(k)]
+        linear = [(plus[i] - minus[i]) / 2.0 for i in range(k)]
+        rows = [c0]
         for i, j in zip(*np.triu_indices(k)):
             rows.append((plus[i] + minus[i]) / 2.0 - c0 if i == j
                         else r(E[i] + E[j]) - plus[i] - plus[j] + c0)
         got = einstein._residual_rows(n, eps)
-        assert got.shape == (len(rows), c0.size) and got.tobytes() == np.array(rows).tobytes()
+        scale = max(1.0, np.abs(rows).max())
+        assert got.shape == (len(rows), c0.size)
+        assert got[0].tobytes() == c0.tobytes()
+        assert np.abs(got - rows).max() <= 1e-13 * scale
+        assert np.abs(linear).max() <= 1e-13 * scale
 
 
 class TestGenericQuadric:
@@ -291,32 +335,32 @@ class TestGenericQuadric:
         x = np.array(x[: param_count(n)])
         q = generic_quadric(n, eps)
         generic = nomizu.einstein_residual(families.skew_family(n, eps, x), Metric(n, eps))
-        assert np.abs(q.v * q(x[None])[0] - generic.ravel()).max() <= TOL_NUM
+        assert np.abs(q.v * (q.c + x @ q.A @ x) - generic.ravel()).max() <= TOL_NUM
 
     @pytest.mark.parametrize("n,eps", [(2, -1.5), (3, -2.0), (5, 1.0)])
     def test_coefficients(self, n, eps):
-        # a unit v, a symmetric A, and q(x) = c + l @ x + x @ A @ x
+        # a unit v, a symmetric A, and c the projection of E(Ric_LC) on v
         q = generic_quadric(n, eps)
-        x = np.linspace(-1.0, 2.0, param_count(n))
+        ric_lc = nomizu.einstein_residual(families.alpha_lc(n, eps), Metric(n, eps)).ravel()
         assert abs(np.linalg.norm(q.v) - 1.0) <= 1e-12
         assert np.abs(q.A - q.A.T).max() <= 1e-12 * np.abs(q.A).max()
-        assert abs(q(x[None])[0] - (q.c + q.l @ x + x @ q.A @ x)) <= 1e-12
+        assert q.c == float(ric_lc @ q.v)
         assert q.gap >= TOL_GAP
 
     def test_cross_term_rows_halved(self, monkeypatch):
         # rows of a quadric with cross terms, times a unit w: each x_i x_j
         # row (i < j) holds A[i, j] + A[j, i] and is split in half over them
         A = np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.25], [-1.0, 0.25, 3.0]])
-        l, c = np.array([1.0, -2.0, 0.5]), 0.75
+        c = 0.75
         i, j = np.triu_indices(3)
         w = np.linspace(1.0, 2.0, 7) / np.linalg.norm(np.linspace(1.0, 2.0, 7))
-        rows = np.concatenate([[c], l, np.where(i == j, 1.0, 2.0) * A[i, j]])
+        rows = np.concatenate([[c], np.where(i == j, 1.0, 2.0) * A[i, j]])
         monkeypatch.setattr(einstein, "_residual_rows", lambda n, eps: np.outer(rows, w))
         q = generic_quadric(3, -2.0)
         sign = float(np.sign(q.v @ w))
         assert np.abs(sign * q.v - w).max() <= 1e-15
         assert abs(sign * q.c - c) <= 1e-15
-        assert np.abs(sign * q.l - l).max() <= 1e-15 and np.abs(sign * q.A - A).max() <= 1e-15
+        assert np.abs(sign * q.A - A).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rank_two_stack_raises(self, n, monkeypatch):
@@ -346,8 +390,8 @@ class TestGenericQuadric:
 class TestSolveRecord:
     """One DEBUG record per solve_numeric call, with the fields on record.solve."""
 
-    FIELDS = {"n", "eps", "gap", "tol_gap", "margin", "eigenvalues", "centre",
-              "centred_constant", "draws", "checks", "model_s", "checks_s"}
+    FIELDS = {"n", "eps", "gap", "tol_gap", "margin", "eigenvalues", "centred_constant",
+              "draws", "checks", "model_s", "checks_s"}
 
     def _records(self, caplog, *args, **kwargs):
         with caplog.at_level(logging.DEBUG, logger="bergerconn.einstein"):
@@ -363,49 +407,50 @@ class TestSolveRecord:
         sols, rec = self._records(caplog, n, eps, count=4)
         assert (rec["n"], rec["eps"], rec["tol_gap"]) == (n, eps, TOL_GAP)
         assert rec["margin"] == rec["gap"] / TOL_GAP and rec["margin"] >= 1.0
-        # the normal form of q: eigenvalues of A, centre -A^-1 l / 2, q there
+        # the normal form of q: eigenvalues of A, and q at its centre, the
+        # Levi-Civita offset x = 0
         q = generic_quadric(n, eps)
-        lam, centre = np.array(rec["eigenvalues"]), np.array(rec["centre"])
+        lam = np.array(rec["eigenvalues"])
         assert np.abs(lam - np.linalg.eigvalsh(q.A)).max() <= 1e-12 * np.abs(lam).max()
-        assert np.abs(2.0 * q.A @ centre + q.l).max() <= 1e-12 * np.abs(q.A).max()
-        assert abs(rec["centred_constant"] - q(centre[None])[0]) <= 1e-12 * abs(q.c)
+        assert rec["centred_constant"] == q.c
         assert rec["draws"] >= rec["checks"] == len(sols) == 4
 
-    @pytest.mark.parametrize("n,eps,maps", [(3, -2.0, 10), (2, -1.5, 10), (4, 1.0, 3)])
-    def test_model_fields(self, n, eps, maps, caplog, monkeypatch):
-        # the model is one residual call on the polarization stack, each
+    @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5), (4, 1.0)])
+    def test_model_fields(self, n, eps, caplog, monkeypatch):
+        # the model is one residual call on the one Levi-Civita map, each
         # sample's check one full curvature; model_s is the wall time of
         # generic_quadric, checks_s that of the checks
         counts, calls = _count_generic_maps(monkeypatch)
         sols, rec = self._records(caplog, n, eps, count=4)
-        assert counts == [maps]
+        assert counts == [1]
         assert sum(calls) == rec["checks"] == len(sols)
         assert isinstance(rec["model_s"], float) and 0.0 < rec["model_s"] < 10.0
         assert isinstance(rec["checks_s"], float) and 0.0 < rec["checks_s"] < 10.0
 
     def test_one_point_cell(self, caplog):
-        # the centre is the one candidate and the one sample, checked once
+        # the origin is the one candidate and the one sample, checked once,
+        # with +0.0 entries
         sols, rec = self._records(caplog, 5, -1.0)
-        assert sols == [rec["centre"]]
+        assert sols == [(0.0,)] and np.copysign(1.0, sols[0][0]) == 1.0
         assert rec["draws"] == rec["checks"] == 1
 
     def test_two_point_cell(self, caplog):
         # each root is checked once: no rounding sends it to a second check
         sols, rec = self._records(caplog, 6, 4.0, count=4)
         assert len(sols) == 2 and rec["draws"] == rec["checks"] == 2
-        assert abs(sols[1][0] - rec["centre"][0]) == pytest.approx(
+        assert abs(sols[1][0]) == pytest.approx(
             np.sqrt(-rec["centred_constant"] / rec["eigenvalues"][0]), rel=1e-15)
 
     def test_empty_cell(self, caplog):
         sols, rec = self._records(caplog, 4, -0.5)
         assert sols == [] and rec["draws"] == rec["checks"] == 0
-        assert len(rec["eigenvalues"]) == len(rec["centre"]) == 1
+        assert len(rec["eigenvalues"]) == 1
 
     def test_n1_line(self, caplog):
         # no quadric at n = 1: its fields are None, and each line sample is checked
         sols, rec = self._records(caplog, 1, -1.0, count=5)
         assert len(sols) == 5 and rec["checks"] == 5
-        assert rec["gap"] is rec["eigenvalues"] is rec["centre"] is rec["draws"] is None
+        assert rec["gap"] is rec["eigenvalues"] is rec["centred_constant"] is rec["draws"] is None
         assert rec["model_s"] is None
         assert isinstance(rec["checks_s"], float) and 0.0 < rec["checks_s"] < 10.0
 
@@ -424,7 +469,7 @@ class TestSolveNumeric:
             assert abs(abs(s) - target) < 1e-8
 
     def test_n2_round_point(self):
-        # single point: the origin, which is the centre of q
+        # single point: the origin, the Levi-Civita map, which is the centre of q
         sols = solve_numeric(2, -1.0)
         assert len(sols) == 1
         assert max(abs(v) for v in sols[0]) <= 1e-12
@@ -453,15 +498,15 @@ class TestSolveNumeric:
 
     @pytest.mark.parametrize("n,eps", [(2, -1.0), (3, -2.0)])
     def test_generic_evaluations_bounded(self, n, eps, monkeypatch):
-        # the quadratic model evaluates at most 10 maps, in one residual
-        # call, and each returned sample one more, a curvature for its check
+        # the quadratic model evaluates one map, the Levi-Civita map, in one
+        # residual call, and each returned sample one more, a curvature for
+        # its check
         counts, calls = _count_generic_maps(monkeypatch)
         sols = solve_numeric(n, eps)
-        assert len(counts) == 1 and sum(calls) == len(sols)
-        assert 0 < counts[0] + sum(calls) <= 10 + len(sols)
+        assert counts == [1] and sum(calls) == len(sols) > 0
 
     def test_one_generic_check_per_cluster(self, monkeypatch):
-        # a 1-pt. cell: its one sample, the centre, passes the generic check
+        # a 1-pt. cell: its one sample, the origin, passes the generic check
         # at the first try
         checked = _patch_defects(monkeypatch, lambda n, eps, X, defects: defects(n, eps, X))
         assert len(solve_numeric(5, -1.0)) == 1
@@ -505,7 +550,7 @@ class TestSolveNumeric:
     @pytest.mark.parametrize("n", [2, 4, 5, 6])
     def test_centre_next_to_round(self, n):
         # eps one ulp below -1: c' is within rounding of 0 and may carry the
-        # wrong sign, so the 2-pt. cell or ellipsoid gives its centre alone
+        # wrong sign, so the 2-pt. cell or ellipsoid gives the origin alone
         eps = float(np.nextafter(-1.0, -2.0))
         (x,) = solve_numeric(n, eps, count=4)
         assert np.abs(x).max() <= 1e-12
@@ -534,25 +579,22 @@ class TestSolveNumeric:
     @pytest.mark.parametrize("n,eps", [(4, -2.0), (5, -1.0), (2, -1.0), (3, -2.0), (3, -0.5),
                                        (2, -1.5), (3, -1.0)])
     def test_samples_follow_a_moved_quadric(self, n, eps, monkeypatch):
-        # q moved to q(R^T (x - a)), R a rotation: its centre is a and its
-        # principal frame R P, and every sample maps back onto the variety
+        # q turned to q(R^T x), R a rotation: its principal frame is R P, and
+        # every sample maps back onto the variety
         k = param_count(n)
-        a = np.linspace(0.5, -1.0, k)
         R = np.linalg.qr(np.arange(1.0, k * k + 1).reshape(k, k) ** 2)[0]
         q = generic_quadric(n, eps)
-        A = R @ q.A @ R.T
-        moved = dataclasses.replace(q, A=A, l=R @ q.l - 2.0 * A @ a,
-                                    c=q.c - (R @ q.l) @ a + a @ A @ a)
+        moved = dataclasses.replace(q, A=R @ q.A @ R.T)
         defect = einstein.einstein_defect_at
         monkeypatch.setattr(einstein, "generic_quadric", lambda *_: moved)
-        # each candidate x checked at R^T (x - a), the row (x - a) @ R
-        _patch_defects(monkeypatch, lambda n, eps, X, defects: defects(n, eps, (X - a) @ R))
+        # each candidate x checked at R^T x, the row x @ R
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: defects(n, eps, X @ R))
         sols = solve_numeric(n, eps, count=4)
         expected = {VarietyClass.ONE_POINT: 1, VarietyClass.TWO_POINTS: 2}
         assert len(sols) == expected.get(classify(n, eps), 4)
         eq = einstein_equation(n, eps)
         for x in sols:
-            y = R.T @ (np.array(x) - a)
+            y = R.T @ np.array(x)
             assert eq.residual(y) <= TOL_SOL and defect(n, eps, y) <= TOL_SOL
             if classify(n, eps) is VarietyClass.ONE_POINT:
                 assert np.abs(y).max() <= 1e-12
@@ -572,7 +614,7 @@ class TestSolveNumeric:
         P[:, block] = P[:, block] @ rotation
         lam[block] += 4 * np.finfo(float).eps * np.abs(lam).max() * np.arange(len(block))
         A = (P * lam) @ P.T
-        moved = dataclasses.replace(q, v=-q.v, c=-q.c, l=-q.l, A=-0.5 * (A + A.T))
+        moved = dataclasses.replace(q, v=-q.v, c=-q.c, A=-0.5 * (A + A.T))
         # eigh's frame does move: some axis turns, beyond a sign and the order
         turned = np.linalg.eigh(moved.A)[1][:, ::-1].T @ np.linalg.eigh(q.A)[1]
         assert np.abs(np.diag(turned)).min() < 0.99
@@ -612,19 +654,15 @@ class TestNormalFormRefusals:
     @pytest.mark.parametrize("ulps,raises", [(8, False), (32, True)])
     def test_wrong_sign_within_rounding(self, ulps, raises, monkeypatch):
         # c' of the wrong sign: within _CONST_TOL of 0 it is taken as 0 and
-        # the centre returned, beyond it the two points are not real
-        q = generic_quadric(4, -2.0)
-        lam = float(q.A[0, 0])
-        centre = -q.l[0] / (2.0 * lam)
-        const = q.c + 0.5 * q.l[0] * centre
-        self._patch_quadric(monkeypatch, 4, -2.0,
-                            c=q.c - const + ulps * np.finfo(float).eps * lam)
+        # the origin returned, beyond it the two points are not real
+        lam = float(generic_quadric(4, -2.0).A[0, 0])
+        self._patch_quadric(monkeypatch, 4, -2.0, c=ulps * np.finfo(float).eps * lam)
         _patch_defects(monkeypatch, lambda n, eps, X, defects: np.zeros(len(X)))
         if raises:
             with pytest.raises(RuntimeError, match="2 pt."):
                 solve_numeric(4, -2.0)
         else:
-            assert solve_numeric(4, -2.0) == [(centre,)]
+            assert solve_numeric(4, -2.0) == [(0.0,)]
 
     def test_cone_with_no_lone_sign(self, monkeypatch):
         self._patch_quadric(monkeypatch, 3, -1.0, A=np.eye(3))
@@ -665,7 +703,7 @@ class TestLazyGenericCheck:
         sols = solve_numeric(n, eps, count=count)
         assert len(sols) == count
         assert len(checks) == count
-        assert 0 < sum(counts) + sum(calls) <= 10 + count
+        assert counts == [1] and sum(calls) == count
 
     @pytest.mark.parametrize("n,eps", [(3, -2.0), (2, -1.5), (3, -0.5)])
     def test_failed_check_gives_way(self, n, eps, monkeypatch):
@@ -775,14 +813,14 @@ class TestScalarFormula:
         g = Metric(n, eps)
         for x in solve_numeric(n, eps, count=4):
             Ric = nomizu.ricci(nomizu.curvature(families.skew_family(n, eps, x)), g)
-            s_num = nomizu.scalar(Ric, g)
+            s_num = scalar(Ric, g)
             assert abs(s_num - scalar_curvature_formula(n, eps, x)) < 1e-6
 
     def test_n1_line(self):
         g = Metric(1, -1.0)
         for s in (-1.5, 0.0, 0.5, 2.0):
             Ric = nomizu.ricci(nomizu.curvature(families.skew_family(1, -1.0, (s,))), g)
-            s_num = nomizu.scalar(Ric, g)
+            s_num = scalar(Ric, g)
             assert abs(s_num - scalar_curvature_formula(1, -1.0, (s,))) < 1e-9
 
     def test_n4_lorentzian_value(self):
@@ -825,7 +863,7 @@ class TestRicciFlat:
         alpha = families.skew_family(2, -1.5, (0.0, 1.0, 0.0))
         Ric = nomizu.ricci(nomizu.curvature(alpha), g)
         assert np.linalg.norm(nomizu.sym(Ric).coeffs) < TOL
-        assert abs(nomizu.scalar(Ric, g)) < TOL
+        assert abs(scalar(Ric, g)) < TOL
         assert np.linalg.norm(Ric.coeffs) > 1.0
 
 

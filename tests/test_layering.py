@@ -6,7 +6,9 @@ decision goes through spaces._guarded_rank.  Neither the closed forms nor
 nomizu use np.tensordot, np.cross or np.stack.  The generic Levi-Civita map
 calls nothing from np.linalg.  The per-vector layer (MVec, standard_basis,
 Bilin.from_function) is held in the package only for the benchmark's tracer:
-no other module reads it, and the acceptance gate builds nothing with it."""
+no other module reads it, and the acceptance gate builds nothing with it.  The
+test oracles that no program path enters live in tests/reference.py, not in
+the package."""
 
 import ast
 from pathlib import Path
@@ -233,3 +235,15 @@ def test_per_vector_layer_read_only_by_algebra_and_from_function():
 def test_acceptance_gate_builds_without_the_per_vector_layer():
     gate = (Path(__file__).parent / "test_acceptance.py").read_text()
     assert {name for _, name in _names(ast.parse(gate))} & PER_VECTOR == set()
+
+
+#: oracles only the tests read, held in tests/reference.py
+TEST_ORACLES = {"is_metric", "scalar", "_metric_violation", "metric_violation", "alpha_metric"}
+
+
+def test_test_oracles_not_defined_in_the_package():
+    defined = {(module, node.name) for module in _package_modules()
+               for node in ast.walk(ast.parse(_source(module)))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in TEST_ORACLES}
+    assert defined == set()
+    assert TEST_ORACLES & set(dir(bergerconn)) == set()

@@ -6,8 +6,8 @@ recorded from the earlier Newton solvers and are reproduced exactly by the
 normal-form sampler: the empty cells and the n = 1 line.  Every other cell
 is pinned to its canonical equation instead, with the same sample count:
 each sample is distinct, passes the generic check and lies on
-einstein_equation; a 1-pt. sample is the exact centre, the origin, within
-1e-12, and a 2-pt. sample has |s| = sqrt(c/a) within 1e-12 relative.  Next
+einstein_equation; a 1-pt. sample is the exact centre, the origin, with
++0.0 entries, and a 2-pt. sample has |s| = sqrt(c/a) within 1e-12 relative.  Next
 to eps = -1 the generic constant term carries an absolute rounding error of
 about 1e-16 against c of 1e-6 or 1e-7, so there |s| is held to 1e-9 relative,
 below the 2.5e-9 and 7.4e-8 of the 10-digit literals it replaces.
@@ -100,7 +100,7 @@ def test_samples_match_pinned(n, eps, seed):
         assert einstein_defect_at(n, eps, x) <= TOL_SOL
         assert eq.residual(x) <= TOL_SOL
         if kind is VarietyClass.ONE_POINT:
-            assert max(abs(v) for v in x) <= 1e-12
+            assert all(v == 0.0 and np.copysign(1.0, v) == 1.0 for v in x)
         if kind is VarietyClass.TWO_POINTS:
             root = np.sqrt(eq.c / eq.a)
             assert abs(abs(x[0]) - root) <= ROOT_RTOL.get(eps, 1e-12) * root

@@ -18,6 +18,7 @@ from bergerconn import algebra, cli, spaces
 from bergerconn.algebra import Metric
 from bergerconn.config import TOL_NUM
 from bergerconn.spaces import LinearSpace, RankGapError
+from reference import metric_violation
 
 N_GRID = range(1, 9)
 EPS_GRID = cli.EPS_SWEEP + (-1.5, 1e3, -1e3)
@@ -31,7 +32,7 @@ def metric_space_ref(n, eps):
     """The metric maps as the nullspace of the metric violation with G_eps."""
     G = Metric(n, eps).gram()
     return LinearSpace(spaces._solution_space(
-        spaces.invariant_bilinear_space(n), lambda c: spaces._metric_violation(c, G)))
+        spaces.invariant_bilinear_space(n), lambda c: metric_violation(c, G)))
 
 
 def levi_civita_ref(n, eps, met=None):

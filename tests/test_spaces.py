@@ -34,7 +34,7 @@ from bergerconn.spaces import (
     skew_torsion_space,
 )
 from conftest import assert_verify_passes, gapless_torsion_space, random_vector
-from reference import apply, coords
+from reference import apply, coords, is_metric, metric_violation
 from test_space_pins import levi_civita_ref
 
 TOL = 1e-9
@@ -335,7 +335,7 @@ class TestStackedViolations:
         d = 2 * n + 1
         G = Metric(n, eps).gram()
         stack = rng.standard_normal((4, d, d, d))
-        metric = spaces._metric_violation(stack, G)
+        metric = metric_violation(stack, G)
         skew = spaces._skew_violation(stack)
         for c, m, k in zip(stack, metric, skew):
             assert np.abs(m - (np.einsum("ijk,kz->ijz", c, G)
@@ -646,7 +646,7 @@ class TestMetricSpace:
     def test_compatibility(self):
         g = Metric(3, 1.5)
         for b in metric_connection_space(3, 1.5).basis:
-            assert nomizu.is_metric(b, g)
+            assert is_metric(b, g)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("eps", EXTREME_EPS)
