@@ -315,16 +315,6 @@ def cmd_table(cfg: RunConfig) -> int:
 # export
 
 
-def _ricci_flat_here(n: int, eps: float) -> bool:
-    if n == 1:
-        return eps == -1.0
-    if n == 2:
-        return eps == -1.5
-    if n == 3:
-        return eps != 0 and eps >= -2.0
-    return eps == -(n + 1.0) / 2.0
-
-
 def build_export(cfg: RunConfig) -> dict:
     from . import __version__
 
@@ -336,7 +326,6 @@ def build_export(cfg: RunConfig) -> dict:
         einstein.scalar_curvature_formula(cfg.n, cfg.eps, x) for x in var.sample_points
     ]
     defects = einstein.einstein_defects(cfg.n, cfg.eps, var.sample_points).tolist()
-    flat = bool(cfg.n == 3 and cfg.eps == -1.0)
     return {
         "tool": "bergerconn",
         "version": __version__,
@@ -353,8 +342,8 @@ def build_export(cfg: RunConfig) -> dict:
         "samples": samples,
         "scalar_curvatures": scalars,
         "residuals": {"einstein_defect": defects},
-        "ricci_flat": _ricci_flat_here(cfg.n, cfg.eps),
-        "flat_connections": flat,
+        "ricci_flat": einstein.ricci_flat_exists(cfg.n, cfg.eps),
+        "flat_connections": (cfg.n, cfg.eps) == einstein.FLAT_CELL,
     }
 
 

@@ -64,6 +64,8 @@ class VarietyClass(enum.Enum):
 
 
 _PARAM_NAMES = {1: ("s",), 2: ("s", "s3", "s4"), 3: ("s", "s1", "s2")}
+#: the one (n, eps) whose skew family holds flat connections, a circle
+FLAT_CELL = (3, -1.0)
 
 
 def param_names(n: int) -> tuple[str, ...]:
@@ -100,6 +102,11 @@ class CanonicalEquation:
             aux2 += v * v
         return abs(self.a * s * s + self.b * aux2 - self.c)
 
+    @property
+    def lam(self) -> tuple[float, ...]:
+        """(a, b, b)[:param_count(n)]: the equation is -c + sum_i lam_i u_i^2 = 0."""
+        return (self.a, self.b, self.b)[:len(self.names)]
+
 
 def einstein_equation(n: int, eps: float) -> CanonicalEquation:
     if n < 1 or eps == 0 or not np.isfinite(eps):
@@ -118,23 +125,31 @@ def einstein_equation(n: int, eps: float) -> CanonicalEquation:
 
 
 def classify(n: int, eps: float) -> VarietyClass:
-    """Variety type of the Einstein solution set in the skew parameters."""
+    """Variety type of the Einstein set: n = 1's line flag, else _quadric_class."""
     eq = einstein_equation(n, eps)
     if n == 1:
         return VarietyClass.LINE if eq.line else VarietyClass.EMPTY
-    if n == 2:
-        if eq.c > 0:
-            return VarietyClass.ELLIPSOID
-        return VarietyClass.ONE_POINT if eq.c == 0 else VarietyClass.EMPTY
-    if n == 3:
-        if eps > 0:
-            return VarietyClass.ELLIPSOID
-        if eq.c < 0:
-            return VarietyClass.HYPERBOLOID_TWO_SHEETS
-        return VarietyClass.CONE if eq.c == 0 else VarietyClass.HYPERBOLOID_ONE_SHEET
-    if eq.c > 0:
-        return VarietyClass.TWO_POINTS
-    return VarietyClass.ONE_POINT if eq.c == 0 else VarietyClass.EMPTY
+    return _quadric_class(eq.lam, -eq.c)
+
+
+def _quadric_class(lam, c: float) -> VarietyClass:
+    """Class of {c + sum_i lam_i u_i^2 = 0}, nonzero lam of length 1 or 3, on
+    Python floats, by the inertia of lam and the sign of c (Sylvester, Phil.
+    Mag. 4 (1852) 138-142).  A definite form gives one point at c = 0, none
+    where c has lam's sign, else two points or an ellipsoid; an indefinite
+    one the cone at c = 0, else a hyperboloid of two sheets where c and the
+    lone-sign axis differ in sign, of one where they agree."""
+    positive = sum(v > 0 for v in lam)
+    if positive in (0, len(lam)):
+        if c == 0:
+            return VarietyClass.ONE_POINT
+        if (c > 0) == (positive > 0):
+            return VarietyClass.EMPTY
+        return VarietyClass.TWO_POINTS if len(lam) == 1 else VarietyClass.ELLIPSOID
+    if c == 0:
+        return VarietyClass.CONE
+    two_sheets = (c > 0) != (positive == 1)  # positive == 1: the lone axis is positive
+    return VarietyClass.HYPERBOLOID_TWO_SHEETS if two_sheets else VarietyClass.HYPERBOLOID_ONE_SHEET
 
 
 def einstein_defect_at(n: int, eps: float, params) -> float:
@@ -294,22 +309,22 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     (A is nonsingular as eps != 0) and c' = q.c, q(P u) = c' + sum_i lam_i
     u_i^2, and a sample is x = P u.
 
-    A 1-pt. cell is 0, a 2-pt. cell -+ P sqrt(-c'/lam).  Elsewhere u runs
-    over _DRAWS * count seeded draws z, made in parameter coordinates and
-    mapped into the frame (u = P^T z), so neither the frame eigh picks for a
-    repeated eigenvalue nor the sign of q moves a sample.  On the cone (c'
-    taken as 0) each is solved for the axis whose eigenvalue sign no other
-    shares, otherwise unit directions are scaled by
-    sqrt(-c'/(u diag(lam) u)) where it is real.
-    Where c' is rounding (_CONST_TOL, a few ulps from eps = -1) it is taken
-    as 0: a 2-pt. cell or ellipsoid gives 0 alone, a hyperboloid the cone.
-    The candidates get the generic check in blocks, each the next
-    count - (samples kept) real candidates in one einstein_defects call, so
-    exactly the candidates a one-by-one check would reach are checked; on
-    a positive-dimensional cell one that fails gives way to the next draw.
-    RuntimeError where an isolated point is not real or fails, the cone has
-    no lone sign, or a non-empty cell yields no sample; RankGapError from
-    generic_quadric.
+    q is classed by classify's rule, _quadric_class, and must be of the
+    paper's class.  Where c' is rounding (|c'| <= _CONST_TOL max|lam|, a few
+    ulps from eps = -1) both are classed at c' = 0: a 2-pt. cell or ellipsoid
+    gives the origin alone, a hyperboloid the cone's draws, an empty cell
+    nothing.  A 1-pt. class is 0, a 2-pt. class -+ P sqrt(-c'/lam); elsewhere
+    u runs over _DRAWS * count seeded draws z in parameter coordinates,
+    u = P^T z, so neither eigh's frame of a repeated eigenvalue nor the sign
+    of q moves a sample.  On the cone each is solved for the axis whose
+    eigenvalue sign no other shares, otherwise unit directions are scaled by
+    sqrt(-c'/(u diag(lam) u)) where it is real.  The candidates get the
+    generic check in blocks, each the next count - (samples kept) real
+    candidates in one einstein_defects call, so exactly the candidates a
+    one-by-one check would reach are checked; on a positive-dimensional cell
+    one that fails gives way to the next draw.  RuntimeError where q's class
+    is not the paper's (naming both), an isolated point fails, or a
+    non-empty cell yields no sample; RankGapError from generic_quadric.
 
     One DEBUG record per call on the bergerconn.einstein logger, also as its
     `solve` attribute, carries the rank-one gap and its margin to TOL_GAP,
@@ -334,23 +349,21 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     q = generic_quadric(n, eps)
     model_s = time.perf_counter() - t0
     lam, P = np.linalg.eigh(q.A)
-    const = q.c
-    shape = kind
-    if kind is VarietyClass.CONE or abs(const) <= _CONST_TOL * np.abs(lam).max():
-        # c' is rounding: an indefinite cell is sampled as the cone, a definite one as 0
-        const = 0.0
-        if kind not in (VarietyClass.EMPTY, VarietyClass.CONE):
-            shape = VarietyClass.CONE if lam.min() < 0 < lam.max() else VarietyClass.ONE_POINT
+    const, expected = q.c, kind
+    if abs(const) <= _CONST_TOL * np.abs(lam).max():
+        const, expected = 0.0, _quadric_class(einstein_equation(n, eps).lam, 0.0)
+    shape = _quadric_class(lam.tolist(), const)
+    if shape is not expected:
+        raise RuntimeError(f"{expected.value} predicted, but the generic quadric is {shape.value}")
     isolated = shape in (VarietyClass.ONE_POINT, VarietyClass.TWO_POINTS)
-    if isolated or shape is VarietyClass.EMPTY:
-        U = {VarietyClass.ONE_POINT: np.zeros((1, len(lam))),
-             VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(shape, np.empty((0, len(lam))))
+    if kind is VarietyClass.EMPTY:
+        U = np.empty((0, len(lam)))
+    elif isolated:
+        U = np.array([[0.0] * len(lam)] if shape is VarietyClass.ONE_POINT else [[-1.0], [1.0]])
     else:
         U = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam))) @ P
     if shape is VarietyClass.CONE:
         lone = lam < 0 if (lam < 0).sum() == 1 else lam > 0
-        if lone.sum() != 1:
-            raise RuntimeError(f"cone predicted, but the eigenvalues are {lam}")
         rest = U[:, ~lone] ** 2 @ lam[~lone]
         U[:, lone] = np.copysign(np.sqrt(-rest / lam[lone])[:, None], U[:, lone])
     elif shape is not VarietyClass.ONE_POINT:
@@ -443,6 +456,13 @@ class RicciFlatLocus:
     ricci_norms: tuple[float, ...]
 
 
+def ricci_flat_exists(n: int, eps: float) -> bool:
+    """Whether eps holds the Ricci-flat connections of ricci_flat_locus(n)."""
+    if n == 3:
+        return eps != 0 and eps >= -2.0
+    return eps == {1: -1.0, 2: -1.5}.get(n, -(n + 1.0) / 2.0)
+
+
 def ricci_flat_locus(n: int) -> RicciFlatLocus:
     """The Ricci-flat Einstein-with-skew-torsion connections for each n.
 
@@ -527,7 +547,7 @@ def flat_connection_check(n: int, eps: float) -> FlatnessReport:
     def curv(X):
         return nomizu.curvature(_members(n, eps, X)).reshape(len(X), -1)
 
-    if n == 3 and eps == -1.0:
+    if (n, eps) == FLAT_CELL:
         angles = np.linspace(0.0, 2 * np.pi, 17)
         circle = tuple((1.0, float(np.cos(t)), float(np.sin(t))) for t in angles)
         worst = float(np.linalg.norm(curv(circle), axis=1).max())

@@ -42,9 +42,10 @@ number of weight-zero columns, the support (how many standard entries the
 maps use), the residual on Gamma, kappa, the certified bound and its margin
 to TOL_NUM.
 
-Every rank decision (the zero weights, both nullspaces, the independence
-of the maps handed to LinearSpace, and einstein's) is _guarded_rank's: a
-relative cutoff and a guarded gap, and RankGapError when there is none.
+Every rank decision (the sorted zero weights, both nullspaces, the
+independence of LinearSpace's maps, and einstein's) is _guarded_rank's
+descending read: a relative cutoff and a guarded gap, and RankGapError
+when there is none.
 Each is made once: the three spaces solved here are held by
 LinearSpace._holding, which does not decide their independence again (its
 docstring says why that is safe).
@@ -245,22 +246,14 @@ class LinearSpace:
         return float(np.linalg.norm(M @ x - v))
 
 
-def _guarded_rank(s: np.ndarray, descending: bool = True) -> tuple[int, float]:
-    """Numerical rank of the singular values s and its gap, the smallest kept
-    over the largest discarded value (inf where nothing or only zeros are
-    discarded).  s is descending, as an SVD returns it, or in any order with
-    descending=False: then it is read through masks, at about three times
-    the cost, which the SVD callers do not pay.  RankGapError where the gap
-    is below TOL_GAP: the kept and discarded values are not clearly apart."""
-    if descending:
-        rank = int(np.count_nonzero(s > TOL_RANK * s[0])) if len(s) and s[0] > 0 else 0
-        kept = s[rank - 1] if rank else np.inf
-        dropped = s[rank] if rank < len(s) else 0.0
-    else:
-        keep = s > TOL_RANK * s.max(initial=0.0)
-        rank = int(np.count_nonzero(keep))
-        kept = s.min(where=keep, initial=np.inf)
-        dropped = s.max(where=~keep, initial=0.0)
+def _guarded_rank(s: np.ndarray) -> tuple[int, float]:
+    """Numerical rank of the descending values s (as an SVD returns them) and
+    its gap, the smallest kept over the largest discarded value (inf where
+    nothing or only zeros are discarded); RankGapError where the gap is
+    below TOL_GAP, the kept and discarded values not clearly apart."""
+    rank = int(np.count_nonzero(s > TOL_RANK * s[0])) if len(s) and s[0] > 0 else 0
+    kept = s[rank - 1] if rank else np.inf
+    dropped = s[rank] if rank < len(s) else 0.0
     gap = float(kept / dropped) if dropped > 0 else np.inf
     if gap < TOL_GAP:
         raise RankGapError(f"ambiguous rank: gap {gap:.2e} below {TOL_GAP:.0e}")
@@ -298,9 +291,8 @@ def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     lam_k - lam_i - lam_j, so every invariant map lies in the span of the
     weight-zero triples (i, j, k), returned as three index arrays in C
     order: 25, 31 and 6n + 1 of them for n = 2, 3 and >= 4.  The zero
-    weights are _guarded_rank's discarded values, read unsorted: the
-    triples below the smallest kept weight, which one np.partition finds,
-    with no sort of the d^3 weights.
+    weights are _guarded_rank's discarded values of the d^3 weights sorted
+    in descending order: the triples below the smallest kept weight.
     """
     h = algebra.h_basis(n)
     diagonal = np.count_nonzero(h, axis=(1, 2)) == np.count_nonzero(h.diagonal(0, 1, 2), axis=1)
@@ -309,9 +301,8 @@ def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     lam, U = np.linalg.eigh(1j * H)
     W = np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
     # the weights are split as singular values are: the discarded ones are zero
-    w = W.ravel()
-    cut = w.size - _guarded_rank(w, descending=False)[0]
-    return U, np.nonzero(W < np.partition(w, cut)[cut])
+    w = np.sort(W, axis=None)[::-1]
+    return U, np.nonzero(W < w[_guarded_rank(w)[0] - 1])
 
 
 def _root_nullspace(U: np.ndarray, cols, actions) -> np.ndarray:

@@ -11,8 +11,8 @@ Omega, Theta, Theta-tilde and psi-hat, which render the skew directions in
 coordinate-free form.
 
 It also holds the oracles that no program path enters: the metric family
-alpha_metric, the metric test is_metric with its violation array, and the
-scalar curvature.
+alpha_metric, the metric test is_metric with its violation array, the
+scalar curvature, and classify_ref, the paper's table by cases of n.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from bergerconn import families, nomizu
 from bergerconn.algebra import _embed, _from_coords, _split, _to_coords, h_basis
 from bergerconn.config import TOL_NUM
+from bergerconn.einstein import VarietyClass, einstein_equation
 
 
 def coords(z, a=0.0) -> np.ndarray:
@@ -161,3 +162,24 @@ def scalar(Ric, g) -> float:
     if Ric.n != g.n:
         raise ValueError("dimension mismatch")
     return float(nomizu._einstein_form(Ric.coeffs, g)[1])
+
+
+def classify_ref(n: int, eps: float) -> VarietyClass:
+    """The variety class by cases of n, read off the sign of the canonical
+    equation's c (and of eps at n = 3)."""
+    eq = einstein_equation(n, eps)
+    if n == 1:
+        return VarietyClass.LINE if eq.line else VarietyClass.EMPTY
+    if n == 2:
+        if eq.c > 0:
+            return VarietyClass.ELLIPSOID
+        return VarietyClass.ONE_POINT if eq.c == 0 else VarietyClass.EMPTY
+    if n == 3:
+        if eps > 0:
+            return VarietyClass.ELLIPSOID
+        if eq.c < 0:
+            return VarietyClass.HYPERBOLOID_TWO_SHEETS
+        return VarietyClass.CONE if eq.c == 0 else VarietyClass.HYPERBOLOID_ONE_SHEET
+    if eq.c > 0:
+        return VarietyClass.TWO_POINTS
+    return VarietyClass.ONE_POINT if eq.c == 0 else VarietyClass.EMPTY

@@ -232,6 +232,13 @@ class TestExport:
         assert all(flag(eps) is True for eps in on)
         assert all(flag(eps) is False for eps in off)
 
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_flat_flag_agrees_with_the_check(self, n):
+        # export's flag is the cell flat_connection_check finds flat points at
+        for _, eps in cli.TABLE_ROWS:
+            doc = cli.build_export(cli.RunConfig(n=n, eps=eps))
+            assert doc["flat_connections"] is einstein.flat_connection_check(n, eps).flat_exists
+
     def test_flat_connection_flag(self, capsys):
         assert main(["export", "--n", "3", "--eps=-1"]) == 0
         doc = json.loads(capsys.readouterr().out)

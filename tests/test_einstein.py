@@ -26,7 +26,7 @@ from bergerconn.einstein import (
     variety,
 )
 from bergerconn.spaces import RankGapError
-from reference import scalar
+from reference import classify_ref, scalar
 
 TOL = 1e-8
 
@@ -144,6 +144,75 @@ class TestClassify:
             x = self.POINTS[(n, eps)]
             assert einstein_equation(n, eps).residual(x) < 1e-12
             assert einstein_defect_at(n, eps, x) <= TOL
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rule_is_the_case_analysis(self, n):
+        # classify reads the one inertia rule, classify_ref the paper's cases
+        # of n: the sweep of +-10^k, the regime representatives, the floats
+        # one and two ulps either side of -1 and the extremes of the floats
+        near = []
+        below = above = -1.0
+        for _ in range(2):
+            below, above = float(np.nextafter(below, -2.0)), float(np.nextafter(above, 0.0))
+            near += [below, above]
+        grid = ([sign * 10.0**k for k in range(-10, 11) for sign in (1.0, -1.0)]
+                + list(cli.EPS_SWEEP) + [0.5, -0.5, 1.5, -1.5, -(n + 1.0) / 2.0] + near
+                + [5e-324, -5e-324, 1e300, -1e300])
+        assert [eps for eps in grid if classify(n, eps) is not classify_ref(n, eps)] == []
+
+
+#: nonzero floats of either sign over six decades
+NONZERO = st.tuples(st.floats(1e-3, 1e3), st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
+#: (lam, c) of a quadric c + sum_i lam_i u_i^2 with one or three axes, c zero or signed
+QUADRICS = st.tuples(st.sampled_from((1, 3)).flatmap(lambda k: st.lists(NONZERO, min_size=k,
+                                                                        max_size=k)),
+                     st.one_of(st.just(0.0), NONZERO))
+
+
+def _point(lam, c, kind) -> np.ndarray:
+    """A real point u of {c + sum_i lam_i u_i^2 = 0} where the class kind
+    places one: off the origin on the cone; on the lone-sign axis of two
+    sheets and on another axis of one sheet; on the first axis of a definite
+    form, the origin where c = 0.  An entry is nan where kind is wrong."""
+    lam = np.array(lam)
+    minority = lam > 0 if (lam > 0).sum() == 1 else lam < 0
+    lone, other = int(np.argmax(minority)), int(np.argmin(minority))
+    u = np.zeros(len(lam))
+    with np.errstate(invalid="ignore"):
+        if kind is VarietyClass.CONE:
+            u[lone], u[other] = 1.0, np.sqrt(-lam[lone] / lam[other])
+        elif kind is VarietyClass.HYPERBOLOID_ONE_SHEET:
+            u[other] = np.sqrt(-c / lam[other])
+        else:
+            u[lone] = np.sqrt(-c / lam[lone])
+    return u
+
+
+class TestQuadricClass:
+    """_quadric_class, the one rule for both quadrics, against what its
+    classes mean."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(quadric=QUADRICS, t=NONZERO, data=st.data())
+    def test_invariant_under_permutation_and_scale(self, quadric, t, data):
+        lam, c = quadric
+        kind = einstein._quadric_class(lam, c)
+        assert einstein._quadric_class(data.draw(st.permutations(lam)), c) is kind
+        assert einstein._quadric_class([t * v for v in lam], t * c) is kind
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(quadric=QUADRICS, seed=st.integers(0, 2**16))
+    def test_class_has_its_points(self, quadric, seed):
+        lam, c = quadric
+        kind = einstein._quadric_class(lam, c)
+        lam_ = np.array(lam)
+        if kind is VarietyClass.EMPTY:
+            # c + sum lam u^2 keeps the sign of c
+            u = np.random.default_rng(seed).standard_normal((16, len(lam))) * 10.0
+            assert c != 0 and (np.sign(c + u**2 @ lam_) == np.sign(c)).all()
+        else:
+            u = _point(lam, c, kind)
+            assert abs(c + u**2 @ lam_) <= 1e-12 * (abs(c) + np.abs(lam_) @ u**2)
 
 
 class TestResidualQuadratic:
@@ -637,7 +706,7 @@ class TestSolveNumeric:
 
 
 class TestNormalFormRefusals:
-    """A normal form that cannot give the predicted kind raises RuntimeError."""
+    """A generic quadric whose class is not the paper's raises RuntimeError."""
 
     def _patch_quadric(self, monkeypatch, n, eps, **fields):
         q = generic_quadric(n, eps)
@@ -664,9 +733,10 @@ class TestNormalFormRefusals:
         else:
             assert solve_numeric(4, -2.0) == [(0.0,)]
 
-    def test_cone_with_no_lone_sign(self, monkeypatch):
+    def test_definite_cone_refused_by_the_agreement_check(self, monkeypatch):
+        # a definite A at c' = 0 is one point, not the paper's cone
         self._patch_quadric(monkeypatch, 3, -1.0, A=np.eye(3))
-        with pytest.raises(RuntimeError, match="cone"):
+        with pytest.raises(RuntimeError, match="cone predicted, but the generic quadric is 1 pt."):
             solve_numeric(3, -1.0)
 
     @pytest.mark.parametrize("n,eps,points", [(4, -2.0, 2), (5, -1.0, 1), (2, -1.0, 1)])
@@ -688,8 +758,61 @@ class TestNormalFormRefusals:
     def test_ellipsoid_with_no_real_direction(self, monkeypatch):
         q = generic_quadric(2, -2.0)
         self._patch_quadric(monkeypatch, 2, -2.0, c=-q.c)
-        with pytest.raises(RuntimeError, match="no numeric solution"):
+        with pytest.raises(RuntimeError, match="ellipsoid predicted, but the generic quadric is "
+                                               "empty"):
             solve_numeric(2, -2.0)
+
+    # c' of the other sign: the generic quadric's class, and the degenerate
+    # class both quadrics take where c' is within the tie band
+    FLIPPED = [
+        (4, -2.0, VarietyClass.EMPTY, VarietyClass.ONE_POINT),
+        (2, -2.0, VarietyClass.EMPTY, VarietyClass.ONE_POINT),
+        (3, -2.0, VarietyClass.HYPERBOLOID_ONE_SHEET, VarietyClass.CONE),
+        (3, -0.5, VarietyClass.HYPERBOLOID_TWO_SHEETS, VarietyClass.CONE),
+    ]
+
+    def _refused(self, n, eps, moved, generic, monkeypatch):
+        """solve_numeric on the quadric moved raises one RuntimeError naming
+        the paper's class and generic, before any check."""
+        monkeypatch.setattr(einstein, "generic_quadric", lambda *a: moved)
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: pytest.fail("checked"))
+        with pytest.raises(RuntimeError) as raised:
+            solve_numeric(n, eps)
+        paper = classify(n, eps).value
+        assert str(raised.value) == f"{paper} predicted, but the generic quadric is {generic.value}"
+
+    @pytest.mark.parametrize("n,eps,generic,_", FLIPPED)
+    def test_flipped_constant_names_both_classes(self, n, eps, generic, _, monkeypatch):
+        q = generic_quadric(n, eps)
+        self._refused(n, eps, dataclasses.replace(q, c=-q.c), generic, monkeypatch)
+
+    def test_definite_form_names_both_classes(self, monkeypatch):
+        # A = -c' I at (3, -2): a sphere, not the paper's two sheets; within
+        # the band it is one point, still not the cone
+        q = generic_quadric(3, -2.0)
+        sphere = dataclasses.replace(q, A=-q.c * np.eye(3))
+        self._refused(3, -2.0, sphere, VarietyClass.ELLIPSOID, monkeypatch)
+        point = dataclasses.replace(sphere, c=8 * np.finfo(float).eps * abs(q.c))
+        monkeypatch.setattr(einstein, "generic_quadric", lambda *a: point)
+        with pytest.raises(RuntimeError, match="cone predicted, but the generic quadric is 1 pt."):
+            solve_numeric(3, -2.0)
+
+    @pytest.mark.parametrize("n,eps,_,degenerate", FLIPPED)
+    def test_flip_within_the_band_is_degenerate(self, n, eps, _, degenerate, monkeypatch):
+        # c' of the wrong sign at 8 ulps of max|lam| is taken as 0: the cell
+        # samples the degenerate class, the origin or the cone's draws
+        q = generic_quadric(n, eps)
+        tiny = 8 * np.finfo(float).eps * np.abs(np.linalg.eigvalsh(q.A)).max()
+        moved = dataclasses.replace(q, c=-np.sign(q.c) * tiny)
+        monkeypatch.setattr(einstein, "generic_quadric", lambda *a: moved)
+        _patch_defects(monkeypatch, lambda n, eps, X, defects: np.zeros(len(X)))
+        sols = np.array(solve_numeric(n, eps, count=4))
+        if degenerate is VarietyClass.ONE_POINT:
+            assert sols.tolist() == [[0.0] * param_count(n)]
+        else:
+            assert len(sols) == 4
+            form = np.einsum("pi,ij,pj->p", sols, moved.A, sols)
+            assert np.abs(form).max() <= 1e-12 * np.abs(q.A).max() * (sols**2).sum(axis=1).max()
 
 
 class TestLazyGenericCheck:

