@@ -250,22 +250,29 @@ def cmd_verify(cfg: RunConfig) -> int:
 # classify / table
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    var = einstein.variety(cfg.n, cfg.eps, seed=cfg.seed)
+def _cell(var: einstein.EinsteinVariety) -> dict:
+    """The cell block that classify prints and export writes: n, eps, kind,
+    the canonical equation and the samples."""
     eq = var.equation
-    doc = {
-        "n": cfg.n,
-        "eps": cfg.eps,
+    return {
+        "n": var.n,
+        "eps": var.eps,
         "kind": var.kind.value,
         "equation": {"a": eq.a, "b": eq.b, "c": eq.c, "params": list(eq.names)},
         "samples": [list(x) for x in var.sample_points],
     }
+
+
+def cmd_classify(cfg: RunConfig) -> int:
+    var = einstein.variety(cfg.n, cfg.eps, seed=cfg.seed)
+    eq = var.equation
     if cfg.fmt == "json":
-        print(_to_json(doc))
+        print(_to_json(_cell(var)))
     else:
         print(f"n = {cfg.n}, eps = {cfg.eps}: {var.kind.value}")
         if cfg.n == 1:
-            print("  equation: eps = -1 (any s)" if eq.line else "  no solutions")
+            line = var.kind is einstein.VarietyClass.LINE
+            print("  equation: eps = -1 (any s)" if line else "  no solutions")
         else:
             aux = " + ".join(f"{p}^2" for p in eq.names[1:])
             aux = f" + {aux}" if aux else ""
@@ -320,8 +327,6 @@ def build_export(cfg: RunConfig) -> dict:
 
     dims = compute_dims(cfg.n)
     var = einstein.variety(cfg.n, cfg.eps, seed=cfg.seed)
-    eq = var.equation
-    samples = [list(x) for x in var.sample_points]
     scalars = [
         einstein.scalar_curvature_formula(cfg.n, cfg.eps, x) for x in var.sample_points
     ]
@@ -330,16 +335,12 @@ def build_export(cfg: RunConfig) -> dict:
         "tool": "bergerconn",
         "version": __version__,
         "seed": cfg.seed,
-        "n": cfg.n,
-        "eps": cfg.eps,
         "dims": {
             "invariant": dims["invariant"],
             "metric": dims["metric"][0],
             "skew_directions": dims["skew_directions"][0],
         },
-        "kind": var.kind.value,
-        "equation": {"a": eq.a, "b": eq.b, "c": eq.c, "params": list(eq.names)},
-        "samples": samples,
+        **_cell(var),
         "scalar_curvatures": scalars,
         "residuals": {"einstein_defect": defects},
         "ricci_flat": einstein.ricci_flat_exists(cfg.n, cfg.eps),

@@ -7,7 +7,7 @@ n = 3 and (s3, s4) for n = 2.  The Einstein condition cuts out a quadric:
     n > 3:  s^2 = ((n+1)/(n-1)) (eps+1)/eps
     n = 3:  eps s^2 + s1^2 + s2^2 = 2(eps+1)
     n = 2:  s^2 + s3^2 + s4^2 = 3(eps+1)/eps
-    n = 1:  solvable iff eps = -1, and then every s works.
+    n = 1:  0 s^2 = eps + 1: solvable iff eps = -1, and then every s works.
 
 This module renders those equations, classifies the solution variety
 (reproducing the four-row table of regimes), and checks the Ricci-flat and
@@ -80,8 +80,8 @@ def param_count(n: int) -> int:
 class CanonicalEquation:
     """The defining quadric a*s^2 + b*(aux1^2 + aux2^2) = c.
 
-    For n = 1 the set is not a quadric: it is the whole s-line when
-    eps = -1 and empty otherwise (encoded by the `line` flag; a = b = c = 0).
+    For n = 1 it is the zero form 0*s^2 = eps + 1 (a = b = 0, c = eps + 1):
+    the whole s-line when eps = -1 and empty otherwise.
     """
 
     n: int
@@ -90,11 +90,8 @@ class CanonicalEquation:
     b: float
     c: float
     names: tuple[str, ...]
-    line: bool = False
 
     def residual(self, params) -> float:
-        if self.n == 1:
-            return 0.0 if self.line else abs(self.eps + 1.0)
         # in floats, the sums and products np.sum and the array forms gave
         s, *aux = np.atleast_1d(np.asarray(params, dtype=float)).tolist()
         aux2 = 0.0
@@ -113,7 +110,8 @@ def einstein_equation(n: int, eps: float) -> CanonicalEquation:
         raise ValueError("need n >= 1 and a finite eps != 0")
     names = param_names(n)
     if n == 1:
-        return CanonicalEquation(n, eps, 0.0, 0.0, 0.0, names, line=(eps == -1.0))
+        # at eps = -1, -1.0 + 1.0 is +0.0
+        return CanonicalEquation(n, eps, 0.0, 0.0, eps + 1.0, names)
     # at eps = -1, (eps + 1) / eps is 0 / -1 = -0.0; adding 0.0 makes it +0.0
     if n == 2:
         return CanonicalEquation(n, eps, 1.0, 1.0, 3.0 * (eps + 1.0) / eps + 0.0, names)
@@ -125,20 +123,23 @@ def einstein_equation(n: int, eps: float) -> CanonicalEquation:
 
 
 def classify(n: int, eps: float) -> VarietyClass:
-    """Variety type of the Einstein set: n = 1's line flag, else _quadric_class."""
+    """Variety type of the Einstein set: _quadric_class of the canonical
+    equation, -c + sum_i lam_i u_i^2 = 0, for every n (S^3's zero form
+    included)."""
     eq = einstein_equation(n, eps)
-    if n == 1:
-        return VarietyClass.LINE if eq.line else VarietyClass.EMPTY
     return _quadric_class(eq.lam, -eq.c)
 
 
 def _quadric_class(lam, c: float) -> VarietyClass:
-    """Class of {c + sum_i lam_i u_i^2 = 0}, nonzero lam of length 1 or 3, on
-    Python floats, by the inertia of lam and the sign of c (Sylvester, Phil.
-    Mag. 4 (1852) 138-142).  A definite form gives one point at c = 0, none
-    where c has lam's sign, else two points or an ellipsoid; an indefinite
-    one the cone at c = 0, else a hyperboloid of two sheets where c and the
-    lone-sign axis differ in sign, of one where they agree."""
+    """Class of {c + sum_i lam_i u_i^2 = 0}, lam of length 1 or 3, on Python
+    floats, by the inertia of lam and the sign of c (Sylvester, Phil. Mag. 4
+    (1852) 138-142).  The zero form (S^3's lam = (0,)) gives the whole line
+    at c = 0 and nothing otherwise.  A definite form gives one point at
+    c = 0, none where c has lam's sign, else two points or an ellipsoid; an
+    indefinite one the cone at c = 0, else a hyperboloid of two sheets where
+    c and the lone-sign axis differ in sign, of one where they agree."""
+    if not any(lam):
+        return VarietyClass.LINE if c == 0 else VarietyClass.EMPTY
     positive = sum(v > 0 for v in lam)
     if positive in (0, len(lam)):
         if c == 0:
@@ -296,12 +297,6 @@ _DRAWS = 64
 _CONST_TOL = 16 * np.finfo(float).eps
 
 
-def _require_count(count: int) -> None:
-    """ValueError where a sample count is negative."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-
-
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tuple[float, ...]]:
     """Up to `count` parameter tuples with Einstein defect <= TOL_SOL, in
     sorted order, from the normal form of q (generic_quadric): q is even
@@ -333,11 +328,12 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     the checks (checks_s) (all but the checks and checks_s None where n = 1
     has no quadric).  ValueError, before any computation, where count < 0.
     """
-    _require_count(count)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     kind = classify(n, eps)
     if n == 1:
         # the whole s-line solves the condition at eps = -1
-        line = kind is not VarietyClass.EMPTY
+        line = kind is VarietyClass.LINE
         out = [(s,) for s in np.linspace(-2.0, 2.0, count).tolist()] if line else []
         t0 = time.perf_counter()
         if (einstein_defects(1, eps, out) > TOL_SOL).any():
@@ -423,15 +419,12 @@ class EinsteinVariety:
 
 def variety(n: int, eps: float, count: int = 4, seed: int = 0) -> EinsteinVariety:
     """The class, canonical equation and up to count samples of the cell
-    (n, eps); ValueError, before any computation, where count < 0, also at
-    an empty cell, which draws no sample."""
-    _require_count(count)
-    eq = einstein_equation(n, eps)
-    kind = classify(n, eps)
-    samples = () if kind is VarietyClass.EMPTY else tuple(
-        solve_numeric(n, eps, count=count, seed=seed)
-    )
-    return EinsteinVariety(n, eps, kind, eq, samples)
+    (n, eps), the samples from solve_numeric at every cell: each n >= 2
+    cell, an empty one included, has its generic quadric classed against
+    the paper's class.  ValueError, before any computation, where
+    count < 0 (solve_numeric's first check)."""
+    samples = tuple(solve_numeric(n, eps, count=count, seed=seed))
+    return EinsteinVariety(n, eps, classify(n, eps), einstein_equation(n, eps), samples)
 
 
 def scalar_curvature_formula(n: int, eps: float, params) -> float:

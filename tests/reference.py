@@ -166,10 +166,10 @@ def scalar(Ric, g) -> float:
 
 def classify_ref(n: int, eps: float) -> VarietyClass:
     """The variety class by cases of n, read off the sign of the canonical
-    equation's c (and of eps at n = 3)."""
-    eq = einstein_equation(n, eps)
+    equation's c (and of eps at n = 3); at n = 1, off eps alone."""
     if n == 1:
-        return VarietyClass.LINE if eq.line else VarietyClass.EMPTY
+        return VarietyClass.LINE if eps == -1.0 else VarietyClass.EMPTY
+    eq = einstein_equation(n, eps)
     if n == 2:
         if eq.c > 0:
             return VarietyClass.ELLIPSOID

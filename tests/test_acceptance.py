@@ -29,7 +29,8 @@ def _on_shell_point(n, eps, rng):
     """A random exact solution of the canonical equation, or None if empty."""
     eq = einstein.einstein_equation(n, eps)
     if n == 1:
-        return (float(rng.uniform(-3, 3)),) if eq.line else None
+        line = einstein.classify(n, eps) is einstein.VarietyClass.LINE
+        return (float(rng.uniform(-3, 3)),) if line else None
     if n == 2:
         if eq.c < 0:
             return None

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,17 @@ class TestSolverFailureReported:
         captured = capsys.readouterr()
         assert captured.err.startswith("FAIL: ")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["classify", "export"])
+    @pytest.mark.parametrize("n,generic", [(4, "2 pt."), (2, "ellipsoid")])
+    def test_empty_cell_disagreement(self, command, n, generic, monkeypatch, capsys):
+        # an empty cell whose generic quadric has its constant flipped
+        q = einstein.generic_quadric(n, -0.5)
+        monkeypatch.setattr(einstein, "generic_quadric", lambda *a: replace(q, c=-q.c))
+        assert main([command, "--n", str(n), "--eps=-1/2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"FAIL: empty predicted, but the generic quadric is {generic}\n"
         assert captured.out == ""
 
     def test_levi_civita_residual_miss(self, capsys):

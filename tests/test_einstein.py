@@ -51,16 +51,18 @@ class TestEquation:
         assert eq.c == -3.0
         assert eq.residual((0.0, 0.0, 0.0)) == 3.0
 
-    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_round_metric_constant_is_positive_zero(self, n):
-        # (eps + 1) / eps is -0.0 at eps = -1
+        # (eps + 1) / eps is -0.0 at eps = -1; n = 1's eps + 1 is +0.0
         c = einstein_equation(n, -1.0).c
         assert c == 0.0 and np.copysign(1.0, c) == 1.0
 
-    def test_n1_line_flag(self):
-        assert einstein_equation(1, -1.0).line
-        assert not einstein_equation(1, -2.0).line
-        assert einstein_equation(1, -2.0).residual((0.3,)) == 1.0
+    def test_n1_zero_form(self):
+        # S^3's equation is the zero form 0 s^2 = eps + 1
+        for eps in (-1.0, -2.0, -0.5, 3.0):
+            eq = einstein_equation(1, eps)
+            assert (eq.a, eq.b, eq.c) == (0.0, 0.0, eps + 1.0)
+            assert eq.residual((0.3,)) == abs(eps + 1.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -163,17 +165,22 @@ class TestClassify:
 
 #: nonzero floats of either sign over six decades
 NONZERO = st.tuples(st.floats(1e-3, 1e3), st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
-#: (lam, c) of a quadric c + sum_i lam_i u_i^2 with one or three axes, c zero or signed
-QUADRICS = st.tuples(st.sampled_from((1, 3)).flatmap(lambda k: st.lists(NONZERO, min_size=k,
-                                                                        max_size=k)),
-                     st.one_of(st.just(0.0), NONZERO))
+#: (lam, c) of a quadric c + sum_i lam_i u_i^2 with one or three axes, or
+#: S^3's zero form lam = (+-0,), c zero or signed
+QUADRICS = st.tuples(st.one_of(st.sampled_from((1, 3)).flatmap(
+                                   lambda k: st.lists(NONZERO, min_size=k, max_size=k)),
+                               st.sampled_from(([0.0], [-0.0]))),
+                     st.one_of(st.sampled_from((0.0, -0.0)), NONZERO))
 
 
 def _point(lam, c, kind) -> np.ndarray:
     """A real point u of {c + sum_i lam_i u_i^2 = 0} where the class kind
-    places one: off the origin on the cone; on the lone-sign axis of two
-    sheets and on another axis of one sheet; on the first axis of a definite
-    form, the origin where c = 0.  An entry is nan where kind is wrong."""
+    places one: off the origin on the line and the cone; on the lone-sign
+    axis of two sheets and on another axis of one sheet; on the first axis of
+    a definite form, the origin where c = 0.  An entry is nan where kind is
+    wrong."""
+    if kind is VarietyClass.LINE:
+        return np.ones(len(lam))
     lam = np.array(lam)
     minority = lam > 0 if (lam > 0).sum() == 1 else lam < 0
     lone, other = int(np.argmax(minority)), int(np.argmin(minority))
@@ -713,26 +720,6 @@ class TestNormalFormRefusals:
         monkeypatch.setattr(einstein, "generic_quadric",
                             lambda *a: dataclasses.replace(q, **fields))
 
-    def test_two_points_with_no_real_root(self, monkeypatch):
-        # -c'/lam < 0: the two points are not real
-        q = generic_quadric(4, -2.0)
-        self._patch_quadric(monkeypatch, 4, -2.0, c=-q.c)
-        with pytest.raises(RuntimeError, match="2 pt."):
-            solve_numeric(4, -2.0)
-
-    @pytest.mark.parametrize("ulps,raises", [(8, False), (32, True)])
-    def test_wrong_sign_within_rounding(self, ulps, raises, monkeypatch):
-        # c' of the wrong sign: within _CONST_TOL of 0 it is taken as 0 and
-        # the origin returned, beyond it the two points are not real
-        lam = float(generic_quadric(4, -2.0).A[0, 0])
-        self._patch_quadric(monkeypatch, 4, -2.0, c=ulps * np.finfo(float).eps * lam)
-        _patch_defects(monkeypatch, lambda n, eps, X, defects: np.zeros(len(X)))
-        if raises:
-            with pytest.raises(RuntimeError, match="2 pt."):
-                solve_numeric(4, -2.0)
-        else:
-            assert solve_numeric(4, -2.0) == [(0.0,)]
-
     def test_definite_cone_refused_by_the_agreement_check(self, monkeypatch):
         # a definite A at c' = 0 is one point, not the paper's cone
         self._patch_quadric(monkeypatch, 3, -1.0, A=np.eye(3))
@@ -781,10 +768,15 @@ class TestNormalFormRefusals:
         paper = classify(n, eps).value
         assert str(raised.value) == f"{paper} predicted, but the generic quadric is {generic.value}"
 
+    @pytest.mark.parametrize("ulps", [None, 32], ids=["full", "32ulps"])
     @pytest.mark.parametrize("n,eps,generic,_", FLIPPED)
-    def test_flipped_constant_names_both_classes(self, n, eps, generic, _, monkeypatch):
+    def test_flipped_constant_names_both_classes(self, n, eps, generic, _, ulps, monkeypatch):
+        # c' flipped in full, or moved to 32 ulps of max|lam| of the other
+        # sign, just past _CONST_TOL's 16
         q = generic_quadric(n, eps)
-        self._refused(n, eps, dataclasses.replace(q, c=-q.c), generic, monkeypatch)
+        size = abs(q.c) if ulps is None else (
+            ulps * np.finfo(float).eps * np.abs(np.linalg.eigvalsh(q.A)).max())
+        self._refused(n, eps, dataclasses.replace(q, c=-np.sign(q.c) * size), generic, monkeypatch)
 
     def test_definite_form_names_both_classes(self, monkeypatch):
         # A = -c' I at (3, -2): a sphere, not the paper's two sheets
@@ -890,10 +882,43 @@ class TestCountRefused:
         # an empty cell draws no sample, and still refuses a negative count
         assert classify(n, eps) is VarietyClass.EMPTY
         assert variety(n, eps, count=0).sample_points == ()
-        for name in ("classify", "einstein_equation", "solve_numeric"):
+        for name in ("classify", "einstein_equation", "generic_quadric"):
             monkeypatch.setattr(einstein, name, lambda *args, **kw: pytest.fail("computed"))
         with pytest.raises(ValueError, match="count must be >= 0, got -3"):
             variety(n, eps, count=-3)
+
+
+#: eps = +-10^k, k = -10..10, the dims sweep, -0.5, -1.5 and the floats next to -1
+CELL_GRID = sorted({sign * 10.0**k for k in range(-10, 11) for sign in (1.0, -1.0)}
+                   | set(cli.EPS_SWEEP)
+                   | {-0.5, -1.5, float(np.nextafter(-1.0, -2.0)), float(np.nextafter(-1.0, 0.0))})
+
+
+class TestOneCellPath:
+    """variety takes every cell through solve_numeric: an empty n >= 2 cell
+    too has its generic quadric classed against the paper's class."""
+
+    # n = 3 has no empty cell
+    @pytest.mark.parametrize("n", [2, 4, 5, 6, 7, 8])
+    def test_empty_cell_reads_one_generic_quadric(self, n, monkeypatch):
+        empty = [eps for eps in CELL_GRID if classify(n, eps) is VarietyClass.EMPTY]
+        assert empty
+        calls = []
+        quadric = einstein.generic_quadric
+        monkeypatch.setattr(einstein, "generic_quadric",
+                            lambda *a: calls.append(a) or quadric(*a))
+        for eps in empty:
+            assert variety(n, eps).sample_points == ()
+        assert calls == [(n, eps) for eps in empty]
+
+    @pytest.mark.parametrize("n,generic", [(4, VarietyClass.TWO_POINTS),
+                                           (2, VarietyClass.ELLIPSOID)])
+    def test_flipped_quadric_at_an_empty_cell_is_refused(self, n, generic, monkeypatch):
+        q = generic_quadric(n, -0.5)
+        monkeypatch.setattr(einstein, "generic_quadric", lambda *a: dataclasses.replace(q, c=-q.c))
+        with pytest.raises(RuntimeError) as raised:
+            variety(n, -0.5)
+        assert str(raised.value) == f"empty predicted, but the generic quadric is {generic.value}"
 
 
 class TestVariety:

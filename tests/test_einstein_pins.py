@@ -113,7 +113,7 @@ def residual_rows_ref(n, eps):
 
 def residual_ref(eq, params):
     if eq.n == 1:
-        return 0.0 if eq.line else abs(eq.eps + 1.0)
+        return abs(eq.eps + 1.0)
     params = np.atleast_1d(np.asarray(params, dtype=float))
     s = params[0]
     aux2 = float(np.sum(params[1:] ** 2))
