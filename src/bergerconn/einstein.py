@@ -336,7 +336,7 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
         line = kind is VarietyClass.LINE
         out = [(s,) for s in np.linspace(-2.0, 2.0, count).tolist()] if line else []
         t0 = time.perf_counter()
-        if (einstein_defects(1, eps, out) > TOL_SOL).any():
+        if out and (einstein_defects(1, eps, out) > TOL_SOL).any():
             raise RuntimeError("line solution fails the defect check")
         _log_solve(n, eps, checks=len(out), checks_s=time.perf_counter() - t0)
         return out

@@ -28,7 +28,9 @@ gets the bytes of a lone call.  The curvature has one kernel,
 _curvature_terms: a lone map is that kernel on a stack of one, and a stack
 runs through it _chunk_size(d) maps at a time, so that a call holds no more
 than the memory guard's spaces.BYTES_PER_CUBE d^3 bytes (one map at a time
-from n = 20 on).
+from n = 20 on).  The kernel forms every product in R's (i, j, k, l)
+order, so that its one subtraction, the largest pass over memory, reads
+contiguous runs of d^2 entries rather than d.
 Everything is computed over the standard basis of m and serves as the
 independent oracle for the closed-form families.
 """
@@ -119,19 +121,20 @@ def _curvature_terms(a: np.ndarray, out: np.ndarray) -> None:
     """curvature's four terms for a stack a (p, d, d, d), into out
     (p, d, d, d, d), C-contiguous.
 
-    Both alpha-alpha terms are entries of one batched product,
-    Q[(j,k),(i,l)] = sum_m a[j,k,m] a[i,m,l], read with two different axis
-    orders; the Cm term is one matrix product over the whole stack.
-    _ricci_trace forms the slice i = l of the same four terms.
+    Every product lands in R's (i, j, k, l) order.  The first alpha-alpha
+    term is one batched product, X[i,j,k,l] = sum_m a[j,k,m] a[i,m,l], each
+    block X[i] a (d^2, d) by (d, d) product; the second is X with i and j
+    swapped, so the one subtraction reads both operands in contiguous runs
+    of d^2 entries.  The Cm term is one product per map, (d^2, d) by
+    (d, d^2), in R's order too.  _ricci_trace forms the slice i = l of the
+    same four terms.
     """
     p, d = a.shape[0], a.shape[-1]
     Cm, Hterm = algebra.structure_tensors((d - 1) // 2)
-    Q = (a.reshape(p, d * d, d) @ a.transpose(0, 2, 1, 3).reshape(p, d, d * d))
-    Q = Q.reshape(p, d, d, d, d)
-    np.subtract(Q.transpose(0, 3, 1, 2, 4), Q.transpose(0, 1, 3, 2, 4), out=out)
-    del Q
-    out -= (Cm.reshape(d * d, d) @ a.transpose(1, 0, 2, 3).reshape(d, p * d * d)).reshape(
-        d, d, p, d, d).transpose(2, 0, 1, 3, 4)
+    X = (a.reshape(p, 1, d * d, d) @ a).reshape(out.shape)
+    np.subtract(X, X.swapaxes(1, 2), out=out)
+    del X
+    out -= (Cm.reshape(d * d, d) @ a.reshape(p, d, d * d)).reshape(out.shape)
     out -= Hterm
 
 

@@ -127,7 +127,8 @@ class Bilin:
 class LinearSpace:
     """A (possibly affine) subspace of bilinear maps: offset plus the span of
     maps, one read-only stack of shape (dim, d, d, d), copied at construction.
-    Maps that are not linearly independent are refused, whatever their sizes.
+    Maps that are not linearly independent are refused, whatever their sizes,
+    between the maps or along the coordinates.
     The spaces this module solves itself are built by _holding instead, with
     no second rank decision."""
 
@@ -140,11 +141,21 @@ class LinearSpace:
         self._require(maps)
         if len(maps):
             # a guarded rank on the maps scaled to comparable sizes, so that
-            # size is not taken for dependence; a zero map is dependent.  R
-            # of the maps' transpose has one column per map, of its norm, and
-            # QR's working copy is freed before the space makes its own.
-            R = np.linalg.qr(maps.reshape(len(maps), -1).T, mode="r")
-            size = np.abs(R).max(axis=0)
+            # size is not taken for dependence; a zero map is dependent.
+            # Each coordinate is divided by its largest entry first (the
+            # all-zero ones dropped), a diagonal scaling that keeps the rank,
+            # so that entries growing along the coordinates, like 1/|eps| on
+            # the fibre slot, do not hide the smaller ones.  R of the scaled
+            # transpose has one column per map, of its norm, and the working
+            # copies are freed before the space makes its own.
+            flat = maps.reshape(len(maps), -1)
+            scale = np.abs(flat).max(axis=0)
+            used = scale > 0
+            cols = flat[:, used]
+            cols /= scale[used]
+            R = np.linalg.qr(cols.T, mode="r")
+            del cols
+            size = np.abs(R).max(axis=0, initial=0.0)
             if not size.all() or _guarded_rank(
                     np.linalg.svd(R / size, compute_uv=False))[0] < len(maps):
                 raise ValueError("basis elements are not linearly independent")
@@ -171,8 +182,9 @@ class LinearSpace:
           2^-1075 |g| <= 2^-51 to an entry of B', still far too little to
           make them dependent.
 
-        The public constructor's scaled check refuses the second kind at
-        |eps| <= 1e-9, where the fibre entries grow like 1/|eps|.
+        The public constructor's check accepts both kinds too, having
+        scaled each coordinate to its largest entry; _holding only skips
+        deciding a rank a second time.
         """
         space = object.__new__(cls)
         object.__setattr__(space, "offset", offset)

@@ -12,13 +12,22 @@ coordinate-free form.
 
 It also holds the oracles that no program path enters: the metric family
 alpha_metric, the metric test is_metric with its violation array, the
-scalar curvature, and classify_ref, the paper's table by cases of n.
+scalar curvature, classify_ref, the paper's table by cases of n, and
+curvature_terms, the curvature kernel as one product read through two
+transposed views.
 """
 
 import numpy as np
 
 from bergerconn import families, nomizu
-from bergerconn.algebra import _embed, _from_coords, _split, _to_coords, h_basis
+from bergerconn.algebra import (
+    _embed,
+    _from_coords,
+    _split,
+    _to_coords,
+    h_basis,
+    structure_tensors,
+)
 from bergerconn.config import TOL_NUM
 from bergerconn.einstein import VarietyClass, einstein_equation
 
@@ -162,6 +171,23 @@ def scalar(Ric, g) -> float:
     if Ric.n != g.n:
         raise ValueError("dimension mismatch")
     return float(nomizu._einstein_form(Ric.coeffs, g)[1])
+
+
+def curvature_terms(a, out) -> None:
+    """nomizu._curvature_terms' four terms in another product layout: both
+    alpha-alpha terms from one (d^2, d) by (d, d^2) product per map,
+    Q[(j,k),(i,l)] = sum_m a[j,k,m] a[i,m,l], read through two 5-axis
+    transposed views, and the Cm term from one product over the whole
+    stack, written through a transpose."""
+    p, d = a.shape[0], a.shape[-1]
+    Cm, Hterm = structure_tensors((d - 1) // 2)
+    Q = (a.reshape(p, d * d, d) @ a.transpose(0, 2, 1, 3).reshape(p, d, d * d))
+    Q = Q.reshape(p, d, d, d, d)
+    np.subtract(Q.transpose(0, 3, 1, 2, 4), Q.transpose(0, 1, 3, 2, 4), out=out)
+    del Q
+    out -= (Cm.reshape(d * d, d) @ a.transpose(1, 0, 2, 3).reshape(d, p * d * d)).reshape(
+        d, d, p, d, d).transpose(2, 0, 1, 3, 4)
+    out -= Hterm
 
 
 def classify_ref(n: int, eps: float) -> VarietyClass:

@@ -530,6 +530,14 @@ class TestSolveRecord:
         assert rec["model_s"] is None
         assert isinstance(rec["checks_s"], float) and 0.0 < rec["checks_s"] < 10.0
 
+    @pytest.mark.parametrize("eps", [-2.0, -0.5, 1.0])
+    def test_empty_n1_cell_checks_nothing(self, eps, caplog, monkeypatch):
+        # the table's three empty S^3 cells have no point to check
+        monkeypatch.setattr(einstein, "einstein_defects", lambda *a: pytest.fail("checked"))
+        sols, rec = self._records(caplog, 1, eps)
+        assert sols == [] and rec["checks"] == 0
+        assert isinstance(rec["checks_s"], float) and 0.0 <= rec["checks_s"] < 10.0
+
     def test_silent_by_default(self, caplog):
         with caplog.at_level(logging.INFO, logger="bergerconn.einstein"):
             solve_numeric(3, -2.0)
@@ -741,13 +749,6 @@ class TestNormalFormRefusals:
             solve_numeric(n, eps)
         assert len(checked) == points
         assert str(checked[-1]) in str(raised.value)
-
-    def test_ellipsoid_with_no_real_direction(self, monkeypatch):
-        q = generic_quadric(2, -2.0)
-        self._patch_quadric(monkeypatch, 2, -2.0, c=-q.c)
-        with pytest.raises(RuntimeError, match="ellipsoid predicted, but the generic quadric is "
-                                               "empty"):
-            solve_numeric(2, -2.0)
 
     # c' of the other sign: the generic quadric's class, and the degenerate
     # class both quadrics take where c' is within the tie band

@@ -24,7 +24,7 @@ from bergerconn.nomizu import (
 )
 from bergerconn.spaces import BYTES_PER_CUBE, Bilin
 from conftest import assert_verify_passes, members, random_vector
-from reference import alpha_metric, apply, is_metric, metric, scalar
+from reference import alpha_metric, apply, curvature_terms, is_metric, metric, scalar
 
 TOL = 1e-9
 
@@ -417,6 +417,22 @@ class TestStackedCurvature:
             alpha = Bilin(n, rng.uniform(-2.0, 2.0, size=(d, d, d)))
             E = nomizu._einstein_form(ricci(curvature(alpha), g).coeffs, g)[0]
             assert einstein_defect(alpha, g) == float(np.linalg.norm(E))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_kernel_matches_reference_layout(self, n, p, rng):
+        # the block-contiguous kernel against reference.curvature_terms, on
+        # dense maps and on skew-family members; the batched product may sum
+        # a block in another order than the reference's one product, so the
+        # two agree within 4 ulps of max|R|, not byte for byte
+        d = 2 * n + 1
+        space = families.skew_direction_basis(n, -1.5)
+        for a in (rng.standard_normal((p, d, d, d)),
+                  space.elements(rng.uniform(-3.0, 3.0, size=(p, space.dim)))):
+            expected, got = np.empty((2, p) + (d,) * 4)
+            curvature_terms(a, expected)
+            nomizu._curvature_terms(a, got)
+            assert np.abs(got - expected).max() <= 4 * np.spacing(np.abs(expected).max())
 
     def test_lone_call_is_the_stack_kernel(self, monkeypatch):
         sizes = []

@@ -100,6 +100,18 @@ class TestLinearSpace:
             with pytest.raises(ValueError, match="not linearly independent"):
                 LinearSpace(np.stack([scale * a, np.zeros_like(a)]))
 
+    @pytest.mark.parametrize("n,eps", [(2, 1e-10), (3, 1e-9), (4, -1e-9), (6, 1e-9),
+                                       (2, -1.5), (3, 1e10), (2, -1e-300)])
+    def test_independence_is_decided_along_the_coordinates(self, n, eps):
+        # the metric bases are the orthonormal eps = -1 ones divided by
+        # diag(G_eps): their entries differ in size along the coordinates,
+        # like 1/|eps| on the fibre slot, not between the maps
+        maps = metric_connection_space(n, eps).maps
+        assert LinearSpace(maps).dim == len(maps)
+        for extra in (maps[0] + 2 * maps[-1], np.zeros_like(maps[0])):
+            with pytest.raises(ValueError, match="not linearly independent"):
+                LinearSpace(np.concatenate([maps, extra[None]]))
+
     @pytest.mark.parametrize("shape", [(3, 3, 3), (1, 4, 4, 4), (1, 3, 3, 5), (2, 27), (1, 1, 3, 3, 3)])
     def test_rejects_maps_of_another_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"(dim, d, d, d) with d odd, got {shape}")):
