@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,8 +222,9 @@ def _verification_checks(n: int, eps: float, draws):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    draws = [rng.uniform(-2.0, 2.0, size=einstein.param_count(cfg.n)) for _ in range(5)]
+    rng = random.Random(cfg.seed)
+    draws = [[rng.uniform(-2.0, 2.0) for _ in range(einstein.param_count(cfg.n))]
+             for _ in range(5)]
     results = [(name, resid, tol, resid <= tol)
                for name, resid, tol in _verification_checks(cfg.n, cfg.eps, draws)]
     if cfg.fmt == "json":

@@ -39,6 +39,8 @@ from __future__ import annotations
 import enum
 import itertools
 import logging
+import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -297,6 +299,16 @@ _DRAWS = 64
 _CONST_TOL = 16 * np.finfo(float).eps
 
 
+def _dot(a, b) -> float:
+    """sum_i a_i b_i in Python floats, added in index order from 0.0.  Not
+    sum(): from Python 3.12 it compensates float sums, and so rounds
+    otherwise than 3.10 and 3.11."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
 def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tuple[float, ...]]:
     """Up to `count` parameter tuples with Einstein defect <= TOL_SOL, in
     sorted order, from the normal form of q (generic_quadric): q is even
@@ -309,12 +321,17 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     ulps from eps = -1) both are classed at c' = 0: a 2-pt. cell or ellipsoid
     gives the origin alone, a hyperboloid the cone's draws, an empty cell
     nothing.  A 1-pt. class is 0, a 2-pt. class -+ P sqrt(-c'/lam); elsewhere
-    u runs over _DRAWS * count seeded draws z in parameter coordinates,
-    u = P^T z, so neither eigh's frame of a repeated eigenvalue nor the sign
-    of q moves a sample.  On the cone each is solved for the axis whose
-    eigenvalue sign no other shares, otherwise unit directions are scaled by
-    sqrt(-c'/(u diag(lam) u)) where it is real.  The candidates get the
-    generic check in blocks, each the next count - (samples kept) real
+    u runs over up to _DRAWS * count draws z in parameter coordinates, u =
+    P^T z, each z param_count(n) normals from random.Random(seed).gauss, so
+    neither eigh's frame of a repeated eigenvalue nor the sign of q moves a
+    sample.  On the cone each is solved for the axis whose eigenvalue sign
+    no other shares, otherwise unit directions are scaled by
+    sqrt(-c'/(u diag(lam) u)) where it is real.
+
+    The candidates are drawn and mapped one at a time, in Python floats, as
+    the checks reach them, so no draw is made past the last candidate
+    examined and a candidate's bytes do not depend on those beside it.  The
+    generic check goes in blocks, each the next count - (samples kept) real
     candidates in one einstein_defects call, so exactly the candidates a
     one-by-one check would reach are checked; on a positive-dimensional cell
     one that fails gives way to the next draw.  RuntimeError where q's class
@@ -326,10 +343,14 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     lam, c' (0 where taken as 0), the candidates examined (draws), the
     generic checks, the wall time of generic_quadric (model_s) and that of
     the checks (checks_s) (all but the checks and checks_s None where n = 1
-    has no quadric).  ValueError, before any computation, where count < 0.
+    has no quadric).  ValueError, before any computation, where count < 0
+    or seed is not a non-negative int (random.Random would take -5 as 5, and
+    a float or None as a seed of its own).
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     kind = classify(n, eps)
     if n == 1:
         # the whole s-line solves the condition at eps = -1
@@ -352,41 +373,61 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     if shape is not expected:
         raise RuntimeError(f"{expected.value} predicted, but the generic quadric is {shape.value}")
     isolated = shape in (VarietyClass.ONE_POINT, VarietyClass.TWO_POINTS)
+    L, F = lam.tolist(), P.tolist()
     if kind is VarietyClass.EMPTY:
-        U = np.empty((0, len(lam)))
+        frames = []
     elif isolated:
-        U = np.array([[0.0] * len(lam)] if shape is VarietyClass.ONE_POINT else [[-1.0], [1.0]])
+        frames = [[0.0] * len(L)] if shape is VarietyClass.ONE_POINT else [[-1.0], [1.0]]
     else:
-        U = np.random.default_rng(seed).standard_normal((_DRAWS * count, len(lam))) @ P
+        gauss = random.Random(seed).gauss
+        normals = ([gauss(0.0, 1.0) for _ in range(len(L))] for _ in range(_DRAWS * count))
+        frames = ([_dot(z, column) for column in zip(*F)] for z in normals)  # u = P^T z
     if shape is VarietyClass.CONE:
-        lone = lam < 0 if (lam < 0).sum() == 1 else lam > 0
-        rest = U[:, ~lone] ** 2 @ lam[~lone]
-        U[:, lone] = np.copysign(np.sqrt(-rest / lam[lone])[:, None], U[:, lone])
-    elif shape is not VarietyClass.ONE_POINT:
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        t = -const / (U**2 @ lam)
-        U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]
-    X = U @ P.T
-    real = ~np.isnan(X).any(axis=1)
+        # the axis whose eigenvalue sign no other shares
+        negative = [v < 0 for v in L]
+        lone = negative.index(negative.count(True) == 1)
+
+    def place(u):
+        """x = P u on q = 0 from the frame coordinates u, or None where the
+        candidate is not real."""
+        if shape is VarietyClass.CONE:
+            rest = _dot([v * v for v in u[:lone] + u[lone + 1:]], L[:lone] + L[lone + 1:])
+            u[lone] = math.copysign(math.sqrt(-rest / L[lone]), u[lone])
+        elif shape is not VarietyClass.ONE_POINT:
+            norm = math.sqrt(_dot(u, u))
+            u = [v / norm for v in u]
+            t = -const / _dot([v * v for v in u], L)
+            if not t > 0:
+                return None
+            root = math.sqrt(t)
+            u = [v * root for v in u]
+        return tuple(_dot(row, u) for row in F)
+
+    candidates = map(place, frames)
     keep, checks, draws, checks_s = [], 0, 0, 0.0
-    while len(keep) < count and draws < len(X):
+    while len(keep) < count:
         # a block: the next count - len(keep) real candidates, and the
         # unreal ones among them, checked in one stacked call
-        need = count - len(keep)
-        block = slice(draws, draws + int(np.searchsorted(np.cumsum(real[draws:]), need)) + 1)
-        live = real[block]
+        need, block, live = count - len(keep), [], []
+        for x in candidates:
+            block.append(x)
+            if x is not None:
+                live.append(x)
+                if len(live) == need:
+                    break
+        if not block:
+            break
         t0 = time.perf_counter()
-        passed = np.zeros(len(live), dtype=bool)
-        passed[live] = einstein_defects(n, eps, X[block][live]) <= TOL_SOL
+        passed = iter((einstein_defects(n, eps, live) <= TOL_SOL).tolist())
         checks_s += time.perf_counter() - t0
-        for x, ok in zip(map(tuple, X[block].tolist()), passed):
-            if ok:
+        for x in block:
+            if x is not None and next(passed):
                 keep.append(x)
             elif isolated:
                 raise RuntimeError(f"{kind.value} predicted, but {x} fails")
-        checks += int(live.sum())
-        draws += len(live)
-    _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(lam.tolist()), const, draws,
+        checks += len(live)
+        draws += len(block)
+    _log_solve(n, eps, checks, q.gap, q.gap / TOL_GAP, tuple(L), const, draws,
                model_s, checks_s)
     if not keep and count > 0 and kind is not VarietyClass.EMPTY:
         raise RuntimeError(f"classification predicts {kind.value} but no numeric solution found")
@@ -422,7 +463,8 @@ def variety(n: int, eps: float, count: int = 4, seed: int = 0) -> EinsteinVariet
     (n, eps), the samples from solve_numeric at every cell: each n >= 2
     cell, an empty one included, has its generic quadric classed against
     the paper's class.  ValueError, before any computation, where
-    count < 0 (solve_numeric's first check)."""
+    count < 0 or seed is not a non-negative int (solve_numeric's first
+    checks)."""
     samples = tuple(solve_numeric(n, eps, count=count, seed=seed))
     return EinsteinVariety(n, eps, classify(n, eps), einstein_equation(n, eps), samples)
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import logging
 import os
+import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -297,8 +298,9 @@ def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     of weight zero.
 
     The diagonal elements of the h basis, picked by a mask on the h_basis
-    stack, span the Cartan subalgebra; one generic combination H of them
-    acts on m with a unitary eigenbasis U, i H U = U diag(lam).  The tensor
+    stack, span the Cartan subalgebra; one generic combination H of them,
+    its coefficients fixed normals from random.Random(2718).gauss, acts on m
+    with a unitary eigenbasis U, i H U = U diag(lam).  The tensor
     conj(u_i) x conj(u_j) x u_k is an H-eigenvector of weight
     lam_k - lam_i - lam_j, so every invariant map lies in the span of the
     weight-zero triples (i, j, k), returned as three index arrays in C
@@ -309,7 +311,8 @@ def _zero_weight_triples(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     h = algebra.h_basis(n)
     diagonal = np.count_nonzero(h, axis=(1, 2)) == np.count_nonzero(h.diagonal(0, 1, 2), axis=1)
     cartan = algebra.adjoint_matrices(n)[diagonal]
-    H = np.tensordot(np.random.default_rng(2718).standard_normal(len(cartan)), cartan, 1)
+    gauss = random.Random(2718).gauss
+    H = np.tensordot(np.array([gauss(0.0, 1.0) for _ in range(len(cartan))]), cartan, 1)
     lam, U = np.linalg.eigh(1j * H)
     W = np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
     # the weights are split as singular values are: the discarded ones are zero

@@ -511,3 +511,23 @@ class TestQuietByDefault:
         assert out.returncode == 0
         assert out.stderr == ""
         assert "solve_numeric" not in out.stdout
+
+
+class TestNoNumpyRandom:
+    """No command imports numpy.random: every seeded draw comes from Python's
+    own random module, which importing numpy has already loaded."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "--n", "4"],
+        ["verify", "--n", "3", "--eps=-1"],
+        ["classify", "--n", "4", "--eps", "1"],
+        ["export", "--n", "2", "--eps=-3/2"],
+        ["table"],
+    ], ids=" ".join)
+    def test_command_leaves_numpy_random_unloaded(self, argv):
+        out = _run_python("import sys\nfrom bergerconn.cli import main\n"
+                          f"code = main({argv!r})\n"
+                          "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+                          "raise SystemExit(code)")
+        assert out.returncode == 0
+        assert out.stderr == "False\n"

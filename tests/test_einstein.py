@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -888,6 +889,23 @@ class TestCountRefused:
         with pytest.raises(ValueError, match="count must be >= 0, got -3"):
             variety(n, eps, count=-3)
 
+
+
+class TestSeedRefused:
+    """A seed that is not a non-negative int is refused before any
+    computation, at every cell, as a negative count is: random.Random takes
+    -5 as 5, and a float or None as a seed of its own."""
+
+    # an empty cell, an isolated one (2 pt.) and one that draws (2 sheets)
+    @pytest.mark.parametrize("n,eps", [(2, -0.5), (4, -2.0), (3, -2.0)])
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, None, True])
+    def test_refused_before_any_computation(self, n, eps, seed, monkeypatch):
+        for name in ("classify", "einstein_equation", "generic_quadric"):
+            monkeypatch.setattr(einstein, name, lambda *args, **kw: pytest.fail("computed"))
+        message = re.escape(f"seed must be a non-negative int, got {seed!r}")
+        for solve in (solve_numeric, variety):
+            with pytest.raises(ValueError, match=message):
+                solve(n, eps, seed=seed)
 
 #: eps = +-10^k, k = -10..10, the dims sweep, -0.5, -1.5 and the floats next to -1
 CELL_GRID = sorted({sign * 10.0**k for k in range(-10, 11) for sign in (1.0, -1.0)}

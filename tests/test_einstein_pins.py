@@ -17,7 +17,9 @@ here, so that a change to the order of any rounding step fails.
 - residual_ref: CanonicalEquation.residual on numpy scalars, the aux
   coordinates' squares summed by np.sum.
 - solve_ref: solve_numeric's sampling with every seeded draw transformed
-  at once, before the first block of checks.
+  at once, before the first block of checks, as numpy arrays whose sums
+  are added term by term in the solver's order; the solver draws and maps
+  one candidate at a time, in Python floats.
 
 Every output must be np.array_equal to its reference, or carry its bytes
 where a contract states bytes.  n runs over 1..8 and |eps| over
@@ -26,6 +28,7 @@ raise the same error.
 """
 
 import logging
+import random
 
 import numpy as np
 import pytest
@@ -120,24 +123,37 @@ def residual_ref(eq, params):
     return abs(eq.a * s * s + eq.b * aux2 - eq.c)
 
 
+def in_order(terms):
+    """Sums over the last axis, added term by term from 0.0: the order of
+    einstein._dot, so that each row has the bytes of the solver's."""
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
+
+
 def candidates_ref(shape, lam, P, const, count, seed):
     """Every candidate of the cell, all draws transformed at once."""
+    k = len(lam)
     if shape in (VarietyClass.ONE_POINT, VarietyClass.TWO_POINTS, VarietyClass.EMPTY):
-        U = {VarietyClass.ONE_POINT: np.zeros((1, len(lam))),
-             VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(shape, np.empty((0, len(lam))))
+        U = {VarietyClass.ONE_POINT: np.zeros((1, k)),
+             VarietyClass.TWO_POINTS: np.array([[-1.0], [1.0]])}.get(shape, np.empty((0, k)))
     else:
-        U = np.random.default_rng(seed).standard_normal((einstein._DRAWS * count, len(lam))) @ P
+        gauss = random.Random(seed).gauss
+        Z = np.array([[gauss(0.0, 1.0) for _ in range(k)]
+                      for _ in range(einstein._DRAWS * count)]).reshape(-1, k)
+        U = in_order(Z[:, None, :] * P.T)  # u = P^T z
     if shape is VarietyClass.CONE:
         lone = lam < 0 if (lam < 0).sum() == 1 else lam > 0
         if lone.sum() != 1:
             raise RuntimeError(f"cone predicted, but the eigenvalues are {lam}")
-        rest = U[:, ~lone] ** 2 @ lam[~lone]
+        rest = in_order(U[:, ~lone] ** 2 * lam[~lone])
         U[:, lone] = np.copysign(np.sqrt(-rest / lam[lone])[:, None], U[:, lone])
     elif shape is not VarietyClass.ONE_POINT:
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        t = -const / (U**2 @ lam)
+        U /= np.sqrt(in_order(U * U))[:, None]
+        t = -const / in_order(U**2 * lam)
         U *= np.sqrt(np.where(t > 0, t, np.nan))[:, None]
-    return U @ P.T
+    return in_order(U[:, None, :] * P)  # x = P u
 
 
 def solve_ref(n, eps, count, seed):

@@ -247,3 +247,43 @@ def test_test_oracles_not_defined_in_the_package():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in TEST_ORACLES}
     assert defined == set()
     assert TEST_ORACLES & set(dir(bergerconn)) == set()
+
+
+def _numpy_random_lines(source: str) -> list[int]:
+    """Lines where the source reaches numpy.random: as np.random or
+    numpy.random, or by an import of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found = (node.attr == "random" and isinstance(node.value, ast.Name)
+                     and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            found = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found = module.startswith("numpy.random") or (
+                module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            found = False
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("line,reaches", [
+    ("rng = np.random.default_rng(0)", True),
+    ("import numpy.random", True),
+    ("from numpy import random", True),
+    ("from numpy.random import default_rng", True),
+    ("x = numpy.random.rand()", True),
+    ("rng = random.Random(0)", False),
+    ("import random", False),
+])
+def test_numpy_random_scan(line, reaches):
+    assert bool(_numpy_random_lines(line)) is reaches
+
+
+@pytest.mark.parametrize("module", _package_modules())
+def test_no_module_uses_numpy_random(module):
+    # seeded draws come from Python's random, so no command imports numpy.random
+    assert _numpy_random_lines(_source(module)) == [], f"{module}.py reaches numpy.random"

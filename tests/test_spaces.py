@@ -1,5 +1,6 @@
 import logging
 import os
+import random
 import re
 import tracemalloc
 
@@ -14,7 +15,7 @@ from bergerconn.algebra import (
     adjoint_matrices,
     h_basis,
 )
-from bergerconn.config import TOL_EXACT, TOL_GAP, TOL_NUM
+from bergerconn.config import TOL_EXACT, TOL_GAP, TOL_NUM, TOL_RANK
 from bergerconn import spaces
 from bergerconn.spaces import (
     Bilin,
@@ -42,6 +43,18 @@ TOL = 1e-9
 EXPECTED_INVARIANT = {1: 27, 2: 13, 3: 9, 4: 7}
 EXPECTED_METRIC = {1: 9, 2: 7, 3: 5, 4: 3}
 EXPECTED_SKEW = {1: 1, 2: 3, 3: 3, 4: 1}
+
+
+def _cartan_weights(n):
+    """(U, W) of _zero_weight_triples' Cartan element, rebuilt here: its
+    eigenbasis U and the weights |lam_k - lam_i - lam_j|.  The su(n) action
+    is formed uncached, so that large n leave nothing behind."""
+    diagonal = [r for r, B in enumerate(h_basis(n)) if np.array_equal(B, np.diag(np.diag(B)))]
+    cartan = adjoint_matrices.__wrapped__(n)[diagonal]
+    gauss = random.Random(2718).gauss
+    H = np.tensordot(np.array([gauss(0.0, 1.0) for _ in range(len(cartan))]), cartan, 1)
+    lam, U = np.linalg.eigh(1j * H)
+    return U, np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
 
 
 class TestBilin:
@@ -410,15 +423,21 @@ class TestInvariantSpace:
     def test_zero_weight_triples_match_a_sorted_split(self, n):
         # the weights sorted in descending order and split as singular values
         U, cols = _zero_weight_triples(n)
-        diagonal = [r for r, B in enumerate(h_basis(n)) if np.array_equal(B, np.diag(np.diag(B)))]
-        cartan = adjoint_matrices(n)[diagonal]
-        H = np.tensordot(np.random.default_rng(2718).standard_normal(len(cartan)), cartan, 1)
-        lam, ref_U = np.linalg.eigh(1j * H)
-        W = np.abs(lam[None, None, :] - lam[:, None, None] - lam[None, :, None])
+        ref_U, W = _cartan_weights(n)
         w = np.sort(W, axis=None)[::-1]
         ref = np.nonzero(W <= w[spaces._guarded_rank(w)[0]])
         assert np.array_equal(U, ref_U)
         assert len(cols) == 3 and all(np.array_equal(c, r) for c, r in zip(cols, ref))
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_cartan_element_keeps_its_margin(self, n):
+        # the fixed element splits off 25, 31, then 6n + 1 zero weights, and
+        # its smallest kept weight clears TOL_RANK's cutoff 100 times over
+        _, W = _cartan_weights(n)
+        w = np.sort(W, axis=None)[::-1]
+        rank = spaces._guarded_rank(w)[0]
+        assert w.size - rank == {2: 25, 3: 31}.get(n, 6 * n + 1)
+        assert w[rank - 1] >= 100 * TOL_RANK * w[0]
 
     def test_refuses_n_beyond_memory(self):
         # about 1250 d^3 bytes: some 10 TB at n = 1000
