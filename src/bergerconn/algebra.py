@@ -18,7 +18,6 @@ Riemannian for eps < 0 and Lorentzian for eps > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,16 +95,54 @@ def _act(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return _to_coords(Z @ np.swapaxes(B, -1, -2), 0.0)
 
 
-@dataclass(frozen=True)
-class MVec:
+class _Frozen:
+    """Read-only record over the field names in _fields, the package's one
+    base for its value types.  Assigning or deleting any attribute raises
+    AttributeError; repr, == and hash read the fields in order, and objects
+    of different classes are never equal.  Each subclass writes its own
+    straight-line __init__, setting each field with object.__setattr__; a
+    loop over _fields would cost every construction 0.5-1 us more."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class MVec(_Frozen):
     """Element (z, a) of m = C^n + Ri, the tangent model at the base point.
 
     Read only by standard_basis and spaces.Bilin.from_function, which
-    perfbench's tracer hooks; the package computes on coordinate arrays."""
+    perfbench's tracer hooks; the package computes on coordinate arrays.
+    The constructor's checks stay in __post_init__, the method the tracer
+    wraps to count constructions."""
 
-    n: int
-    z: np.ndarray
-    a: complex
+    _fields = ("n", "z", "a")
+
+    def __init__(self, n: int, z: np.ndarray, a: complex):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "a", a)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
@@ -124,18 +161,18 @@ class MVec:
         return _to_coords(self.z, self.a)
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(_Frozen):
     """The invariant metric g_eps on m.  Riemannian iff eps < 0."""
 
-    n: int
-    eps: float
+    _fields = ("n", "eps")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, eps: float):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not np.isfinite(self.eps) or self.eps == 0:
-            raise ValueError(f"eps must be finite and nonzero, got {self.eps}")
+        if not np.isfinite(eps) or eps == 0:
+            raise ValueError(f"eps must be finite and nonzero, got {eps}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "eps", eps)
 
     @property
     def dim(self) -> int:

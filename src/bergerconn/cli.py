@@ -1,6 +1,10 @@
 """Command-line surface: dimension checks, verification suite, variety
 classification, the full regime table, and JSON export.
 
+Each command imports the layers it runs when it runs: dims reads only
+algebra and spaces, verify adds families and nomizu, and classify, table
+and export add einstein.
+
 Exit codes: 0 all checks pass, 1 verification failure (a rank decision
 without a clear gap, a failed solve or an unwritable output file among
 them), 2 usage error.
@@ -13,13 +17,12 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import config, einstein, families, nomizu, spaces
-from .algebra import Metric
+from . import config, spaces
+from .algebra import Metric, _Frozen
 from .spaces import RankGapError
 
 
@@ -47,22 +50,26 @@ EXPECTED_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n: int = 2
-    eps: float = -1.0
-    seed: int = 0
-    fmt: str = "text"
-    out: str | None = None
+class RunConfig(_Frozen):
+    """One command's parsed arguments, refused with ValueError before any
+    computation."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    _fields = ("n", "eps", "seed", "fmt", "out")
+
+    def __init__(self, n: int = 2, eps: float = -1.0, seed: int = 0, fmt: str = "text",
+                 out: str | None = None):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        spaces.check_fits_memory(self.n)
-        if self.eps == 0:
+        spaces.check_fits_memory(n)
+        if eps == 0:
             raise ValueError("eps must be nonzero")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be >= 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "fmt", fmt)
+        object.__setattr__(self, "out", out)
 
 
 def parse_eps(text: str) -> float:
@@ -137,13 +144,15 @@ def _verification_checks(n: int, eps: float, draws):
 
     The Levi-Civita, dimension and skew-direction checks read (n, eps)
     alone.  The per-draw checks report their worst residual over `draws`,
-    each a point of the skew family's einstein.param_count(n) parameters,
+    each a point of the skew family's families.param_count(n) parameters,
     refused as skew_family refuses any other width; no draws leave them
     at 0.  Ric_LC is formed once per call, so the call forms
     1 + len(draws) curvatures.
     `cmd_verify` passes five draws from --seed; the acceptance gate and
     the property tests run the same checks over their own grids.
     """
+    from . import families, nomizu
+
     g = Metric(n, eps)
 
     # the skew space's offset is levi_civita_generic(n, eps)
@@ -222,8 +231,10 @@ def _verification_checks(n: int, eps: float, draws):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import families
+
     rng = random.Random(cfg.seed)
-    draws = [[rng.uniform(-2.0, 2.0) for _ in range(einstein.param_count(cfg.n))]
+    draws = [[rng.uniform(-2.0, 2.0) for _ in range(families.param_count(cfg.n))]
              for _ in range(5)]
     results = [(name, resid, tol, resid <= tol)
                for name, resid, tol in _verification_checks(cfg.n, cfg.eps, draws)]
@@ -252,9 +263,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 # classify / table
 
 
-def _cell(var: einstein.EinsteinVariety) -> dict:
-    """The cell block that classify prints and export writes: n, eps, kind,
-    the canonical equation and the samples."""
+def _cell(var) -> dict:
+    """The cell block that classify prints and export writes from an
+    einstein.EinsteinVariety: n, eps, kind, the canonical equation and the
+    samples."""
     eq = var.equation
     return {
         "n": var.n,
@@ -266,6 +278,8 @@ def _cell(var: einstein.EinsteinVariety) -> dict:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
+    from . import einstein
+
     var = einstein.variety(cfg.n, cfg.eps, seed=cfg.seed)
     eq = var.equation
     if cfg.fmt == "json":
@@ -285,6 +299,8 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def compute_table() -> list[list[str]]:
+    from . import einstein
+
     return [
         [einstein.classify(n, eps).value for n in TABLE_COLUMNS]
         for _, eps in TABLE_ROWS
@@ -325,7 +341,7 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 def build_export(cfg: RunConfig) -> dict:
-    from . import __version__
+    from . import __version__, einstein
 
     dims = compute_dims(cfg.n)
     var = einstein.variety(cfg.n, cfg.eps, seed=cfg.seed)

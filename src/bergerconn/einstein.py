@@ -42,13 +42,13 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import families, nomizu
-from .algebra import Metric
+from .algebra import Metric, _Frozen
 from .config import TOL_GAP, TOL_NUM, TOL_SOL
+from .families import param_count, param_names
 from .spaces import RankGapError, _guarded_rank, _torsion_difference
 
 _log = logging.getLogger(__name__)
@@ -65,33 +65,27 @@ class VarietyClass(enum.Enum):
     HYPERBOLOID_TWO_SHEETS = "hyperboloid 2-sheets"
 
 
-_PARAM_NAMES = {1: ("s",), 2: ("s", "s3", "s4"), 3: ("s", "s1", "s2")}
 #: the one (n, eps) whose skew family holds flat connections, a circle
 FLAT_CELL = (3, -1.0)
 
 
-def param_names(n: int) -> tuple[str, ...]:
-    return _PARAM_NAMES.get(n, ("s",))
-
-
-def param_count(n: int) -> int:
-    return len(param_names(n))
-
-
-@dataclass(frozen=True)
-class CanonicalEquation:
+class CanonicalEquation(_Frozen):
     """The defining quadric a*s^2 + b*(aux1^2 + aux2^2) = c.
 
     For n = 1 it is the zero form 0*s^2 = eps + 1 (a = b = 0, c = eps + 1):
     the whole s-line when eps = -1 and empty otherwise.
     """
 
-    n: int
-    eps: float
-    a: float
-    b: float
-    c: float
-    names: tuple[str, ...]
+    _fields = ("n", "eps", "a", "b", "c", "names")
+
+    def __init__(self, n: int, eps: float, a: float, b: float, c: float,
+                 names: tuple[str, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "names", names)
 
     def residual(self, params) -> float:
         # in floats, the sums and products np.sum and the array forms gave
@@ -256,16 +250,18 @@ def _residual_rows(n: int, eps: float) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class GenericQuadric:
+class GenericQuadric(_Frozen):
     """The generic Einstein residual as r(x) = v q(x): v a unit vector and
     q(x) = c + x @ A @ x a scalar quadric (A symmetric), read off the generic
     calculus; gap is sigma1/sigma2 of the rank-one decision."""
 
-    v: np.ndarray
-    c: float
-    A: np.ndarray
-    gap: float
+    _fields = ("v", "c", "A", "gap")
+
+    def __init__(self, v: np.ndarray, c: float, A: np.ndarray, gap: float):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "gap", gap)
 
 
 def generic_quadric(n: int, eps: float) -> GenericQuadric:
@@ -442,20 +438,21 @@ def _log_solve(n: int, eps: float, checks: int, gap=None, margin=None, eigenvalu
     _log.debug("solve_numeric n=%d eps=%r: %s", n, eps, record, extra={"solve": record})
 
 
-@dataclass(frozen=True)
-class EinsteinVariety:
+class EinsteinVariety(_Frozen):
     """Classification outcome for one (n, eps), with confirmed samples."""
 
-    n: int
-    eps: float
-    kind: VarietyClass
-    equation: CanonicalEquation
-    sample_points: tuple[tuple[float, ...], ...]
+    _fields = ("n", "eps", "kind", "equation", "sample_points")
 
-    def __post_init__(self):
-        for x in self.sample_points:
-            if self.equation.residual(x) > 10 * TOL_SOL:
+    def __init__(self, n: int, eps: float, kind: VarietyClass, equation: CanonicalEquation,
+                 sample_points: tuple[tuple[float, ...], ...]):
+        for x in sample_points:
+            if equation.residual(x) > 10 * TOL_SOL:
                 raise ValueError(f"sample {x} violates the canonical equation")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "sample_points", sample_points)
 
 
 def variety(n: int, eps: float, count: int = 4, seed: int = 0) -> EinsteinVariety:
@@ -481,14 +478,19 @@ def scalar_curvature_formula(n: int, eps: float, params) -> float:
     return 2 * n * (2 * n + 1) * eps * (params[0] ** 2 - 1.0)
 
 
-@dataclass(frozen=True)
-class RicciFlatLocus:
-    """Ricci-flat Einstein solutions: locus description plus verified samples."""
+class RicciFlatLocus(_Frozen):
+    """Ricci-flat Einstein solutions: locus description plus verified samples,
+    each (eps, params)."""
 
-    n: int
-    description: str
-    samples: tuple[tuple[float, tuple[float, ...]], ...]  # (eps, params)
-    ricci_norms: tuple[float, ...]
+    _fields = ("n", "description", "samples", "ricci_norms")
+
+    def __init__(self, n: int, description: str,
+                 samples: tuple[tuple[float, tuple[float, ...]], ...],
+                 ricci_norms: tuple[float, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "ricci_norms", ricci_norms)
 
 
 def ricci_flat_exists(n: int, eps: float) -> bool:
@@ -538,8 +540,7 @@ def ricci_flat_locus(n: int) -> RicciFlatLocus:
     return RicciFlatLocus(n, desc, tuple(samples), tuple(norms))
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(_Frozen):
     """Existence of flat skew-torsion connections, or their exclusion.
 
     Off the flat circle, min_norm_on_grid holds sigma, a certified lower
@@ -547,12 +548,18 @@ class FlatnessReport:
     (flat_connection_check); 0.0 on the circle.
     """
 
-    n: int
-    eps: float
-    flat_exists: bool
-    flat_samples: tuple[tuple[float, ...], ...]
-    max_norm_on_flat_set: float
-    min_norm_on_grid: float
+    _fields = ("n", "eps", "flat_exists", "flat_samples", "max_norm_on_flat_set",
+               "min_norm_on_grid")
+
+    def __init__(self, n: int, eps: float, flat_exists: bool,
+                 flat_samples: tuple[tuple[float, ...], ...], max_norm_on_flat_set: float,
+                 min_norm_on_grid: float):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "flat_exists", flat_exists)
+        object.__setattr__(self, "flat_samples", flat_samples)
+        object.__setattr__(self, "max_norm_on_flat_set", max_norm_on_flat_set)
+        object.__setattr__(self, "min_norm_on_grid", min_norm_on_grid)
 
 
 def flat_connection_check(n: int, eps: float) -> FlatnessReport:

@@ -29,12 +29,11 @@ directions lie in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _to_coords
+from .algebra import _Frozen, _to_coords
 from .config import TOL_NUM
 from .nomizu import CurvTensor, Rank2Tensor
 from .spaces import Bilin, LinearSpace
@@ -108,29 +107,25 @@ def _theta_terms(c: np.ndarray, k: complex, p: complex, m: float, Z: np.ndarray)
     c[..., -1] += m * np.imag(np.conj(p) * (np.conj(T) @ Z.T))
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Frozen):
     """Parameters (q, t, p, p2) of a connection family in one regime.
 
     The skew parameters are s = 1 - q and, where applicable, (s1, s2) resp.
     (s3, s4) = (-Re p, Im p); skew builds the family's parameters from them.
     """
 
-    regime: str
-    q: complex
-    t: float
-    p: complex = 0.0
-    p2: complex = 0.0
-
+    _fields = ("regime", "q", "t", "p", "p2")
     _REGIME_N = {"general_n": None, "s7": 3, "s5": 2, "s3": 1}
 
-    def __post_init__(self):
-        if self.regime not in self._REGIME_N:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        object.__setattr__(self, "q", complex(self.q))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "p2", complex(self.p2))
+    def __init__(self, regime: str, q: complex, t: float, p: complex = 0.0,
+                 p2: complex = 0.0):
+        if regime not in self._REGIME_N:
+            raise ValueError(f"unknown regime {regime!r}")
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "q", complex(q))
+        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "p", complex(p))
+        object.__setattr__(self, "p2", complex(p2))
 
     def check_n(self, n: int) -> None:
         expected = self._REGIME_N[self.regime]
@@ -220,6 +215,18 @@ def skew_direction_basis(n: int, eps: float) -> LinearSpace:
     else:
         named = (direction_s(n, eps),)
     return LinearSpace(np.array([b.coeffs for b in named]), alpha_lc(n, eps))
+
+
+_PARAM_NAMES = {1: ("s",), 2: ("s", "s3", "s4"), 3: ("s", "s1", "s2")}
+
+
+def param_names(n: int) -> tuple[str, ...]:
+    """The skew family's parameters at n, in skew_direction_basis' order."""
+    return _PARAM_NAMES.get(n, ("s",))
+
+
+def param_count(n: int) -> int:
+    return len(param_names(n))
 
 
 def skew_family(n: int, eps: float, params) -> Bilin:

@@ -37,12 +37,10 @@ independent oracle for the closed-form families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import algebra
-from .algebra import Metric
+from .algebra import Metric, _Frozen
 from .spaces import (
     BYTES_PER_CUBE,
     Bilin,
@@ -51,33 +49,31 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class CurvTensor:
+class CurvTensor(_Frozen):
     """Curvature coefficients: coeffs[i, j, k, l] = e_l-component of R(e_i, e_j, e_k)."""
 
-    n: int
-    coeffs: np.ndarray
+    _fields = ("n", "coeffs")
 
-    def __post_init__(self):
-        d = 2 * self.n + 1
-        c = np.asarray(self.coeffs, dtype=float)
+    def __init__(self, n: int, coeffs: np.ndarray):
+        d = 2 * n + 1
+        c = np.asarray(coeffs, dtype=float)
         if c.shape != (d, d, d, d):
             raise ValueError(f"coeffs must have shape {(d,) * 4}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", c)
 
 
-@dataclass(frozen=True)
-class Rank2Tensor:
+class Rank2Tensor(_Frozen):
     """A rank-2 tensor over the standard basis (Ricci, S, Gram, ...)."""
 
-    n: int
-    coeffs: np.ndarray
+    _fields = ("n", "coeffs")
 
-    def __post_init__(self):
-        d = 2 * self.n + 1
-        c = np.asarray(self.coeffs, dtype=float)
+    def __init__(self, n: int, coeffs: np.ndarray):
+        d = 2 * n + 1
+        c = np.asarray(coeffs, dtype=float)
         if c.shape != (d, d):
             raise ValueError(f"coeffs must have shape {(d, d)}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", c)
 
 

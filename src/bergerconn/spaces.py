@@ -56,13 +56,12 @@ from __future__ import annotations
 import logging
 import os
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import algebra
-from .algebra import Metric
+from .algebra import Metric, _Frozen
 from .config import TOL_GAP, TOL_NUM, TOL_RANK
 
 _log = logging.getLogger(__name__)
@@ -79,8 +78,7 @@ class RankGapError(RuntimeError):
     """The singular-value spectrum has no safe gap at the rank decision."""
 
 
-@dataclass(frozen=True)
-class Bilin:
+class Bilin(_Frozen):
     """Bilinear map m x m -> m as a real rank-3 coefficient tensor.
 
     coeffs[i, j, k] is the coefficient of e_k in alpha(e_i, e_j) over the
@@ -88,17 +86,17 @@ class Bilin:
     be changed through its coefficients.
     """
 
-    n: int
-    coeffs: np.ndarray
+    _fields = ("n", "coeffs")
 
-    def __post_init__(self):
-        d = 2 * self.n + 1
-        c = np.array(self.coeffs, dtype=float)
+    def __init__(self, n: int, coeffs: np.ndarray):
+        d = 2 * n + 1
+        c = np.array(coeffs, dtype=float)
         c.flags.writeable = False
         if c.shape != (d, d, d):
             raise ValueError(f"coeffs must have shape {(d, d, d)}, got {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("coeffs must be finite")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
@@ -124,21 +122,20 @@ class Bilin:
         return cls(n, c)
 
 
-@dataclass(frozen=True)
-class LinearSpace:
+class LinearSpace(_Frozen):
     """A (possibly affine) subspace of bilinear maps: offset plus the span of
     maps, one read-only stack of shape (dim, d, d, d), copied at construction.
     Maps that are not linearly independent are refused, whatever their sizes,
     between the maps or along the coordinates.
     The spaces this module solves itself are built by _holding instead, with
-    no second rank decision."""
+    no second rank decision.  Its fields are maps and offset; the flat view
+    _flat and the cached basis are no fields."""
 
-    maps: np.ndarray
-    offset: Bilin | None = None
-    _flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("maps", "offset")
 
-    def __post_init__(self):
-        maps = np.asarray(self.maps, dtype=float)
+    def __init__(self, maps: np.ndarray, offset: Bilin | None = None):
+        object.__setattr__(self, "offset", offset)
+        maps = np.asarray(maps, dtype=float)
         self._require(maps)
         if len(maps):
             # a guarded rank on the maps scaled to comparable sizes, so that

@@ -1,9 +1,9 @@
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +138,7 @@ class TestVerify:
             maps[0, 0, 1, 0] += 1e-6
             return spaces.LinearSpace(maps, named.offset)
 
-        monkeypatch.setattr(cli.families, "skew_direction_basis", moved)
+        monkeypatch.setattr(families, "skew_direction_basis", moved)
         assert main(["verify", "--n", "2", "--eps=-1"]) == 1
         assert capsys.readouterr().err == "FAIL: skew_directions_closed_vs_generic\n"
 
@@ -390,7 +390,8 @@ class TestSolverFailureReported:
     def test_empty_cell_disagreement(self, command, n, generic, monkeypatch, capsys):
         # an empty cell whose generic quadric has its constant flipped
         q = einstein.generic_quadric(n, -0.5)
-        monkeypatch.setattr(einstein, "generic_quadric", lambda *a: replace(q, c=-q.c))
+        monkeypatch.setattr(einstein, "generic_quadric",
+                            lambda *a: einstein.GenericQuadric(q.v, -q.c, q.A, q.gap))
         assert main([command, "--n", str(n), "--eps=-1/2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"FAIL: empty predicted, but the generic quadric is {generic}\n"
@@ -531,3 +532,36 @@ class TestNoNumpyRandom:
                           "raise SystemExit(code)")
         assert out.returncode == 0
         assert out.stderr == "False\n"
+
+
+class TestColdStart:
+    """No command imports dataclasses, and each loads only the layers it
+    runs: dims no closed forms, curvature or Einstein layer, verify no
+    Einstein layer.  A bare import of the package loads none of its modules."""
+
+    UNLOADED = {"dims": {"einstein", "families", "nomizu"}, "verify": {"einstein"}}
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "--n", "4"],
+        ["verify", "--n", "3", "--eps=-1"],
+        ["classify", "--n", "4", "--eps", "1"],
+        ["export", "--n", "2", "--eps=-3/2"],
+        ["table"],
+    ], ids=" ".join)
+    def test_command_loads_only_what_it_runs(self, argv):
+        out = _run_python("import sys\nfrom bergerconn.cli import main\n"
+                          f"code = main({argv!r})\n"
+                          "print(sorted(sys.modules), file=sys.stderr)\n"
+                          "raise SystemExit(code)")
+        assert out.returncode == 0
+        loaded = set(ast.literal_eval(out.stderr))
+        assert "dataclasses" not in loaded
+        unloaded = {f"bergerconn.{layer}" for layer in self.UNLOADED.get(argv[0], ())}
+        assert loaded & unloaded == set()
+        assert "bergerconn.spaces" in loaded
+
+    def test_bare_import_loads_no_module(self):
+        out = _run_python("import sys\nimport bergerconn\n"
+                          "print(sorted(m for m in sys.modules if m.startswith('bergerconn.')))")
+        assert out.returncode == 0
+        assert out.stdout == "[]\n"

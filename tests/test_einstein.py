@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import re
 
@@ -12,6 +11,7 @@ from bergerconn.algebra import Metric
 from bergerconn.config import TOL_GAP, TOL_NUM, TOL_SOL
 from bergerconn.einstein import (
     EinsteinVariety,
+    GenericQuadric,
     VarietyClass,
     classify,
     einstein_defect_at,
@@ -669,7 +669,7 @@ class TestSolveNumeric:
         k = param_count(n)
         R = np.linalg.qr(np.arange(1.0, k * k + 1).reshape(k, k) ** 2)[0]
         q = generic_quadric(n, eps)
-        moved = dataclasses.replace(q, A=R @ q.A @ R.T)
+        moved = GenericQuadric(q.v, q.c, R @ q.A @ R.T, q.gap)
         defect = einstein.einstein_defect_at
         monkeypatch.setattr(einstein, "generic_quadric", lambda *_: moved)
         # each candidate x checked at R^T x, the row x @ R
@@ -699,7 +699,7 @@ class TestSolveNumeric:
         P[:, block] = P[:, block] @ rotation
         lam[block] += 4 * np.finfo(float).eps * np.abs(lam).max() * np.arange(len(block))
         A = (P * lam) @ P.T
-        moved = dataclasses.replace(q, v=-q.v, c=-q.c, A=-0.5 * (A + A.T))
+        moved = GenericQuadric(-q.v, -q.c, -0.5 * (A + A.T), q.gap)
         # eigh's frame does move: some axis turns, beyond a sign and the order
         turned = np.linalg.eigh(moved.A)[1][:, ::-1].T @ np.linalg.eigh(q.A)[1]
         assert np.abs(np.diag(turned)).min() < 0.99
@@ -727,7 +727,8 @@ class TestNormalFormRefusals:
     def _patch_quadric(self, monkeypatch, n, eps, **fields):
         q = generic_quadric(n, eps)
         monkeypatch.setattr(einstein, "generic_quadric",
-                            lambda *a: dataclasses.replace(q, **fields))
+                            lambda *a: GenericQuadric(**{"v": q.v, "c": q.c, "A": q.A,
+                                                         "gap": q.gap, **fields}))
 
     def test_definite_cone_refused_by_the_agreement_check(self, monkeypatch):
         # a definite A at c' = 0 is one point, not the paper's cone
@@ -778,12 +779,13 @@ class TestNormalFormRefusals:
         q = generic_quadric(n, eps)
         size = abs(q.c) if ulps is None else (
             ulps * np.finfo(float).eps * np.abs(np.linalg.eigvalsh(q.A)).max())
-        self._refused(n, eps, dataclasses.replace(q, c=-np.sign(q.c) * size), generic, monkeypatch)
+        self._refused(n, eps, GenericQuadric(q.v, -np.sign(q.c) * size, q.A, q.gap), generic,
+                      monkeypatch)
 
     def test_definite_form_names_both_classes(self, monkeypatch):
         # A = -c' I at (3, -2): a sphere, not the paper's two sheets
         q = generic_quadric(3, -2.0)
-        sphere = dataclasses.replace(q, A=-q.c * np.eye(3))
+        sphere = GenericQuadric(q.v, q.c, -q.c * np.eye(3), q.gap)
         self._refused(3, -2.0, sphere, VarietyClass.ELLIPSOID, monkeypatch)
 
     @pytest.mark.parametrize("n,eps,_,degenerate", FLIPPED)
@@ -792,7 +794,7 @@ class TestNormalFormRefusals:
         # samples the degenerate class, the origin or the cone's draws
         q = generic_quadric(n, eps)
         tiny = 8 * np.finfo(float).eps * np.abs(np.linalg.eigvalsh(q.A)).max()
-        moved = dataclasses.replace(q, c=-np.sign(q.c) * tiny)
+        moved = GenericQuadric(q.v, -np.sign(q.c) * tiny, q.A, q.gap)
         monkeypatch.setattr(einstein, "generic_quadric", lambda *a: moved)
         _patch_defects(monkeypatch, lambda n, eps, X, defects: np.zeros(len(X)))
         sols = np.array(solve_numeric(n, eps, count=4))
@@ -934,7 +936,8 @@ class TestOneCellPath:
                                            (2, VarietyClass.ELLIPSOID)])
     def test_flipped_quadric_at_an_empty_cell_is_refused(self, n, generic, monkeypatch):
         q = generic_quadric(n, -0.5)
-        monkeypatch.setattr(einstein, "generic_quadric", lambda *a: dataclasses.replace(q, c=-q.c))
+        monkeypatch.setattr(einstein, "generic_quadric",
+                            lambda *a: GenericQuadric(q.v, -q.c, q.A, q.gap))
         with pytest.raises(RuntimeError) as raised:
             variety(n, -0.5)
         assert str(raised.value) == f"empty predicted, but the generic quadric is {generic.value}"

@@ -246,11 +246,12 @@ class TestSkewFamilyMembers:
 
     def test_member_checked_and_copied_once(self, monkeypatch):
         # LinearSpace.elements checks the new member finite; the Bilin holds
-        # that array read-only, with no second copy and check of its own
-        monkeypatch.setattr(Bilin, "__post_init__", lambda self: pytest.fail("copied again"))
+        # that array read-only, with no second copy and check of its own.
+        # The cached family is built first: its maps are public Bilins.
+        space = skew_direction_basis(3, -2.0)
+        monkeypatch.setattr(Bilin, "__init__", lambda self, *a: pytest.fail("copied again"))
         alpha = skew_family(3, -2.0, (0.5, 0.1, -0.2))
         assert not alpha.coeffs.flags.writeable and alpha.coeffs.shape == (7, 7, 7)
-        space = skew_direction_basis(3, -2.0)
         assert alpha.coeffs.tobytes() == space.elements([(0.5, 0.1, -0.2)])[0].tobytes()
 
     def test_non_finite_member_refused(self):

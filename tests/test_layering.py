@@ -182,9 +182,8 @@ def _unused_imports(source: str) -> list[tuple[str, int]]:
     return [(name, line) for name, line in bound if name not in used]
 
 
-@pytest.mark.parametrize("module", [m for m in _package_modules() if m != "__init__"])
+@pytest.mark.parametrize("module", _package_modules())
 def test_every_import_is_used(module):
-    # __init__ imports to re-export, and is exempt
     assert _unused_imports(_source(module)) == []
 
 
@@ -208,6 +207,30 @@ def test_levi_civita_map_solves_nothing():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
              and node.value.attr == "linalg"]
     assert calls == []
+
+
+def _dataclasses_lines(source: str) -> list[int]:
+    """Lines where the source imports the dataclasses module or a name from it."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+
+
+@pytest.mark.parametrize("line,imports", [
+    ("import dataclasses", True),
+    ("from dataclasses import dataclass", True),
+    ("import os, dataclasses", True),
+    ("from .algebra import _Frozen", False),
+])
+def test_dataclasses_scan(line, imports):
+    assert bool(_dataclasses_lines(line)) is imports
+
+
+@pytest.mark.parametrize("module", _package_modules())
+def test_no_module_imports_dataclasses(module):
+    # a frozen dataclass compiles its generated methods at every import,
+    # about 0.7 ms a class; the value types share algebra._Frozen instead
+    assert _dataclasses_lines(_source(module)) == [], f"{module}.py imports dataclasses"
 
 
 #: the per-vector layer, kept only because perfbench's tracer hooks it
