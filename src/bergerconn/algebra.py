@@ -186,23 +186,12 @@ class Metric(_Frozen):
         G[-1, -1] = -self.eps
         return G
 
-    def orthonormal_scales(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scales f_j = scale_j e_j turning the standard basis into a
-        g_eps-orthonormal one, and the signs g(f_j, f_j).
-
-        Only the fiber vector is rescaled, by 1/sqrt(|eps|); its sign is
-        -sign(eps).
-        """
-        scale = np.ones(self.dim)
-        scale[-1] = 1.0 / np.sqrt(abs(self.eps))
-        signs = np.ones(self.dim)
-        signs[-1] = -np.sign(self.eps)
-        return scale, signs
-
     def trace_weights(self) -> np.ndarray:
-        """sign_j scale_j^2 of orthonormal_scales, the weights of a trace over
-        the g_eps-orthonormal basis: 1, but -sign(eps) (1/sqrt(|eps|))^2 on
-        the fiber, worked out in scalars for the Einstein form's every call."""
+        """sign_j scale_j^2 for the g_eps-orthonormal frame f_j = scale_j e_j
+        with signs sign_j = g(f_j, f_j), the weights of a trace over that
+        frame: 1, but -sign(eps) (1/sqrt(|eps|))^2 on the fiber, the only
+        rescaled vector; worked out in scalars for the Einstein form's every
+        call."""
         scale = 1.0 / math.sqrt(abs(self.eps))
         return np.array((1.0,) * (self.dim - 1) + (-math.copysign(scale * scale, self.eps),))
 

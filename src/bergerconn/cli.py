@@ -1,9 +1,11 @@
 """Command-line surface: dimension checks, verification suite, variety
 classification, the full regime table, and JSON export.
 
-Each command imports the layers it runs when it runs: dims reads only
-algebra and spaces, verify adds families and nomizu, and classify, table
-and export add einstein.
+Each command is declared once, in build_parser, with the flags it reads and
+its handler (cmd_dims, cmd_verify, ...); main parses the arguments into a
+RunConfig and runs that handler.  Each command imports the layers it runs
+when it runs: dims reads only algebra and spaces, verify adds families and
+nomizu, and classify, table and export add einstein.
 
 Exit codes: 0 all checks pass, 1 verification failure (a rank decision
 without a clear gap, a failed solve or an unwritable output file among
@@ -103,13 +105,8 @@ def _to_json(doc: dict) -> str:
 
 def compute_dims(n: int) -> dict:
     inv = spaces.invariant_bilinear_space(n).dim
-    per_eps = {}
-    for eps in EPS_SWEEP:
-        met = spaces.metric_connection_space(n, eps).dim
-        skw = spaces.skew_torsion_space(n, eps).dim
-        per_eps[eps] = (met, skw)
-    mets = {m for m, _ in per_eps.values()}
-    skws = {s for _, s in per_eps.values()}
+    mets, skws = map(set, zip(*[(spaces.metric_connection_space(n, eps).dim,
+                                 spaces.skew_torsion_space(n, eps).dim) for eps in EPS_SWEEP]))
     stable = len(mets) == 1 and len(skws) == 1
     return {
         "n": n,
@@ -139,15 +136,26 @@ def cmd_dims(cfg: RunConfig) -> int:
 # verify
 
 
+#: the per-draw checks, in order; S^5 (n = 2) has no closed curvature or Ricci
+_DRAW_CHECKS = ("closed_torsion_vs_generic", "torsion_form_is_skew", "sym_ricci_identity",
+                "closed_curvature_vs_generic", "closed_ricci_vs_generic")
+
+
+def _max_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest entry of |a - b|."""
+    return float(np.abs(a - b).max())
+
+
 def _verification_checks(n: int, eps: float, draws):
     """Yield (name, residual, tolerance) for the oracle suite at (n, eps).
 
     The Levi-Civita, dimension and skew-direction checks read (n, eps)
-    alone.  The per-draw checks report their worst residual over `draws`,
-    each a point of the skew family's families.param_count(n) parameters,
-    refused as skew_family refuses any other width; no draws leave them
-    at 0.  Ric_LC is formed once per call, so the call forms
-    1 + len(draws) curvatures.
+    alone.  Each draw, a point of the skew family's families.param_count(n)
+    parameters (refused as skew_family refuses any other width), gives one
+    row of residuals, one per name of _DRAW_CHECKS that runs at n; each of
+    those checks reports the running maximum of its column from 0.0 in draw
+    order, so no draws leave it at 0.0.  Ric_LC is formed once per call, so
+    the call forms 1 + len(draws) curvatures.
     `cmd_verify` passes five draws from --seed; the acceptance gate and
     the property tests run the same checks over their own grids.
     """
@@ -157,16 +165,10 @@ def _verification_checks(n: int, eps: float, draws):
 
     # the skew space's offset is levi_civita_generic(n, eps)
     skew = spaces.skew_torsion_space(n, eps)
-    yield (
-        "levi_civita_closed_vs_generic",
-        float(np.abs(skew.offset.coeffs - families.alpha_lc(n, eps).coeffs).max()),
-        config.TOL_LC,
-    )
-    yield (
-        "levi_civita_torsion_free",
-        float(np.abs(nomizu.torsion(families.alpha_lc(n, eps)).coeffs).max()),
-        config.TOL_NUM,
-    )
+    lc = families.alpha_lc(n, eps)
+    yield "levi_civita_closed_vs_generic", _max_diff(skew.offset.coeffs, lc.coeffs), config.TOL_LC
+    yield ("levi_civita_torsion_free", float(np.abs(nomizu.torsion(lc).coeffs).max()),
+           config.TOL_NUM)
     got = (
         spaces.invariant_bilinear_space(n).dim,
         spaces.metric_connection_space(n, eps).dim,
@@ -181,53 +183,28 @@ def _verification_checks(n: int, eps: float, draws):
         config.TOL_NUM,
     )
 
-    regime = {1: "s3", 2: "s5", 3: "s7"}.get(n, "general_n")
-
     # one curvature and Ricci per map, shared by every check that reads them
-    ric_lc = nomizu.ricci(nomizu.curvature(families.alpha_lc(n, eps)), g).coeffs
-    r_skew, r_formulicas, r_tor, r_cur, r_ric = 0.0, 0.0, 0.0, 0.0, 0.0
+    ric_lc = nomizu.ricci(nomizu.curvature(lc), g).coeffs
+    rows = []
     for x in draws:
         alpha = families.skew_family(n, eps, x)
-        params = families.FamilyParams.skew(regime, n, eps, *x)
+        params = families.FamilyParams.skew(families.regime(n), n, eps, *x)
         R = nomizu.curvature(alpha)
         ric = nomizu.ricci(R, g)
-        om = nomizu.torsion_form(alpha, g)
-        r_skew = max(r_skew, nomizu.skew_residual(om))
-        r_tor = max(
-            r_tor,
-            float(
-                np.abs(
-                    families.closed_torsion(n, eps, params).coeffs
-                    - nomizu.torsion(alpha).coeffs
-                ).max()
-            ),
-        )
-        S = nomizu.s_tensor(alpha, g)
-        r_formulicas = max(
-            r_formulicas,
-            float(np.abs(nomizu.sym(ric).coeffs - (ric_lc - S.coeffs / 4.0)).max()),
-        )
+        row = [
+            _max_diff(families.closed_torsion(n, eps, params).coeffs,
+                      nomizu.torsion(alpha).coeffs),
+            nomizu.skew_residual(nomizu.torsion_form(alpha, g)),
+            _max_diff(nomizu.sym(ric).coeffs, ric_lc - nomizu.s_tensor(alpha, g).coeffs / 4.0),
+        ]
         if n != 2:
-            r_cur = max(
-                r_cur,
-                float(np.abs(families.closed_curvature(n, eps, params).coeffs - R.coeffs).max()),
-            )
-            r_ric = max(
-                r_ric,
-                float(np.abs(families.closed_ricci(n, eps, params).coeffs - ric.coeffs).max()),
-            )
-    yield ("closed_torsion_vs_generic", r_tor, config.TOL_NUM)
-    yield ("torsion_form_is_skew", r_skew, config.TOL_NUM)
-    yield ("sym_ricci_identity", r_formulicas, config.TOL_NUM)
-    if n != 2:
-        yield ("closed_curvature_vs_generic", r_cur, config.TOL_NUM)
-        yield ("closed_ricci_vs_generic", r_ric, config.TOL_NUM)
+            row += [_max_diff(families.closed_curvature(n, eps, params).coeffs, R.coeffs),
+                    _max_diff(families.closed_ricci(n, eps, params).coeffs, ric.coeffs)]
+        rows.append(row)
+    for name, *column in zip(_DRAW_CHECKS[:3 if n == 2 else 5], *rows):
+        yield name, max([0.0, *column]), config.TOL_NUM
     if eps == -1.0:
-        yield (
-            "round_ricci_2n_g",
-            float(np.abs(ric_lc - 2 * n * g.gram()).max()),
-            config.TOL_NUM,
-        )
+        yield "round_ricci_2n_g", _max_diff(ric_lc, 2 * n * g.gram()), config.TOL_NUM
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -309,27 +286,19 @@ def compute_table() -> list[list[str]]:
 
 def cmd_table(cfg: RunConfig) -> int:
     got = compute_table()
-    expected = [list(row) for row in EXPECTED_TABLE]
-    mismatches = [
-        (TABLE_ROWS[i][0], TABLE_COLUMNS[j], got[i][j], expected[i][j])
-        for i in range(4)
-        for j in range(4)
-        if got[i][j] != expected[i][j]
-    ]
+    mismatches = [(label, n, cell, want)
+                  for (label, _), row, wants in zip(TABLE_ROWS, got, EXPECTED_TABLE)
+                  for n, cell, want in zip(TABLE_COLUMNS, row, wants) if cell != want]
+    lines = [["regime"] + [f"n={n}" if n < 4 else "n>=4" for n in TABLE_COLUMNS]]
+    lines += [[label] + row for (label, _), row in zip(TABLE_ROWS, got)]
     if cfg.fmt == "json":
         print(_to_json({"rows": [r for r, _ in TABLE_ROWS], "columns": list(TABLE_COLUMNS),
                         "cells": got, "mismatches": len(mismatches)}))
     elif cfg.fmt == "csv":
-        print("regime," + ",".join(f"n={n}" if n < 4 else "n>=4" for n in TABLE_COLUMNS))
-        for (label, _), row in zip(TABLE_ROWS, got):
-            print(label + "," + ",".join(row))
+        print("\n".join(",".join(cells) for cells in lines))
     else:
-        header = ["regime"] + [f"n={n}" if n < 4 else "n>=4" for n in TABLE_COLUMNS]
-        widths = [max(14, len(h)) for h in header]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for (label, _), row in zip(TABLE_ROWS, got):
-            cells = [label] + row
-            print("  ".join(c.ljust(w) for c, w in zip(cells, widths + [22] * 4)))
+        for cells in lines:
+            print("  ".join(c.ljust(14) for c in cells))  # 14 wide; a longer cell overflows
         print(f"{16 - len(mismatches)}/16 cells match the expected table")
     for label, n, g, e in mismatches:
         print(f"MISMATCH {label}, n={n}: got {g!r}, expected {e!r}", file=sys.stderr)
@@ -389,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand takes only the flags it reads, and all accept --seed
-    def command(name, summary, n=True, eps=True, formats=("text", "json")):
+    def command(name, summary, handler, n=True, eps=True, formats=("text", "json")):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if n:
             p.add_argument("--n", type=int, default=2, help="ambient parameter (dim 2n+1)")
         if eps:
@@ -401,31 +371,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", dest="fmt", choices=formats, default="text")
         return p
 
-    command("dims", "dimension counts of the connection spaces", eps=False)
-    command("verify", "closed forms vs generic calculus")
-    command("classify", "Einstein variety for one (n, eps)")
-    command("table", "all 16 regime cells", n=False, eps=False,
+    command("dims", "dimension counts of the connection spaces", cmd_dims, eps=False)
+    command("verify", "closed forms vs generic calculus", cmd_verify)
+    command("classify", "Einstein variety for one (n, eps)", cmd_classify)
+    command("table", "all 16 regime cells", cmd_table, n=False, eps=False,
             formats=("text", "json", "csv"))
-    command("export", "JSON report for one (n, eps)", formats=()).add_argument(
+    command("export", "JSON report for one (n, eps)", cmd_export, formats=()).add_argument(
         "--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
-    command = args.pop("command")
+    del args["command"]
+    handler = args.pop("handler")
     try:
         cfg = RunConfig(**args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    handler = {
-        "dims": cmd_dims,
-        "verify": cmd_verify,
-        "classify": cmd_classify,
-        "table": cmd_table,
-        "export": cmd_export,
-    }[command]
     try:
         return handler(cfg)
     except RankGapError as exc:

@@ -339,12 +339,13 @@ def solve_numeric(n: int, eps: float, count: int = 8, seed: int = 0) -> list[tup
     lam, c' (0 where taken as 0), the candidates examined (draws), the
     generic checks, the wall time of generic_quadric (model_s) and that of
     the checks (checks_s) (all but the checks and checks_s None where n = 1
-    has no quadric).  ValueError, before any computation, where count < 0
-    or seed is not a non-negative int (random.Random would take -5 as 5, and
-    a float or None as a seed of its own).
+    has no quadric).  ValueError, before any computation, where count or
+    seed is not a non-negative int (a bool included): random.Random would
+    take -5 as 5, and a float or None as a seed of its own, and a float
+    count would be answered at some cells and raise TypeError at others.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError(f"count must be >= 0, got {count!r}")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     kind = classify(n, eps)
@@ -459,9 +460,8 @@ def variety(n: int, eps: float, count: int = 4, seed: int = 0) -> EinsteinVariet
     """The class, canonical equation and up to count samples of the cell
     (n, eps), the samples from solve_numeric at every cell: each n >= 2
     cell, an empty one included, has its generic quadric classed against
-    the paper's class.  ValueError, before any computation, where
-    count < 0 or seed is not a non-negative int (solve_numeric's first
-    checks)."""
+    the paper's class.  ValueError, before any computation, where count or
+    seed is not a non-negative int (solve_numeric's first checks)."""
     samples = tuple(solve_numeric(n, eps, count=count, seed=seed))
     return EinsteinVariety(n, eps, classify(n, eps), einstein_equation(n, eps), samples)
 

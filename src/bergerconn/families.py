@@ -153,6 +153,11 @@ class FamilyParams(_Frozen):
         return cls(regime, q, t, p, p2)
 
 
+def regime(n: int) -> str:
+    """The regime of FamilyParams whose closed forms cover n."""
+    return next((r for r, m in FamilyParams._REGIME_N.items() if m == n), "general_n")
+
+
 # ---------------------------------------------------------------------------
 # connection families
 

@@ -12,9 +12,10 @@ coordinate-free form.
 
 It also holds the oracles that no program path enters: the metric family
 alpha_metric, the metric test is_metric with its violation array, the
-scalar curvature, classify_ref, the paper's table by cases of n, and
-curvature_terms, the curvature kernel as one product read through two
-transposed views.
+scalar curvature, orthonormal_scales, the g_eps-orthonormal frame whose
+signs and squared scales Metric.trace_weights holds, classify_ref, the
+paper's table by cases of n, and curvature_terms, the curvature kernel as
+one product read through two transposed views.
 """
 
 import numpy as np
@@ -150,6 +151,20 @@ def psi_hat(x) -> np.ndarray:  # (theta(z), 0), theta(z1, z2) = (-conj(z2), conj
 def alpha_metric(n: int, eps: float, q: complex, t: float):
     """Metric-compatible family: (-eps q b z + t a w, -i Im(conj(q) conj(z)^t w))."""
     return families.alpha_general(n, -eps * q, t, -np.conj(q), 0.0)
+
+
+def orthonormal_scales(g) -> tuple[np.ndarray, np.ndarray]:
+    """Scales f_j = scale_j e_j turning the standard basis into a
+    g-orthonormal one, and the signs g(f_j, f_j).
+
+    Only the fiber vector is rescaled, by 1/sqrt(|eps|); its sign is
+    -sign(eps).
+    """
+    scale = np.ones(g.dim)
+    scale[-1] = 1.0 / np.sqrt(abs(g.eps))
+    signs = np.ones(g.dim)
+    signs[-1] = -np.sign(g.eps)
+    return scale, signs
 
 
 def metric_violation(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:

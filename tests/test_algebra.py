@@ -180,14 +180,14 @@ class TestMetric:
     def test_signature(self):
         # Riemannian iff eps < 0: every orthonormal sign is +1 there, and the
         # fibre's is -1 for eps > 0
-        assert (Metric(2, -1.0).orthonormal_scales()[1] == 1.0).all()
-        assert Metric(2, 2.0).orthonormal_scales()[1].tolist() == [1.0] * 4 + [-1.0]
+        assert (ref.orthonormal_scales(Metric(2, -1.0))[1] == 1.0).all()
+        assert ref.orthonormal_scales(Metric(2, 2.0))[1].tolist() == [1.0] * 4 + [-1.0]
 
 
 def frame_gram(g):
     """Gram matrix, by the metric formula, of the frame f_j = scale_j e_j of
-    g.orthonormal_scales, with the scales and signs."""
-    scale, signs = g.orthonormal_scales()
+    reference.orthonormal_scales, with the scales and signs."""
+    scale, signs = ref.orthonormal_scales(g)
     return ref.gram(g.eps, np.diag(scale)), scale, signs
 
 
@@ -404,8 +404,8 @@ class TestBatchedTables:
             algebra._require_m(z, a)
 
     def test_orthonormal_scales_match_basis(self):
-        # the frame of orthonormal_scales is g_eps-orthonormal by the metric
-        # formula, and trace_weights are its sign_j scale_j^2
+        # the frame of reference.orthonormal_scales is g_eps-orthonormal by
+        # the metric formula, and trace_weights are its sign_j scale_j^2
         for eps in (-3.0, -1.0, 0.25, 2.0):
             g = Metric(3, eps)
             G, scale, signs = frame_gram(g)

@@ -161,6 +161,45 @@ class TestVerify:
         assert checks["levi_civita_closed_vs_generic"] == config.TOL_LC
 
 
+class TestCheckList:
+    """verify's checks by name, in order, with their tolerances, for n = 1..4
+    with and without draws; each per-draw check is the running maximum of
+    its residuals from 0.0."""
+
+    FIXED = [("levi_civita_closed_vs_generic", 1e-10), ("levi_civita_torsion_free", 1e-9),
+             ("dimension_counts", 0.5), ("skew_directions_closed_vs_generic", 1e-9)]
+    PER_DRAW = [("closed_torsion_vs_generic", 1e-9), ("torsion_form_is_skew", 1e-9),
+                ("sym_ricci_identity", 1e-9), ("closed_curvature_vs_generic", 1e-9),
+                ("closed_ricci_vs_generic", 1e-9)]
+
+    @staticmethod
+    def _draws(n, count):
+        return [[0.3 * (i + 1) - 0.7 * j for j in range(families.param_count(n))]
+                for i in range(count)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [-1.0, -1.5, 2.0])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_names_order_and_tolerances(self, n, eps, count):
+        # S^5 (n = 2) has no closed curvature or Ricci; the round metric
+        # adds Ric = 2n g
+        per_draw = self.PER_DRAW[:3] if n == 2 else self.PER_DRAW
+        round_metric = [("round_ricci_2n_g", 1e-9)] if eps == -1.0 else []
+        checks = list(cli._verification_checks(n, eps, self._draws(n, count)))
+        assert [(name, tol) for name, _, tol in checks] == self.FIXED + per_draw + round_metric
+        if count == 0:
+            assert [r for _, r, _ in checks[4:4 + len(per_draw)]] == [0.0] * len(per_draw)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_per_draw_is_the_maximum_over_draws(self, n):
+        draws = self._draws(n, 3)
+        alone = [dict((name, r) for name, r, _ in cli._verification_checks(n, -1.5, [x]))
+                 for x in draws]
+        together = dict((name, r) for name, r, _ in cli._verification_checks(n, -1.5, draws))
+        for name, _ in self.PER_DRAW[:3] if n == 2 else self.PER_DRAW:
+            assert together[name] == max([0.0] + [a[name] for a in alone])
+
+
 class TestClassify:
     def test_line(self, capsys):
         assert main(["classify", "--n", "1", "--eps=-1"]) == 0

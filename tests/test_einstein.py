@@ -866,8 +866,8 @@ class TestSampleCounts:
 
 
 class TestCountRefused:
-    """A negative count is refused before any computation; count = 0 asks
-    for no samples."""
+    """A negative count, or one that is not an int, is refused before any
+    computation; count = 0 asks for no samples."""
 
     @pytest.mark.parametrize("n,eps,count", [(1, -1.0, -1), (3, -2.0, -1), (4, -2.0, -3)])
     def test_negative_count(self, n, eps, count, monkeypatch):
@@ -890,6 +890,18 @@ class TestCountRefused:
             monkeypatch.setattr(einstein, name, lambda *args, **kw: pytest.fail("computed"))
         with pytest.raises(ValueError, match="count must be >= 0, got -3"):
             variety(n, eps, count=-3)
+
+    # each path of solve_numeric: an empty cell, a 2-pt. cell, the n = 1
+    # line and a cell that draws; a bool is refused as the seed's rule does
+    @pytest.mark.parametrize("n,eps", [(2, -0.5), (4, -2.0), (1, -1.0), (3, -2.0)])
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, False, None, "2"])
+    def test_not_an_int_refused(self, n, eps, count, monkeypatch):
+        for name in ("classify", "einstein_equation", "generic_quadric"):
+            monkeypatch.setattr(einstein, name, lambda *args, **kw: pytest.fail("computed"))
+        message = re.escape(f"count must be >= 0, got {count!r}")
+        for solve in (solve_numeric, variety):
+            with pytest.raises(ValueError, match=message):
+                solve(n, eps, count=count)
 
 
 

@@ -3,7 +3,8 @@ here, so that a change to the order of any rounding step fails.
 
 - metric_arrays_ref: the metric's scales, signs and Gram matrix from
   numpy arrays (np.ones, np.sqrt, np.sign, np.eye), as Metric once built
-  them all; Metric.trace_weights must be signs * scale * scale of them.
+  them all; tests/reference.py's orthonormal_scales must be the first two,
+  and Metric.trace_weights signs * scale * scale of them.
 - einstein_form_ref: Sym(Ric) - (s / dim) g with those weights and that
   Gram matrix, and s as a three-operand einsum.
 - einstein_defect_at_ref: the lone defect through the wrappers: the member
@@ -40,6 +41,7 @@ from bergerconn.algebra import Metric
 from bergerconn.config import TOL_SOL
 from bergerconn.einstein import VarietyClass
 from bergerconn.spaces import Bilin
+from reference import orthonormal_scales
 
 N = st.integers(1, 8)
 #: |eps| in [1e-10, 1e10], its sign drawn apart
@@ -225,7 +227,7 @@ class TestEinsteinForm:
     def test_metric_arrays_are_the_reference(self, n, eps):
         g = Metric(n, eps)
         scale, signs, G = metric_arrays_ref(g)
-        for got, ref in zip((*g.orthonormal_scales(), g.gram(), g.trace_weights()),
+        for got, ref in zip((*orthonormal_scales(g), g.gram(), g.trace_weights()),
                             (scale, signs, G, signs * scale * scale)):
             assert_bytes(got, ref, "metric arrays")
 

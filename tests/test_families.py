@@ -71,6 +71,14 @@ class TestFamilyParams:
             assert params.skew_eligible(n, -1.5)
             assert abs((1 - params.q).real - 0.4) < 1e-15
 
+    def test_regime_of_n(self):
+        # the regime whose closed forms cover n, read off FamilyParams' own
+        # table; n >= 4 is the general regime, which check_n accepts
+        assert [families.regime(n) for n in range(1, 9)] == (
+            ["s3", "s5", "s7"] + ["general_n"] * 5)
+        for n in range(1, 9):
+            FamilyParams(families.regime(n), 0.5, 0.0).check_n(n)
+
     def test_skew_eligibility_fails_off_line(self):
         params = FamilyParams("general_n", q=0.5, t=0.0)
         assert not params.skew_eligible(4, -1.0)

@@ -261,7 +261,8 @@ def test_acceptance_gate_builds_without_the_per_vector_layer():
 
 
 #: oracles only the tests read, held in tests/reference.py
-TEST_ORACLES = {"is_metric", "scalar", "_metric_violation", "metric_violation", "alpha_metric"}
+TEST_ORACLES = {"is_metric", "scalar", "_metric_violation", "metric_violation", "alpha_metric",
+                "orthonormal_scales"}
 
 
 def test_test_oracles_not_defined_in_the_package():

@@ -24,7 +24,8 @@ from bergerconn.nomizu import (
 )
 from bergerconn.spaces import BYTES_PER_CUBE, Bilin
 from conftest import assert_verify_passes, members, random_vector
-from reference import alpha_metric, apply, curvature_terms, is_metric, metric, scalar
+from reference import (alpha_metric, apply, curvature_terms, is_metric, metric,
+                       orthonormal_scales, scalar)
 
 TOL = 1e-9
 
@@ -280,7 +281,7 @@ EPS = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-3.0, 3.0), st.sampl
 def _weighted_ricci(R, g):
     """Ric(X, Y) = sum_j sign_j g(R(f_j, X, Y), f_j) over the g-orthonormal
     basis f_j = scale_j e_j, written out with its metric weights."""
-    scale, signs = g.orthonormal_scales()
+    scale, signs = orthonormal_scales(g)
     return np.einsum("j,jxyl,lj->xy", signs * scale * scale, R.coeffs, g.gram())
 
 
